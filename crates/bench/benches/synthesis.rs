@@ -56,5 +56,22 @@ fn bench_standard_targets(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_depth_oracle_ablation, bench_standard_targets);
+fn bench_near_face_cnot(c: &mut Criterion) {
+    // Just inside the CNOT-in-2 face (a Criterion 2 gate of the 4x3 test
+    // device): the sweeps crawl there, and the polish finishes the run.
+    let dec = Decomposer::new(canonical_gate(WeylCoord::new(0.250247, 0.248563, 0.044147)));
+    let mut group = c.benchmark_group("synthesis");
+    group.sample_size(10);
+    group.bench_function("cnot_2layer_near_face", |b| {
+        b.iter(|| dec.decompose(&Mat4::cnot()).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_depth_oracle_ablation,
+    bench_standard_targets,
+    bench_near_face_cnot
+);
 criterion_main!(benches);

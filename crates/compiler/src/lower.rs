@@ -55,10 +55,9 @@ impl From<SynthesisFailed> for LowerError {
 
 /// One operation of the lowered (hardware-level) program.
 ///
-/// `Entangler` carries its full `Mat4` inline; lowered programs are short
-/// and iterated once, so locality beats boxing the large variant.
+/// `Entangler` shares its edge's calibrated gate instead of copying the
+/// `Mat4`, so an op stays small however many entanglers a program holds.
 #[derive(Clone, Debug)]
-#[allow(clippy::large_enum_variant)]
 pub enum LoweredOp {
     /// A merged local unitary on one qubit.
     Local {
@@ -74,8 +73,9 @@ pub enum LoweredOp {
         qubits: (usize, usize),
         /// Pulse duration (ns).
         duration: f64,
-        /// The gate unitary (for verification and reporting).
-        gate: Mat4,
+        /// The gate unitary (for verification and reporting), shared with
+        /// the edge calibration.
+        gate: Arc<Mat4>,
     },
 }
 
@@ -265,7 +265,7 @@ impl<'d> Lowerer<'d> {
                 out.push(LoweredOp::Entangler {
                     qubits: (g0, g1),
                     duration: basis.duration,
-                    gate: basis.gate,
+                    gate: Arc::clone(&basis.gate),
                 });
             }
         }
@@ -530,7 +530,7 @@ mod tests {
         let ent = LoweredOp::Entangler {
             qubits: (0, 1),
             duration: 10.0,
-            gate: Mat4::cnot(),
+            gate: Arc::new(Mat4::cnot()),
         };
         let ops = vec![
             LoweredOp::Local {
@@ -580,6 +580,32 @@ mod tests {
             format!("{expected:?}"),
             "prewarmed lowering must be bit-identical to serial lowering"
         );
+    }
+
+    #[test]
+    fn entanglers_share_the_calibrated_gate() {
+        use nsb_circuit::generators;
+        use nsb_device::{BasisStrategy, DeviceConfig};
+        let device = Device::build(2, 1, DeviceConfig::fast_test()).expect("test device");
+        let routed = crate::sabre_route(
+            &generators::qft(2, true),
+            device.topology(),
+            &crate::SabreConfig::default(),
+        )
+        .expect("route");
+        let mut lowerer = Lowerer::new(&device, BasisStrategy::Criterion2, LoweringMode::ViaCnot);
+        let ops = lowerer.lower(&routed.circuit).expect("lower");
+        let calibrated = &device.edges()[0].criterion2.gate;
+        let mut entanglers = 0;
+        for op in &ops {
+            if let LoweredOp::Entangler { gate, .. } = op {
+                assert!(Arc::ptr_eq(gate, calibrated), "entangler copied its gate");
+                entanglers += 1;
+            }
+        }
+        assert!(entanglers > 0, "qft 2 lowered without an entangler");
+        // The largest variant is now a local (qubit + Mat2), not a Mat4.
+        assert!(std::mem::size_of::<LoweredOp>() <= 80);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl CompiledCircuit {
                     c.push(Gate::Unitary1(*unitary), &[*qubit]);
                 }
                 LoweredOp::Entangler { qubits, gate, .. } => {
-                    c.push(Gate::Unitary2(Box::new(*gate)), &[qubits.0, qubits.1]);
+                    c.push(Gate::Unitary2(Box::new(**gate)), &[qubits.0, qubits.1]);
                 }
             }
         }
@@ -119,7 +119,7 @@ pub fn to_verify_ops(ops: &[LoweredOp], device: &Device, strategy: BasisStrategy
             } => VerifyOp::TwoQubit {
                 qubits: *qubits,
                 duration: *duration,
-                unitary: *gate,
+                unitary: **gate,
                 coord: device
                     .topology()
                     .edge_index(qubits.0, qubits.1)

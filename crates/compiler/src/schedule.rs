@@ -134,7 +134,7 @@ mod tests {
         LoweredOp::Entangler {
             qubits: (q0, q1),
             duration: d,
-            gate: Mat4::cnot(),
+            gate: std::sync::Arc::new(Mat4::cnot()),
         }
     }
 

@@ -13,6 +13,7 @@ use nsb_weyl::{SelectionCriterion, WeylCoord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::Arc;
 
 /// The three basis-gate strategies compared in the paper's evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -61,8 +62,9 @@ pub struct SelectedBasis {
     pub strategy: BasisStrategy,
     /// Entangling pulse duration of the basis gate (ns).
     pub duration: f64,
-    /// The characterized unitary the compiler targets.
-    pub gate: Mat4,
+    /// The characterized unitary the compiler targets, shared with every
+    /// compiled op that applies it.
+    pub gate: Arc<Mat4>,
     /// Cartan coordinates.
     pub coord: WeylCoord,
     /// Leakage of the underlying pulse.
@@ -551,7 +553,7 @@ fn finish_basis(
     Ok(SelectedBasis {
         strategy,
         duration,
-        gate,
+        gate: Arc::new(gate),
         coord,
         leakage,
         swap,
@@ -626,5 +628,22 @@ mod tests {
             .baseline
             .gate
             .approx_eq(&b.edges()[0].baseline.gate, 1e-12));
+    }
+
+    #[test]
+    fn criterion2_cnot_is_two_layers_on_every_edge() {
+        // Criterion 2 promises CNOT in two layers. Edge (7, 11) of this
+        // device sits just inside the CNOT-in-2 face, where the
+        // alternating sweeps alone stall above tolerance.
+        let device = Device::build(4, 3, DeviceConfig::fast_test()).expect("build");
+        for e in device.edges() {
+            let c2 = &e.criterion2;
+            assert!(nsb_weyl::can_cnot_in_2(c2.coord), "{:?}", e.qubits);
+            assert_eq!(
+                c2.cnot.circuit.layers, 2,
+                "edge {:?}: Criterion 2 CNOT error {:.2e}",
+                e.qubits, c2.cnot.circuit.error
+            );
+        }
     }
 }

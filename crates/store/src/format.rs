@@ -13,10 +13,14 @@ use std::hash::Hasher;
 /// File magic: identifies an nsb-store snapshot ("NSBSTOR1").
 pub const MAGIC: [u8; 8] = *b"NSBSTOR1";
 
-/// Current format version. Bumped whenever the header, record layout or
-/// any persisted fingerprint algorithm changes incompatibly; loaders
-/// refuse other versions (see the README compat policy).
-pub const FORMAT_VERSION: u32 = 1;
+/// Current format version. Bumped whenever the header, record layout, any
+/// persisted fingerprint algorithm or the synthesized outputs themselves
+/// change; loaders refuse other versions (see the README compat policy).
+///
+/// Version 2: the synthesis optimizer's Levenberg–Marquardt polish
+/// changed the stored locals, so version-1 entries would break
+/// fresh-vs-cached bit-identity.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header length in bytes: magic + version + reserved + calibration hash.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
@@ -294,6 +298,17 @@ mod tests {
             decode_header(&newer),
             Err(HeaderError::UnsupportedVersion(99))
         );
+    }
+
+    #[test]
+    fn header_carries_version_2_and_rejects_version_1() {
+        let h = encode_header(7);
+        assert_eq!(FORMAT_VERSION, 2);
+        assert_eq!(h[8..12], 2u32.to_le_bytes());
+        // Version-1 snapshots hold locals from the old optimizer polish.
+        let mut v1 = h;
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(decode_header(&v1), Err(HeaderError::UnsupportedVersion(1)));
     }
 
     #[test]

@@ -397,6 +397,24 @@ mod tests {
     }
 
     #[test]
+    fn near_face_cnot_is_two_layers_and_bit_identical() {
+        // Just inside the CNOT-in-2 face: the sweeps alone stall above
+        // tolerance here, the polish converges.
+        let dec = Decomposer::new(canonical_gate(nsb_weyl::WeylCoord::new(
+            0.250247, 0.248563, 0.044147,
+        )));
+        let a = dec.decompose(&Mat4::cnot()).unwrap();
+        let b = dec.decompose(&Mat4::cnot()).unwrap();
+        assert_eq!(a.layers, 2);
+        assert!(a.error < 1e-12, "error {:e}", a.error);
+        assert_eq!(a.error.to_bits(), b.error.to_bits());
+        assert_eq!(a.phase.to_bits(), b.phase.to_bits());
+        for ((u, v), (x, y)) in a.locals.iter().zip(&b.locals) {
+            assert!(u.approx_eq(x, 0.0) && v.approx_eq(y, 0.0));
+        }
+    }
+
+    #[test]
     fn depth_oracle_and_incremental_agree() {
         let basis = Mat4::sqrt_iswap();
         let with = Decomposer::with_config(

@@ -1,4 +1,5 @@
-//! Alternating "environment" optimization of the local unitaries.
+//! Alternating "environment" optimization of the local unitaries, with a
+//! Levenberg–Marquardt polish.
 //!
 //! With all but one local factor fixed, the trace objective is linear in
 //! that factor: `tr(T^dag W) = tr(u E)` for a 2x2 environment `E` obtained
@@ -8,6 +9,14 @@
 //! search reliable enough to serve as a *decision procedure* for
 //! decomposability (the approach NuOp takes with generic optimizers, made
 //! deterministic and fast here).
+//!
+//! The sweeps converge linearly, and slowly when the basis gate sits just
+//! inside the region face that makes the target reachable in this many
+//! layers. So the best restart, when its residual is small but not yet
+//! converged, is polished by a deterministic Levenberg–Marquardt
+//! refinement on `||W - e^{i phi} T||_F`, with an analytic Jacobian built
+//! from the same prefix/suffix products the sweeps use. It converges
+//! quadratically and leaves the result only if it improves it.
 
 use crate::ansatz::build_ansatz;
 use nsb_math::{haar_su2, max_trace_unitary, Complex64, Mat2, Mat4};
@@ -50,21 +59,37 @@ pub struct RunResult {
     pub overlap: f64,
 }
 
-/// Reusable scratch buffers for the alternating optimizer.
+/// Reusable scratch buffers for the restart search and its polish.
 ///
-/// One `Workspace` threaded through a restart/basin-hopping search makes
-/// the inner loop allocation-free: candidate and best locals live in
-/// resizable buffers, and the per-sweep suffix products reuse one `Vec`.
-/// A capacity-growth counter backs debug assertions that the buffers stop
-/// growing after the first restart warms them up.
+/// One `Workspace` threaded through a restart search and the
+/// Levenberg–Marquardt polish makes both allocation-free: candidate, best
+/// and trial locals live in resizable buffers, the per-sweep suffix
+/// products and the polish's prefix products, Jacobian columns and normal
+/// equations reuse their own `Vec`s. A capacity-growth counter backs debug
+/// assertions that the buffers stop growing after the first restart warms
+/// them up.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// Current-attempt (and polish-kick) locals.
+    /// Current-attempt locals; the polish iterate.
     cand: Vec<(Mat2, Mat2)>,
     /// Best locals found so far.
     best: Vec<(Mat2, Mat2)>,
-    /// Per-layer suffix products `A_k`, rebuilt each sweep.
+    /// Polish trial-step locals.
+    trial: Vec<(Mat2, Mat2)>,
+    /// Per-layer suffix products, rebuilt each sweep and each polish step.
     suffix: Vec<Mat4>,
+    /// Per-layer prefix products of the polish Jacobian.
+    prefix: Vec<Mat4>,
+    /// Polish Jacobian, one complex 4x4 column per real parameter.
+    jac: Vec<Mat4>,
+    /// Polish normal matrix `J^T J` (row-major, `params x params`).
+    normal: Vec<f64>,
+    /// Damped copy of `normal`, Cholesky-factored in place.
+    factor: Vec<f64>,
+    /// Polish gradient `J^T r`.
+    grad: Vec<f64>,
+    /// Polish step (solution of the damped normal equations).
+    step: Vec<f64>,
     /// Times any buffer had to grow its capacity.
     grows: usize,
 }
@@ -77,20 +102,38 @@ impl Workspace {
 
     /// Number of buffer capacity growths so far. After the first restart of
     /// a search has warmed the buffers, this must stay constant — the
-    /// restart loop debug-asserts exactly that.
+    /// restart loop and the polish debug-assert exactly that.
     pub fn grows(&self) -> usize {
         self.grows
     }
 
     /// Sizes every buffer for an `n`-local ansatz, counting capacity growth.
     fn prepare(&mut self, n: usize) {
-        if self.cand.capacity() < n || self.best.capacity() < n || self.suffix.capacity() < n {
+        let p = lm_params(n);
+        if self.cand.capacity() < n
+            || self.best.capacity() < n
+            || self.trial.capacity() < n
+            || self.suffix.capacity() < n
+            || self.prefix.capacity() < n
+            || self.jac.capacity() < p
+            || self.normal.capacity() < p * p
+            || self.factor.capacity() < p * p
+            || self.grad.capacity() < p
+            || self.step.capacity() < p
+        {
             self.grows += 1;
         }
         let id = (Mat2::identity(), Mat2::identity());
         self.cand.resize(n, id);
         self.best.resize(n, id);
+        self.trial.resize(n, id);
         self.suffix.resize(n, Mat4::identity());
+        self.prefix.resize(n, Mat4::identity());
+        self.jac.resize(p, Mat4::zero());
+        self.normal.resize(p * p, 0.0);
+        self.factor.resize(p * p, 0.0);
+        self.grad.resize(p, 0.0);
+        self.step.resize(p, 0.0);
     }
 }
 
@@ -226,7 +269,7 @@ pub fn optimize_with_restarts<R: Rng + ?Sized>(
 }
 
 /// [`optimize_with_restarts`] with caller-owned scratch: every restart and
-/// polish kick reuses the workspace buffers, so after the first restart the
+/// the polish reuse the workspace buffers, so after the first restart the
 /// search performs no allocations (debug-asserted via [`Workspace::grows`]).
 #[allow(clippy::too_many_arguments)] // same signature as optimize_with_restarts plus the scratch
 pub fn optimize_with_restarts_ws<R: Rng + ?Sized>(
@@ -269,44 +312,24 @@ pub fn optimize_with_restarts_ws<R: Rng + ?Sized>(
             break;
         }
     }
-    // Polish phase: coordinate ascent on the local pairs has spurious
-    // "ping-pong" fixed points a hair away from the optimum (each single
-    // update is exactly optimal yet the joint step is stuck), so a run
-    // can plateau at residual ~1e-7 on a decomposable target no matter
-    // how many fresh restarts are tried. Residual-scaled random kicks
-    // followed by re-optimization hop off the ridge; each round shrinks
-    // the residual by roughly an order of magnitude. Runs with a large
-    // residual are genuine rejections, not ridges, and are returned
-    // untouched so the decision procedure stays cheap.
-    let mut residual = 4.0 * (1.0 - best_overlap);
-    if residual < POLISH_THRESHOLD {
-        for _round in 0..POLISH_ROUNDS {
-            if residual <= config.target_residual {
-                break;
-            }
-            let mag = (3.0 * residual.sqrt()).clamp(1e-8, 3e-2);
-            for _trial in 0..POLISH_TRIALS {
-                // Kick the best locals into the reusable candidate buffer —
-                // no per-kick Vec is built.
-                for (slot, (u, v)) in ws.cand.iter_mut().zip(ws.best.iter()) {
-                    *slot = (small_rotation(rng, mag) * *u, small_rotation(rng, mag) * *v);
-                }
-                let overlap = optimize_slice(&t_dag, bases, &mut ws.cand, &mut ws.suffix, config);
-                debug_assert_eq!(
-                    ws.grows,
-                    warm_grows.unwrap_or(0),
-                    "polish kicks must not grow optimizer buffers"
-                );
-                if overlap > best_overlap {
-                    best_overlap = overlap;
-                    ws.best.copy_from_slice(&ws.cand);
-                }
-            }
-            let polished = 4.0 * (1.0 - best_overlap);
-            if polished >= residual {
-                break;
-            }
-            residual = polished;
+    // Polish phase: alternating sweeps converge only linearly, and next to
+    // a region face (a basis gate that barely reaches the target in this
+    // many layers) they crawl, so restarts end at the sweep cap short of
+    // the target residual. A Levenberg–Marquardt refinement of the best
+    // restart converges quadratically from there. Runs with a large
+    // residual are genuine rejections and are returned untouched, so the
+    // decision procedure stays cheap.
+    let residual = 4.0 * (1.0 - best_overlap);
+    if residual < POLISH_THRESHOLD && residual > config.target_residual {
+        let polished = lm_polish(target, &t_dag, bases, config, ws);
+        debug_assert_eq!(
+            ws.grows,
+            warm_grows.unwrap_or(0),
+            "the polish must not grow optimizer buffers"
+        );
+        if polished > best_overlap {
+            best_overlap = polished;
+            ws.best.copy_from_slice(&ws.cand);
         }
     }
     RunResult {
@@ -315,27 +338,224 @@ pub fn optimize_with_restarts_ws<R: Rng + ?Sized>(
     }
 }
 
-/// Residual below which a non-converged run is treated as sitting on a
-/// ping-pong ridge worth polishing rather than as a genuine rejection.
+/// Residual below which a non-converged run is treated as a slow tail
+/// worth polishing rather than as a genuine rejection.
 const POLISH_THRESHOLD: f64 = 1e-4;
-/// Kick-and-reoptimize rounds in the polish phase.
-const POLISH_ROUNDS: usize = 8;
-/// Random kicks tried per polish round.
-const POLISH_TRIALS: usize = 4;
+/// Maximum accepted Levenberg–Marquardt steps in one polish.
+const LM_STEPS: usize = 200;
+/// Initial Levenberg–Marquardt damping.
+const LM_DAMPING_INIT: f64 = 1e-3;
+/// Floor on the damping; keeps the damped normal matrix positive definite
+/// along the ansatz's gauge directions, where `J^T J` is singular.
+const LM_DAMPING_MIN: f64 = 1e-12;
+/// Damping at which the polish gives up: no step lowers the residual.
+const LM_DAMPING_MAX: f64 = 1e8;
 
-/// A random unitary within distance ~`mag` of the identity: a Haar
-/// rotation blended into the identity and projected back onto U(2).
-fn small_rotation<R: Rng + ?Sized>(rng: &mut R, mag: f64) -> Mat2 {
-    let h = haar_su2(rng);
-    let id = Mat2::identity();
-    let mut m = Mat2::zero();
-    for r in 0..2 {
-        for c in 0..2 {
-            m[(r, c)] =
-                id.at(r, c) * Complex64::real(1.0 - mag) + h.at(r, c) * Complex64::real(mag);
+/// Real parameters of the polish for an `n`-local ansatz: three su(2)
+/// generators per local factor, plus the global phase.
+fn lm_params(n: usize) -> usize {
+    6 * n + 1
+}
+
+/// Levenberg–Marquardt refinement of `ws.best`, left in `ws.cand`; returns
+/// the overlap of the refined locals.
+///
+/// Minimizes `||W - e^{i phi} T||_F^2`, which equals `2 (4 - |tr(T^dag W)|)`
+/// once `phi` matches the trace phase. Each local moves as
+/// `u <- exp(i d.sigma) u`, so the parameters are the step's three su(2)
+/// coordinates per local factor plus `phi`. The Jacobian is analytic (see
+/// [`lm_jacobian`]). A step is taken only if it lowers the residual;
+/// otherwise the damping grows and the step is re-solved. Deterministic:
+/// no random numbers are drawn.
+fn lm_polish(
+    target: &Mat4,
+    t_dag: &Mat4,
+    bases: &[Mat4],
+    config: &OptimizerConfig,
+    ws: &mut Workspace,
+) -> f64 {
+    let n = ws.best.len();
+    let p = lm_params(n);
+    ws.cand.copy_from_slice(&ws.best);
+    let w = build_ansatz(&ws.cand, bases);
+    let mut phase = (*t_dag * w).trace().arg();
+    let mut cost = lm_cost(&w, target, phase);
+    let mut damping = LM_DAMPING_INIT;
+    'steps: for _ in 0..LM_STEPS {
+        // 4 - |tr(T^dag W)| <= cost / 2, so this is the sweeps' own
+        // convergence test.
+        if cost / 2.0 <= config.target_residual {
+            break;
+        }
+        let r = lm_jacobian(target, bases, phase, ws);
+        for i in 0..p {
+            ws.grad[i] = re_inner(&ws.jac[i], &r);
+            for j in 0..=i {
+                let v = re_inner(&ws.jac[i], &ws.jac[j]);
+                ws.normal[i * p + j] = v;
+                ws.normal[j * p + i] = v;
+            }
+        }
+        loop {
+            ws.factor.copy_from_slice(&ws.normal);
+            for i in 0..p {
+                ws.factor[i * p + i] += damping;
+                ws.step[i] = -ws.grad[i];
+            }
+            if cholesky_solve(&mut ws.factor, &mut ws.step, p) {
+                for (k, (slot, (u, v))) in ws.trial.iter_mut().zip(&ws.cand).enumerate() {
+                    let d = &ws.step[6 * k..6 * k + 6];
+                    *slot = (
+                        su2_exp(d[0], d[1], d[2]) * *u,
+                        su2_exp(d[3], d[4], d[5]) * *v,
+                    );
+                }
+                let trial_phase = phase + ws.step[p - 1];
+                let trial_cost = lm_cost(&build_ansatz(&ws.trial, bases), target, trial_phase);
+                if trial_cost < cost {
+                    ws.cand.copy_from_slice(&ws.trial);
+                    phase = trial_phase;
+                    cost = trial_cost;
+                    damping = (damping / 3.0).max(LM_DAMPING_MIN);
+                    continue 'steps;
+                }
+            }
+            damping *= 4.0;
+            if damping > LM_DAMPING_MAX {
+                break 'steps;
+            }
         }
     }
-    max_trace_unitary(&m.adjoint())
+    (*t_dag * build_ansatz(&ws.cand, bases)).trace().abs() / 4.0
+}
+
+/// Fills `ws.jac` with the derivatives of `W - e^{i phi} T` at `ws.cand`
+/// and returns that residual.
+///
+/// With prefix `D_k = K_k B_{k-1} ... B_0 K_0` and suffix
+/// `A_k = K_{n-1} B_{n-2} ... K_{k+1} B_k` (`K_k = u_k (x) v_k`), `W = A_k D_k`
+/// for every `k`, and the generator `i sigma_a` on `u_k` moves `W` by
+/// `A_k (i sigma_a (x) I) D_k` (likewise `I (x) i sigma_a` for `v_k`). The
+/// phase column is `-i e^{i phi} T`.
+fn lm_jacobian(target: &Mat4, bases: &[Mat4], phase: f64, ws: &mut Workspace) -> Mat4 {
+    let n = ws.cand.len();
+    let mut d = Mat4::identity();
+    for k in 0..n {
+        if k > 0 {
+            d = bases[k - 1] * d;
+        }
+        d = Mat4::kron(&ws.cand[k].0, &ws.cand[k].1) * d;
+        ws.prefix[k] = d;
+    }
+    ws.suffix[n - 1] = Mat4::identity();
+    for k in (0..n - 1).rev() {
+        ws.suffix[k] =
+            ws.suffix[k + 1] * Mat4::kron(&ws.cand[k + 1].0, &ws.cand[k + 1].1) * bases[k];
+    }
+    let id = Mat2::identity();
+    let gens = su2_generators();
+    let lifted = [
+        Mat4::kron(&gens[0], &id),
+        Mat4::kron(&gens[1], &id),
+        Mat4::kron(&gens[2], &id),
+        Mat4::kron(&id, &gens[0]),
+        Mat4::kron(&id, &gens[1]),
+        Mat4::kron(&id, &gens[2]),
+    ];
+    for k in 0..n {
+        for (g, lift) in lifted.iter().enumerate() {
+            ws.jac[6 * k + g] = ws.suffix[k] * *lift * ws.prefix[k];
+        }
+    }
+    let shifted = target.scale(Complex64::cis(phase));
+    ws.jac[6 * n] = shifted.scale(-Complex64::I);
+    ws.prefix[n - 1] - shifted
+}
+
+/// `i sigma_x`, `i sigma_y`, `i sigma_z`.
+fn su2_generators() -> [Mat2; 3] {
+    let (o, z, i) = (Complex64::ONE, Complex64::ZERO, Complex64::I);
+    [
+        Mat2::from_rows([[z, i], [i, z]]),
+        Mat2::from_rows([[z, o], [-o, z]]),
+        Mat2::from_rows([[i, z], [z, -i]]),
+    ]
+}
+
+/// `exp(i (x sigma_x + y sigma_y + z sigma_z))`, exactly unitary.
+fn su2_exp(x: f64, y: f64, z: f64) -> Mat2 {
+    let theta = (x * x + y * y + z * z).sqrt();
+    // sin(theta) / theta, by its series where the quotient loses digits.
+    let sinc = if theta < 1e-4 {
+        1.0 - theta * theta / 6.0
+    } else {
+        theta.sin() / theta
+    };
+    let c = theta.cos();
+    let (sx, sy, sz) = (sinc * x, sinc * y, sinc * z);
+    Mat2::from_rows([
+        [Complex64::new(c, sz), Complex64::new(sy, sx)],
+        [Complex64::new(-sy, sx), Complex64::new(c, -sz)],
+    ])
+}
+
+/// `||W - e^{i phi} T||_F^2`.
+fn lm_cost(w: &Mat4, target: &Mat4, phase: f64) -> f64 {
+    let r = *w - target.scale(Complex64::cis(phase));
+    re_inner(&r, &r)
+}
+
+/// `Re tr(a^dag b)`: the real inner product of two matrices viewed as
+/// vectors of 32 reals.
+fn re_inner(a: &Mat4, b: &Mat4) -> f64 {
+    let mut acc = 0.0;
+    for r in 0..4 {
+        for c in 0..4 {
+            let (x, y) = (a.at(r, c), b.at(r, c));
+            acc += x.re * y.re + x.im * y.im;
+        }
+    }
+    acc
+}
+
+/// Solves `A x = b` for a symmetric `p x p` matrix `A` (row-major) in
+/// place: `a` is overwritten by its Cholesky factor, `b` by `x`. Returns
+/// false when `A` is not numerically positive definite.
+fn cholesky_solve(a: &mut [f64], b: &mut [f64], p: usize) -> bool {
+    for j in 0..p {
+        let mut diag = a[j * p + j];
+        for k in 0..j {
+            diag -= a[j * p + k] * a[j * p + k];
+        }
+        if !(diag > 0.0 && diag.is_finite()) {
+            return false;
+        }
+        let l = diag.sqrt();
+        a[j * p + j] = l;
+        for i in j + 1..p {
+            let mut s = a[i * p + j];
+            for k in 0..j {
+                s -= a[i * p + k] * a[j * p + k];
+            }
+            a[i * p + j] = s / l;
+        }
+    }
+    // Forward substitution L y = b, then back substitution L^T x = y.
+    for i in 0..p {
+        let mut s = b[i];
+        for k in 0..i {
+            s -= a[i * p + k] * b[k];
+        }
+        b[i] = s / a[i * p + i];
+    }
+    for i in (0..p).rev() {
+        let mut s = b[i];
+        for k in i + 1..p {
+            s -= a[k * p + i] * b[k];
+        }
+        b[i] = s / a[i * p + i];
+    }
+    true
 }
 
 /// `Re tr(T^dag W)` — the raw objective maximized by the sweeps. At
@@ -505,6 +725,93 @@ mod tests {
             grows_after_first,
             "same-size searches must not grow the workspace again"
         );
+        // A smaller search whose best restart needs the polish: the polish
+        // buffers were sized up front too.
+        let mut rng = StdRng::seed_from_u64(23);
+        let run = optimize_with_restarts_ws(
+            &Mat4::cnot(),
+            &[near_face_basis(); 2],
+            4,
+            1.0 - 1e-12,
+            &cfg,
+            &mut rng,
+            &mut ws,
+        );
+        let residual = 4.0 * (1.0 - run.overlap);
+        assert!(residual <= 1e-12, "polished residual {residual:e}");
+        assert_eq!(
+            ws.grows(),
+            grows_after_first,
+            "the polish grew the workspace"
+        );
+    }
+
+    /// A basis gate just inside the CNOT-in-2 face (the Criterion 2 gate
+    /// of one edge of the 4x3 test device), where two-layer CNOT sweeps
+    /// crawl and stall above tolerance.
+    fn near_face_basis() -> Mat4 {
+        Mat4::canonical(0.250247, 0.248563, 0.044147)
+    }
+
+    #[test]
+    fn lm_jacobian_matches_finite_differences() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let bases = [near_face_basis(), Mat4::cnot()];
+        let target = nsb_math::haar_u4(&mut rng);
+        let mut ws = Workspace::new();
+        ws.prepare(3);
+        for pair in ws.cand.iter_mut() {
+            *pair = (haar_su2(&mut rng), haar_su2(&mut rng));
+        }
+        let phase = 0.3;
+        let r0 = lm_jacobian(&target, &bases, phase, &mut ws);
+        let base = ws.cand.clone();
+        let h = 1e-6;
+        for j in 0..lm_params(3) {
+            let mut locals = base.clone();
+            let mut ph = phase;
+            if j == lm_params(3) - 1 {
+                ph += h;
+            } else {
+                let (k, g) = (j / 6, j % 6);
+                let mut d = [0.0; 6];
+                d[g] = h;
+                locals[k] = (
+                    su2_exp(d[0], d[1], d[2]) * locals[k].0,
+                    su2_exp(d[3], d[4], d[5]) * locals[k].1,
+                );
+            }
+            let r1 = build_ansatz(&locals, &bases) - target.scale(Complex64::cis(ph));
+            let fd = (r1 - r0).scale(Complex64::real(1.0 / h));
+            let err = (fd - ws.jac[j]).norm();
+            assert!(err < 1e-5, "column {j}: {err:e}");
+        }
+    }
+
+    #[test]
+    fn lm_polish_converges_where_sweeps_crawl() {
+        let target = Mat4::cnot();
+        let bases = [near_face_basis(); 2];
+        let mut rng = StdRng::seed_from_u64(21);
+        let start: Vec<_> = (0..3)
+            .map(|_| (haar_su2(&mut rng), haar_su2(&mut rng)))
+            .collect();
+        let cfg = OptimizerConfig::default();
+        // The full sweep budget ends far above the convergence target...
+        let swept = optimize_locals(&target, &bases, start, &cfg);
+        let swept_residual = 4.0 * (1.0 - swept.overlap);
+        assert!(
+            swept_residual < POLISH_THRESHOLD && swept_residual > 1e-10,
+            "sweeps residual {swept_residual:e}"
+        );
+        // ...and the polish of that very run converges.
+        let mut ws = Workspace::new();
+        ws.prepare(3);
+        ws.best.copy_from_slice(&swept.locals);
+        let polished = 4.0 * (1.0 - lm_polish(&target, &target.adjoint(), &bases, &cfg, &mut ws));
+        assert!(polished <= 1e-12, "LM residual {polished:e}");
+        let rebuilt = build_ansatz(&ws.cand, &bases);
+        assert!(rebuilt.approx_eq_up_to_phase(&target, 1e-6));
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! let ops = vec![VerifyOp::TwoQubit {
 //!     qubits: device.edges()[0].gate_order,
 //!     duration: basis.duration,
-//!     unitary: basis.gate,
+//!     unitary: *basis.gate,
 //!     coord: Some(basis.coord),
 //! }];
 //! let suite = VerifierSuite::standard();

@@ -197,10 +197,10 @@ fn basis_op(edge: usize) -> (VerifyOp, Gate, (usize, usize)) {
     let op = VerifyOp::TwoQubit {
         qubits: cal.gate_order,
         duration: basis.duration,
-        unitary: basis.gate,
+        unitary: *basis.gate,
         coord: Some(basis.coord),
     };
-    (op, Gate::Unitary2(Box::new(basis.gate)), cal.gate_order)
+    (op, Gate::Unitary2(Box::new(*basis.gate)), cal.gate_order)
 }
 
 fn run_standard(ops: Vec<VerifyOp>, source: &Circuit) -> nsb_verify::VerifyReport {

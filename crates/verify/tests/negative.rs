@@ -27,7 +27,7 @@ fn legal_op() -> VerifyOp {
     VerifyOp::TwoQubit {
         qubits: cal.gate_order,
         duration: basis.duration,
-        unitary: basis.gate,
+        unitary: *basis.gate,
         coord: Some(basis.coord),
     }
 }
@@ -312,7 +312,7 @@ fn equivalent_program_passes_and_perturbed_program_fails() {
     // Source: exactly the basis gate, on the physical register.
     let mut source = Circuit::new(n);
     source.push(
-        Gate::Unitary2(Box::new(basis.gate)),
+        Gate::Unitary2(Box::new(*basis.gate)),
         &[cal.gate_order.0, cal.gate_order.1],
     );
 
