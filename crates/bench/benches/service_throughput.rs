@@ -1,6 +1,8 @@
 //! Batch compilation throughput: cached-parallel service versus serial
 //! one-at-a-time transpilation over the Table II benchmarks that fit a
-//! small device.
+//! small device. The service derives each job's synthesis fan-out from
+//! the cores its workers leave idle; `one_worker` is the case where that
+//! fan-out is widest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsb_core::prelude::*;
@@ -65,37 +67,35 @@ fn bench_batch_compilation(c: &mut Criterion) {
         })
     });
 
-    // Intra-job fan-out: a single worker so the only parallelism is the
-    // per-job scoped-thread prewarm of distinct synthesis targets.
-    // Compare against `one_worker` to see what the fan-out alone buys.
-    for (id, intra) in [("one_worker", 1usize), ("one_worker_fanout4", 4)] {
-        group.bench_function(id, |b| {
-            b.iter(|| {
-                let service = CompileService::new(
-                    device().clone(),
-                    ServiceConfig {
-                        workers: 1,
-                        queue_capacity: jobs.len().max(1),
-                        intra_job_threads: intra,
-                        ..ServiceConfig::default()
-                    },
-                )
-                .expect("start service");
-                let handles: Vec<_> = jobs
-                    .iter()
-                    .map(|(strategy, circuit)| {
-                        service
-                            .submit(JobSpec::new(circuit.clone(), *strategy))
-                            .expect("submit")
-                    })
-                    .collect();
-                for h in handles {
-                    h.wait().expect("service compile");
-                }
-                service.shutdown();
-            })
-        });
-    }
+    // A single worker leaves the machine's other cores idle, so the
+    // service gives each job `available_parallelism` synthesis threads.
+    // Compare against `cached_parallel` (one worker per core, one
+    // synthesis thread each) to see what that fan-out buys.
+    group.bench_function("one_worker", |b| {
+        b.iter(|| {
+            let service = CompileService::new(
+                device().clone(),
+                ServiceConfig {
+                    workers: 1,
+                    queue_capacity: jobs.len().max(1),
+                    ..ServiceConfig::default()
+                },
+            )
+            .expect("start service");
+            let handles: Vec<_> = jobs
+                .iter()
+                .map(|(strategy, circuit)| {
+                    service
+                        .submit(JobSpec::new(circuit.clone(), *strategy))
+                        .expect("submit")
+                })
+                .collect();
+            for h in handles {
+                h.wait().expect("service compile");
+            }
+            service.shutdown();
+        })
+    });
 
     // Warm-started variant: each iteration builds a fresh service but
     // preloads its cache from a snapshot persisted once up front, so the

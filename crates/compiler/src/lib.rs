@@ -28,11 +28,11 @@ mod sabre;
 mod schedule;
 
 pub use lower::{
-    merge_locals, mode_tag, swap_conjugate, CacheKey, LowerError, LoweredOp, Lowerer, LoweringMode,
+    merge_locals, mode_tag, swap_conjugate, LowerError, LoweredOp, Lowerer, LoweringMode,
 };
 pub use pipeline::{
     default_mode, to_schedule_facts, to_verify_ops, verify_compiled, CompileError, CompiledCircuit,
-    Transpiler,
+    Stage, Transpiler,
 };
 pub use sabre::{sabre_route, Layout, RouteError, RoutedCircuit, SabreConfig};
 pub use schedule::{schedule, Schedule};

@@ -5,7 +5,7 @@ use nsb_circuit::{Circuit, Gate};
 use nsb_device::{BasisStrategy, Device, SelectedBasis};
 use nsb_math::{Mat2, Mat4};
 use nsb_synth::{SynthCache, SynthesisFailed, Synthesized2Q};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -102,21 +102,56 @@ pub enum LoweringMode {
     Direct,
 }
 
-/// Key identifying a decomposition target in the per-compilation cache.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    edge: usize,
-    strategy_tag: u8,
-    kind: u64,
-}
-
 /// The lowering pass.
 pub struct Lowerer<'d> {
     device: &'d Device,
     strategy: BasisStrategy,
     mode: LoweringMode,
-    cache: HashMap<CacheKey, Synthesized2Q>,
     shared: Option<Arc<dyn SynthCache>>,
+    threads: usize,
+}
+
+/// A lowered op, or the slot a synthesized target's block fills.
+enum Pending {
+    Op(LoweredOp),
+    Synth { target: usize, g0: usize, g1: usize },
+}
+
+/// One pass over a routed circuit: its ops with slots for synthesized
+/// blocks, and the distinct targets those slots need, in circuit order.
+/// Targets are keyed by edge and [`gate_kind_hash`].
+struct Plan<'d> {
+    ops: Vec<Pending>,
+    targets: Vec<(Mat4, &'d SelectedBasis)>,
+    index: HashMap<(usize, u64), usize>,
+}
+
+impl<'d> Plan<'d> {
+    fn local(&mut self, qubit: usize, unitary: Mat2) {
+        self.ops.push(Pending::Op(local(qubit, unitary)));
+    }
+
+    fn emit(&mut self, basis: &SelectedBasis, synth: &Synthesized2Q, g0: usize, g1: usize) {
+        self.ops.extend(emit(basis, synth, g0, g1).map(Pending::Op));
+    }
+
+    /// Adds a slot for `key`'s synthesis, planning its target on first
+    /// sight.
+    fn synth(
+        &mut self,
+        key: (usize, u64),
+        target: Mat4,
+        basis: &'d SelectedBasis,
+        g0: usize,
+        g1: usize,
+    ) {
+        let next = self.targets.len();
+        let target = *self.index.entry(key).or_insert_with(|| {
+            self.targets.push((target, basis));
+            next
+        });
+        self.ops.push(Pending::Synth { target, g0, g1 });
+    }
 }
 
 impl<'d> Lowerer<'d> {
@@ -126,48 +161,80 @@ impl<'d> Lowerer<'d> {
             device,
             strategy,
             mode,
-            cache: HashMap::new(),
             shared: None,
+            threads: 1,
         }
     }
 
-    /// Attaches a shared synthesis cache consulted (and filled) whenever
-    /// the per-compilation cache misses. Results served from the shared
-    /// cache are bit-identical to fresh decompositions, so lowering
-    /// output does not depend on cache state.
+    /// Attaches a shared synthesis cache consulted (and filled) for every
+    /// distinct target. Results served from the shared cache are
+    /// bit-identical to fresh decompositions, so lowering output does not
+    /// depend on cache state.
     pub fn with_shared_cache(mut self, cache: Arc<dyn SynthCache>) -> Self {
         self.shared = Some(cache);
+        self
+    }
+
+    /// Synthesizes a circuit's distinct targets on up to `threads` scoped
+    /// threads (default 1: inline, in circuit order, stopping at the first
+    /// failure). Decompositions are deterministic, so the output is
+    /// bit-identical at every width; only when the work happens changes.
+    pub fn with_synthesis_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
         self
     }
 
     /// Lowers a routed physical circuit. Two-qubit operations must already
     /// sit on device edges.
     ///
+    /// Plans the circuit once, collecting its distinct synthesis targets
+    /// in circuit order, synthesizes them (see
+    /// [`with_synthesis_threads`](Lowerer::with_synthesis_threads)), then
+    /// emits.
+    ///
     /// # Errors
     ///
     /// Returns [`LowerError::Synthesis`] when a direct decomposition does
     /// not converge, [`LowerError::NotCoupled`] when a two-qubit gate is
-    /// not on a device edge.
-    pub fn lower(&mut self, routed: &Circuit) -> Result<Vec<LoweredOp>, LowerError> {
-        let mut out = Vec::with_capacity(routed.len() * 4);
+    /// not on a device edge — whichever fails first in circuit order.
+    pub fn lower(&self, routed: &Circuit) -> Result<Vec<LoweredOp>, LowerError> {
+        let mut plan = Plan {
+            ops: Vec::with_capacity(routed.len() * 4),
+            targets: Vec::new(),
+            index: HashMap::new(),
+        };
+        // Planning stops at the first uncoupled gate. Every target it
+        // planned comes earlier in the circuit, so their synthesis errors
+        // take precedence.
+        let mut uncoupled = Ok(());
         for op in routed.ops() {
-            match op.qubits.len() {
-                1 => out.push(LoweredOp::Local {
-                    qubit: op.qubits[0],
-                    unitary: op.gate.mat2(),
-                }),
-                _ => self.lower_2q(&op.gate, op.qubits[0], op.qubits[1], &mut out)?,
+            if op.qubits.len() == 1 {
+                plan.local(op.qubits[0], op.gate.mat2());
+            } else if let Err(e) = self.lower_2q(&op.gate, op.qubits[0], op.qubits[1], &mut plan) {
+                uncoupled = Err(e);
+                break;
+            }
+        }
+        let synths = self.synthesize(&plan.targets)?;
+        uncoupled?;
+        let mut out = Vec::with_capacity(plan.ops.len());
+        for pending in plan.ops {
+            match pending {
+                Pending::Op(op) => out.push(op),
+                Pending::Synth { target, g0, g1 } => {
+                    out.extend(emit(plan.targets[target].1, &synths[target], g0, g1));
+                }
             }
         }
         Ok(merge_locals(out, routed.n_qubits()))
     }
 
     fn lower_2q(
-        &mut self,
+        &self,
         gate: &Gate,
         q0: usize,
         q1: usize,
-        out: &mut Vec<LoweredOp>,
+        plan: &mut Plan<'d>,
     ) -> Result<(), LowerError> {
         let edge_idx = self
             .device
@@ -179,203 +246,100 @@ impl<'d> Lowerer<'d> {
         let (g0, g1) = cal.gate_order;
         let aligned = (q0, q1) == (g0, g1);
         match gate {
-            Gate::Swap => {
-                self.emit(basis, &basis.swap.circuit.clone(), g0, g1, out);
-                Ok(())
-            }
+            Gate::Swap => plan.emit(basis, &basis.swap.circuit, g0, g1),
+            Gate::Cx if aligned => plan.emit(basis, &basis.cnot.circuit, g0, g1),
             Gate::Cx => {
-                if aligned {
-                    self.emit(basis, &basis.cnot.circuit.clone(), g0, g1, out);
-                } else {
-                    // Reversed CNOT = (H (x) H) CNOT (H (x) H).
-                    out.push(local(g0, Mat2::h()));
-                    out.push(local(g1, Mat2::h()));
-                    self.emit(basis, &basis.cnot.circuit.clone(), g0, g1, out);
-                    out.push(local(g0, Mat2::h()));
-                    out.push(local(g1, Mat2::h()));
-                }
-                Ok(())
+                // Reversed CNOT = (H (x) H) CNOT (H (x) H).
+                plan.local(g0, Mat2::h());
+                plan.local(g1, Mat2::h());
+                plan.emit(basis, &basis.cnot.circuit, g0, g1);
+                plan.local(g0, Mat2::h());
+                plan.local(g1, Mat2::h());
             }
             Gate::Cz if self.mode == LoweringMode::ViaCnot => {
                 // CZ = (I (x) H) CX (I (x) H) with q1 as target.
-                out.push(local(q1, Mat2::h()));
-                self.lower_2q(&Gate::Cx, q0, q1, out)?;
-                out.push(local(q1, Mat2::h()));
-                Ok(())
+                plan.local(q1, Mat2::h());
+                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
+                plan.local(q1, Mat2::h());
             }
             Gate::CPhase(lambda) if self.mode == LoweringMode::ViaCnot => {
-                out.push(local(q0, Mat2::phase(lambda / 2.0)));
-                self.lower_2q(&Gate::Cx, q0, q1, out)?;
-                out.push(local(q1, Mat2::phase(-lambda / 2.0)));
-                self.lower_2q(&Gate::Cx, q0, q1, out)?;
-                out.push(local(q1, Mat2::phase(lambda / 2.0)));
-                Ok(())
+                plan.local(q0, Mat2::phase(lambda / 2.0));
+                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
+                plan.local(q1, Mat2::phase(-lambda / 2.0));
+                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
+                plan.local(q1, Mat2::phase(lambda / 2.0));
             }
             Gate::Rzz(theta) if self.mode == LoweringMode::ViaCnot => {
-                self.lower_2q(&Gate::Cx, q0, q1, out)?;
-                out.push(local(q1, Mat2::rz(*theta)));
-                self.lower_2q(&Gate::Cx, q0, q1, out)?;
-                Ok(())
+                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
+                plan.local(q1, Mat2::rz(*theta));
+                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
             }
             other => {
-                // Direct numerical decomposition with a per-target cache.
+                // Direct numerical decomposition, once per distinct target.
                 let target = if aligned || other.is_symmetric() {
                     other.mat4()
                 } else {
                     swap_conjugate(&other.mat4())
                 };
-                let key = CacheKey {
-                    edge: edge_idx,
-                    strategy_tag: strategy_tag(self.strategy),
-                    kind: gate_kind_hash(other, aligned),
-                };
-                let synth = match self.cache.get(&key) {
-                    Some(s) => s.clone(),
-                    None => {
-                        let s = match &self.shared {
-                            Some(shared) => basis.decomposer.decompose_cached(
-                                &target,
-                                mode_tag(self.mode),
-                                shared.as_ref(),
-                            )?,
-                            None => basis.decomposer.decompose(&target)?,
-                        };
-                        self.cache.insert(key, s.clone());
-                        s
-                    }
-                };
-                self.emit(basis, &synth, g0, g1, out);
-                Ok(())
+                let key = (edge_idx, gate_kind_hash(other, aligned));
+                plan.synth(key, target, basis, g0, g1);
             }
         }
+        Ok(())
     }
 
-    fn emit(
+    /// Synthesizes planned targets, in order, on up to `self.threads`
+    /// scoped threads. The error returned is the first failing target's.
+    fn synthesize(
         &self,
-        basis: &SelectedBasis,
-        synth: &Synthesized2Q,
-        g0: usize,
-        g1: usize,
-        out: &mut Vec<LoweredOp>,
-    ) {
-        for (k, (u, v)) in synth.locals.iter().enumerate() {
-            out.push(local(g0, *u));
-            out.push(local(g1, *v));
-            if k < synth.layers {
-                out.push(LoweredOp::Entangler {
-                    qubits: (g0, g1),
-                    duration: basis.duration,
-                    gate: Arc::clone(&basis.gate),
-                });
+        targets: &[(Mat4, &SelectedBasis)],
+    ) -> Result<Vec<Synthesized2Q>, LowerError> {
+        let one = |(target, basis): &(Mat4, &SelectedBasis)| match &self.shared {
+            Some(cache) => {
+                basis
+                    .decomposer
+                    .decompose_cached(target, mode_tag(self.mode), cache.as_ref())
             }
+            None => basis.decomposer.decompose(target),
+        };
+        let workers = self.threads.min(targets.len());
+        if workers <= 1 {
+            return Ok(targets.iter().map(one).collect::<Result<_, _>>()?);
         }
-    }
-
-    /// Number of distinct cached decompositions accumulated so far.
-    pub fn cache_size(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Synthesizes the circuit's distinct decomposition targets across a
-    /// bounded scoped-thread fan-out, filling the per-compilation cache so
-    /// a subsequent [`Lowerer::lower`] hits on every one of them.
-    ///
-    /// Decompositions are deterministic, so lowering after a prewarm emits
-    /// ops **bit-identical** to a serial lowering — the parallelism only
-    /// changes when the synthesis work happens, not its results. Gates
-    /// lowered through precomputed per-edge circuits (SWAP, CNOT, and the
-    /// ViaCnot analytic expansions) need no synthesis and are skipped, as
-    /// are two-qubit gates off any device edge. `threads <= 1` is a no-op,
-    /// preserving today's serial behavior.
-    ///
-    /// Prewarming never fails: a target whose synthesis does not converge
-    /// is simply left out of the cache, so the follow-up `lower` call
-    /// recomputes it serially and surfaces the error (or a `NotCoupled`)
-    /// at exactly the op a fully serial lowering would.
-    pub fn prewarm(&mut self, routed: &Circuit, threads: usize) {
-        if threads <= 1 {
-            return;
-        }
-        // Distinct pending targets, in circuit order.
-        let mut pending: Vec<(CacheKey, Mat4, &SelectedBasis)> = Vec::new();
-        let mut seen: HashSet<CacheKey> = HashSet::new();
-        for op in routed.ops() {
-            if op.qubits.len() < 2 {
-                continue;
-            }
-            let (q0, q1) = (op.qubits[0], op.qubits[1]);
-            let Some(edge_idx) = self.device.topology().edge_index(q0, q1) else {
-                continue;
-            };
-            match &op.gate {
-                Gate::Swap | Gate::Cx => continue,
-                Gate::Cz | Gate::CPhase(_) | Gate::Rzz(_) if self.mode == LoweringMode::ViaCnot => {
-                    continue
-                }
-                other => {
-                    let cal = &self.device.edges()[edge_idx];
-                    let basis = cal.basis(self.strategy);
-                    let (g0, g1) = cal.gate_order;
-                    let aligned = (q0, q1) == (g0, g1);
-                    let key = CacheKey {
-                        edge: edge_idx,
-                        strategy_tag: strategy_tag(self.strategy),
-                        kind: gate_kind_hash(other, aligned),
-                    };
-                    if self.cache.contains_key(&key) || !seen.insert(key) {
-                        continue;
-                    }
-                    let target = if aligned || other.is_symmetric() {
-                        other.mat4()
-                    } else {
-                        swap_conjugate(&other.mat4())
-                    };
-                    pending.push((key, target, basis));
-                }
-            }
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let workers = threads.min(pending.len());
-        let shared = self.shared.clone();
-        let mode = self.mode;
-        let chunk_len = pending.len().div_ceil(workers);
-        let results: Vec<(CacheKey, Synthesized2Q)> = std::thread::scope(|s| {
-            let handles: Vec<_> = pending
+        let chunk_len = targets.len().div_ceil(workers);
+        let synths = std::thread::scope(|s| {
+            let handles: Vec<_> = targets
                 .chunks(chunk_len)
-                .map(|chunk| {
-                    let shared = shared.clone();
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .filter_map(|(key, target, basis)| {
-                                let r = match &shared {
-                                    Some(cache) => basis.decomposer.decompose_cached(
-                                        target,
-                                        mode_tag(mode),
-                                        cache.as_ref(),
-                                    ),
-                                    None => basis.decomposer.decompose(target),
-                                };
-                                r.ok().map(|s| (*key, s))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
+                .map(|chunk| s.spawn(move || chunk.iter().map(one).collect::<Vec<_>>()))
                 .collect();
             handles
                 .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect::<Result<_, _>>()
         });
-        for (key, synth) in results {
-            self.cache.insert(key, synth);
-        }
+        Ok(synths?)
     }
+}
+
+/// The ops of one synthesized block on the gate-ordered pair `(g0, g1)`.
+fn emit<'a>(
+    basis: &'a SelectedBasis,
+    synth: &'a Synthesized2Q,
+    g0: usize,
+    g1: usize,
+) -> impl Iterator<Item = LoweredOp> + 'a {
+    synth
+        .locals
+        .iter()
+        .enumerate()
+        .flat_map(move |(k, (u, v))| {
+            let entangler = (k < synth.layers).then(|| LoweredOp::Entangler {
+                qubits: (g0, g1),
+                duration: basis.duration,
+                gate: Arc::clone(&basis.gate),
+            });
+            [local(g0, *u), local(g1, *v)].into_iter().chain(entangler)
+        })
 }
 
 fn local(qubit: usize, unitary: Mat2) -> LoweredOp {
@@ -391,14 +355,6 @@ pub fn mode_tag(mode: LoweringMode) -> u8 {
     }
 }
 
-fn strategy_tag(s: BasisStrategy) -> u8 {
-    match s {
-        BasisStrategy::Baseline => 0,
-        BasisStrategy::Criterion1 => 1,
-        BasisStrategy::Criterion2 => 2,
-    }
-}
-
 /// Conjugates a two-qubit unitary by SWAP (reverses the tensor order).
 pub fn swap_conjugate(m: &Mat4) -> Mat4 {
     Mat4::swap() * *m * Mat4::swap()
@@ -407,7 +363,7 @@ pub fn swap_conjugate(m: &Mat4) -> Mat4 {
 fn gate_kind_hash(gate: &Gate, aligned: bool) -> u64 {
     use nsb_synth::StableHasher;
     use std::hash::{Hash, Hasher};
-    // The per-compilation cache is in-memory only, but keying it with the
+    // The per-compilation plan is in-memory only, but keying it with the
     // same stable hasher as the shared/persisted caches keeps every
     // cache-key fingerprint in the workspace on one algorithm.
     let mut h = StableHasher::new();
@@ -482,8 +438,12 @@ pub fn merge_locals(ops: Vec<LoweredOp>, n_qubits: usize) -> Vec<LoweredOp> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use nsb_circuit::generators;
+    use nsb_device::DeviceConfig;
+    use nsb_synth::SynthKey;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn swap_conjugate_of_cnot_is_reversed_cnot() {
@@ -548,44 +508,103 @@ mod tests {
         assert_eq!(merged.len(), 3);
     }
 
+    /// A [`SynthCache`] that stores nothing and counts
+    /// `get_or_compute` calls.
+    #[derive(Default)]
+    pub(crate) struct CountingCache(AtomicUsize);
+
+    impl CountingCache {
+        pub(crate) fn calls(&self) -> usize {
+            self.0.load(Ordering::Relaxed)
+        }
+    }
+
+    impl SynthCache for CountingCache {
+        fn lookup(&self, _key: &SynthKey, _target_fp: u64) -> Option<Synthesized2Q> {
+            None
+        }
+
+        fn store(&self, _key: SynthKey, _target_fp: u64, _value: &Synthesized2Q) {}
+
+        fn get_or_compute(
+            &self,
+            _key: SynthKey,
+            _target_fp: u64,
+            compute: &mut dyn FnMut() -> Result<Synthesized2Q, SynthesisFailed>,
+        ) -> Result<Synthesized2Q, SynthesisFailed> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            compute()
+        }
+    }
+
+    fn test_device() -> Device {
+        Device::build(3, 2, DeviceConfig::fast_test()).expect("test device")
+    }
+
     #[test]
-    fn prewarm_then_lower_matches_serial_lowering_bit_for_bit() {
-        use nsb_circuit::generators;
-        use nsb_device::{BasisStrategy, DeviceConfig};
-        let device = Device::build(3, 2, DeviceConfig::fast_test()).expect("test device");
-        let logical = generators::qft(4, true);
-        let routed =
-            crate::sabre_route(&logical, device.topology(), &crate::SabreConfig::default())
-                .expect("route");
-
-        let mut serial = Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct);
-        let expected = serial.lower(&routed.circuit).expect("serial lower");
-
-        let mut warmed = Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct);
-        warmed.prewarm(&routed.circuit, 4);
-        let prewarmed_entries = warmed.cache_size();
-        assert!(prewarmed_entries > 0, "prewarm cached nothing");
-        let got = warmed.lower(&routed.circuit).expect("warmed lower");
-        assert_eq!(
-            warmed.cache_size(),
-            prewarmed_entries,
-            "lower recomputed a target prewarm should have cached"
+    fn lowering_is_bit_identical_at_every_synthesis_width() {
+        let device = test_device();
+        let routed = crate::sabre_route(
+            &generators::qft(4, true),
+            device.topology(),
+            &crate::SabreConfig::default(),
+        )
+        .expect("route");
+        let lower = |threads| {
+            Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct)
+                .with_synthesis_threads(threads)
+                .lower(&routed.circuit)
+                .expect("lower")
+        };
+        let (serial, fanned) = (lower(1), lower(2));
+        assert!(
+            serial
+                .iter()
+                .any(|op| matches!(op, LoweredOp::Entangler { .. })),
+            "qft 4 lowered without an entangler"
         );
-
         // Debug output round-trips every f64 bit pattern, so string
         // equality here is bit-identity of the emitted ops.
-        assert_eq!(got.len(), expected.len());
         assert_eq!(
-            format!("{got:?}"),
-            format!("{expected:?}"),
-            "prewarmed lowering must be bit-identical to serial lowering"
+            format!("{fanned:?}"),
+            format!("{serial:?}"),
+            "lowering must not depend on the synthesis width"
         );
     }
 
     #[test]
+    fn uncoupled_gate_after_a_synthesized_one_fails_at_every_width() {
+        let device = test_device();
+        let topology = device.topology();
+        let n = topology.n_qubits();
+        let uncoupled = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .find(|&(a, b)| topology.edge_index(a, b).is_none())
+            .expect("a 3x2 grid has an uncoupled pair");
+        let coupled = topology.edges()[0];
+        let mut routed = Circuit::new(n);
+        routed.push(Gate::CPhase(0.3), &[coupled.0, coupled.1]);
+        routed.push(Gate::Cx, &[uncoupled.0, uncoupled.1]);
+        for threads in [1, 2] {
+            let cache = Arc::new(CountingCache::default());
+            let result = Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct)
+                .with_shared_cache(cache.clone())
+                .with_synthesis_threads(threads)
+                .lower(&routed);
+            match result {
+                Err(LowerError::NotCoupled { q0, q1 }) => assert_eq!((q0, q1), uncoupled),
+                other => panic!("width {threads}: expected NotCoupled, got {other:?}"),
+            }
+            assert_eq!(
+                cache.calls(),
+                1,
+                "width {threads}: the CPhase before the failing op synthesizes"
+            );
+        }
+    }
+
+    #[test]
     fn entanglers_share_the_calibrated_gate() {
-        use nsb_circuit::generators;
-        use nsb_device::{BasisStrategy, DeviceConfig};
         let device = Device::build(2, 1, DeviceConfig::fast_test()).expect("test device");
         let routed = crate::sabre_route(
             &generators::qft(2, true),
@@ -593,8 +612,9 @@ mod tests {
             &crate::SabreConfig::default(),
         )
         .expect("route");
-        let mut lowerer = Lowerer::new(&device, BasisStrategy::Criterion2, LoweringMode::ViaCnot);
-        let ops = lowerer.lower(&routed.circuit).expect("lower");
+        let ops = Lowerer::new(&device, BasisStrategy::Criterion2, LoweringMode::ViaCnot)
+            .lower(&routed.circuit)
+            .expect("lower");
         let calibrated = &device.edges()[0].criterion2.gate;
         let mut entanglers = 0;
         for op in &ops {
@@ -606,20 +626,6 @@ mod tests {
         assert!(entanglers > 0, "qft 2 lowered without an entangler");
         // The largest variant is now a local (qubit + Mat2), not a Mat4.
         assert!(std::mem::size_of::<LoweredOp>() <= 80);
-    }
-
-    #[test]
-    fn prewarm_with_one_thread_is_a_no_op() {
-        use nsb_circuit::generators;
-        use nsb_device::{BasisStrategy, DeviceConfig};
-        let device = Device::build(3, 2, DeviceConfig::fast_test()).expect("test device");
-        let logical = generators::qft(3, true);
-        let routed =
-            crate::sabre_route(&logical, device.topology(), &crate::SabreConfig::default())
-                .expect("route");
-        let mut lowerer = Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct);
-        lowerer.prewarm(&routed.circuit, 1);
-        assert_eq!(lowerer.cache_size(), 0, "threads <= 1 must not synthesize");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use nsb_verify::{
 };
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A compiled (hardware-level) program with its schedule and fidelity.
 #[derive(Clone, Debug)]
@@ -49,6 +50,31 @@ impl CompiledCircuit {
             }
         }
         c
+    }
+}
+
+/// A stage of [`Transpiler::compile_staged`], reported to its hook.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// SABRE layout and routing.
+    Route,
+    /// Lowering into the edges' basis gates, synthesis included.
+    Lower,
+    /// Scheduling and fidelity evaluation.
+    Schedule,
+    /// One run of an inter-pass verifier suite.
+    Verify,
+}
+
+impl Stage {
+    /// The stage's name, as used in error labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Route => "route",
+            Stage::Lower => "lower",
+            Stage::Schedule => "schedule",
+            Stage::Verify => "verify",
+        }
     }
 }
 
@@ -159,6 +185,7 @@ pub struct Transpiler<'d> {
     mode: LoweringMode,
     sabre: SabreConfig,
     shared: Option<Arc<dyn SynthCache>>,
+    threads: usize,
     verify: VerifyLevel,
     verify_config: VerifyConfig,
 }
@@ -174,6 +201,7 @@ impl<'d> Transpiler<'d> {
             mode: default_mode(strategy),
             sabre: SabreConfig::default(),
             shared: None,
+            threads: 1,
             verify: VerifyLevel::from_env(),
             verify_config: VerifyConfig::default(),
         }
@@ -196,6 +224,13 @@ impl<'d> Transpiler<'d> {
     /// only repeated decomposition work is skipped.
     pub fn with_shared_cache(mut self, cache: Arc<dyn SynthCache>) -> Self {
         self.shared = Some(cache);
+        self
+    }
+
+    /// Sets how many threads lowering may synthesize on (see
+    /// [`Lowerer::with_synthesis_threads`]); the default is 1.
+    pub fn with_synthesis_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 
@@ -223,47 +258,66 @@ impl<'d> Transpiler<'d> {
     /// fails, or (with verification enabled) an inter-pass check rejects the
     /// compiled program.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, CompileError> {
-        let routed = sabre_route(circuit, self.device.topology(), &self.sabre)?;
-        if self.verify.is_enabled() {
-            // Post-routing checkpoint: every remaining two-qubit gate must
-            // sit on a coupled pair; lowering relies on this.
-            let suite = VerifierSuite::structural().with_config(self.verify_config);
-            let target = VerifyTarget::new(self.device, self.strategy, Vec::new())
-                .with_source(&routed.circuit);
-            let report = suite.run(&target);
-            if !report.is_clean() {
-                return Err(CompileError::Verification {
-                    stage: "route",
-                    report,
-                });
-            }
-        }
-        let mut lowerer = Lowerer::new(self.device, self.strategy, self.mode);
+        self.compile_staged(circuit, |_, _| Ok::<_, CompileError>(()))
+            .map(|(compiled, _)| compiled)
+    }
+
+    /// Compiles a logical circuit, calling `after_stage` with each stage's
+    /// wall time as soon as the stage completes. The stages run route →
+    /// [verify] → lower → schedule → [verify], the verifier suites only
+    /// when verification is enabled. An `Err` from the hook stops the
+    /// compilation and is returned as-is.
+    ///
+    /// Returns the compiled circuit and, when verification ran, the clean
+    /// post-lowering [`VerifyReport`].
+    ///
+    /// # Errors
+    ///
+    /// The hook's error, or a [`CompileError`] as for
+    /// [`compile`](Transpiler::compile).
+    pub fn compile_staged<E: From<CompileError>>(
+        &self,
+        circuit: &Circuit,
+        mut after_stage: impl FnMut(Stage, Duration) -> Result<(), E>,
+    ) -> Result<(CompiledCircuit, Option<VerifyReport>), E> {
+        let started = Instant::now();
+        let routed = sabre_route(circuit, self.device.topology(), &self.sabre)
+            .map_err(CompileError::from)?;
+        after_stage(Stage::Route, started.elapsed())?;
+        // Post-routing checkpoint: every remaining two-qubit gate must sit
+        // on a coupled pair; lowering relies on this.
+        self.verify_after(Stage::Route, &mut after_stage, || {
+            VerifyTarget::new(self.device, self.strategy, Vec::new()).with_source(&routed.circuit)
+        })?;
+
+        let started = Instant::now();
+        let mut lowerer = Lowerer::new(self.device, self.strategy, self.mode)
+            .with_synthesis_threads(self.threads);
         if let Some(shared) = &self.shared {
             lowerer = lowerer.with_shared_cache(shared.clone());
         }
-        let ops = lowerer.lower(&routed.circuit)?;
+        let ops = lowerer.lower(&routed.circuit).map_err(CompileError::from)?;
+        after_stage(Stage::Lower, started.elapsed())?;
+
+        let started = Instant::now();
         let n_qubits = self.device.topology().n_qubits();
         let sched = schedule(&ops, n_qubits, self.device.config().t_1q);
-        if self.verify.is_enabled() {
-            // Post-lowering checkpoint: basis legality, Weyl canonicality,
-            // schedule consistency and (for small devices) full unitary
-            // equivalence against the routed source.
-            let suite = VerifierSuite::standard().with_config(self.verify_config);
-            let vops = to_verify_ops(&ops, self.device, self.strategy);
-            let target = VerifyTarget::new(self.device, self.strategy, vops)
-                .with_source(&routed.circuit)
-                .with_schedule(to_schedule_facts(&sched));
-            let report = suite.run(&target);
-            if !report.is_clean() {
-                return Err(CompileError::Verification {
-                    stage: "lower",
-                    report,
-                });
-            }
-        }
         let fidelity = sched.coherence_fidelity(self.device.config().coherence_time);
-        Ok(CompiledCircuit {
+        after_stage(Stage::Schedule, started.elapsed())?;
+        // Post-lowering checkpoint: basis legality, Weyl canonicality,
+        // schedule consistency and (for small devices) full unitary
+        // equivalence against the routed source.
+        let report = self.verify_after(Stage::Lower, &mut after_stage, || {
+            VerifyTarget::new(
+                self.device,
+                self.strategy,
+                to_verify_ops(&ops, self.device, self.strategy),
+            )
+            .with_source(&routed.circuit)
+            .with_schedule(to_schedule_facts(&sched))
+        })?;
+
+        let compiled = CompiledCircuit {
             ops,
             n_qubits,
             initial_layout: routed.initial_layout,
@@ -271,7 +325,39 @@ impl<'d> Transpiler<'d> {
             swaps_inserted: routed.swaps_inserted,
             schedule: sched,
             fidelity,
-        })
+        };
+        Ok((compiled, report))
+    }
+
+    /// When verification is enabled, runs the suite that checks `stage`'s
+    /// output (structural after routing, standard after lowering), reports
+    /// its time as [`Stage::Verify`], and turns violations into
+    /// [`CompileError::Verification`] labeled with `stage`.
+    fn verify_after<'t, E: From<CompileError>>(
+        &self,
+        stage: Stage,
+        after_stage: &mut impl FnMut(Stage, Duration) -> Result<(), E>,
+        target: impl FnOnce() -> VerifyTarget<'t>,
+    ) -> Result<Option<VerifyReport>, E> {
+        if !self.verify.is_enabled() {
+            return Ok(None);
+        }
+        let started = Instant::now();
+        let suite = match stage {
+            Stage::Route => VerifierSuite::structural(),
+            _ => VerifierSuite::standard(),
+        };
+        let report = suite.with_config(self.verify_config).run(&target());
+        after_stage(Stage::Verify, started.elapsed())?;
+        if report.is_clean() {
+            Ok(Some(report))
+        } else {
+            Err(CompileError::Verification {
+                stage: stage.name(),
+                report,
+            }
+            .into())
+        }
     }
 }
 
@@ -449,6 +535,67 @@ mod tests {
         assert!(compiled.schedule.entangler_count >= 4 * 2);
         let overlap = verify_compiled(&logical, &compiled);
         assert!(overlap > 0.999, "overlap {overlap}");
+    }
+
+    #[test]
+    fn stage_hook_sees_every_stage_in_order() {
+        use Stage::{Lower, Route, Schedule, Verify};
+        let device = test_device();
+        for (level, expected) in [
+            (VerifyLevel::Off, vec![Route, Lower, Schedule]),
+            (
+                VerifyLevel::Full,
+                vec![Route, Verify, Lower, Schedule, Verify],
+            ),
+        ] {
+            let mut seen = Vec::new();
+            let (_, report) = Transpiler::new(device, BasisStrategy::Criterion2)
+                .with_verification(level)
+                .compile_staged(&generators::ghz(4), |stage, _| {
+                    seen.push(stage);
+                    Ok::<_, CompileError>(())
+                })
+                .expect("compile");
+            assert_eq!(seen, expected, "{level:?}");
+            assert_eq!(report.is_some(), level == VerifyLevel::Full);
+        }
+    }
+
+    /// The hook's own error type, distinct from anything the pipeline
+    /// produces.
+    #[derive(Debug)]
+    enum Abort {
+        Hook(Stage),
+        Compile(CompileError),
+    }
+
+    impl From<CompileError> for Abort {
+        fn from(e: CompileError) -> Self {
+            Abort::Compile(e)
+        }
+    }
+
+    #[test]
+    fn hook_error_after_route_is_returned_before_lowering() {
+        let device = test_device();
+        let logical = generators::qft(4, true);
+        let cache = Arc::new(crate::lower::tests::CountingCache::default());
+        let transpiler = Transpiler::new(device, BasisStrategy::Baseline)
+            .with_mode(LoweringMode::Direct)
+            .with_shared_cache(cache.clone());
+        let aborted = transpiler.compile_staged(&logical, |stage, _| match stage {
+            Stage::Route => Err(Abort::Hook(stage)),
+            _ => Ok(()),
+        });
+        match aborted {
+            Err(Abort::Hook(Stage::Route)) => {}
+            Err(Abort::Compile(e)) => panic!("expected the hook's error, got {e}"),
+            other => panic!("expected the hook's error, got {other:?}"),
+        }
+        assert_eq!(cache.calls(), 0, "lowering ran after the hook aborted");
+        // The control: without the abort, this job does synthesize.
+        transpiler.compile(&logical).expect("compile");
+        assert!(cache.calls() > 0);
     }
 
     #[test]

@@ -42,14 +42,6 @@ pub enum ServiceError {
     /// A persistent-store operation (warm start, drain, flush setup)
     /// failed.
     Store(nsb_store::StoreError),
-    /// A [`ServiceConfig`](crate::ServiceConfig) field holds a value the
-    /// service cannot run with (e.g. `intra_job_threads == 0`).
-    InvalidConfig {
-        /// The offending config field.
-        field: &'static str,
-        /// What the field needs instead.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for ServiceError {
@@ -72,9 +64,6 @@ impl fmt::Display for ServiceError {
                 write!(f, "no pool shard matches route {requested}")
             }
             ServiceError::Store(e) => write!(f, "{e}"),
-            ServiceError::InvalidConfig { field, reason } => {
-                write!(f, "invalid service config: `{field}` {reason}")
-            }
         }
     }
 }

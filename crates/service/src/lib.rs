@@ -14,15 +14,20 @@
 //! fingerprint — see [`nsb_synth::SynthCache`]), so results never depend
 //! on cache state or scheduling order.
 //!
-//! Jobs support per-job deadlines and cooperative cancellation, checked
-//! between pipeline stages (route, lower, schedule); shutdown is
-//! graceful — accepted jobs drain before the workers exit. Jobs may also
+//! Every job runs the transpiler's own staged pipeline
+//! ([`nsb_compiler::Transpiler::compile_staged`]), so service output is
+//! bit-identical to a serial compile. Its stage hook records stage
+//! latencies and enforces per-job deadlines and cooperative cancellation
+//! after route, lower and schedule; shutdown is graceful — accepted jobs
+//! drain before the workers exit. Cores the workers leave idle go to
+//! each job's synthesis fan-out: a job synthesizes its distinct targets
+//! on `max(1, available_parallelism / workers)` threads. Jobs may also
 //! request *verified compilation* ([`JobSpec::with_verification`]): the
-//! output runs through the `nsb-verify` suite and is rejected — with the
-//! full violation report — if any static check fails; verified successes
-//! carry their clean report ([`JobHandle::wait_full`]), and
-//! [`ServiceConfig::verify_sample`] spot-checks every Nth job. Everything
-//! is `std`-only.
+//! transpiler's inter-pass verifier suites run, and the job is rejected —
+//! with the full violation report and the stage it failed after — if any
+//! static check fails; verified successes carry their clean report
+//! ([`JobHandle::wait_full`]), and [`ServiceConfig::verify_sample`]
+//! spot-checks every Nth job. Everything is `std`-only.
 //!
 //! For multiple devices, a [`ServicePool`] runs one service per
 //! calibration and routes jobs by [`JobRoute`]; given a store directory

@@ -1,5 +1,6 @@
 //! Lock-free service counters and the text report.
 
+use nsb_compiler::Stage;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -33,7 +34,8 @@ pub struct ServiceMetrics {
     pub lower_nanos: AtomicU64,
     /// Total nanoseconds spent scheduling and fidelity evaluation.
     pub schedule_nanos: AtomicU64,
-    /// Total nanoseconds spent in post-compile verification.
+    /// Total nanoseconds spent in the verifier suites (after routing and
+    /// after lowering).
     pub verify_nanos: AtomicU64,
     /// Jobs whose output ran through the verifier suite.
     pub jobs_verified: AtomicU64,
@@ -103,15 +105,6 @@ impl ServiceMetrics {
             ms(&self.verify_nanos),
         )
     }
-}
-
-/// Pipeline stages with tracked latency.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Stage {
-    Route,
-    Lower,
-    Schedule,
-    Verify,
 }
 
 #[cfg(test)]

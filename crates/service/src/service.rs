@@ -1,17 +1,15 @@
-//! The concurrent compilation service: worker pool, staged pipeline,
-//! deadlines, cancellation and graceful shutdown.
+//! The concurrent compilation service: worker pool, deadlines and
+//! cancellation around the transpiler's staged pipeline, and graceful
+//! shutdown.
 
 use crate::bounded::{BoundedQueue, PushError};
 use crate::cache::SharedSynthCache;
 use crate::error::ServiceError;
 use crate::job::{Job, JobHandle, JobOutput, JobSpec};
-use crate::metrics::{ServiceMetrics, Stage};
-use nsb_compiler::{default_mode, sabre_route, CompiledCircuit, Lowerer, SabreConfig};
-use nsb_compiler::{schedule, to_schedule_facts, to_verify_ops, CompileError};
+use crate::metrics::ServiceMetrics;
+use nsb_compiler::{default_mode, CompileError, Stage, Transpiler, VerifyLevel};
 use nsb_device::Device;
 use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError, StoredEntry};
-use nsb_synth::SynthCache;
-use nsb_verify::{VerifierSuite, VerifyTarget};
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -19,6 +17,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Service sizing knobs.
+///
+/// There is no knob for a job's synthesis fan-out: the service derives it
+/// as `max(1, available_parallelism / workers)`, so only cores the
+/// workers leave idle fan out. The default `workers` leaves none idle on
+/// machines with up to 8 cores.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Worker threads compiling jobs. Defaults to the machine's
@@ -35,16 +38,6 @@ pub struct ServiceConfig {
     /// verifying every job is too expensive. `Some(1)` verifies
     /// everything; `None` (the default) samples nothing.
     pub verify_sample: Option<NonZeroU64>,
-    /// Threads a single job may fan out to while lowering: the worker
-    /// prewarms its synthesis cache by decomposing a circuit's distinct
-    /// two-qubit targets in parallel before the (still serial, still
-    /// bit-identical) lowering pass. `1` (the default) keeps lowering
-    /// fully serial; values above the machine's available parallelism
-    /// are clamped down to it; `0` is rejected at
-    /// [`CompileService::new`] with [`ServiceError::InvalidConfig`] —
-    /// mirroring how [`SharedSynthCache`] clamps a zero capacity rather
-    /// than panicking deep in a worker.
-    pub intra_job_threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -57,7 +50,6 @@ impl Default for ServiceConfig {
             queue_capacity: 256,
             cache_capacity: 4096,
             verify_sample: None,
-            intra_job_threads: 1,
         }
     }
 }
@@ -110,22 +102,11 @@ impl CompileService {
     ///
     /// [`ServiceError::WorkerSpawn`] when the operating system refuses to
     /// start a worker thread; any workers already started are joined
-    /// before returning. [`ServiceError::InvalidConfig`] when
-    /// `config.intra_job_threads` is `0` — there is no sensible meaning
-    /// for "zero threads", so the service refuses to start rather than
-    /// silently reinterpreting it.
+    /// before returning.
     pub fn new(device: Device, config: ServiceConfig) -> Result<Self, ServiceError> {
-        if config.intra_job_threads == 0 {
-            return Err(ServiceError::InvalidConfig {
-                field: "intra_job_threads",
-                reason: "must be at least 1 (1 = serial lowering)",
-            });
-        }
-        let intra_job_threads = config.intra_job_threads.min(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        );
+        let n_workers = config.workers.max(1);
+        let synthesis_threads =
+            (std::thread::available_parallelism().map_or(1, |n| n.get()) / n_workers).max(1);
         let device = Arc::new(device);
         let metrics = Arc::new(ServiceMetrics::default());
         let cache =
@@ -136,8 +117,8 @@ impl CompileService {
             stride: config.verify_sample,
             counter: Arc::new(AtomicU64::new(0)),
         };
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
+        let mut workers = Vec::with_capacity(n_workers);
+        for i in 0..n_workers {
             let device = device.clone();
             let queue_for_worker = queue.clone();
             let cache = cache.clone();
@@ -152,7 +133,7 @@ impl CompileService {
                         &cache,
                         &metrics,
                         &sampling,
-                        intra_job_threads,
+                        synthesis_threads,
                     )
                 });
             match spawned {
@@ -300,15 +281,15 @@ impl Drop for CompileService {
     }
 }
 
-/// One worker: pop, compile in stages, report. Exits when the queue is
-/// closed and drained.
+/// One worker: pop, compile, report. Exits when the queue is closed and
+/// drained.
 fn worker_loop(
     device: &Device,
     queue: &BoundedQueue<Job>,
     cache: &Arc<SharedSynthCache>,
     metrics: &ServiceMetrics,
     sampling: &SampleState,
-    intra_job_threads: usize,
+    synthesis_threads: usize,
 ) {
     while let Some(job) = queue.pop() {
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
@@ -318,7 +299,7 @@ fn worker_loop(
             metrics,
             &job,
             sampling.pick(),
-            intra_job_threads,
+            synthesis_threads,
         );
         match &outcome {
             Ok(_) => metrics.jobs_completed.fetch_add(1, Ordering::Relaxed),
@@ -346,93 +327,54 @@ fn abort_check(job: &Job, stage: &'static str) -> Result<(), ServiceError> {
     Ok(())
 }
 
-/// The staged compile pipeline — the same passes as
-/// [`nsb_compiler::Transpiler::compile`], with cancellation/deadline
-/// checks between stages and per-stage latency accounting. `sampled`
-/// forces verification for this job (the service's sampling mode picked
-/// it) even if the spec itself runs unverified.
+/// Compiles one job with [`Transpiler::compile_staged`]. The stage hook
+/// records stage latencies and checks cancellation and the deadline after
+/// route, lower and schedule. `sampled` forces verification for this job
+/// (the service's sampling mode picked it) even if the spec itself runs
+/// unverified.
 fn run_job(
     device: &Device,
     cache: &Arc<SharedSynthCache>,
     metrics: &ServiceMetrics,
     job: &Job,
     sampled: bool,
-    intra_job_threads: usize,
+    synthesis_threads: usize,
 ) -> Result<JobOutput, ServiceError> {
     abort_check(job, "queued")?;
-
-    let started = Instant::now();
-    let routed = sabre_route(
-        &job.spec.circuit,
-        device.topology(),
-        &SabreConfig::default(),
-    );
-    metrics.record_stage(Stage::Route, started.elapsed());
-    let routed = routed.map_err(|e| ServiceError::Compile(e.into()))?;
-    abort_check(job, "route")?;
-
-    let started = Instant::now();
-    let mode = job
-        .spec
-        .mode
-        .unwrap_or_else(|| default_mode(job.spec.strategy));
-    let mut lowerer = Lowerer::new(device, job.spec.strategy, mode)
-        .with_shared_cache(cache.clone() as Arc<dyn SynthCache>);
-    // Prewarm fans the circuit's distinct synthesis targets across a
-    // scoped thread pool; the serial `lower` below then hits the cache on
-    // every one of them, so its output is bit-identical to a fully
-    // serial lowering regardless of `intra_job_threads`.
-    lowerer.prewarm(&routed.circuit, intra_job_threads);
-    let lowered = lowerer.lower(&routed.circuit);
-    metrics.record_stage(Stage::Lower, started.elapsed());
-    let ops = lowered.map_err(|e| ServiceError::Compile(e.into()))?;
-    abort_check(job, "lower")?;
-
-    let started = Instant::now();
-    let n_qubits = device.topology().n_qubits();
-    let sched = schedule(&ops, n_qubits, device.config().t_1q);
-    let fidelity = sched.coherence_fidelity(device.config().coherence_time);
-    metrics.record_stage(Stage::Schedule, started.elapsed());
-    abort_check(job, "schedule")?;
-
-    let mut verify_report = None;
-    if job.spec.verify.is_enabled() || sampled {
-        let started = Instant::now();
-        let suite = VerifierSuite::standard();
-        let vops = to_verify_ops(&ops, device, job.spec.strategy);
-        let target = VerifyTarget::new(device, job.spec.strategy, vops)
-            .with_source(&routed.circuit)
-            .with_schedule(to_schedule_facts(&sched));
-        let report = suite.run(&target);
-        metrics.record_stage(Stage::Verify, started.elapsed());
+    let spec = &job.spec;
+    let verify = if spec.verify.is_enabled() || sampled {
+        VerifyLevel::Full
+    } else {
+        VerifyLevel::Off
+    };
+    let outcome = Transpiler::new(device, spec.strategy)
+        .with_mode(spec.mode.unwrap_or_else(|| default_mode(spec.strategy)))
+        .with_shared_cache(cache.clone())
+        .with_synthesis_threads(synthesis_threads)
+        .with_verification(verify)
+        .compile_staged(&spec.circuit, |stage, elapsed| {
+            metrics.record_stage(stage, elapsed);
+            match stage {
+                Stage::Verify => Ok(()),
+                _ => abort_check(job, stage.name()),
+            }
+        });
+    let report = match &outcome {
+        Ok((_, report)) => report.as_ref(),
+        Err(ServiceError::Compile(CompileError::Verification { report, .. })) => Some(report),
+        Err(_) => None,
+    };
+    if let Some(report) = report {
         metrics.jobs_verified.fetch_add(1, Ordering::Relaxed);
-        if sampled && !job.spec.verify.is_enabled() {
+        if !spec.verify.is_enabled() {
             metrics.jobs_verify_sampled.fetch_add(1, Ordering::Relaxed);
         }
-        if !report.is_clean() {
-            metrics
-                .verification_violations
-                .fetch_add(report.violations.len() as u64, Ordering::Relaxed);
-            return Err(ServiceError::Compile(CompileError::Verification {
-                stage: "service",
-                report,
-            }));
-        }
-        verify_report = Some(report);
+        metrics
+            .verification_violations
+            .fetch_add(report.violations.len() as u64, Ordering::Relaxed);
     }
-
-    Ok(JobOutput {
-        circuit: CompiledCircuit {
-            ops,
-            n_qubits,
-            initial_layout: routed.initial_layout,
-            final_layout: routed.final_layout,
-            swaps_inserted: routed.swaps_inserted,
-            schedule: sched,
-            fidelity,
-        },
-        verify: verify_report,
-    })
+    let (circuit, verify) = outcome?;
+    Ok(JobOutput { circuit, verify })
 }
 
 #[cfg(test)]
@@ -467,80 +409,14 @@ mod tests {
             .submit(JobSpec::new(logical, BasisStrategy::Criterion2))
             .expect("submit");
         let compiled = handle.wait().expect("service compile");
-        assert_eq!(compiled.ops.len(), expected.ops.len());
-        assert_eq!(compiled.fidelity.to_bits(), expected.fidelity.to_bits());
-        assert_eq!(service.metrics().jobs_completed.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn zero_intra_job_threads_is_rejected_not_panicked() {
-        let config = ServiceConfig {
-            intra_job_threads: 0,
-            ..small_config()
-        };
-        match CompileService::new(test_device(), config) {
-            Err(ServiceError::InvalidConfig { field, .. }) => {
-                assert_eq!(field, "intra_job_threads");
-            }
-            Ok(_) => panic!("zero intra_job_threads must be rejected"),
-            Err(other) => panic!("expected InvalidConfig, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn oversized_intra_job_threads_is_clamped_and_works() {
-        // Far above any machine's parallelism; `new` clamps rather than
-        // erroring, and jobs still compile.
-        let config = ServiceConfig {
-            intra_job_threads: 1 << 20,
-            ..small_config()
-        };
-        let service = CompileService::new(test_device(), config).expect("service");
-        let handle = service
-            .submit(JobSpec::new(generators::ghz(4), BasisStrategy::Baseline))
-            .expect("submit");
-        handle.wait().expect("clamped service still compiles");
-    }
-
-    #[test]
-    fn intra_job_parallelism_is_bit_identical_and_verified() {
-        use nsb_compiler::VerifyLevel;
-        let logical = generators::qft(5, true);
-        let mut outputs = Vec::new();
-        for threads in [1usize, 4] {
-            let config = ServiceConfig {
-                intra_job_threads: threads,
-                ..small_config()
-            };
-            let service = CompileService::new(test_device(), config).expect("service");
-            let handle = service
-                .submit(
-                    JobSpec::new(logical.clone(), BasisStrategy::Baseline)
-                        .with_mode(nsb_compiler::LoweringMode::Direct)
-                        .with_verification(VerifyLevel::Full),
-                )
-                .expect("submit");
-            let output = handle.wait_full().expect("verified compile");
-            let report = output.verify.as_ref().expect("full verification report");
-            assert!(
-                report.is_clean(),
-                "verification must stay clean at {threads} threads"
-            );
-            outputs.push(output);
-        }
-        let serial = &outputs[0];
-        let fanned = &outputs[1];
-        assert_eq!(
-            serial.circuit.fidelity.to_bits(),
-            fanned.circuit.fidelity.to_bits()
-        );
         // Debug output round-trips f64 bit patterns, so string equality
         // is bit-identity of the compiled ops.
-        assert_eq!(
-            format!("{:?}", serial.circuit.ops),
-            format!("{:?}", fanned.circuit.ops),
-            "compiled circuit must not depend on intra_job_threads"
-        );
+        assert_eq!(format!("{:?}", compiled.ops), format!("{:?}", expected.ops));
+        assert_eq!(compiled.initial_layout, expected.initial_layout);
+        assert_eq!(compiled.final_layout, expected.final_layout);
+        assert_eq!(compiled.swaps_inserted, expected.swaps_inserted);
+        assert_eq!(compiled.fidelity.to_bits(), expected.fidelity.to_bits());
+        assert_eq!(service.metrics().jobs_completed.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -702,7 +578,6 @@ mod tests {
                 queue_capacity: 16,
                 cache_capacity: 256,
                 verify_sample: NonZeroU64::new(2),
-                ..ServiceConfig::default()
             },
         )
         .expect("service");

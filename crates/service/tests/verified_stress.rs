@@ -6,7 +6,7 @@
 //! jobs must not interfere.
 
 use nsb_circuit::{generators, Circuit, Gate};
-use nsb_compiler::{Transpiler, VerifyLevel};
+use nsb_compiler::{CompiledCircuit, Transpiler, VerifyLevel};
 use nsb_device::{BasisStrategy, Device, DeviceConfig};
 use nsb_service::{CompileService, JobSpec, ServiceConfig};
 use rand::rngs::StdRng;
@@ -55,21 +55,34 @@ fn workload() -> Vec<(BasisStrategy, Circuit)> {
     jobs
 }
 
+/// Everything a compile produces that must match bit for bit: the ops
+/// (Debug output round-trips every f64 bit pattern), both layouts, the
+/// SWAP count and the fidelity's bits.
+fn fingerprint(c: &CompiledCircuit) -> String {
+    format!(
+        "{:?} {:?} {:?} {} {}",
+        c.ops,
+        c.initial_layout,
+        c.final_layout,
+        c.swaps_inserted,
+        c.fidelity.to_bits()
+    )
+}
+
 #[test]
 fn verified_concurrent_results_match_serial_and_stay_clean() {
     let device = Device::build(3, 2, DeviceConfig::fast_test()).expect("device");
     let jobs = workload();
 
     // Serial reference: the plain transpiler with full verification.
-    let serial: Vec<u64> = jobs
+    let serial: Vec<String> = jobs
         .iter()
         .map(|(strategy, circuit)| {
-            Transpiler::new(&device, *strategy)
+            let compiled = Transpiler::new(&device, *strategy)
                 .with_verification(VerifyLevel::Full)
                 .compile(circuit)
-                .expect("serial verified compile")
-                .fidelity
-                .to_bits()
+                .expect("serial verified compile");
+            fingerprint(&compiled)
         })
         .collect();
 
@@ -104,8 +117,8 @@ fn verified_concurrent_results_match_serial_and_stay_clean() {
                     .collect();
                 handles
                     .into_iter()
-                    .map(|h| h.wait().expect("verified compile").fidelity.to_bits())
-                    .collect::<Vec<u64>>()
+                    .map(|h| fingerprint(&h.wait().expect("verified compile")))
+                    .collect::<Vec<String>>()
             })
         })
         .collect();
