@@ -401,7 +401,8 @@ fn quantize(x: f64) -> i64 {
 }
 
 /// Merges runs of adjacent local gates per qubit and drops locals that are
-/// the identity up to a global phase.
+/// the identity up to a global phase. The result holds no spare capacity:
+/// compiled programs are kept around, and merging drops about half the ops.
 pub fn merge_locals(ops: Vec<LoweredOp>, n_qubits: usize) -> Vec<LoweredOp> {
     let mut pending: Vec<Option<Mat2>> = vec![None; n_qubits];
     let mut out = Vec::with_capacity(ops.len());
@@ -434,6 +435,7 @@ pub fn merge_locals(ops: Vec<LoweredOp>, n_qubits: usize) -> Vec<LoweredOp> {
     for q in 0..n_qubits {
         flush(&mut pending, q, &mut out);
     }
+    out.shrink_to_fit();
     out
 }
 
@@ -601,6 +603,23 @@ pub(crate) mod tests {
                 "width {threads}: the CPhase before the failing op synthesizes"
             );
         }
+    }
+
+    #[test]
+    fn lowered_programs_hold_no_spare_capacity() {
+        // Table II's `qft 10` row on the 12-qubit test device.
+        let device = Device::build(4, 3, DeviceConfig::fast_test()).expect("test device");
+        let routed = crate::sabre_route(
+            &generators::qft(10, true),
+            device.topology(),
+            &crate::SabreConfig::default(),
+        )
+        .expect("route");
+        let ops = Lowerer::new(&device, BasisStrategy::Criterion2, LoweringMode::ViaCnot)
+            .lower(&routed.circuit)
+            .expect("lower");
+        assert!(ops.len() > 100, "qft 10 lowered to {} ops", ops.len());
+        assert_eq!(ops.capacity(), ops.len());
     }
 
     #[test]

@@ -441,7 +441,11 @@ fn build_edge(
         levels: config.levels,
         ..UnitCellParams::with_qubit_frequencies(fa, fb)
     };
-    let cell = PreparedCell::prepare(&params);
+    let cell = PreparedCell::try_prepare(&params).ok_or_else(|| {
+        err(format!(
+            "dressed frame ambiguous for qubit frequencies {fa:.3} / {fb:.3} GHz"
+        ))
+    })?;
     // Baseline: sqrt(iSWAP) off the standard trajectory.
     let base_traj = cell.trajectory(config.xi_baseline, &config.baseline_traj);
     let bp = base_traj
@@ -565,6 +569,14 @@ fn finish_basis(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn ambiguous_dressed_frame_is_a_build_error_not_a_panic() {
+        // On the 5x3 grid one coupler's dressed frame is ambiguous; building
+        // used to abort with "a scoped thread panicked".
+        let err = Device::build(5, 3, DeviceConfig::fast_test()).expect_err("5x3 fails");
+        assert!(err.reason.contains("dressed frame"), "{err}");
+    }
 
     #[test]
     fn small_device_builds_and_has_sane_table1() {

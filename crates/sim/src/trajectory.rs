@@ -107,16 +107,30 @@ pub struct PreparedCell {
 
 impl PreparedCell {
     /// Prepares a unit cell: zero-ZZ bias then dressed-frame analysis.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the biased cell's computational subspace cannot be
+    /// identified; use [`PreparedCell::try_prepare`] to handle that case.
     pub fn prepare(params: &UnitCellParams) -> Self {
+        PreparedCell::try_prepare(params)
+            // lint: allow(no-expect) — documented panicking variant; try_prepare is the fallible API
+            .expect("dressed state identification ambiguous: overlap below 0.5")
+    }
+
+    /// Fallible variant of [`PreparedCell::prepare`]: returns `None` when
+    /// the biased cell's dressed frame is ambiguous (see
+    /// [`DressedFrame::try_from_hamiltonian`]).
+    pub fn try_prepare(params: &UnitCellParams) -> Option<Self> {
         let (biased, residual_zz) = zero_zz_bias(params);
         let hamiltonian = UnitCellHamiltonian::new(&biased);
-        let frame = DressedFrame::from_hamiltonian(&hamiltonian);
-        PreparedCell {
+        let frame = DressedFrame::try_from_hamiltonian(&hamiltonian)?;
+        Some(PreparedCell {
             params: biased,
             residual_zz,
             hamiltonian,
             frame,
-        }
+        })
     }
 
     /// The naive drive frequency: the dressed qubit difference frequency.

@@ -2,14 +2,15 @@
 //!
 //! Each check is a [`Verifier`] that re-derives one invariant from first
 //! principles — device calibration tables, the Weyl chamber geometry, an
-//! independent schedule recomputation, statevector simulation — and reports
-//! every place the compiled program breaks it.
+//! independent schedule recomputation, a miter reduction backed by
+//! statevector simulation — and reports every place the compiled program
+//! breaks it.
 
 use crate::report::{VerifyReport, Violation, ViolationKind};
 use crate::suite::Verifier;
 use crate::target::{ScheduleFacts, VerifyOp, VerifyTarget};
 use nsb_circuit::{Circuit, Gate, Operation, StateVector};
-use nsb_math::{Mat2, Mat4};
+use nsb_math::{svd2, Complex64, Mat2, Mat4};
 use nsb_weyl::{kak_vector, WeylCoord};
 use std::collections::HashMap;
 
@@ -22,13 +23,18 @@ pub struct VerifyConfig {
     pub coord_tol: f64,
     /// Absolute tolerance (ns) for schedule times and durations.
     pub schedule_tol: f64,
-    /// Maximum tolerated probe-state infidelity `1 - |<expected|actual>|`
-    /// for the unitary-equivalence check. Basis gates are characterized
-    /// through a simulated tomography noise model, so exact equivalence is
-    /// not expected; the default admits that calibration noise.
+    /// Maximum tolerated probe-state infidelity for the unitary-equivalence
+    /// check: a program passes when its minimum probe overlap, less the
+    /// [`Miter::bound`] on the reduction's error, is at least
+    /// `1 - overlap_tol`. Basis gates are characterized through a simulated
+    /// tomography noise model, so exact equivalence is not expected; the
+    /// default admits that calibration noise.
     pub overlap_tol: f64,
-    /// Largest register the equivalence check will simulate; bigger
-    /// targets skip the check (recorded in the report).
+    /// Largest residual the equivalence check will simulate. The check
+    /// simulates only the qubits touched by two-qubit blocks its miter
+    /// reduction could not cancel (none for a correct lowering, whatever
+    /// the register size); a residual on more qubits skips the check
+    /// (recorded in the report).
     pub max_sim_qubits: usize,
     /// Fraction of the device coherence time a qubit's active window may
     /// occupy before the schedule check flags it.
@@ -517,14 +523,16 @@ impl Verifier for ScheduleSanity {
 }
 
 /// Check 5: the operation list is unitarily equivalent to the routed
-/// source circuit, established by statevector simulation over a fixed
-/// family of probe states (skipped — and recorded as skipped — when no
-/// source is attached or the register is too large to simulate).
+/// source circuit over a fixed family of product probe states, established
+/// by reducing the [`Miter`] of the two and simulating only what does not
+/// reduce. Skipped — and recorded as skipped — when no source is attached
+/// or that residual spans more than `max_sim_qubits` qubits.
 pub struct UnitaryEquivalence;
 
 impl UnitaryEquivalence {
     /// A small, fixed family of state-preparation circuits exercising
-    /// basis states, superpositions and phases.
+    /// basis states, superpositions and phases. Every probe is a product
+    /// state: the circuits hold single-qubit gates only.
     pub fn probe_circuits(n: usize) -> Vec<Circuit> {
         let mut probes = Vec::new();
         probes.push(Circuit::new(n)); // |0...0>
@@ -559,32 +567,6 @@ impl UnitaryEquivalence {
         probes.push(mixed);
         probes
     }
-
-    /// Minimum over the [probe states](Self::probe_circuits) of the overlap
-    /// `|<source|ops>|` between the routed source and the operation list.
-    /// Both sides are simulated as fused two-qubit blocks: every local is
-    /// folded into a neighbouring block, and consecutive blocks on one pair
-    /// are multiplied into one 4x4 unitary.
-    ///
-    /// # Panics
-    ///
-    /// Panics when an op addresses a qubit outside the source's register
-    /// or a two-qubit op repeats a qubit.
-    pub fn min_overlap(ops: &[VerifyOp], source: &Circuit) -> f64 {
-        let n = source.n_qubits();
-        let compiled = fuse_blocks(n, ops.iter().map(Step::from));
-        let source = fuse_blocks(n, source.ops().iter().map(Step::from));
-        let mut min_overlap = f64::INFINITY;
-        for probe in Self::probe_circuits(n) {
-            let mut expected = StateVector::zero(n);
-            expected.apply_circuit(&probe);
-            let mut actual = expected.clone();
-            expected.apply_circuit(&source);
-            actual.apply_circuit(&compiled);
-            min_overlap = min_overlap.min(expected.overlap(&actual));
-        }
-        min_overlap
-    }
 }
 
 impl Verifier for UnitaryEquivalence {
@@ -600,16 +582,6 @@ impl Verifier for UnitaryEquivalence {
             return;
         };
         let n = target.device.topology().n_qubits();
-        if n > config.max_sim_qubits {
-            report.skipped.push((
-                self.name(),
-                format!(
-                    "{n}-qubit register exceeds the {}-qubit simulation limit",
-                    { config.max_sim_qubits }
-                ),
-            ));
-            return;
-        }
         if source.n_qubits() != n
             || target.ops.iter().any(|op| {
                 let qs = op.qubits();
@@ -622,27 +594,292 @@ impl Verifier for UnitaryEquivalence {
             ));
             return;
         }
-        let min_overlap = Self::min_overlap(&target.ops, source);
-        if min_overlap < 1.0 - config.overlap_tol {
+        let miter = Miter::new(&target.ops, source);
+        let residual = miter.residual_qubits().len();
+        if residual > config.max_sim_qubits {
+            report.skipped.push((
+                self.name(),
+                format!(
+                    "the unreduced residual spans {residual} qubits, beyond the \
+                     {}-qubit simulation limit",
+                    config.max_sim_qubits
+                ),
+            ));
+            return;
+        }
+        let min_overlap = miter.min_overlap();
+        let floor = 1.0 - config.overlap_tol;
+        if min_overlap - miter.bound() < floor {
             report.violations.push(violation(
                 self.name(),
                 ViolationKind::UnitaryMismatch,
                 None,
                 Vec::new(),
                 format!(
-                    "minimum probe-state overlap {min_overlap:.6} below the \
-                     {:.6} floor",
-                    1.0 - config.overlap_tol
+                    "minimum probe-state overlap {min_overlap:.6} (reduction error \
+                     bound {:.1e}) below the {floor:.6} floor",
+                    miter.bound()
                 ),
             ));
         }
     }
 }
 
-/// One unitary step of a program, as [`fuse_blocks`] consumes it.
+/// Frobenius distance within which a two-qubit block counts as a product
+/// of two single-qubit gates and is split. A lowered block cancels its
+/// source gate to within about 1e-5 on the test devices, so this leaves a
+/// tenfold margin; every split's actual distance is charged to the bound.
+const SPLIT_TOL: f64 = 1e-4;
+
+/// The miter `M = S†·C` of a compiled op list `C` against its routed source
+/// `S`, reduced to as few two-qubit blocks as possible.
+///
+/// The probe overlap [`UnitaryEquivalence`] compares, `|<S p|C p>|`, is
+/// `|<p|M|p>|`. The reduction feeds the compiled ops, then the source
+/// reversed and adjointed, through one fusion pass:
+///
+/// - a local is held back and folded into the next two-qubit step on its
+///   qubit;
+/// - a two-qubit step is multiplied into the live block on top of both its
+///   qubits' stacks when that is one block (every step since acts on other
+///   qubits or was split into locals, so it commutes), SWAP-conjugated when
+///   the block lists the pair in the other order; otherwise it opens a new
+///   block;
+/// - once the source steps start, a block just opened or grown that is a
+///   product of two single-qubit gates within 1e-4 (`SPLIT_TOL`) is removed.
+///   Its factors, made exactly unitary, become the held-back locals of its
+///   qubits, the Frobenius distance of that replacement is added to
+///   [`bound`](Self::bound), and the block below it on each qubit's stack
+///   is exposed to later merges.
+///
+/// Compiled steps only fuse. A tiny-angle CPhase lowered exactly is within
+/// the tolerance of a product; split early, it would charge its distance
+/// from a product twice (once more for the source gate left with nothing
+/// to cancel), and an angle near the threshold could split on one side
+/// only, leaving the source gate and everything behind it unreduced.
+///
+/// A correct lowering replaces each source gate by a block locally
+/// equivalent to it, so the reversed source cancels the compiled program
+/// block by block and no block survives. Every probe is a product state,
+/// so each overlap is then a product of single-qubit expectation values.
+/// Surviving blocks (a wrong program) are simulated on the qubits they
+/// touch. Replacing unitary blocks by unitary ones within Frobenius
+/// distance `d` moves every overlap by at most `d`, so the reduced overlap
+/// is within `bound` of the exact one when every op is unitary (checked by
+/// [`BasisLegality`]).
+pub struct Miter {
+    n: usize,
+    /// Surviving blocks `(a, b, unitary)` in an order that respects every
+    /// qubit's step order.
+    blocks: Vec<(usize, usize, Mat4)>,
+    /// The local each qubit ends with, after all its surviving blocks.
+    locals: Vec<Mat2>,
+    bound: f64,
+}
+
+impl Miter {
+    /// Reduces the miter of `ops` against `source`. A two-qubit op must
+    /// act on two distinct qubits; [`UnitaryEquivalence`] skips programs
+    /// with one that does not.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an op addresses a qubit outside the source's register.
+    pub fn new(ops: &[VerifyOp], source: &Circuit) -> Miter {
+        let undo = source.ops().iter().rev().map(|op| Step::from(op).adjoint());
+        Self::reduce(source.n_qubits(), ops.iter().map(Step::from), undo)
+    }
+
+    fn reduce(
+        n: usize,
+        compiled: impl IntoIterator<Item = Step>,
+        undo: impl IntoIterator<Item = Step>,
+    ) -> Miter {
+        struct Block {
+            pair: (usize, usize),
+            unitary: Mat4,
+            live: bool,
+        }
+        let mut pending: Vec<Option<Mat2>> = vec![None; n];
+        // Per qubit, the indices of its live blocks, latest on top. A block
+        // only opens, grows or splits while on top of both its stacks.
+        let mut stacks: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut blocks: Vec<Block> = Vec::new();
+        let mut bound = 0.0;
+        let steps = compiled.into_iter().map(|step| (step, false));
+        for (step, undoing) in steps.chain(undo.into_iter().map(|step| (step, true))) {
+            match step {
+                Step::Local(q, u) => {
+                    pending[q] = Some(pending[q].map_or(u, |p| u * p));
+                }
+                Step::Block(a, b, mut u) => {
+                    if pending[a].is_some() || pending[b].is_some() {
+                        let pa = pending[a].take().unwrap_or_else(Mat2::identity);
+                        let pb = pending[b].take().unwrap_or_else(Mat2::identity);
+                        u = u * Mat4::kron(&pa, &pb);
+                    }
+                    let i = match (stacks[a].last(), stacks[b].last()) {
+                        (Some(&i), Some(&j)) if i == j => {
+                            let block = &mut blocks[i];
+                            if block.pair.0 != a {
+                                u = Mat4::swap() * u * Mat4::swap();
+                            }
+                            block.unitary = u * block.unitary;
+                            i
+                        }
+                        _ => {
+                            stacks[a].push(blocks.len());
+                            stacks[b].push(blocks.len());
+                            blocks.push(Block {
+                                pair: (a, b),
+                                unitary: u,
+                                live: true,
+                            });
+                            blocks.len() - 1
+                        }
+                    };
+                    let block = &mut blocks[i];
+                    if undoing {
+                        if let Some((fa, fb, residual)) = split(&block.unitary) {
+                            block.live = false;
+                            let (p, q) = block.pair;
+                            stacks[p].pop();
+                            stacks[q].pop();
+                            pending[p] = Some(fa);
+                            pending[q] = Some(fb);
+                            bound += residual;
+                        }
+                    }
+                }
+            }
+        }
+        Miter {
+            n,
+            blocks: blocks
+                .into_iter()
+                .filter(|block| block.live)
+                .map(|block| (block.pair.0, block.pair.1, block.unitary))
+                .collect(),
+            locals: pending
+                .into_iter()
+                .map(|p| p.unwrap_or_else(Mat2::identity))
+                .collect(),
+            bound,
+        }
+    }
+
+    /// Upper bound on how far [`min_overlap`](Self::min_overlap) may lie
+    /// from the exact probe overlap: the summed Frobenius residuals of the
+    /// blocks split into locals. Zero when nothing split.
+    pub fn bound(&self) -> f64 {
+        self.bound
+    }
+
+    /// The qubits the surviving blocks touch, ascending: the register
+    /// [`min_overlap`](Self::min_overlap) has to simulate. Empty when the
+    /// miter reduced to locals.
+    pub fn residual_qubits(&self) -> Vec<usize> {
+        let mut touched = vec![false; self.n];
+        for &(a, b, _) in &self.blocks {
+            touched[a] = true;
+            touched[b] = true;
+        }
+        (0..self.n).filter(|&q| touched[q]).collect()
+    }
+
+    /// Minimum over the [probe states](UnitaryEquivalence::probe_circuits)
+    /// of `|<p|M|p>|`: a product of single-qubit expectation values over the
+    /// qubits no surviving block touches, times a statevector simulation of
+    /// the surviving blocks on the qubits they do.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the residual spans more qubits than
+    /// [`StateVector`] holds.
+    pub fn min_overlap(&self) -> f64 {
+        let residual = self.residual_qubits();
+        let mut in_residual = vec![false; self.n];
+        let mut slot = vec![0; self.n];
+        for (k, &q) in residual.iter().enumerate() {
+            in_residual[q] = true;
+            slot[q] = k;
+        }
+        let mut program = Circuit::new(self.n);
+        for &(a, b, block) in &self.blocks {
+            program.push(Gate::Unitary2(Box::new(block)), &[a, b]);
+        }
+        for &q in &residual {
+            program.push(Gate::Unitary1(self.locals[q]), &[q]);
+        }
+        let program = program.remapped(&slot, residual.len());
+        UnitaryEquivalence::probe_circuits(self.n)
+            .iter()
+            .map(|probe| {
+                let mut states = vec![[Complex64::ONE, Complex64::ZERO]; self.n];
+                let mut prepare = Circuit::new(self.n);
+                for op in probe.ops() {
+                    let q = op.qubits[0];
+                    if in_residual[q] {
+                        prepare.push(op.gate.clone(), &[q]);
+                    } else {
+                        states[q] = apply(&op.gate.mat2(), states[q]);
+                    }
+                }
+                let mut overlap = 1.0;
+                for (q, psi) in states.iter().enumerate() {
+                    if !in_residual[q] {
+                        let phi = apply(&self.locals[q], *psi);
+                        overlap *= (psi[0].conj() * phi[0] + psi[1].conj() * phi[1]).abs();
+                    }
+                }
+                if !residual.is_empty() {
+                    let mut expected = StateVector::zero(residual.len());
+                    expected.apply_circuit(&prepare.remapped(&slot, residual.len()));
+                    let mut actual = expected.clone();
+                    actual.apply_circuit(&program);
+                    overlap *= expected.overlap(&actual);
+                }
+                overlap
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+}
+
+fn apply(u: &Mat2, psi: [Complex64; 2]) -> [Complex64; 2] {
+    [
+        u.at(0, 0) * psi[0] + u.at(0, 1) * psi[1],
+        u.at(1, 0) * psi[0] + u.at(1, 1) * psi[1],
+    ]
+}
+
+/// Splits a block that is a product of two single-qubit gates within
+/// [`SPLIT_TOL`] into exactly unitary factors and the Frobenius distance
+/// of their product from the block.
+fn split(block: &Mat4) -> Option<(Mat2, Mat2, f64)> {
+    let (a, b) = block.kron_factor(SPLIT_TOL)?;
+    let (a, b) = (nearest_unitary(&a), nearest_unitary(&b));
+    Some((a, b, (*block - Mat4::kron(&a, &b)).norm()))
+}
+
+/// The unitary polar factor `u v†` of `m = u s v†`.
+fn nearest_unitary(m: &Mat2) -> Mat2 {
+    let (u, _, v) = svd2(m);
+    u * v.adjoint()
+}
+
+/// One unitary step of a program, as [`Miter::reduce`] consumes it.
 enum Step {
     Local(usize, Mat2),
     Block(usize, usize, Mat4),
+}
+
+impl Step {
+    fn adjoint(self) -> Step {
+        match self {
+            Step::Local(q, u) => Step::Local(q, u.adjoint()),
+            Step::Block(a, b, u) => Step::Block(a, b, u.adjoint()),
+        }
+    }
 }
 
 impl From<&VerifyOp> for Step {
@@ -666,64 +903,30 @@ impl From<&Operation> for Step {
     }
 }
 
-/// Rewrites a program on `n` qubits into an equivalent one of fused
-/// two-qubit blocks, so simulation touches the state once per block
-/// instead of once per gate:
-///
-/// - a local is held back and folded into the next two-qubit step on its
-///   qubit;
-/// - a two-qubit step is multiplied into the block that last touched its
-///   pair when no other block touched either qubit since (everything in
-///   between acts on other qubits and commutes with it), SWAP-conjugated
-///   when the block lists the pair in the other order;
-/// - locals never followed by a two-qubit step are emitted at the end.
-fn fuse_blocks(n: usize, steps: impl IntoIterator<Item = Step>) -> Circuit {
-    let mut pending: Vec<Option<Mat2>> = vec![None; n];
-    let mut last_block: Vec<Option<usize>> = vec![None; n];
-    let mut blocks: Vec<(usize, usize, Mat4)> = Vec::new();
-    for step in steps {
-        match step {
-            Step::Local(q, u) => {
-                pending[q] = Some(pending[q].map_or(u, |p| u * p));
-            }
-            Step::Block(a, b, mut u) => {
-                if pending[a].is_some() || pending[b].is_some() {
-                    let pa = pending[a].take().unwrap_or_else(Mat2::identity);
-                    let pb = pending[b].take().unwrap_or_else(Mat2::identity);
-                    u = u * Mat4::kron(&pa, &pb);
-                }
-                match (last_block[a], last_block[b]) {
-                    (Some(i), Some(j)) if i == j => {
-                        let (first, _, block) = &mut blocks[i];
-                        if *first != a {
-                            u = Mat4::swap() * u * Mat4::swap();
-                        }
-                        *block = u * *block;
-                    }
-                    _ => {
-                        last_block[a] = Some(blocks.len());
-                        last_block[b] = Some(blocks.len());
-                        blocks.push((a, b, u));
-                    }
-                }
-            }
-        }
-    }
-    let mut fused = Circuit::new(n);
-    for (a, b, block) in blocks {
-        fused.push(Gate::Unitary2(Box::new(block)), &[a, b]);
-    }
-    for (q, local) in pending.into_iter().enumerate() {
-        if let Some(local) = local {
-            fused.push(Gate::Unitary1(local), &[q]);
-        }
-    }
-    fused
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reduced miter as a circuit: surviving blocks, then every local.
+    fn as_circuit(miter: &Miter) -> Circuit {
+        let mut c = Circuit::new(miter.n);
+        for &(a, b, block) in &miter.blocks {
+            c.push(Gate::Unitary2(Box::new(block)), &[a, b]);
+        }
+        for (q, &local) in miter.locals.iter().enumerate() {
+            c.push(Gate::Unitary1(local), &[q]);
+        }
+        c
+    }
+
+    fn two_qubit(qubits: (usize, usize), unitary: Mat4) -> VerifyOp {
+        VerifyOp::TwoQubit {
+            qubits,
+            duration: 0.0,
+            unitary,
+            coord: None,
+        }
+    }
 
     #[test]
     fn fusion_merges_same_pair_blocks_and_defers_trailing_locals() {
@@ -740,9 +943,10 @@ mod tests {
                 Step::Local(2, Mat2::s()),
             ]
         };
-        let fused = fuse_blocks(3, steps());
-        let shape: Vec<&[usize]> = fused.ops().iter().map(|op| &op.qubits[..]).collect();
-        assert_eq!(shape, [&[0, 1][..], &[1, 2], &[0, 1], &[2]]);
+        let miter = Miter::reduce(3, steps(), []);
+        let shape: Vec<_> = miter.blocks.iter().map(|&(a, b, _)| (a, b)).collect();
+        assert_eq!(shape, [(0, 1), (1, 2), (0, 1)]);
+        assert_eq!(miter.bound(), 0.0, "no block is a product");
 
         let mut reference = Circuit::new(3);
         for step in steps() {
@@ -751,6 +955,7 @@ mod tests {
                 Step::Block(a, b, u) => reference.push(Gate::Unitary2(Box::new(u)), &[a, b]),
             };
         }
+        let fused = as_circuit(&miter);
         for index in 0..8 {
             let mut expected = StateVector::basis(3, index);
             let mut actual = expected.clone();
@@ -761,5 +966,40 @@ mod tests {
                 "basis state {index}"
             );
         }
+    }
+
+    #[test]
+    fn a_merge_reaches_past_a_split_block() {
+        // C = U(0,1) then V(1,2); the reversed source first cancels V, which
+        // splits and exposes U on qubit 1's stack, so U† merges into U.
+        let (u, v) = (Mat4::b_gate(), Mat4::iswap() * Mat4::cnot());
+        let ops = [two_qubit((0, 1), u), two_qubit((1, 2), v)];
+        let mut source = Circuit::new(3);
+        source.push(Gate::Unitary2(Box::new(u)), &[0, 1]);
+        source.push(Gate::Unitary2(Box::new(v)), &[1, 2]);
+        let miter = Miter::new(&ops, &source);
+        assert!(miter.residual_qubits().is_empty());
+        assert!(miter.bound() < 1e-12, "{}", miter.bound());
+        assert!((miter.min_overlap() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_new_block_that_is_nearly_local_is_split() {
+        // The compiled program drops a tiny CPhase: the reversed source
+        // gate opens a block of its own, which splits with its residual
+        // charged to the bound.
+        let ops = [two_qubit((0, 1), Mat4::cnot())];
+        let mut source = Circuit::new(2);
+        source.push(Gate::Cx, &[0, 1]);
+        source.push(Gate::CPhase(1e-5), &[0, 1]);
+        let miter = Miter::new(&ops, &source);
+        assert!(miter.residual_qubits().is_empty());
+        assert!(
+            miter.bound() > 1e-6 && miter.bound() < 1e-5,
+            "{}",
+            miter.bound()
+        );
+        let overlap = miter.min_overlap();
+        assert!((overlap - 1.0).abs() <= miter.bound(), "{overlap}");
     }
 }

@@ -46,7 +46,7 @@ mod suite;
 mod target;
 
 pub use checks::{
-    BasisLegality, ConnectivityLegality, ScheduleSanity, UnitaryEquivalence, VerifyConfig,
+    BasisLegality, ConnectivityLegality, Miter, ScheduleSanity, UnitaryEquivalence, VerifyConfig,
     WeylCanonicality,
 };
 pub use report::{VerifyLevel, VerifyReport, Violation, ViolationKind};

@@ -1,8 +1,10 @@
-//! The unitary-equivalence check simulates fused two-qubit blocks and the
-//! Weyl check memoizes recomputed classes. These tests pin both to what
-//! they replace: the fused overlap equals a gate-by-gate simulation, the
-//! shapes fusion rewrites still catch wrong programs, and the memo reports
-//! every bad block where it is.
+//! The unitary-equivalence check reduces the miter of a program against
+//! its source and the Weyl check memoizes recomputed classes. These tests
+//! pin both to what they replace: the reduced overlap equals a gate-by-gate
+//! simulation within the reported bound, lowered Table II jobs reduce to
+//! locals, mutated programs get the gate-by-gate verdict, the shapes fusion
+//! rewrites still catch wrong programs, and the memo reports every bad
+//! block where it is.
 
 use nsb_circuit::{Circuit, Gate, StateVector};
 use nsb_compiler::{default_mode, sabre_route, to_verify_ops, Lowerer, SabreConfig};
@@ -10,7 +12,8 @@ use nsb_core::experiments::table2_suite;
 use nsb_device::{BasisStrategy, Device, DeviceConfig};
 use nsb_math::{haar_su2, haar_u4, Mat2, Mat4};
 use nsb_verify::{
-    UnitaryEquivalence, VerifierSuite, VerifyOp, VerifyTarget, ViolationKind, WeylCanonicality,
+    Miter, UnitaryEquivalence, VerifierSuite, VerifyConfig, VerifyOp, VerifyTarget, ViolationKind,
+    WeylCanonicality,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,14 +64,18 @@ fn op_by_op_min_overlap(ops: &[VerifyOp], source: &Circuit) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn assert_fusion_matches(ops: &[VerifyOp], source: &Circuit, what: &str) -> f64 {
-    let fused = UnitaryEquivalence::min_overlap(ops, source);
+/// Asserts the reduced overlap is within its bound of the gate-by-gate
+/// one, and returns the reduced miter with its overlap.
+fn assert_fusion_matches(ops: &[VerifyOp], source: &Circuit, what: &str) -> (Miter, f64) {
+    let miter = Miter::new(ops, source);
+    let fused = miter.min_overlap();
     let reference = op_by_op_min_overlap(ops, source);
     assert!(
-        (fused - reference).abs() < 1e-12,
-        "{what}: fused overlap {fused} vs gate-by-gate {reference}"
+        (fused - reference).abs() <= 1e-12 + miter.bound(),
+        "{what}: reduced overlap {fused} (bound {:e}) vs gate-by-gate {reference}",
+        miter.bound()
     );
-    fused
+    (miter, fused)
 }
 
 fn random_pair(n: usize, rng: &mut StdRng) -> (usize, usize) {
@@ -141,7 +148,7 @@ fn fused_overlap_matches_gate_by_gate_on_random_circuits() {
         // The source against itself (overlap 1), against a copy with one
         // gate changed, and against an unrelated program.
         let same = as_verify_ops(&source);
-        let overlap = assert_fusion_matches(&same, &source, &format!("case {case} same"));
+        let (_, overlap) = assert_fusion_matches(&same, &source, &format!("case {case} same"));
         assert!(overlap > 1.0 - 1e-9, "case {case}: {overlap}");
         let mut changed = same.clone();
         let k = (rng.gen::<u64>() % changed.len() as u64) as usize;
@@ -163,27 +170,149 @@ fn fused_overlap_matches_gate_by_gate_on_random_circuits() {
     }
 }
 
-#[test]
-fn fused_overlap_matches_gate_by_gate_on_compiled_table2_jobs() {
-    let device = grid_device();
+/// The Table II rows that fit `device`, routed and lowered under
+/// `strategy`, as `(name, routed source, ops)`.
+fn lowered_rows(
+    device: &Device,
+    strategy: BasisStrategy,
+    names: &[&str],
+) -> Vec<(String, Circuit, Vec<VerifyOp>)> {
     let n = device.topology().n_qubits();
-    let rows: Vec<_> = table2_suite(7)
+    table2_suite(7)
         .into_iter()
-        .filter(|b| b.circuit.n_qubits() <= n)
-        .collect();
-    assert!(rows.len() >= 6, "Table II rows that fit {n} qubits");
-    for bench in &rows {
-        for strategy in [BasisStrategy::Criterion1, BasisStrategy::Criterion2] {
+        .filter(|b| b.circuit.n_qubits() <= n && (names.is_empty() || names.contains(&&*b.name)))
+        .map(|bench| {
             let routed = sabre_route(&bench.circuit, device.topology(), &SabreConfig::default())
                 .expect("route");
             let lowered = Lowerer::new(device, strategy, default_mode(strategy))
+                .with_synthesis_threads(2)
                 .lower(&routed.circuit)
                 .expect("lower");
             let ops = to_verify_ops(&lowered, device, strategy);
-            let what = format!("{} / {strategy}", bench.name);
-            let overlap = assert_fusion_matches(&ops, &routed.circuit, &what);
+            (format!("{} / {strategy}", bench.name), routed.circuit, ops)
+        })
+        .collect()
+}
+
+#[test]
+fn fused_overlap_matches_gate_by_gate_on_compiled_table2_jobs() {
+    let device = grid_device();
+    let mut jobs = 0;
+    for strategy in BasisStrategy::ALL {
+        for (what, source, ops) in lowered_rows(device, strategy, &[]) {
+            let (miter, overlap) = assert_fusion_matches(&ops, &source, &what);
+            // A correct lowering cancels its source gate by gate.
+            assert!(
+                miter.residual_qubits().is_empty(),
+                "{what}: miter did not reduce"
+            );
+            assert!(miter.bound() <= 1e-3, "{what}: bound {:e}", miter.bound());
             assert!(overlap > 0.99, "{what}: {overlap}");
+            jobs += 1;
         }
+    }
+    assert!(
+        jobs >= 18,
+        "Table II rows x strategies that fit 12 qubits: {jobs}"
+    );
+}
+
+/// `op` with its local multiplied by `error` (applied first), if a local.
+fn mutated(op: &VerifyOp, error: Mat2) -> Option<VerifyOp> {
+    match op {
+        VerifyOp::Local { qubit, unitary } => Some(VerifyOp::Local {
+            qubit: *qubit,
+            unitary: *unitary * error,
+        }),
+        VerifyOp::TwoQubit { .. } => None,
+    }
+}
+
+#[test]
+fn mutated_locals_get_the_gate_by_gate_verdict() {
+    let device = grid_device();
+    let floor = 1.0 - VerifyConfig::default().overlap_tol;
+    let (mut passed, mut failed) = (0, 0);
+    for (what, source, ops) in lowered_rows(device, STRATEGY, &["qft 10", "cuccaro 10"]) {
+        let locals: Vec<usize> = (0..ops.len())
+            .filter(|&i| matches!(ops[i], VerifyOp::Local { .. }))
+            .collect();
+        // Rotations around the floor: Rx(0.3) on |0> keeps overlap 0.989.
+        let errors = [
+            Mat2::rz(0.1),
+            Mat2::rx(0.2),
+            Mat2::rz(0.3),
+            Mat2::rx(0.3),
+            Mat2::rx(1.0),
+            Mat2::rz(2.0),
+        ];
+        for (k, &i) in locals.iter().step_by(locals.len() / 12).enumerate() {
+            let mut wrong = ops.clone();
+            wrong[i] = mutated(&ops[i], errors[k % errors.len()]).expect("a local");
+            let what = format!("{what}, op {i} x error {}", k % errors.len());
+            let report = VerifierSuite::standard()
+                .run(&VerifyTarget::new(device, STRATEGY, wrong.clone()).with_source(&source));
+            assert!(report.skipped.is_empty(), "{what}: {report}");
+            let reference = op_by_op_min_overlap(&wrong, &source);
+            let bound = Miter::new(&wrong, &source).bound();
+            if reference >= floor - 1e-12 && reference < floor + 2.0 * bound + 1e-12 {
+                continue; // the band where the bound may flip the verdict
+            }
+            let rejected = report.has(ViolationKind::UnitaryMismatch);
+            assert_eq!(
+                rejected,
+                reference < floor,
+                "{what}: gate-by-gate overlap {reference}, bound {bound:e}\n{report}"
+            );
+            if rejected {
+                failed += 1;
+            } else {
+                passed += 1;
+            }
+        }
+    }
+    assert!(
+        passed >= 4 && failed >= 4,
+        "{passed} passed, {failed} failed"
+    );
+}
+
+/// The 6x4 device: 24 qubits, twice the default simulation limit.
+fn wide_device() -> &'static Device {
+    static DEVICE: OnceLock<Device> = OnceLock::new();
+    DEVICE.get_or_init(|| Device::build(6, 4, DeviceConfig::fast_test()).expect("wide device"))
+}
+
+#[test]
+fn reducing_miters_check_equivalence_beyond_the_simulation_limit() {
+    let device = wide_device();
+    let rows = lowered_rows(device, STRATEGY, &["qft 20", "cuccaro 20"]);
+    assert_eq!(rows.len(), 2);
+    for (what, source, ops) in rows {
+        let run = |ops: Vec<VerifyOp>| {
+            let mut suite = VerifierSuite::empty();
+            suite.push(UnitaryEquivalence);
+            suite.run(&VerifyTarget::new(device, STRATEGY, ops).with_source(&source))
+        };
+        let report = run(ops.clone());
+        assert!(
+            report.is_clean() && report.skipped.is_empty(),
+            "{what}: {report}"
+        );
+
+        // A wrong first local reduces to a wrong local on its qubit.
+        let first = ops
+            .iter()
+            .position(|op| matches!(op, VerifyOp::Local { .. }))
+            .expect("a local");
+        let mut wrong = ops;
+        wrong[first] = mutated(&wrong[first], Mat2::rx(1.0)).expect("a local");
+        let report = run(wrong);
+        assert!(report.skipped.is_empty(), "{what}: {report}");
+        assert!(
+            report.has(ViolationKind::UnitaryMismatch),
+            "{what}: {report}"
+        );
     }
 }
 
