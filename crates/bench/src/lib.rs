@@ -10,4 +10,14 @@
 //! and the benches `synthesis` (including the Section VII depth-oracle
 //! ablation), `weyl_geometry`, `routing`, `trajectory`.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]

@@ -98,7 +98,8 @@ impl Gate {
             Gate::Phase(l) => Mat2::phase(*l),
             Gate::U3(t, p, l) => Mat2::u3(*t, *p, *l),
             Gate::Unitary1(m) => *m,
-            other => panic!("mat2 called on two-qubit gate {other}"), // lint: allow(no-panic) — documented arity contract
+            #[expect(clippy::panic, reason = "documented arity contract")]
+            other => panic!("mat2 called on two-qubit gate {other}"),
         }
     }
 
@@ -116,7 +117,8 @@ impl Gate {
             Gate::CPhase(l) => Mat4::cphase(*l),
             Gate::Rzz(t) => Mat4::rzz(*t),
             Gate::Unitary2(m) => *m.clone(),
-            other => panic!("mat4 called on single-qubit gate {other}"), // lint: allow(no-panic) — documented arity contract
+            #[expect(clippy::panic, reason = "documented arity contract")]
+            other => panic!("mat4 called on single-qubit gate {other}"),
         }
     }
 

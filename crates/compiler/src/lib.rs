@@ -19,8 +19,17 @@
 //! println!("duration {:.1} ns, fidelity {:.3}", compiled.schedule.duration, compiled.fidelity);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 
 mod lower;
 mod pipeline;

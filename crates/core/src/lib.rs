@@ -64,7 +64,17 @@
 //! println!("{}", service.metrics().report());
 //! ```
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 #![deny(missing_docs)]
 
 pub use nsb_circuit as circuit;

@@ -293,7 +293,10 @@ impl Device {
         });
         let mut edges = Vec::with_capacity(edge_list.len());
         for slot in slots {
-            // lint: allow(no-expect) — every slot was just written by the scoped calibration threads
+            #[expect(
+                clippy::expect_used,
+                reason = "every slot was just written by the scoped calibration threads"
+            )]
             match slot.expect("all edges processed") {
                 Ok(cal) => edges.push(cal),
                 Err(e) => return Err(e),
@@ -333,10 +336,11 @@ impl Device {
     ///
     /// Panics when the qubits are not adjacent.
     pub fn edge(&self, a: usize, b: usize) -> &EdgeCalibration {
+        #[expect(clippy::panic, reason = "documented contract")]
         let idx = self
             .topology
             .edge_index(a, b)
-            .unwrap_or_else(|| panic!("qubits {a},{b} are not coupled")); // lint: allow(no-panic) — documented contract
+            .unwrap_or_else(|| panic!("qubits {a},{b} are not coupled"));
         &self.edges[idx]
     }
 

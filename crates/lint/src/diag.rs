@@ -147,7 +147,7 @@ mod tests {
 
     fn diag() -> Diagnostic {
         Diagnostic {
-            rule: "no-unwrap",
+            rule: "lock-order",
             severity: Severity::Error,
             file: PathBuf::from("crates/x/src/a.rs"),
             line: 3,
@@ -160,7 +160,7 @@ mod tests {
     #[test]
     fn render_is_rustc_style() {
         let r = diag().render();
-        assert!(r.starts_with("error[no-unwrap]:"));
+        assert!(r.starts_with("error[lock-order]:"));
         assert!(r.contains("--> crates/x/src/a.rs:3:7"));
         assert!(r.contains("| x.unwrap();"));
     }
@@ -172,7 +172,7 @@ mod tests {
         let j = to_json(&[d]);
         assert!(j.contains(r#"quote \" backslash \\ newline \n tab \t"#));
         assert!(j.contains("\"total\": 1"));
-        assert!(j.contains("\"no-unwrap\": 1"));
+        assert!(j.contains("\"lock-order\": 1"));
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! The lint driver: workspace file collection, rule execution, and
-//! `// lint: allow(rule)` suppression.
+//! The lint driver: workspace file collection and rule execution.
 
 use crate::diag::Diagnostic;
 use crate::rules;
 use crate::source::{FileKind, SourceFile};
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -12,35 +10,49 @@ use std::path::{Path, PathBuf};
 /// and the deliberately-dirty lint fixtures.
 const SKIP_DIRS: &[&str] = &["vendor", "target", "lint_fixtures"];
 
+/// The workspace member directories under `crates/`, sorted.
+fn crate_dirs(root: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = fs::read_dir(root.join("crates")) else {
+        return Vec::new();
+    };
+    let mut crates: Vec<PathBuf> = entries
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.is_dir())
+        .collect();
+    crates.sort();
+    crates
+}
+
 /// Collects and parses every workspace source file.
 ///
 /// Scanned roots are `src/`, `tests/`, and each `crates/*/{src,tests}`.
 /// Files under a `tests/` directory are [`FileKind::Test`] (evidence
-/// only); `main.rs`, files under `src/bin/`, and the whole `xtask`
-/// crate are [`FileKind::Bin`]; everything else is [`FileKind::Lib`].
+/// only); everything else is [`FileKind::Lib`].
 pub fn collect_files(root: &Path) -> Vec<SourceFile> {
-    let mut dirs: Vec<(PathBuf, bool)> =
-        vec![(root.join("src"), false), (root.join("tests"), true)];
-    if let Ok(entries) = fs::read_dir(root.join("crates")) {
-        let mut crates: Vec<PathBuf> = entries
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir())
-            .collect();
-        crates.sort();
-        for c in crates {
-            dirs.push((c.join("src"), false));
-            dirs.push((c.join("tests"), true));
-        }
-    }
     let mut files = Vec::new();
-    for (dir, is_tests) in dirs {
-        collect_dir(root, &dir, is_tests, &mut files);
+    for dir in std::iter::once(root.to_path_buf()).chain(crate_dirs(root)) {
+        collect_dir(root, &dir.join("src"), FileKind::Lib, &mut files);
+        collect_dir(root, &dir.join("tests"), FileKind::Test, &mut files);
     }
     files
 }
 
-fn collect_dir(root: &Path, dir: &Path, is_tests: bool, out: &mut Vec<SourceFile>) {
+/// Reads the root manifest and every `crates/*/Cargo.toml`, as
+/// (workspace-relative path, text) pairs.
+pub fn collect_manifests(root: &Path) -> Vec<(PathBuf, String)> {
+    std::iter::once(root.to_path_buf())
+        .chain(crate_dirs(root))
+        .filter_map(|dir| {
+            let path = dir.join("Cargo.toml");
+            let text = fs::read_to_string(&path).ok()?;
+            let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+            Some((rel, text))
+        })
+        .collect()
+}
+
+fn collect_dir(root: &Path, dir: &Path, kind: FileKind, out: &mut Vec<SourceFile>) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -53,7 +65,7 @@ fn collect_dir(root: &Path, dir: &Path, is_tests: bool, out: &mut Vec<SourceFile
                 .and_then(|n| n.to_str())
                 .is_some_and(|n| SKIP_DIRS.contains(&n));
             if !skip {
-                collect_dir(root, &path, is_tests, out);
+                collect_dir(root, &path, kind, out);
             }
             continue;
         }
@@ -61,7 +73,6 @@ fn collect_dir(root: &Path, dir: &Path, is_tests: bool, out: &mut Vec<SourceFile
             continue;
         }
         let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-        let kind = classify(&rel, is_tests);
         let Ok(text) = fs::read_to_string(&path) else {
             continue;
         };
@@ -69,49 +80,33 @@ fn collect_dir(root: &Path, dir: &Path, is_tests: bool, out: &mut Vec<SourceFile
     }
 }
 
-/// Rule-applicability class of a workspace-relative path.
-fn classify(rel: &Path, is_tests: bool) -> FileKind {
-    if is_tests {
-        return FileKind::Test;
-    }
-    let in_xtask = rel.starts_with("crates/xtask");
-    let is_main = rel.file_name().is_some_and(|n| n == "main.rs");
-    let in_bin = rel.components().any(|c| c.as_os_str() == "bin");
-    if in_xtask || is_main || in_bin {
-        FileKind::Bin
-    } else {
-        FileKind::Lib
-    }
-}
-
-/// Runs every rule over pre-parsed files, applies suppression markers,
-/// and returns diagnostics sorted by (file, line, column, rule).
-pub fn analyze_files(files: &[SourceFile]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for f in files {
-        rules::no_panic::check(f, &mut out);
-        rules::float_eq::check(f, &mut out);
-        rules::prefer_mat4::check(f, &mut out);
-    }
-    rules::error_coverage::check(files, &mut out);
-    rules::lock_order::check(files, &mut out);
-
-    let by_path: BTreeMap<&Path, &SourceFile> =
-        files.iter().map(|f| (f.path.as_path(), f)).collect();
-    out.retain(|d| {
-        d.line == 0
-            || !by_path
-                .get(d.file.as_path())
-                .is_some_and(|f| f.allows(d.line, d.rule))
-    });
+/// Sorts findings by (file, line, column, rule).
+fn sorted(mut out: Vec<Diagnostic>) -> Vec<Diagnostic> {
     out.sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     out
 }
 
-/// Collects, parses, and analyzes the workspace rooted at `root`.
+/// Runs every source rule over pre-parsed files and returns
+/// diagnostics sorted by (file, line, column, rule).
+pub fn analyze_files(files: &[SourceFile]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for f in files {
+        rules::crate_root::check(f, &mut out);
+        rules::prefer_mat4::check(f, &mut out);
+    }
+    rules::error_coverage::check(files, &mut out);
+    rules::lock_order::check(files, &mut out);
+    sorted(out)
+}
+
+/// Collects, parses, and analyzes the workspace rooted at `root`,
+/// manifests included.
 pub fn run_workspace(root: &Path) -> Vec<Diagnostic> {
-    let files = collect_files(root);
-    analyze_files(&files)
+    let mut out = analyze_files(&collect_files(root));
+    for (path, text) in collect_manifests(root) {
+        rules::crate_root::check_manifest(&path, &text, &mut out);
+    }
+    sorted(out)
 }
 
 #[cfg(test)]
@@ -120,22 +115,11 @@ mod tests {
     use crate::source::lib_file;
 
     #[test]
-    fn allow_markers_suppress_findings() {
-        let noisy = lib_file(
-            "crates/x/src/a.rs",
-            "fn f() {\n    x.unwrap(); // lint: allow(no-unwrap)\n    y.unwrap();\n}\n",
-        );
-        let diags = analyze_files(&[noisy]);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert!(diags.iter().any(|d| d.rule == "no-unwrap" && d.line == 3));
-        assert!(!diags.iter().any(|d| d.rule == "no-unwrap" && d.line == 2));
-    }
-
-    #[test]
     fn diagnostics_are_sorted() {
-        let a = lib_file("crates/x/src/a.rs", "fn f() { x.unwrap(); }\n");
-        let b = lib_file("crates/x/src/b.rs", "fn f() { y.unwrap(); }\n");
+        let a = lib_file("crates/x/src/lib.rs", "fn f() {}\n");
+        let b = lib_file("crates/y/src/lib.rs", "fn f() {}\n");
         let diags = analyze_files(&[b, a]);
+        assert_eq!(diags.len(), 2, "{diags:?}");
         let files: Vec<_> = diags.iter().map(|d| d.file.display().to_string()).collect();
         let mut sorted = files.clone();
         sorted.sort();
@@ -144,26 +128,20 @@ mod tests {
 
     #[test]
     fn classify_kinds() {
-        use std::path::Path;
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let files = collect_files(&root);
+        let kind_of = |p: &str| {
+            files
+                .iter()
+                .find(|f| f.path == Path::new(p))
+                .map(|f| f.kind)
+        };
+        assert_eq!(kind_of("crates/xtask/src/main.rs"), Some(FileKind::Lib));
+        assert_eq!(kind_of("crates/lint/src/lib.rs"), Some(FileKind::Lib));
         assert_eq!(
-            classify(Path::new("crates/xtask/src/lint.rs"), false),
-            FileKind::Bin
+            kind_of("crates/lint/tests/fixtures.rs"),
+            Some(FileKind::Test)
         );
-        assert_eq!(
-            classify(Path::new("crates/x/src/main.rs"), false),
-            FileKind::Bin
-        );
-        assert_eq!(
-            classify(Path::new("crates/x/src/bin/tool.rs"), false),
-            FileKind::Bin
-        );
-        assert_eq!(
-            classify(Path::new("crates/x/src/lib.rs"), false),
-            FileKind::Lib
-        );
-        assert_eq!(
-            classify(Path::new("crates/x/tests/t.rs"), true),
-            FileKind::Test
-        );
+        assert_eq!(kind_of("crates/lint/tests/lint_fixtures/clean.rs"), None);
     }
 }

@@ -1,12 +1,11 @@
-//! A Rust lexer producing spanned tokens plus the comment stream.
+//! A Rust lexer producing spanned tokens.
 //!
 //! The lexer understands everything the old line-based analyzer could
 //! not: string literals (including raw and byte strings), character
 //! literals vs. lifetimes, nested block comments, and numeric literal
 //! classification (integer vs. float, with underscores, exponents and
-//! type suffixes). Comments are not discarded — they are returned
-//! alongside the tokens so suppression markers (`// lint: allow(rule)`)
-//! can be read from real comments only, never from string contents.
+//! type suffixes). Comments and string contents never reach the token
+//! stream, so rules can only ever match code.
 
 /// What a single token is.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -40,87 +39,30 @@ pub struct Token {
     pub col: usize,
 }
 
-/// One comment, kept for suppression-marker parsing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Comment {
-    /// Comment text including the `//` / `/*` introducer.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: usize,
-    /// Whether the comment is the first non-whitespace on its line.
-    pub standalone: bool,
-}
-
-/// Multi-character operators, longest first so maximal munch works by
-/// scanning the table in order.
+/// Punctuation, longest first so maximal munch works by scanning the
+/// table in order.
 const OPS: &[&str] = &[
     "<<=", ">>=", "..=", "...", "::", "->", "=>", "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
-    "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..",
+    "+=", "-=", "*=", "/=", "%=", "^=", "&=", "|=", "..", "+", "-", "*", "/", "%", "^", "&", "|",
+    "!", "<", ">", "=", ".", ",", ";", ":", "#", "$", "?", "@", "(", ")", "{", "}", "[", "]", "~",
+    "'", "\"", "\\",
 ];
 
-/// Single-character punctuation mapped to static strings.
-const SINGLES: &str = "+-*/%^&|!<>=.,;:#$?@(){}[]~'\"\\";
-
-fn single_op(c: char) -> &'static str {
-    let singles: &[(char, &'static str)] = &[
-        ('+', "+"),
-        ('-', "-"),
-        ('*', "*"),
-        ('/', "/"),
-        ('%', "%"),
-        ('^', "^"),
-        ('&', "&"),
-        ('|', "|"),
-        ('!', "!"),
-        ('<', "<"),
-        ('>', ">"),
-        ('=', "="),
-        ('.', "."),
-        (',', ","),
-        (';', ";"),
-        (':', ":"),
-        ('#', "#"),
-        ('$', "$"),
-        ('?', "?"),
-        ('@', "@"),
-        ('(', "("),
-        (')', ")"),
-        ('{', "{"),
-        ('}', "}"),
-        ('[', "["),
-        (']', "]"),
-        ('~', "~"),
-        ('\'', "'"),
-        ('"', "\""),
-        ('\\', "\\"),
-    ];
-    singles
-        .iter()
-        .find(|(ch, _)| *ch == c)
-        .map(|(_, s)| *s)
-        .unwrap_or("?")
-}
-
 /// Cursor over the source with line/column tracking.
-struct Cursor<'a> {
+struct Cursor {
     chars: Vec<char>,
-    src: &'a str,
     pos: usize,
     line: usize,
     col: usize,
-    /// Whether only whitespace has been seen since the last newline.
-    at_line_start: bool,
 }
 
-impl<'a> Cursor<'a> {
-    fn new(src: &'a str) -> Self {
+impl Cursor {
+    fn new(src: &str) -> Self {
         Cursor {
             chars: src.chars().collect(),
-            src,
             pos: 0,
             line: 1,
             col: 1,
-            at_line_start: true,
         }
     }
 
@@ -138,12 +80,8 @@ impl<'a> Cursor<'a> {
         if c == '\n' {
             self.line += 1;
             self.col = 1;
-            self.at_line_start = true;
         } else {
             self.col += 1;
-            if !c.is_whitespace() {
-                self.at_line_start = false;
-            }
         }
         Some(c)
     }
@@ -155,79 +93,51 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// The lexer's full output.
-#[derive(Clone, Debug, Default)]
-pub struct Lexed {
-    /// All code tokens, in source order.
-    pub tokens: Vec<Token>,
-    /// All comments, in source order.
-    pub comments: Vec<Comment>,
-}
-
 /// Tokenizes `src`. The lexer never fails: malformed input (an
 /// unterminated string, say) is consumed to end-of-file and the tokens
 /// seen so far are returned — a linter must degrade gracefully on code
 /// that rustc itself will reject later.
-pub fn lex(src: &str) -> Lexed {
+pub fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     while let Some(c) = cur.peek() {
-        let (line, col, standalone) = (cur.line, cur.col, cur.at_line_start);
+        let (line, col) = (cur.line, cur.col);
         if c.is_whitespace() {
             cur.bump();
             continue;
         }
-        // Comments.
+        // Comments are skipped.
         if cur.starts_with("//") {
-            let mut text = String::new();
-            while let Some(ch) = cur.peek() {
-                if ch == '\n' {
-                    break;
-                }
-                text.push(ch);
+            while cur.peek().is_some_and(|ch| ch != '\n') {
                 cur.bump();
             }
-            out.comments.push(Comment {
-                text,
-                line,
-                standalone,
-            });
             continue;
         }
         if cur.starts_with("/*") {
-            let mut text = String::new();
             let mut depth = 0usize;
-            while let Some(ch) = cur.peek() {
+            while cur.peek().is_some() {
                 if cur.starts_with("/*") {
                     depth += 1;
-                    text.push_str("/*");
                     cur.bump();
                     cur.bump();
                 } else if cur.starts_with("*/") {
-                    depth = depth.saturating_sub(1);
-                    text.push_str("*/");
+                    depth -= 1;
                     cur.bump();
                     cur.bump();
                     if depth == 0 {
                         break;
                     }
                 } else {
-                    text.push(ch);
                     cur.bump();
                 }
             }
-            out.comments.push(Comment {
-                text,
-                line,
-                standalone,
-            });
             continue;
         }
         // Raw strings and byte strings: r"…", r#"…"#, br#"…"#, b"…".
         if c == 'r' || c == 'b' {
             if let Some(len) = raw_string_intro(&cur) {
                 lex_raw_string(&mut cur, len);
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Str,
                     line,
                     col,
@@ -237,7 +147,7 @@ pub fn lex(src: &str) -> Lexed {
             if c == 'b' && cur.peek_at(1) == Some('"') {
                 cur.bump(); // b
                 lex_string(&mut cur);
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Str,
                     line,
                     col,
@@ -247,7 +157,7 @@ pub fn lex(src: &str) -> Lexed {
             if c == 'b' && cur.peek_at(1) == Some('\'') {
                 cur.bump(); // b
                 lex_char(&mut cur);
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Char,
                     line,
                     col,
@@ -257,7 +167,7 @@ pub fn lex(src: &str) -> Lexed {
         }
         if c == '"' {
             lex_string(&mut cur);
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokenKind::Str,
                 line,
                 col,
@@ -270,7 +180,7 @@ pub fn lex(src: &str) -> Lexed {
             // escaped) character.
             if is_char_literal(&cur) {
                 lex_char(&mut cur);
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Char,
                     line,
                     col,
@@ -286,7 +196,7 @@ pub fn lex(src: &str) -> Lexed {
                         break;
                     }
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Lifetime(name),
                     line,
                     col,
@@ -296,7 +206,7 @@ pub fn lex(src: &str) -> Lexed {
         }
         if c.is_ascii_digit() {
             let kind = lex_number(&mut cur);
-            out.tokens.push(Token { kind, line, col });
+            out.push(Token { kind, line, col });
             continue;
         }
         if c.is_alphabetic() || c == '_' {
@@ -309,27 +219,21 @@ pub fn lex(src: &str) -> Lexed {
                     break;
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 kind: TokenKind::Ident(name),
                 line,
                 col,
             });
             continue;
         }
-        // Punctuation: maximal munch over the operator table.
-        let mut matched = None;
-        for op in OPS {
-            if cur.starts_with(op) {
-                matched = Some(*op);
-                break;
-            }
-        }
-        match matched {
+        // Punctuation: maximal munch over the operator table. Anything
+        // else (stray unicode) is dropped.
+        match OPS.iter().find(|op| cur.starts_with(op)) {
             Some(op) => {
                 for _ in 0..op.len() {
                     cur.bump();
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     kind: TokenKind::Punct(op),
                     line,
                     col,
@@ -337,24 +241,15 @@ pub fn lex(src: &str) -> Lexed {
             }
             None => {
                 cur.bump();
-                if SINGLES.contains(c) {
-                    out.tokens.push(Token {
-                        kind: TokenKind::Punct(single_op(c)),
-                        line,
-                        col,
-                    });
-                }
-                // Anything else (stray unicode) is dropped.
             }
         }
     }
-    let _ = cur.src;
     out
 }
 
 /// Length of a raw-string introducer at the cursor (`r`, `br` plus `#`s
 /// and the opening quote), or `None` if the cursor is not at one.
-fn raw_string_intro(cur: &Cursor<'_>) -> Option<usize> {
+fn raw_string_intro(cur: &Cursor) -> Option<usize> {
     let mut i = 0;
     if cur.peek_at(i) == Some('b') {
         i += 1;
@@ -377,7 +272,7 @@ fn raw_string_intro(cur: &Cursor<'_>) -> Option<usize> {
 
 /// Consumes a raw string with `hashes` `#`s; the cursor sits on the
 /// introducer.
-fn lex_raw_string(cur: &mut Cursor<'_>, hashes: usize) {
+fn lex_raw_string(cur: &mut Cursor, hashes: usize) {
     // Skip to and past the opening quote.
     while let Some(c) = cur.bump() {
         if c == '"' {
@@ -397,7 +292,7 @@ fn lex_raw_string(cur: &mut Cursor<'_>, hashes: usize) {
 }
 
 /// Consumes a normal string literal; the cursor sits on the opening `"`.
-fn lex_string(cur: &mut Cursor<'_>) {
+fn lex_string(cur: &mut Cursor) {
     cur.bump(); // "
     while let Some(c) = cur.bump() {
         match c {
@@ -412,7 +307,7 @@ fn lex_string(cur: &mut Cursor<'_>) {
 
 /// Whether the cursor (on a `'`) starts a char literal rather than a
 /// lifetime.
-fn is_char_literal(cur: &Cursor<'_>) -> bool {
+fn is_char_literal(cur: &Cursor) -> bool {
     match cur.peek_at(1) {
         Some('\\') => true,
         Some(c) if c != '\'' => cur.peek_at(2) == Some('\''),
@@ -421,7 +316,7 @@ fn is_char_literal(cur: &Cursor<'_>) -> bool {
 }
 
 /// Consumes a char/byte literal; the cursor sits on the opening `'`.
-fn lex_char(cur: &mut Cursor<'_>) {
+fn lex_char(cur: &mut Cursor) {
     cur.bump(); // '
     while let Some(c) = cur.bump() {
         match c {
@@ -435,7 +330,7 @@ fn lex_char(cur: &mut Cursor<'_>) {
 }
 
 /// Consumes a numeric literal and classifies it as integer or float.
-fn lex_number(cur: &mut Cursor<'_>) -> TokenKind {
+fn lex_number(cur: &mut Cursor) -> TokenKind {
     let mut text = String::new();
     let mut is_float = false;
     // Radix prefixes are always integers.
@@ -540,7 +435,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src).tokens.into_iter().map(|t| t.kind).collect()
+        lex(src).into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -583,26 +478,21 @@ mod tests {
     }
 
     #[test]
-    fn comments_are_collected_not_tokenized() {
-        let out = lex("let x = 1; // trailing note\n/* block\ncomment */ let y = 2;\n");
-        assert_eq!(out.comments.len(), 2);
-        assert!(out.comments[0].text.contains("trailing note"));
-        assert!(!out.comments[0].standalone);
-        assert!(out.comments[1].standalone);
-        assert!(!out
-            .tokens
+    fn comments_are_skipped_not_tokenized() {
+        let k = kinds("let x = 1; // trailing note\n/* block\ncomment */ let y = 2;\n");
+        assert_eq!(k.len(), 10, "{k:?}");
+        assert!(!k
             .iter()
-            .any(|t| matches!(&t.kind, TokenKind::Ident(i) if i == "comment")));
+            .any(|t| matches!(t, TokenKind::Ident(i) if i == "note" || i == "comment")));
     }
 
     #[test]
     fn nested_block_comments() {
-        let out = lex("/* outer /* inner */ still comment */ fn f() {}");
-        assert_eq!(out.comments.len(), 1);
-        assert!(out
-            .tokens
+        let k = kinds("/* outer /* inner */ still comment */ fn f() {}");
+        assert_eq!(k[0], TokenKind::Ident("fn".into()), "{k:?}");
+        assert!(!k
             .iter()
-            .any(|t| matches!(&t.kind, TokenKind::Ident(i) if i == "fn")));
+            .any(|t| matches!(t, TokenKind::Ident(i) if i == "still")));
     }
 
     #[test]
@@ -644,7 +534,7 @@ mod tests {
     #[test]
     fn spans_are_one_based() {
         let out = lex("a\n  b");
-        assert_eq!((out.tokens[0].line, out.tokens[0].col), (1, 1));
-        assert_eq!((out.tokens[1].line, out.tokens[1].col), (2, 3));
+        assert_eq!((out[0].line, out[0].col), (1, 1));
+        assert_eq!((out[1].line, out[1].col), (2, 3));
     }
 }

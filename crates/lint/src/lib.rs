@@ -1,35 +1,43 @@
-//! `nsb-lint`: AST-driven static analysis for the workspace.
+//! `nsb-lint`: AST-driven static analysis for the workspace — the
+//! checks clippy cannot do.
 //!
 //! The crate parses every workspace source file with a hand-rolled
 //! lexer ([`lexer`]) and token-tree builder ([`tree`]) — no external
 //! parser dependency — and walks the trees with a set of structural
 //! rules, emitting rustc-style diagnostics ([`diag`]) with file/line
 //! spans, a severity, and a machine-readable JSON encoding for CI
-//! artifacts. `// lint: allow(rule)` comments suppress a finding on
-//! their own line (standalone comments also cover the next line);
-//! because markers are parsed from real comments after lexing, string
-//! literals can neither suppress nor trigger anything.
+//! artifacts.
 //!
-//! Rule families:
+//! Rules:
 //!
 //! * **`lock-order`** — a static deadlock detector over `std::sync`
 //!   usage: lock-acquisition-order cycles, re-entrant acquisitions, and
 //!   guards held across blocking calls (`Condvar` waits, `recv`,
 //!   `join`). See [`rules::lock_order`].
+//! * **`condvar-predicate`** — a raw `Condvar::wait`/`wait_timeout`
+//!   that does not re-check its guarded state inside a loop.
 //! * **`error-variant-coverage`** — every variant of a `pub enum
 //!   *Error` must be constructed or matched somewhere in test code.
-//! * **`float-eq`** — exact `==`/`!=` against visibly floating-point
-//!   operands in non-test code.
-//! * **`no-unwrap` / `no-expect` / `no-panic` / `no-todo` / `no-dbg` /
-//!   `no-println` / `forbid-unsafe`** — the panicking-API rules,
-//!   ported from the old line-based analyzer to the AST.
 //! * **`prefer-mat4`** — heap-allocated `DMat::zeros(4, 4)` in the
 //!   simulation/synthesis hot paths, matched structurally.
+//! * **`crate-root-lints`** — every crate opts into the clippy and
+//!   rustc lints that enforce the panicking, printing, float-compare
+//!   and unsafe rules. See [`rules::crate_root`].
 //!
 //! The entry point is [`run_workspace`]; `cargo run -p xtask -- lint`
 //! drives it from the command line.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 
 pub mod diag;
 pub mod engine;
@@ -39,7 +47,7 @@ pub mod source;
 pub mod tree;
 
 pub use diag::{to_json, Diagnostic, Severity};
-pub use engine::{analyze_files, collect_files, run_workspace};
+pub use engine::{analyze_files, collect_files, collect_manifests, run_workspace};
 pub use source::{FileKind, SourceFile};
 
 /// Every rule id with a one-line summary, in catalogue order.
@@ -49,26 +57,20 @@ pub const RULES: &[(&str, &str)] = &[
         "lock-acquisition cycles, re-entrant locks, and guards held across blocking calls",
     ),
     (
+        "condvar-predicate",
+        "a raw Condvar wait/wait_timeout with no predicate re-check in its loop",
+    ),
+    (
         "error-variant-coverage",
         "every public error enum variant is constructed or matched in test code",
     ),
     (
-        "float-eq",
-        "exact ==/!= comparison against floating-point operands outside tests",
-    ),
-    ("no-unwrap", ".unwrap() in library code"),
-    ("no-expect", ".expect(…) in library code"),
-    ("no-panic", "panic! in library code"),
-    ("no-todo", "todo!/unimplemented! anywhere"),
-    ("no-dbg", "dbg! anywhere"),
-    ("no-println", "println!-family output in library code"),
-    (
-        "forbid-unsafe",
-        "crate roots must declare #![forbid(unsafe_code)]",
-    ),
-    (
         "prefer-mat4",
         "heap-allocated DMat::zeros(4, 4) in hot-path crates with the stack Mat4 kernel",
+    ),
+    (
+        "crate-root-lints",
+        "every crate opts into the workspace lints and every src/lib.rs into the library lints",
     ),
 ];
 

@@ -3,10 +3,9 @@
 //! Per-file rules take one [`crate::source::SourceFile`]; workspace
 //! rules ([`error_coverage`], [`lock_order`]) need every file at once
 //! because their evidence (test constructions, lock-acquisition edges)
-//! crosses file boundaries.
+//! crosses file boundaries. [`crate_root`] also checks manifests.
 
+pub mod crate_root;
 pub mod error_coverage;
-pub mod float_eq;
 pub mod lock_order;
-pub mod no_panic;
 pub mod prefer_mat4;

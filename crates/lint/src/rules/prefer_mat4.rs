@@ -112,10 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn bin_files_exempt() {
+    fn tests_dir_files_exempt() {
         let f = SourceFile::parse(
-            "crates/sim/src/main.rs",
-            FileKind::Bin,
+            "crates/sim/tests/t.rs",
+            FileKind::Test,
             "fn main() { DMat::zeros(4, 4); }\n",
         );
         let mut out = Vec::new();

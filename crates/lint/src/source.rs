@@ -1,21 +1,15 @@
-//! Parsed source files: token trees plus the two per-file facts every
-//! rule needs — which lines are `#[cfg(test)]` code and which lines
-//! carry `// lint: allow(rule)` suppression markers.
+//! Parsed source files: token trees plus the per-file fact every rule
+//! needs — which lines are `#[cfg(test)]` code.
 
-use crate::lexer::{lex, Comment};
+use crate::lexer::lex;
 use crate::tree::{build, Tree};
-use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// How a file's code is classified for rule applicability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library code: every rule applies.
+    /// Code under a `src/` directory: every rule applies.
     Lib,
-    /// A binary target (`src/main.rs`, `src/bin/`, or the `xtask`
-    /// crate): exempt from the panicking and terminal-output rules (a
-    /// CLI may print and bail), not from `todo!`/`dbg!`.
-    Bin,
     /// A file under a `tests/` directory: scanned only as evidence for
     /// the error-variant-coverage rule, never linted itself.
     Test,
@@ -34,8 +28,6 @@ pub struct SourceFile {
     pub trees: Vec<Tree>,
     /// Inclusive line ranges of `#[cfg(test)]` / `#[test]` items.
     test_ranges: Vec<(usize, usize)>,
-    /// Line → rule ids allowed on that line (`"all"` allows everything).
-    allow: BTreeMap<usize, BTreeSet<String>>,
 }
 
 impl SourceFile {
@@ -43,18 +35,15 @@ impl SourceFile {
     pub fn parse(path: impl Into<PathBuf>, kind: FileKind, text: impl Into<String>) -> Self {
         let path = path.into();
         let text = text.into();
-        let lexed = lex(&text);
-        let trees = build(&lexed.tokens);
+        let trees = build(&lex(&text));
         let mut test_ranges = Vec::new();
         collect_test_ranges(&trees, &mut test_ranges);
-        let allow = collect_allow_markers(&lexed.comments);
         SourceFile {
             path,
             kind,
             text,
             trees,
             test_ranges,
-            allow,
         }
     }
 
@@ -66,13 +55,6 @@ impl SourceFile {
                 .test_ranges
                 .iter()
                 .any(|&(lo, hi)| (lo..=hi).contains(&line))
-    }
-
-    /// Whether a `lint: allow` marker on `line` suppresses `rule`.
-    pub fn allows(&self, line: usize, rule: &str) -> bool {
-        self.allow
-            .get(&line)
-            .is_some_and(|set| set.contains(rule) || set.contains("all"))
     }
 
     /// The trimmed source line (1-based), for diagnostic snippets.
@@ -176,35 +158,6 @@ fn contains_test_outside_not(trees: &[Tree]) -> bool {
     false
 }
 
-/// Parses `lint: allow(...)` markers out of real comments. A marker
-/// applies to its own line; a standalone `//` comment also covers the
-/// following line.
-fn collect_allow_markers(comments: &[Comment]) -> BTreeMap<usize, BTreeSet<String>> {
-    let mut out: BTreeMap<usize, BTreeSet<String>> = BTreeMap::new();
-    for c in comments {
-        let Some(pos) = c.text.find("lint: allow") else {
-            continue;
-        };
-        let rest = &c.text[pos + "lint: allow".len()..];
-        let mut ids = BTreeSet::new();
-        let parsed = rest.strip_prefix('(').and_then(|r| {
-            r.find(')')
-                .map(|close| r[..close].split(',').map(|s| s.trim().to_string()))
-        });
-        match parsed {
-            Some(list) => ids.extend(list.filter(|s| !s.is_empty())),
-            None => {
-                ids.insert("all".to_string());
-            }
-        }
-        out.entry(c.line).or_default().extend(ids.iter().cloned());
-        if c.standalone && c.text.starts_with("//") {
-            out.entry(c.line + 1).or_default().extend(ids);
-        }
-    }
-    out
-}
-
 /// Convenience for rule unit tests: parse as a library file at `path`.
 pub fn lib_file(path: &str, text: &str) -> SourceFile {
     SourceFile::parse(Path::new(path), FileKind::Lib, text)
@@ -246,25 +199,6 @@ mod tests {
         assert!(f.is_test_line(2));
         assert!(!f.is_test_line(3));
         assert!(f.is_test_line(6));
-    }
-
-    #[test]
-    fn allow_markers_from_comments_only() {
-        let f = lib_file(
-            "crates/x/src/a.rs",
-            "fn f() {} // lint: allow(no-unwrap)\n// lint: allow(no-expect)\nfn g() {}\nlet s = \"lint: allow(no-panic)\";\n",
-        );
-        assert!(f.allows(1, "no-unwrap"));
-        assert!(!f.allows(1, "no-expect"));
-        assert!(f.allows(2, "no-expect"));
-        assert!(f.allows(3, "no-expect"), "standalone covers next line");
-        assert!(!f.allows(4, "no-panic"), "markers in strings are ignored");
-    }
-
-    #[test]
-    fn bare_allow_means_all() {
-        let f = lib_file("crates/x/src/a.rs", "fn f() {} // lint: allow\n");
-        assert!(f.allows(1, "anything"));
     }
 
     #[test]

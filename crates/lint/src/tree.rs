@@ -33,14 +33,6 @@ pub struct Group {
 }
 
 impl Tree {
-    /// The leaf token, if this is a leaf.
-    pub fn leaf(&self) -> Option<&Token> {
-        match self {
-            Tree::Leaf(t) => Some(t),
-            Tree::Group(_) => None,
-        }
-    }
-
     /// The group, if this is a group.
     pub fn group(&self) -> Option<&Group> {
         match self {
@@ -156,13 +148,23 @@ pub fn walk_groups<'a>(trees: &'a [Tree], f: &mut dyn FnMut(&'a [Tree])) {
     }
 }
 
+/// Every identifier in `trees`, nested groups included, in source order.
+pub fn collect_idents<'a>(trees: &'a [Tree], out: &mut impl Extend<&'a str>) {
+    for t in trees {
+        match t {
+            Tree::Group(g) => collect_idents(&g.trees, out),
+            t => out.extend(t.ident()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
 
     fn trees(src: &str) -> Vec<Tree> {
-        build(&lex(src).tokens)
+        build(&lex(src))
     }
 
     #[test]

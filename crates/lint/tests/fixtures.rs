@@ -54,36 +54,15 @@ fn lock_order_flags_blocking_calls_under_locks() {
 }
 
 #[test]
-fn float_eq_flags_exact_comparisons() {
+fn condvar_predicate_flags_the_lost_wakeup_flusher() {
     let f = lib(
-        "crates/x/src/cmp.rs",
-        include_str!("lint_fixtures/float_eq_bad.rs"),
+        "crates/store/src/flush.rs",
+        include_str!("lint_fixtures/condvar_predicate_bad.rs"),
     );
-    assert_eq!(rules_of(&[f]), vec!["float-eq"; 3]);
-}
-
-#[test]
-fn no_panic_rules_flag_each_shortcut() {
-    // Parsed at a crate-root path so the missing
-    // `#![forbid(unsafe_code)]` is reported too.
-    let f = lib(
-        "crates/x/src/lib.rs",
-        include_str!("lint_fixtures/no_panic_bad.rs"),
-    );
-    let mut rules = rules_of(&[f]);
-    rules.sort_unstable();
-    assert_eq!(
-        rules,
-        vec![
-            "forbid-unsafe",
-            "no-dbg",
-            "no-expect",
-            "no-panic",
-            "no-println",
-            "no-todo",
-            "no-unwrap",
-        ]
-    );
+    let diags = analyze_files(&[f]);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].rule, "condvar-predicate");
+    assert_eq!(diags[0].snippet, ".wait_timeout(guard, interval)");
 }
 
 #[test]
@@ -111,7 +90,7 @@ fn prefer_mat4_flags_heap_4x4_in_hot_path() {
 #[test]
 fn clean_fixture_passes_every_rule() {
     // Parsed at a crate-root path: the strictest setting, where even
-    // forbid-unsafe applies.
+    // crate-root-lints applies.
     let f = lib(
         "crates/x/src/lib.rs",
         include_str!("lint_fixtures/clean.rs"),
@@ -123,11 +102,11 @@ fn clean_fixture_passes_every_rule() {
 #[test]
 fn json_report_counts_per_rule() {
     let f = lib(
-        "crates/x/src/cmp.rs",
-        include_str!("lint_fixtures/float_eq_bad.rs"),
+        "crates/x/src/blocking.rs",
+        include_str!("lint_fixtures/lock_order_blocking.rs"),
     );
     let json = to_json(&analyze_files(&[f]));
     assert!(json.contains("\"version\": 1"), "{json}");
-    assert!(json.contains("\"float-eq\": 3"), "{json}");
-    assert!(json.contains("\"total\": 3"), "{json}");
+    assert!(json.contains("\"lock-order\": 4"), "{json}");
+    assert!(json.contains("\"total\": 4"), "{json}");
 }

@@ -1,21 +1,24 @@
-//! Fixture: a file every rule must pass — it exercises the lookalike
-//! patterns that tripped the old line-based analyzer (forbidden names
-//! inside strings and comments, guard-consuming condvar waits,
-//! consistent lock ordering, tolerance-based float comparisons) and a
-//! fully test-covered public error enum.
+//! Fixture: a file every rule must pass — it exercises lookalike
+//! patterns (a `DMat::zeros(4, 4)` inside a string, guard-consuming
+//! condvar waits under a predicate loop, consistent lock ordering) and
+//! a fully test-covered public error enum. It is parsed at a crate-root
+//! path, so it carries the library lint line.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 
-/// Near-equality with an explicit tolerance (never flagged).
-pub fn approx_eq(a: f64, b: f64) -> bool {
-    // The string below mentions x.unwrap() and panic! but is just data.
-    let _doc = "call sites must never use x.unwrap() or panic!";
-    (a - b).abs() < 1e-12
-}
-
-/// Exact bitwise comparison via the approved helper.
-pub fn same_bits(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits()
+/// A hot-path lookalike: the call is only data.
+pub fn describe() -> &'static str {
+    "never write DMat::zeros(4, 4) here"
 }
 
 /// Consistent lock order plus a guard-consuming condvar wait.
@@ -28,11 +31,15 @@ pub fn drain(s: &Shared) {
     stats.record(queue.len());
 }
 
-/// Same order as `drain`, so no cycle.
-pub fn snapshot(s: &Shared) {
-    let queue = s.queue.lock();
-    let stats = s.stats.lock();
-    stats.record(queue.len());
+/// A wait whose loop tests the guard before waiting.
+pub fn pop(s: &Shared) -> Option<Item> {
+    let mut inner = s.queue.lock();
+    loop {
+        if let Some(item) = inner.items.pop_front() {
+            return Some(item);
+        }
+        inner = s.ready.wait(inner);
+    }
 }
 
 /// A covered public error enum.

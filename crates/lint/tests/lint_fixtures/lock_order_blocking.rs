@@ -22,6 +22,8 @@ fn reentrant(s: &Shared) {
 fn second_lock_across_wait(s: &Shared) {
     let other = s.other.lock();
     let mut inner = s.state.lock();
-    inner = s.cv.wait(inner);
+    while inner.pending {
+        inner = s.cv.wait(inner);
+    }
     sync(other, inner);
 }

@@ -117,6 +117,10 @@ pub fn expm_i_h_t_mat4(h: &Mat4, t: f64) -> Mat4 {
     expm_mat4(&h.scale(Complex64::new(0.0, -t)))
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "Pade denominator of a scaled matrix is provably nonsingular"
+)]
 fn pade13(a: &DMat) -> DMat {
     let n = a.rows();
     let ident = DMat::identity(n);
@@ -139,7 +143,6 @@ fn pade13(a: &DMat) -> DMat {
     // expm = (V - U)^{-1} (V + U)
     let lhs = &v - &u;
     let rhs = &v + &u;
-    // lint: allow(no-expect) — Pade denominator of a scaled matrix is provably nonsingular
     lhs.solve(&rhs).expect("Pade denominator is nonsingular")
 }
 

@@ -25,8 +25,17 @@
 //! assert!(u.is_unitary(1e-12));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 
 mod complex;
 mod dmat;

@@ -66,6 +66,10 @@ impl Stepper {
         let mut nc_index = Vec::with_capacity(h.dim);
         for r in 0..h.dim {
             let nc = h.n_c[(r, r)].re;
+            #[expect(
+                clippy::float_cmp,
+                reason = "N_c diagonal entries are exact occupation numbers; exact dedup keeps trajectories bit-identical"
+            )]
             let idx = match nc_values.iter().position(|&v| v == nc) {
                 Some(i) => i,
                 None => {

@@ -28,8 +28,17 @@
 //! println!("first PE at {:?} ns", traj.first_perfect_entangler().map(|p| p.duration));
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 
 mod evolve;
 mod hamiltonian;

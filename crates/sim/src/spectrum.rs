@@ -26,9 +26,12 @@ impl DressedFrame {
     /// Panics when the computational subspace cannot be identified
     /// (hybridization too strong); use
     /// [`DressedFrame::try_from_hamiltonian`] to handle that case.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking variant; try_from_hamiltonian is the fallible API"
+    )]
     pub fn from_hamiltonian(h: &UnitCellHamiltonian) -> Self {
         DressedFrame::try_from_hamiltonian(h)
-            // lint: allow(no-expect) — documented panicking variant; try_from_hamiltonian is the fallible API
             .expect("dressed state identification ambiguous: overlap below 0.5")
     }
 

@@ -112,9 +112,12 @@ impl PreparedCell {
     ///
     /// Panics when the biased cell's computational subspace cannot be
     /// identified; use [`PreparedCell::try_prepare`] to handle that case.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking variant; try_prepare is the fallible API"
+    )]
     pub fn prepare(params: &UnitCellParams) -> Self {
         PreparedCell::try_prepare(params)
-            // lint: allow(no-expect) — documented panicking variant; try_prepare is the fallible API
             .expect("dressed state identification ambiguous: overlap below 0.5")
     }
 

@@ -61,8 +61,11 @@ pub fn kak_decompose(u: &Mat4) -> KakDecomposition {
         seed: 0xaaa5,
         use_depth_oracle: false,
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "one-layer synthesis onto a gate's own canonical class always converges"
+    )]
     let s = decompose_with_bases(u, &[a], &cfg)
-        // lint: allow(no-expect) — one-layer synthesis onto a gate's own canonical class always converges
         .expect("exact one-layer decomposition onto the canonical gate");
     KakDecomposition {
         before: s.locals[0],

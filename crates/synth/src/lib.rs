@@ -21,8 +21,17 @@
 //! assert!(cnot.error < 1e-7);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 
 mod ansatz;
 mod cache;

@@ -95,6 +95,10 @@ impl WeylCoord {
     ///
     /// Panics if no image lands in the chamber, which cannot happen for
     /// finite inputs (the chamber is a fundamental domain).
+    #[expect(
+        clippy::expect_used,
+        reason = "the Weyl-group orbit is finite and always intersects the chamber"
+    )]
     pub fn canonicalize(self) -> WeylCoord {
         const PERMS: [[usize; 3]; 6] = [
             [0, 1, 2],
@@ -134,7 +138,6 @@ impl WeylCoord {
                 }
             }
         }
-        // lint: allow(no-expect) — the Weyl-group orbit is finite and always intersects the chamber
         best.expect("canonicalization: no chamber image found")
     }
 

@@ -81,6 +81,10 @@ pub fn locally_equivalent(u: &Mat4, v: &Mat4, tol: f64) -> bool {
 /// let c = kak_vector(&Mat4::cnot());
 /// assert!(c.dist(WeylCoord::CNOT) < 1e-9);
 /// ```
+#[expect(
+    clippy::expect_used,
+    reason = "assignment search is exhaustive over a finite set that provably contains a solution"
+)]
 pub fn kak_vector(u: &Mat4) -> WeylCoord {
     assert!(u.is_unitary(1e-6), "kak_vector requires a unitary input");
     let (su, _alpha) = u.to_su4();
@@ -90,7 +94,6 @@ pub fn kak_vector(u: &Mat4) -> WeylCoord {
     let lambdas = symmetric_unitary_eigenvalues(&m);
     let phis: Vec<f64> = lambdas.iter().map(|l| l.arg()).collect();
     coords_from_eigenphases(&phis)
-        // lint: allow(no-expect) — assignment search is exhaustive over a finite set that provably contains a solution
         .expect("kak_vector: no consistent eigenvalue assignment")
         .canonicalize()
 }
@@ -184,6 +187,10 @@ fn coords_from_eigenphases(phis: &[f64]) -> Option<WeylCoord> {
 /// Such a matrix satisfies `m = R + iS` with commuting real symmetric `R`,
 /// `S`; a generic real combination `R + mu S` shares an orthogonal
 /// eigenbasis, which also diagonalizes `m`.
+#[expect(
+    clippy::panic,
+    reason = "a random generic combination diagonalizes any symmetric unitary; 64 draws cannot all fail"
+)]
 fn symmetric_unitary_eigenvalues(m: &Mat4) -> [Complex64; 4] {
     // Arbitrary generic probe values; 0.318309 happens to approximate
     // 1/pi, which is irrelevant here but trips clippy::approx_constant.
@@ -217,7 +224,6 @@ fn symmetric_unitary_eigenvalues(m: &Mat4) -> [Complex64; 4] {
             return [diag[(0, 0)], diag[(1, 1)], diag[(2, 2)], diag[(3, 3)]];
         }
     }
-    // lint: allow(no-panic) — a random generic combination diagonalizes any symmetric unitary; 64 draws cannot all fail
     panic!("symmetric_unitary_eigenvalues: no generic combination diagonalized m");
 }
 

@@ -28,8 +28,17 @@
 //! assert_eq!(idx, 50); // the sqrt(iSWAP) point
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::print_stdout,
+        clippy::print_stderr,
+        clippy::float_cmp
+    )
+)]
 
 mod coord;
 mod entangle;
