@@ -39,26 +39,10 @@ fn bench_region_membership(c: &mut Criterion) {
     });
 }
 
-fn bench_full_kak(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(3);
-    let gates: Vec<Mat4> = (0..8).map(|_| nsb_math::haar_u4(&mut rng)).collect();
-    let mut k = 0usize;
-    let mut group = c.benchmark_group("weyl/full_kak");
-    group.sample_size(20);
-    group.bench_function("kak_decompose", |b| {
-        b.iter(|| {
-            k = (k + 1) % gates.len();
-            nsb_synth::kak_decompose(&gates[k])
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_kak_vector,
     bench_canonicalize,
-    bench_region_membership,
-    bench_full_kak
+    bench_region_membership
 );
 criterion_main!(benches);

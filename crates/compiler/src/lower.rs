@@ -4,7 +4,7 @@
 use nsb_circuit::{Circuit, Gate};
 use nsb_device::{BasisStrategy, Device, SelectedBasis};
 use nsb_math::{Mat2, Mat4};
-use nsb_synth::{SynthCache, SynthesisFailed, Synthesized2Q};
+use nsb_synth::{mat4_fingerprint, NoCache, SynthCache, SynthesisFailed, Synthesized2Q};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -107,7 +107,7 @@ pub struct Lowerer<'d> {
     device: &'d Device,
     strategy: BasisStrategy,
     mode: LoweringMode,
-    shared: Option<Arc<dyn SynthCache>>,
+    cache: Arc<dyn SynthCache>,
     threads: usize,
 }
 
@@ -119,7 +119,8 @@ enum Pending {
 
 /// One pass over a routed circuit: its ops with slots for synthesized
 /// blocks, and the distinct targets those slots need, in circuit order.
-/// Targets are keyed by edge and [`gate_kind_hash`].
+/// Targets are keyed by edge and the [`mat4_fingerprint`] of the oriented
+/// target, the fingerprint the synthesis cache keys them by.
 struct Plan<'d> {
     ops: Vec<Pending>,
     targets: Vec<(Mat4, &'d SelectedBasis)>,
@@ -135,17 +136,18 @@ impl<'d> Plan<'d> {
         self.ops.extend(emit(basis, synth, g0, g1).map(Pending::Op));
     }
 
-    /// Adds a slot for `key`'s synthesis, planning its target on first
-    /// sight.
+    /// Adds a slot for the synthesis of `target` on edge `edge_idx`,
+    /// planning the target on first sight.
     fn synth(
         &mut self,
-        key: (usize, u64),
+        edge_idx: usize,
         target: Mat4,
         basis: &'d SelectedBasis,
         g0: usize,
         g1: usize,
     ) {
         let next = self.targets.len();
+        let key = (edge_idx, mat4_fingerprint(&target));
         let target = *self.index.entry(key).or_insert_with(|| {
             self.targets.push((target, basis));
             next
@@ -161,17 +163,17 @@ impl<'d> Lowerer<'d> {
             device,
             strategy,
             mode,
-            shared: None,
+            cache: Arc::new(NoCache),
             threads: 1,
         }
     }
 
     /// Attaches a shared synthesis cache consulted (and filled) for every
-    /// distinct target. Results served from the shared cache are
-    /// bit-identical to fresh decompositions, so lowering output does not
-    /// depend on cache state.
+    /// distinct target, in place of the default [`NoCache`]. Results served
+    /// from the shared cache are bit-identical to fresh decompositions, so
+    /// lowering output does not depend on cache state.
     pub fn with_shared_cache(mut self, cache: Arc<dyn SynthCache>) -> Self {
-        self.shared = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -281,8 +283,7 @@ impl<'d> Lowerer<'d> {
                 } else {
                     swap_conjugate(&other.mat4())
                 };
-                let key = (edge_idx, gate_kind_hash(other, aligned));
-                plan.synth(key, target, basis, g0, g1);
+                plan.synth(edge_idx, target, basis, g0, g1);
             }
         }
         Ok(())
@@ -294,13 +295,10 @@ impl<'d> Lowerer<'d> {
         &self,
         targets: &[(Mat4, &SelectedBasis)],
     ) -> Result<Vec<Synthesized2Q>, LowerError> {
-        let one = |(target, basis): &(Mat4, &SelectedBasis)| match &self.shared {
-            Some(cache) => {
-                basis
-                    .decomposer
-                    .decompose_cached(target, mode_tag(self.mode), cache.as_ref())
-            }
-            None => basis.decomposer.decompose(target),
+        let one = |(target, basis): &(Mat4, &SelectedBasis)| {
+            basis
+                .decomposer
+                .decompose_cached(target, mode_tag(self.mode), self.cache.as_ref())
         };
         let workers = self.threads.min(targets.len());
         if workers <= 1 {
@@ -358,46 +356,6 @@ pub fn mode_tag(mode: LoweringMode) -> u8 {
 /// Conjugates a two-qubit unitary by SWAP (reverses the tensor order).
 pub fn swap_conjugate(m: &Mat4) -> Mat4 {
     Mat4::swap() * *m * Mat4::swap()
-}
-
-fn gate_kind_hash(gate: &Gate, aligned: bool) -> u64 {
-    use nsb_synth::StableHasher;
-    use std::hash::{Hash, Hasher};
-    // The per-compilation plan is in-memory only, but keying it with the
-    // same stable hasher as the shared/persisted caches keeps every
-    // cache-key fingerprint in the workspace on one algorithm.
-    let mut h = StableHasher::new();
-    aligned.hash(&mut h);
-    match gate {
-        Gate::CPhase(l) => {
-            1u8.hash(&mut h);
-            quantize(*l).hash(&mut h);
-        }
-        Gate::Rzz(t) => {
-            2u8.hash(&mut h);
-            quantize(*t).hash(&mut h);
-        }
-        Gate::ISwap => 3u8.hash(&mut h),
-        Gate::Cz => 4u8.hash(&mut h),
-        Gate::Unitary2(m) => {
-            5u8.hash(&mut h);
-            for r in 0..4 {
-                for c in 0..4 {
-                    quantize(m.at(r, c).re).hash(&mut h);
-                    quantize(m.at(r, c).im).hash(&mut h);
-                }
-            }
-        }
-        other => {
-            6u8.hash(&mut h);
-            other.to_string().hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-fn quantize(x: f64) -> i64 {
-    (x * 1e9).round() as i64
 }
 
 /// Merges runs of adjacent local gates per qubit and drops locals that are
@@ -606,6 +564,21 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn symmetric_gate_on_both_orientations_is_one_target() {
+        let device = test_device();
+        let (a, b) = device.topology().edges()[0];
+        let mut routed = Circuit::new(device.topology().n_qubits());
+        routed.push(Gate::Rzz(0.3), &[a, b]);
+        routed.push(Gate::Rzz(0.3), &[b, a]);
+        let cache = Arc::new(CountingCache::default());
+        Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct)
+            .with_shared_cache(cache.clone())
+            .lower(&routed)
+            .expect("lower");
+        assert_eq!(cache.calls(), 1, "Rzz is the same target either way round");
+    }
+
+    #[test]
     fn lowered_programs_hold_no_spare_capacity() {
         // Table II's `qft 10` row on the 12-qubit test device.
         let device = Device::build(4, 3, DeviceConfig::fast_test()).expect("test device");
@@ -645,16 +618,6 @@ pub(crate) mod tests {
         assert!(entanglers > 0, "qft 2 lowered without an entangler");
         // The largest variant is now a local (qubit + Mat2), not a Mat4.
         assert!(std::mem::size_of::<LoweredOp>() <= 80);
-    }
-
-    #[test]
-    fn quantized_hash_distinguishes_angles() {
-        let a = gate_kind_hash(&Gate::CPhase(0.5), true);
-        let b = gate_kind_hash(&Gate::CPhase(0.25), true);
-        let c = gate_kind_hash(&Gate::CPhase(0.5), false);
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a, gate_kind_hash(&Gate::CPhase(0.5), true));
     }
 
     #[test]

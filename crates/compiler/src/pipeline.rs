@@ -7,9 +7,10 @@ use crate::sabre::{sabre_route, Layout, RouteError, SabreConfig};
 use crate::schedule::{schedule, Schedule};
 use nsb_circuit::{Circuit, Gate, StateVector};
 use nsb_device::{BasisStrategy, Device};
-use nsb_synth::SynthCache;
+use nsb_synth::{NoCache, SynthCache};
 use nsb_verify::{
-    ScheduleFacts, VerifierSuite, VerifyConfig, VerifyLevel, VerifyOp, VerifyReport, VerifyTarget,
+    ScheduleFacts, UnitaryEquivalence, VerifierSuite, VerifyConfig, VerifyLevel, VerifyOp,
+    VerifyReport, VerifyTarget,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -184,7 +185,7 @@ pub struct Transpiler<'d> {
     strategy: BasisStrategy,
     mode: LoweringMode,
     sabre: SabreConfig,
-    shared: Option<Arc<dyn SynthCache>>,
+    cache: Arc<dyn SynthCache>,
     threads: usize,
     verify: VerifyLevel,
     verify_config: VerifyConfig,
@@ -200,7 +201,7 @@ impl<'d> Transpiler<'d> {
             strategy,
             mode: default_mode(strategy),
             sabre: SabreConfig::default(),
-            shared: None,
+            cache: Arc::new(NoCache),
             threads: 1,
             verify: VerifyLevel::from_env(),
             verify_config: VerifyConfig::default(),
@@ -223,7 +224,7 @@ impl<'d> Transpiler<'d> {
     /// [`Lowerer::with_shared_cache`]); compilation output is unaffected,
     /// only repeated decomposition work is skipped.
     pub fn with_shared_cache(mut self, cache: Arc<dyn SynthCache>) -> Self {
-        self.shared = Some(cache);
+        self.cache = cache;
         self
     }
 
@@ -291,12 +292,11 @@ impl<'d> Transpiler<'d> {
         })?;
 
         let started = Instant::now();
-        let mut lowerer = Lowerer::new(self.device, self.strategy, self.mode)
-            .with_synthesis_threads(self.threads);
-        if let Some(shared) = &self.shared {
-            lowerer = lowerer.with_shared_cache(shared.clone());
-        }
-        let ops = lowerer.lower(&routed.circuit).map_err(CompileError::from)?;
+        let ops = Lowerer::new(self.device, self.strategy, self.mode)
+            .with_shared_cache(self.cache.clone())
+            .with_synthesis_threads(self.threads)
+            .lower(&routed.circuit)
+            .map_err(CompileError::from)?;
         after_stage(Stage::Lower, started.elapsed())?;
 
         let started = Instant::now();
@@ -365,7 +365,8 @@ impl<'d> Transpiler<'d> {
 /// simulation (only feasible for small devices; used by tests and the
 /// verification example).
 ///
-/// Probes several input states prepared by small circuits; returns the
+/// Probes the input states of [`UnitaryEquivalence::probe_circuits`] by
+/// plain simulation, independently of that check's miter; returns the
 /// minimum overlap `|<expected|actual>|` observed.
 ///
 /// # Panics
@@ -379,7 +380,7 @@ pub fn verify_compiled(logical: &Circuit, compiled: &CompiledCircuit) -> f64 {
     let n_l = logical.n_qubits();
     let phys_circuit = compiled.to_circuit();
     let mut min_overlap = f64::INFINITY;
-    for probe in probe_circuits(n_l) {
+    for probe in UnitaryEquivalence::probe_circuits(n_l) {
         // Logical evolution.
         let mut expected = StateVector::zero(n_l);
         expected.apply_circuit(&probe);
@@ -407,43 +408,6 @@ pub fn verify_compiled(logical: &Circuit, compiled: &CompiledCircuit) -> f64 {
         min_overlap = min_overlap.min(overlap.abs());
     }
     min_overlap
-}
-
-/// A small, fixed family of state-preparation circuits exercising basis
-/// states, superpositions and phases.
-fn probe_circuits(n: usize) -> Vec<Circuit> {
-    let mut probes = Vec::new();
-    probes.push(Circuit::new(n)); // |0...0>
-    let mut ones = Circuit::new(n);
-    for q in 0..n {
-        ones.push(Gate::X, &[q]);
-    }
-    probes.push(ones);
-    let mut plus = Circuit::new(n);
-    for q in 0..n {
-        plus.push(Gate::H, &[q]);
-        if q % 2 == 0 {
-            plus.push(Gate::T, &[q]);
-        }
-    }
-    probes.push(plus);
-    let mut mixed = Circuit::new(n);
-    for q in 0..n {
-        match q % 3 {
-            0 => {
-                mixed.push(Gate::H, &[q]);
-            }
-            1 => {
-                mixed.push(Gate::X, &[q]);
-            }
-            _ => {
-                mixed.push(Gate::H, &[q]);
-                mixed.push(Gate::S, &[q]);
-            }
-        }
-    }
-    probes.push(mixed);
-    probes
 }
 
 #[cfg(test)]

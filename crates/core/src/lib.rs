@@ -61,7 +61,7 @@
 //! for handle in handles {
 //!     assert!(handle.wait().unwrap().fidelity > 0.9);
 //! }
-//! println!("{}", service.metrics().report());
+//! println!("{}", service.report());
 //! ```
 
 #![cfg_attr(

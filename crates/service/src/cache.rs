@@ -1,12 +1,13 @@
 //! The shared synthesis cache: a sharded LRU map implementing
 //! [`nsb_synth::SynthCache`].
 //!
-//! Keys are quantized Weyl coordinates plus basis and mode fingerprints
-//! (see `nsb_synth::SynthKey`); every entry also stores the full target
-//! fingerprint, and lookups only return on an exact match, so a hit is
-//! bit-identical to a fresh synthesis. Sharding keeps lock contention low
-//! when many workers compile concurrently: each key hashes to one shard
-//! with its own mutex and its own LRU clock.
+//! Entries are keyed by the pair `nsb_synth::Decomposer::synth_key`
+//! derives: a `SynthKey` (quantized Weyl coordinate plus basis and mode
+//! fingerprints) and the full target fingerprint. The cache holds one
+//! entry per key and fingerprint, so a hit is bit-identical to a fresh
+//! synthesis and locally equivalent targets sit side by side. Sharding
+//! keeps lock contention low when many workers compile concurrently:
+//! each key hashes to one shard with its own mutex and its own LRU clock.
 //!
 //! The cache overrides [`SynthCache::get_or_compute`] with **single-flight
 //! miss coalescing**: the first thread to miss on a `(key, fingerprint)`
@@ -15,13 +16,13 @@
 //! the published result, so each decomposition is computed exactly once no
 //! matter how many workers race to it.
 
-use crate::metrics::ServiceMetrics;
+use nsb_store::StoredEntry;
 use nsb_synth::{SynthCache, SynthKey, SynthesisFailed, Synthesized2Q};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Recovers the guard from a poisoned shard lock: shard updates never
 /// panic mid-mutation (plain map/counter writes), so the data is intact.
@@ -32,11 +33,11 @@ fn relock<'a, T>(
 }
 
 /// Hit/miss totals of a [`SharedSynthCache`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that returned a stored synthesis.
     pub hits: u64,
-    /// Lookups that found nothing (or a fingerprint mismatch).
+    /// Lookups that found nothing.
     pub misses: u64,
     /// Misses that waited for another thread's in-flight synthesis
     /// instead of recomputing (single-flight coalescing).
@@ -45,16 +46,28 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
+impl CacheStats {
+    /// Fraction of lookups that hit, in `[0, 1]`; `0` when no lookup has
+    /// happened yet.
+    pub fn hit_rate(&self) -> f64 {
+        let lookups = self.hits + self.misses;
+        if lookups == 0 {
+            0.0
+        } else {
+            self.hits as f64 / lookups as f64
+        }
+    }
+}
+
 #[derive(Clone)]
 struct Entry {
-    target_fp: u64,
     value: Synthesized2Q,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Shard {
-    map: HashMap<SynthKey, Entry>,
+    map: HashMap<(SynthKey, u64), Entry>,
     clock: u64,
     /// `(key, fingerprint)` pairs some thread is currently synthesizing.
     inflight: HashSet<(SynthKey, u64)>,
@@ -93,7 +106,6 @@ pub struct SharedSynthCache {
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    metrics: Option<Arc<ServiceMetrics>>,
 }
 
 impl SharedSynthCache {
@@ -117,7 +129,6 @@ impl SharedSynthCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            metrics: None,
         }
     }
 
@@ -134,10 +145,22 @@ impl SharedSynthCache {
                 shard
                     .map
                     .iter()
-                    .map(|(k, e)| (*k, e.target_fp, e.value.clone())),
+                    .map(|(&(key, target_fp), e)| (key, target_fp, e.value.clone())),
             );
         }
         out
+    }
+
+    /// [`export_entries`](Self::export_entries) as store records.
+    pub(crate) fn stored_entries(&self) -> Vec<StoredEntry> {
+        self.export_entries()
+            .into_iter()
+            .map(|(key, target_fp, value)| StoredEntry {
+                key,
+                target_fp,
+                value,
+            })
+            .collect()
     }
 
     /// Inserts entries without touching the hit/miss counters — the
@@ -154,14 +177,6 @@ impl SharedSynthCache {
             n += 1;
         }
         n
-    }
-
-    /// Mirrors hit/miss counts into `metrics` (for
-    /// [`ServiceMetrics::report`]) in addition to the cache's own
-    /// counters.
-    pub fn with_metrics(mut self, metrics: Arc<ServiceMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
     }
 
     /// Current hit/miss/entry totals.
@@ -185,22 +200,8 @@ impl SharedSynthCache {
     }
 
     fn record(&self, hit: bool) {
-        let (own, mirrored) = if hit {
-            (&self.hits, self.metrics.as_ref().map(|m| &m.cache_hits))
-        } else {
-            (&self.misses, self.metrics.as_ref().map(|m| &m.cache_misses))
-        };
-        own.fetch_add(1, Ordering::Relaxed);
-        if let Some(counter) = mirrored {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn record_coalesced(&self) {
-        self.coalesced.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.coalesced_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let counter = if hit { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Inserts under an already-held shard lock, evicting past capacity.
@@ -214,9 +215,8 @@ impl SharedSynthCache {
         shard.clock += 1;
         let clock = shard.clock;
         shard.map.insert(
-            key,
+            (key, target_fp),
             Entry {
-                target_fp,
                 value: value.clone(),
                 last_used: clock,
             },
@@ -243,13 +243,10 @@ impl SynthCache for SharedSynthCache {
         let mut shard = relock(self.shard_of(key).state.lock());
         shard.clock += 1;
         let clock = shard.clock;
-        let found = match shard.map.get_mut(key) {
-            Some(entry) if entry.target_fp == target_fp => {
-                entry.last_used = clock;
-                Some(entry.value.clone())
-            }
-            _ => None,
-        };
+        let found = shard.map.get_mut(&(*key, target_fp)).map(|entry| {
+            entry.last_used = clock;
+            entry.value.clone()
+        });
         drop(shard);
         self.record(found.is_some());
         found
@@ -287,19 +284,17 @@ impl SynthCache for SharedSynthCache {
         loop {
             shard.clock += 1;
             let clock = shard.clock;
-            if let Some(entry) = shard.map.get_mut(&key) {
-                if entry.target_fp == target_fp {
-                    entry.last_used = clock;
-                    let value = entry.value.clone();
-                    drop(shard);
-                    self.record(true);
-                    return Ok(value);
-                }
+            if let Some(entry) = shard.map.get_mut(&pair) {
+                entry.last_used = clock;
+                let value = entry.value.clone();
+                drop(shard);
+                self.record(true);
+                return Ok(value);
             }
             if shard.inflight.contains(&pair) {
                 if !waited {
                     waited = true;
-                    self.record_coalesced();
+                    self.coalesced.fetch_add(1, Ordering::Relaxed);
                 }
                 shard = relock(shard_lock.flights.wait(shard));
                 continue;
@@ -455,8 +450,7 @@ mod tests {
         use std::time::Duration;
 
         const THREADS: usize = 4;
-        let metrics = Arc::new(ServiceMetrics::default());
-        let cache = SharedSynthCache::new(64).with_metrics(metrics.clone());
+        let cache = SharedSynthCache::new(64);
         let v = sample();
         let computes = AtomicUsize::new(0);
         let barrier = Barrier::new(THREADS);
@@ -485,11 +479,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.coalesced, (THREADS - 1) as u64);
         assert_eq!((stats.hits, stats.misses), ((THREADS - 1) as u64, 1));
-        assert_eq!(
-            metrics.coalesced_misses.load(Ordering::Relaxed),
-            (THREADS - 1) as u64,
-            "coalesced misses must mirror into service metrics"
-        );
     }
 
     #[test]
@@ -530,15 +519,37 @@ mod tests {
     }
 
     #[test]
-    fn metrics_mirroring() {
-        let metrics = Arc::new(ServiceMetrics::default());
-        let cache = SharedSynthCache::new(8).with_metrics(metrics.clone());
-        let v = sample();
-        cache.store(key(1), 5, &v);
-        cache.lookup(&key(1), 5);
-        cache.lookup(&key(2), 5);
-        assert_eq!(metrics.cache_hits.load(Ordering::Relaxed), 1);
-        assert_eq!(metrics.cache_misses.load(Ordering::Relaxed), 1);
-        assert!((metrics.cache_hit_rate() - 0.5).abs() < 1e-12);
+    fn hit_rate_handles_zero_lookups() {
+        let mut stats = CacheStats::default();
+        assert_eq!(stats.hit_rate(), 0.0);
+        (stats.hits, stats.misses) = (3, 1);
+        assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn locally_equivalent_targets_stay_side_by_side() {
+        use nsb_math::haar_su2;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(5);
+        let dec = Decomposer::new(Mat4::sqrt_iswap());
+        let cnot = Mat4::cnot();
+        let dressed = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng)) * cnot;
+        let (key, cnot_fp) = dec.synth_key(&cnot, 0);
+        let (dressed_key, dressed_fp) = dec.synth_key(&dressed, 0);
+        assert_eq!(key, dressed_key, "locally equivalent targets share a key");
+        assert_ne!(cnot_fp, dressed_fp);
+        let cache = SharedSynthCache::new(64);
+        for (fp, target) in [(cnot_fp, &cnot), (dressed_fp, &dressed)] {
+            cache
+                .get_or_compute(key, fp, &mut || dec.decompose(target))
+                .expect("synthesis");
+        }
+        assert_eq!(cache.stats().entries, 2);
+        for (fp, target) in [(cnot_fp, &cnot), (dressed_fp, &dressed)] {
+            let hit = cache.lookup(&key, fp).expect("both targets stay stored");
+            let layers = vec![Mat4::sqrt_iswap(); hit.layers];
+            assert!(hit.unitary_with_phase(&layers).approx_eq(target, 1e-5));
+        }
     }
 }

@@ -9,10 +9,11 @@
 //! numerical two-qubit synthesis, and the same targets (CPhase angles,
 //! CNOT, SWAP per edge) recur across circuits job after job. Batch
 //! compilation therefore parallelizes almost perfectly *and* speeds up
-//! further as the [`SharedSynthCache`] warms: cache hits are
-//! bit-identical to fresh syntheses (keys carry a full target
-//! fingerprint — see [`nsb_synth::SynthCache`]), so results never depend
-//! on cache state or scheduling order.
+//! further as the [`SharedSynthCache`] warms. The cache holds one entry
+//! per synthesis key and target fingerprint (see
+//! [`nsb_synth::SynthCache`]), so hits are bit-identical to fresh
+//! syntheses and results never depend on cache state or scheduling
+//! order. Its own [`CacheStats`] are the only cache counters.
 //!
 //! Every job runs the transpiler's own staged pipeline
 //! ([`nsb_compiler::Transpiler::compile_staged`]), so service output is
@@ -51,7 +52,7 @@
 //!     .unwrap();
 //! let compiled = handle.wait().unwrap();
 //! assert!(compiled.fidelity > 0.9);
-//! println!("{}", service.metrics().report());
+//! println!("{}", service.report());
 //! ```
 
 #![cfg_attr(

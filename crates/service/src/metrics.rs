@@ -20,14 +20,6 @@ pub struct ServiceMetrics {
     pub jobs_canceled: AtomicU64,
     /// Jobs currently sitting in the queue.
     pub queue_depth: AtomicU64,
-    /// Shared-cache hits (mirrored from the cache).
-    pub cache_hits: AtomicU64,
-    /// Shared-cache misses (mirrored from the cache).
-    pub cache_misses: AtomicU64,
-    /// Shared-cache misses that were coalesced onto another thread's
-    /// in-flight synthesis instead of recomputing (mirrored from the
-    /// cache's single-flight path).
-    pub coalesced_misses: AtomicU64,
     /// Total nanoseconds spent in SABRE routing.
     pub route_nanos: AtomicU64,
     /// Total nanoseconds spent lowering (includes synthesis).
@@ -49,19 +41,6 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Fraction of shared-cache lookups that hit, in `[0, 1]`; `0` when
-    /// no lookup has happened yet.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
     /// Adds a stage latency sample.
     pub(crate) fn record_stage(&self, stage: Stage, elapsed: Duration) {
         let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
@@ -74,7 +53,10 @@ impl ServiceMetrics {
         counter.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Renders all counters as a small human-readable report.
+    /// Renders all counters as a small human-readable report. The cache
+    /// keeps its own counters ([`crate::CacheStats`]);
+    /// [`CompileService::report`](crate::CompileService::report) adds
+    /// them.
     pub fn report(&self) -> String {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let ms = |c: &AtomicU64| load(c) as f64 / 1e6;
@@ -82,7 +64,6 @@ impl ServiceMetrics {
             "service metrics\n\
              \x20 jobs: {} submitted, {} completed, {} failed, {} timed out, {} canceled\n\
              \x20 queue depth: {}\n\
-             \x20 cache: {} hits, {} misses ({:.1}% hit rate), {} coalesced\n\
              \x20 verification: {} jobs verified ({} sampled), {} violations\n\
              \x20 stage latency sums: route {:.1} ms, lower {:.1} ms, schedule {:.1} ms, \
              verify {:.1} ms",
@@ -92,10 +73,6 @@ impl ServiceMetrics {
             load(&self.jobs_timed_out),
             load(&self.jobs_canceled),
             load(&self.queue_depth),
-            load(&self.cache_hits),
-            load(&self.cache_misses),
-            100.0 * self.cache_hit_rate(),
-            load(&self.coalesced_misses),
             load(&self.jobs_verified),
             load(&self.jobs_verify_sampled),
             load(&self.verification_violations),
@@ -112,15 +89,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hit_rate_handles_zero_lookups() {
-        let m = ServiceMetrics::default();
-        assert_eq!(m.cache_hit_rate(), 0.0);
-        m.cache_hits.store(3, Ordering::Relaxed);
-        m.cache_misses.store(1, Ordering::Relaxed);
-        assert!((m.cache_hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
     fn report_mentions_all_counters() {
         let m = ServiceMetrics::default();
         m.jobs_submitted.store(5, Ordering::Relaxed);
@@ -128,6 +96,5 @@ mod tests {
         let r = m.report();
         assert!(r.contains("5 submitted"));
         assert!(r.contains("route 2.0 ms"));
-        assert!(r.contains("hit rate"));
     }
 }

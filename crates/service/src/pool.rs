@@ -10,13 +10,13 @@
 //! keeps flushing in the background on a fixed interval, so even a crash
 //! loses at most one interval's worth of new syntheses.
 
-use crate::cache::SharedSynthCache;
+use crate::cache::{CacheStats, SharedSynthCache};
 use crate::error::ServiceError;
 use crate::job::{JobHandle, JobSpec};
 use crate::metrics::ServiceMetrics;
 use crate::service::{CompileService, ServiceConfig};
 use nsb_device::Device;
-use nsb_store::{LoadReport, PeriodicFlusher, SaveReport, SnapshotStore, StoredEntry};
+use nsb_store::{LoadReport, PeriodicFlusher, SaveReport, SnapshotStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -108,12 +108,8 @@ pub struct ShardMetrics {
     pub jobs_failed: u64,
     /// Jobs currently queued.
     pub queue_depth: u64,
-    /// Shard cache hits.
-    pub cache_hits: u64,
-    /// Shard cache misses.
-    pub cache_misses: u64,
-    /// Shard cache hit rate in `[0, 1]`.
-    pub cache_hit_rate: f64,
+    /// The shard cache's counters.
+    pub cache: CacheStats,
 }
 
 struct Shard {
@@ -177,7 +173,7 @@ impl ServicePool {
                 // drain happens in `shutdown`.
                 Some(PeriodicFlusher::spawn(interval, move || {
                     for (calibration, cache) in &caches {
-                        let _ = store.save(*calibration, &export(cache));
+                        let _ = store.save(*calibration, &cache.stored_entries());
                     }
                 })?)
             }
@@ -282,9 +278,7 @@ impl ServicePool {
                     jobs_completed: load(&m.jobs_completed),
                     jobs_failed: load(&m.jobs_failed),
                     queue_depth: load(&m.queue_depth),
-                    cache_hits: load(&m.cache_hits),
-                    cache_misses: load(&m.cache_misses),
-                    cache_hit_rate: m.cache_hit_rate(),
+                    cache: s.service.cache().stats(),
                 }
             })
             .collect()
@@ -298,14 +292,13 @@ impl ServicePool {
         let mut submitted = 0u64;
         let mut completed = 0u64;
         let mut failed = 0u64;
-        let mut hits = 0u64;
-        let mut misses = 0u64;
+        let mut cache = CacheStats::default();
         for m in &shards {
             submitted += m.jobs_submitted;
             completed += m.jobs_completed;
             failed += m.jobs_failed;
-            hits += m.cache_hits;
-            misses += m.cache_misses;
+            cache.hits += m.cache.hits;
+            cache.misses += m.cache.misses;
             out.push_str(&format!(
                 "  shard `{}` (cal {:#018x}): {} submitted, {} completed, {} failed, \
                  cache {}/{} ({:.1}% hit rate)\n",
@@ -314,17 +307,11 @@ impl ServicePool {
                 m.jobs_submitted,
                 m.jobs_completed,
                 m.jobs_failed,
-                m.cache_hits,
-                m.cache_hits + m.cache_misses,
-                100.0 * m.cache_hit_rate,
+                m.cache.hits,
+                m.cache.hits + m.cache.misses,
+                100.0 * m.cache.hit_rate(),
             ));
         }
-        let lookups = hits + misses;
-        let rate = if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        };
         out.push_str(&format!(
             "  aggregate: {} shards, {} submitted, {} completed, {} failed, \
              cache {}/{} ({:.1}% hit rate), {} fallback-routed",
@@ -332,9 +319,9 @@ impl ServicePool {
             submitted,
             completed,
             failed,
-            hits,
-            lookups,
-            100.0 * rate,
+            cache.hits,
+            cache.hits + cache.misses,
+            100.0 * cache.hit_rate(),
             self.fallback_routed(),
         ));
         out
@@ -364,7 +351,7 @@ impl ServicePool {
             let cache = shard.service.cache().clone();
             shard.service.shutdown();
             if let Some(store) = &store {
-                let report = store.save(shard.calibration, &export(&cache))?;
+                let report = store.save(shard.calibration, &cache.stored_entries())?;
                 reports.push((shard.name, report));
             }
         }
@@ -376,19 +363,6 @@ impl ServicePool {
             .iter()
             .min_by_key(|s| s.service.metrics().queue_depth.load(Ordering::Relaxed))
     }
-}
-
-/// Snapshots a live cache into storable entries.
-fn export(cache: &SharedSynthCache) -> Vec<StoredEntry> {
-    cache
-        .export_entries()
-        .into_iter()
-        .map(|(key, target_fp, value)| StoredEntry {
-            key,
-            target_fp,
-            value,
-        })
-        .collect()
 }
 
 fn describe(route: &JobRoute) -> String {

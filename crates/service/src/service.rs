@@ -9,7 +9,7 @@ use crate::job::{Job, JobHandle, JobOutput, JobSpec};
 use crate::metrics::ServiceMetrics;
 use nsb_compiler::{default_mode, CompileError, Stage, Transpiler, VerifyLevel};
 use nsb_device::Device;
-use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError, StoredEntry};
+use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError};
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -109,8 +109,7 @@ impl CompileService {
             (std::thread::available_parallelism().map_or(1, |n| n.get()) / n_workers).max(1);
         let device = Arc::new(device);
         let metrics = Arc::new(ServiceMetrics::default());
-        let cache =
-            Arc::new(SharedSynthCache::new(config.cache_capacity).with_metrics(metrics.clone()));
+        let cache = Arc::new(SharedSynthCache::new(config.cache_capacity));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity.max(1)));
         let accepting = Arc::new(AtomicBool::new(true));
         let sampling = SampleState {
@@ -176,6 +175,21 @@ impl CompileService {
         &self.cache
     }
 
+    /// The [metrics report](ServiceMetrics::report) plus a cache line
+    /// read from the cache's own [`stats`](SharedSynthCache::stats).
+    pub fn report(&self) -> String {
+        let cache = self.cache.stats();
+        format!(
+            "{}\n  cache: {} hits, {} misses ({:.1}% hit rate), {} coalesced, {} entries",
+            self.metrics.report(),
+            cache.hits,
+            cache.misses,
+            100.0 * cache.hit_rate(),
+            cache.coalesced,
+            cache.entries,
+        )
+    }
+
     /// Stable fingerprint of this service's device calibration — the key
     /// under which snapshots are persisted (see
     /// [`SnapshotStore::path_for`]).
@@ -210,17 +224,7 @@ impl CompileService {
     /// [`StoreError`] on any I/O failure; the previous snapshot (if any)
     /// is left untouched in that case.
     pub fn drain_to(&self, store: &SnapshotStore) -> Result<SaveReport, StoreError> {
-        let entries: Vec<StoredEntry> = self
-            .cache
-            .export_entries()
-            .into_iter()
-            .map(|(key, target_fp, value)| StoredEntry {
-                key,
-                target_fp,
-                value,
-            })
-            .collect();
-        store.save(self.calibration_hash(), &entries)
+        store.save(self.calibration_hash(), &self.cache.stored_entries())
     }
 
     /// Submits a job without blocking.
@@ -670,6 +674,12 @@ mod tests {
             after_second.hits > after_first.hits,
             "second identical job must hit the shared cache"
         );
-        assert!(service.metrics().cache_hit_rate() > 0.0);
+        assert!(after_second.hit_rate() > 0.0);
+        assert!(
+            service
+                .report()
+                .contains(&format!("{} hits", after_second.hits)),
+            "the report's cache line reads the cache's own counters"
+        );
     }
 }

@@ -12,8 +12,8 @@
 //! (`Device::calibration_hash` in `nsb-device`) — one snapshot file per
 //! calibration — and each record carries the full cache key (quantized
 //! Cartan coordinate, basis-gate fingerprint, lowering tag) plus the full
-//! target fingerprint, exactly the collision contract the in-memory
-//! [`nsb_synth::SynthCache`] enforces. All floating-point data round
+//! target fingerprint: the pair the in-memory [`nsb_synth::SynthCache`]
+//! holds one entry per. All floating-point data round
 //! trips as raw IEEE-754 bits, so a warm-started cache serves results
 //! **bit-identical** to the process that wrote them.
 //!

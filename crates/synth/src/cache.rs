@@ -14,13 +14,12 @@
 //!   different conventions never share entries.
 //!
 //! Locally-equivalent targets share a Cartan coordinate but need
-//! *different* local unitaries, so the coordinate alone is not a sound
-//! key for the synthesized circuit. Every cache operation therefore also
-//! carries the full **target fingerprint** (a quantized hash of the
-//! target matrix); an implementation must only return entries whose
-//! stored fingerprint matches, making a hit bit-identical to a fresh
-//! synthesis while the quantized coordinate keeps the key small and the
-//! lookup cheap.
+//! *different* local unitaries, so every cache operation also carries the
+//! full **target fingerprint** (a quantized hash of the target matrix).
+//! [`Decomposer::synth_key`] derives both, and the pair is the one
+//! identity of a synthesis target: a cache holds one entry per key and
+//! fingerprint, so a hit is bit-identical to a fresh synthesis and
+//! locally equivalent targets sit side by side.
 
 use crate::ansatz::Synthesized2Q;
 use crate::decomposer::{Decomposer, SynthesisFailed};
@@ -34,8 +33,8 @@ use std::hash::{Hash, Hasher};
 /// collide.
 pub const COORD_SCALE: f64 = 1e6;
 
-/// Quantization scale for matrix-entry fingerprints (matches the
-/// per-compilation cache in the compiler's lowering pass).
+/// Quantization scale for matrix-entry fingerprints (see
+/// [`mat4_fingerprint`]).
 pub const ENTRY_SCALE: f64 = 1e9;
 
 /// Key identifying a decomposition in a shared synthesis cache.
@@ -120,8 +119,8 @@ impl Hasher for StableHasher {
 }
 
 /// Order-sensitive fingerprint of a 4x4 unitary with entries quantized
-/// at [`ENTRY_SCALE`]; used both as the basis id and as the full-target
-/// collision check.
+/// at `ENTRY_SCALE` (1e9); used both as the basis id and as the target
+/// fingerprint.
 ///
 /// Computed with [`StableHasher`], so the value is identical across
 /// processes, platforms and Rust versions — it is safe to persist (and
@@ -141,18 +140,15 @@ pub fn mat4_fingerprint(m: &Mat4) -> u64 {
 /// A shared, thread-safe store of synthesis results.
 ///
 /// Implementations decide capacity and eviction; `nsb-service` provides
-/// a sharded LRU. The contract required for correctness:
-///
-/// * [`lookup`](SynthCache::lookup) must only return a value that was
-///   stored under the same key **and** the same `target_fp`;
-/// * returned values must be exactly what was stored (callers rely on
-///   cached syntheses being bit-identical to fresh ones).
+/// a sharded LRU. They hold one entry per key and fingerprint, and return
+/// exactly what was stored under that pair (callers rely on cached
+/// syntheses being bit-identical to fresh ones).
 pub trait SynthCache: Send + Sync {
-    /// Returns the stored synthesis for `key` if its target fingerprint
-    /// matches, recording a hit or miss.
+    /// Returns the synthesis stored under `(key, target_fp)`, recording a
+    /// hit or miss.
     fn lookup(&self, key: &SynthKey, target_fp: u64) -> Option<Synthesized2Q>;
 
-    /// Stores a synthesis result for `key`.
+    /// Stores a synthesis result under `(key, target_fp)`.
     fn store(&self, key: SynthKey, target_fp: u64, value: &Synthesized2Q);
 
     /// Returns the cached value for `(key, target_fp)` or computes and
@@ -203,8 +199,8 @@ impl Decomposer {
         mat4_fingerprint(self.basis())
     }
 
-    /// The cache key and target fingerprint `decompose_cached` would use
-    /// for `target` under `tag`.
+    /// The identity of `target` as a synthesis target under `tag`: the
+    /// cache key and target fingerprint `decompose_cached` stores it under.
     pub fn synth_key(&self, target: &Mat4, tag: u8) -> (SynthKey, u64) {
         let key = SynthKey {
             coord: quantize_coord(kak_vector(target)),
@@ -245,27 +241,24 @@ mod tests {
     /// Minimal conformant cache for exercising the trait contract.
     #[derive(Default)]
     struct MapCache {
-        map: Mutex<HashMap<SynthKey, (u64, Synthesized2Q)>>,
+        map: Mutex<HashMap<(SynthKey, u64), Synthesized2Q>>,
         hits: std::sync::atomic::AtomicUsize,
     }
 
     impl SynthCache for MapCache {
         fn lookup(&self, key: &SynthKey, target_fp: u64) -> Option<Synthesized2Q> {
-            let map = self.map.lock().unwrap();
-            match map.get(key) {
-                Some((fp, v)) if *fp == target_fp => {
-                    self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    Some(v.clone())
-                }
-                _ => None,
+            let found = self.map.lock().unwrap().get(&(*key, target_fp)).cloned();
+            if found.is_some() {
+                self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             }
+            found
         }
 
         fn store(&self, key: SynthKey, target_fp: u64, value: &Synthesized2Q) {
             self.map
                 .lock()
                 .unwrap()
-                .insert(key, (target_fp, value.clone()));
+                .insert((key, target_fp), value.clone());
         }
     }
 

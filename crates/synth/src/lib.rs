@@ -36,14 +36,12 @@
 mod ansatz;
 mod cache;
 mod decomposer;
-mod kak_full;
 mod optimizer;
 mod oracle;
 
 pub use ansatz::{build_ansatz, Synthesized2Q};
 pub use cache::{mat4_fingerprint, quantize_coord, NoCache, StableHasher, SynthCache, SynthKey};
 pub use decomposer::{decompose_with_bases, Decomposer, DecomposerConfig, SynthesisFailed};
-pub use kak_full::{kak_decompose, KakDecomposition};
 pub use optimizer::{
     optimize_locals, optimize_with_restarts, optimize_with_restarts_ws, OptimizerConfig, RunResult,
     Workspace,

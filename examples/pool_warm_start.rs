@@ -131,7 +131,7 @@ fn main() {
 
     let metrics = pool.shard_metrics();
     let (hits, lookups) = metrics.iter().fold((0, 0), |(h, l), m| {
-        (h + m.cache_hits, l + m.cache_hits + m.cache_misses)
+        (h + m.cache.hits, l + m.cache.hits + m.cache.misses)
     });
     let rate = hits as f64 / lookups.max(1) as f64;
 

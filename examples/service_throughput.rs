@@ -96,13 +96,13 @@ fn main() {
         .all(|(a, b)| a.to_bits() == b.to_bits());
     println!("fidelities bit-identical to serial: {identical}");
 
-    println!("\n{}", service.metrics().report());
+    println!("\n{}", service.report());
     let stats = service.cache().stats();
     assert!(
         stats.hits > 0,
         "expected shared-cache hits across repeated jobs"
     );
-    let cold_rate = service.metrics().cache_hit_rate();
+    let cold_rate = stats.hit_rate();
 
     // Warm start: persist the cache, preload a fresh service from the
     // snapshot and rerun the whole batch. Every synthesis is already on
@@ -146,7 +146,7 @@ fn main() {
         .map(|h| h.wait().expect("warm compile").fidelity)
         .collect();
     let warm_elapsed = started.elapsed();
-    let warm_rate = warm.metrics().cache_hit_rate();
+    let warm_rate = warm.cache().stats().hit_rate();
     println!(
         "warm:    {} jobs in {:.2} s ({:.1}% hit rate vs {:.1}% cold)",
         jobs.len(),
