@@ -8,37 +8,24 @@ use nsb_weyl::canonical_gate;
 fn bench_depth_oracle_ablation(c: &mut Criterion) {
     // A nonstandard basis gate similar to what Criterion 1 selects.
     let basis = canonical_gate(WeylCoord::new(0.30, 0.26, 0.03));
-    let with_oracle = Decomposer::with_config(
-        basis,
-        DecomposerConfig {
-            use_depth_oracle: true,
-            ..DecomposerConfig::default()
-        },
-    );
-    let without_oracle = Decomposer::with_config(
-        basis,
-        DecomposerConfig {
-            use_depth_oracle: false,
-            ..DecomposerConfig::default()
-        },
-    );
+    let dec = Decomposer::new(basis);
     let mut group = c.benchmark_group("synthesis/swap_into_nonstandard");
     group.sample_size(10);
     group.bench_function("with_depth_oracle", |b| {
-        b.iter(|| with_oracle.decompose(&Mat4::swap()).unwrap())
+        b.iter(|| dec.decompose(&Mat4::swap()).unwrap())
     });
     group.bench_function("nuop_incremental", |b| {
-        b.iter(|| without_oracle.decompose(&Mat4::swap()).unwrap())
+        b.iter(|| dec.decompose_from(&Mat4::swap(), 0).unwrap())
     });
     group.finish();
 
     let mut group = c.benchmark_group("synthesis/cnot_into_nonstandard");
     group.sample_size(10);
     group.bench_function("with_depth_oracle", |b| {
-        b.iter(|| with_oracle.decompose(&Mat4::cnot()).unwrap())
+        b.iter(|| dec.decompose(&Mat4::cnot()).unwrap())
     });
     group.bench_function("nuop_incremental", |b| {
-        b.iter(|| without_oracle.decompose(&Mat4::cnot()).unwrap())
+        b.iter(|| dec.decompose_from(&Mat4::cnot(), 0).unwrap())
     });
     group.finish();
 }

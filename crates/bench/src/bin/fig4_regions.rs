@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release -p nsb-bench --bin fig4_regions`
 
 use nsb_core::prelude::*;
-use nsb_synth::{numerical_can_cnot_in_2, numerical_can_swap_in_3, OracleConfig};
+use nsb_synth::{numerical_can_cnot_in_2, numerical_can_swap_in_3};
 use nsb_weyl::{
     can_swap_in_2_pair, cnot2_complement, is_perfect_entangler, sample_chamber, swap3_complement,
     volume_fraction,
@@ -68,7 +68,6 @@ fn main() {
     }
 
     println!("\n== Numerical-oracle cross-validation (36 interior points) ==");
-    let cfg = OracleConfig::default();
     let mut rng = StdRng::seed_from_u64(0xcafe);
     let mut agree = 0;
     let mut checked = 0;
@@ -78,8 +77,8 @@ fn main() {
         if near_boundary(p, 0.02) {
             continue;
         }
-        let ok_s3 = numerical_can_swap_in_3(p, &cfg) == can_swap_in_3(p);
-        let ok_c2 = numerical_can_cnot_in_2(p, &cfg) == can_cnot_in_2(p);
+        let ok_s3 = numerical_can_swap_in_3(p) == can_swap_in_3(p);
+        let ok_c2 = numerical_can_cnot_in_2(p) == can_cnot_in_2(p);
         if ok_s3 && ok_c2 {
             agree += 1;
         } else {

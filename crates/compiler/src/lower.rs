@@ -98,7 +98,7 @@ pub enum LoweringMode {
     ViaCnot,
     /// Numerically decompose each distinct target directly into the basis
     /// gate (the paper's baseline path, standing in for the analytic
-    /// sqrt(iSWAP) formulas of Huang et al.), with an angle-keyed cache.
+    /// sqrt(iSWAP) formulas of Huang et al.).
     Direct,
 }
 

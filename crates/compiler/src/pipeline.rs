@@ -9,8 +9,8 @@ use nsb_circuit::{Circuit, Gate, StateVector};
 use nsb_device::{BasisStrategy, Device};
 use nsb_synth::{NoCache, SynthCache};
 use nsb_verify::{
-    ScheduleFacts, UnitaryEquivalence, VerifierSuite, VerifyConfig, VerifyLevel, VerifyOp,
-    VerifyReport, VerifyTarget,
+    ScheduleFacts, UnitaryEquivalence, VerifierSuite, VerifyLevel, VerifyOp, VerifyReport,
+    VerifyTarget,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -184,11 +184,9 @@ pub struct Transpiler<'d> {
     device: &'d Device,
     strategy: BasisStrategy,
     mode: LoweringMode,
-    sabre: SabreConfig,
     cache: Arc<dyn SynthCache>,
     threads: usize,
     verify: VerifyLevel,
-    verify_config: VerifyConfig,
 }
 
 impl<'d> Transpiler<'d> {
@@ -200,23 +198,15 @@ impl<'d> Transpiler<'d> {
             device,
             strategy,
             mode: default_mode(strategy),
-            sabre: SabreConfig::default(),
             cache: Arc::new(NoCache),
             threads: 1,
             verify: VerifyLevel::from_env(),
-            verify_config: VerifyConfig::default(),
         }
     }
 
     /// Overrides the lowering mode (for ablation studies).
     pub fn with_mode(mut self, mode: LoweringMode) -> Self {
         self.mode = mode;
-        self
-    }
-
-    /// Overrides the SABRE configuration.
-    pub fn with_sabre(mut self, sabre: SabreConfig) -> Self {
-        self.sabre = sabre;
         self
     }
 
@@ -245,12 +235,6 @@ impl<'d> Transpiler<'d> {
         self
     }
 
-    /// Overrides tolerances used by inter-pass verification.
-    pub fn with_verify_config(mut self, config: VerifyConfig) -> Self {
-        self.verify_config = config;
-        self
-    }
-
     /// Compiles a logical circuit to the device.
     ///
     /// # Errors
@@ -265,7 +249,7 @@ impl<'d> Transpiler<'d> {
 
     /// Compiles a logical circuit, calling `after_stage` with each stage's
     /// wall time as soon as the stage completes. The stages run route →
-    /// [verify] → lower → schedule → [verify], the verifier suites only
+    /// \[verify\] → lower → schedule → \[verify\], the verifier suites only
     /// when verification is enabled. An `Err` from the hook stops the
     /// compilation and is returned as-is.
     ///
@@ -282,7 +266,7 @@ impl<'d> Transpiler<'d> {
         mut after_stage: impl FnMut(Stage, Duration) -> Result<(), E>,
     ) -> Result<(CompiledCircuit, Option<VerifyReport>), E> {
         let started = Instant::now();
-        let routed = sabre_route(circuit, self.device.topology(), &self.sabre)
+        let routed = sabre_route(circuit, self.device.topology(), &SabreConfig::default())
             .map_err(CompileError::from)?;
         after_stage(Stage::Route, started.elapsed())?;
         // Post-routing checkpoint: every remaining two-qubit gate must sit
@@ -347,7 +331,7 @@ impl<'d> Transpiler<'d> {
             Stage::Route => VerifierSuite::structural(),
             _ => VerifierSuite::standard(),
         };
-        let report = suite.with_config(self.verify_config).run(&target());
+        let report = suite.run(&target());
         after_stage(Stage::Verify, started.elapsed())?;
         if report.is_clean() {
             Ok(Some(report))

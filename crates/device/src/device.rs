@@ -8,7 +8,7 @@ use crate::freq::{FrequencyAllocation, FrequencyPlan};
 use crate::topology::GridTopology;
 use nsb_math::Mat4;
 use nsb_sim::{PreparedCell, TrajectoryConfig, UnitCellParams};
-use nsb_synth::{Decomposer, DecomposerConfig, Synthesized2Q};
+use nsb_synth::{Decomposer, Synthesized2Q};
 use nsb_weyl::{SelectionCriterion, WeylCoord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -136,8 +136,6 @@ pub struct DeviceConfig {
     pub baseline_traj: TrajectoryConfig,
     /// Trajectory simulation settings for the strong drive.
     pub nonstandard_traj: TrajectoryConfig,
-    /// Synthesis settings for the per-edge decomposition caches.
-    pub synth: DecomposerConfig,
     /// Levels per mode in the pulse simulation (3 = full model; 2 = fast).
     pub levels: usize,
     /// Worker threads for the per-edge builds.
@@ -170,7 +168,6 @@ impl Default for DeviceConfig {
                 dt: 0.015,
                 ..TrajectoryConfig::default()
             },
-            synth: DecomposerConfig::default(),
             levels: 3,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -542,7 +539,7 @@ fn finish_basis(
     leakage: f64,
     config: &DeviceConfig,
 ) -> Result<SelectedBasis, String> {
-    let decomposer = Decomposer::with_config(gate, config.synth);
+    let decomposer = Decomposer::new(gate);
     let coord = decomposer.basis_coord();
     let swap = decomposer
         .decompose(&Mat4::swap())

@@ -119,7 +119,9 @@ struct Shard {
 }
 
 /// N compile services for distinct device calibrations behind one
-/// routing front end. See the [module docs](self) for the lifecycle.
+/// routing front end. With a snapshot store, each shard warm-starts its
+/// synthesis cache from the store on construction and drains it back on
+/// shutdown, optionally flushing in the background as well.
 pub struct ServicePool {
     shards: Vec<Shard>,
     store: Option<SnapshotStore>,

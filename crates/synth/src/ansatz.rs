@@ -52,7 +52,7 @@ impl Synthesized2Q {
 /// # Panics
 ///
 /// Panics when `locals.len() != bases.len() + 1`.
-pub fn build_ansatz(locals: &[(Mat2, Mat2)], bases: &[Mat4]) -> Mat4 {
+pub(crate) fn build_ansatz(locals: &[(Mat2, Mat2)], bases: &[Mat4]) -> Mat4 {
     assert_eq!(locals.len(), bases.len() + 1, "ansatz shape mismatch");
     let mut w = Mat4::kron(&locals[0].0, &locals[0].1);
     for (k, b) in bases.iter().enumerate() {

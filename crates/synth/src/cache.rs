@@ -38,6 +38,12 @@ pub const COORD_SCALE: f64 = 1e6;
 pub const ENTRY_SCALE: f64 = 1e9;
 
 /// Key identifying a decomposition in a shared synthesis cache.
+///
+/// The key, with the target fingerprint, fully determines a synthesis
+/// result: the search settings are constants of [`Decomposer`], so no
+/// setting is missing from the key. Two devices with equal basis gates
+/// therefore share cache entries and persisted snapshots, and a hit is
+/// bit-identical to what a fresh synthesis would produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SynthKey {
     /// Quantized canonical Cartan coordinate of the target.
@@ -50,7 +56,7 @@ pub struct SynthKey {
 }
 
 /// Quantizes a Cartan coordinate to the cache key resolution.
-pub fn quantize_coord(c: WeylCoord) -> [i64; 3] {
+fn quantize_coord(c: WeylCoord) -> [i64; 3] {
     let q = |v: f64| (v * COORD_SCALE).round() as i64;
     [q(c.x), q(c.y), q(c.z)]
 }
@@ -219,8 +225,7 @@ impl Decomposer {
     /// # Errors
     ///
     /// Returns [`SynthesisFailed`] exactly as [`Decomposer::decompose`]
-    /// does. Failures are not cached: a later call with a larger layer
-    /// cap may succeed.
+    /// does. Failures are not cached.
     pub fn decompose_cached(
         &self,
         target: &Mat4,

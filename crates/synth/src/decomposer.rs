@@ -4,13 +4,13 @@
 //! the local unitaries, but use analytically-derived circuit-depth
 //! information to *skip directly* to the layer count at which a perfect
 //! decomposition is guaranteed, instead of NuOp's increment-from-one-layer
-//! strategy. Both strategies are implemented so the speedup can be measured
-//! (see the `synthesis` Criterion bench).
+//! strategy. [`Decomposer::decompose`] is the paper's approach;
+//! `decompose_from(target, 0)` is NuOp's, kept so the speedup can be
+//! measured (see the `synthesis` Criterion bench). Both run the one layer
+//! search of this module, so they produce identical circuits.
 
-use crate::ansatz::Synthesized2Q;
-use crate::optimizer::{
-    optimize_with_restarts, optimize_with_restarts_ws, OptimizerConfig, Workspace,
-};
+use crate::ansatz::{build_ansatz, Synthesized2Q};
+use crate::optimizer::{optimize_with_restarts, Workspace};
 use nsb_math::Mat4;
 use nsb_weyl::{can_cnot_in_2, kak_vector, min_layers_for_swap, WeylCoord};
 use rand::rngs::StdRng;
@@ -39,7 +39,8 @@ impl fmt::Display for SynthesisFailed {
 
 impl std::error::Error for SynthesisFailed {}
 
-/// Configuration for the [`Decomposer`].
+/// Settings of one synthesis search: the tolerance that counts as exact,
+/// the restarts per layer count and the restart RNG's seed.
 #[derive(Clone, Copy, Debug)]
 pub struct DecomposerConfig {
     /// Decomposition-error tolerance (1 - average gate fidelity) below
@@ -47,14 +48,8 @@ pub struct DecomposerConfig {
     pub tol: f64,
     /// Random restarts per layer count.
     pub restarts: usize,
-    /// Maximum number of entangling layers to try.
-    pub max_layers: usize,
     /// Seed for the deterministic restart RNG.
     pub seed: u64,
-    /// Use the analytic depth oracle to skip layer counts (the paper's
-    /// approach). When false, layers are searched from the minimum up
-    /// (NuOp-style), which is slower but produces identical circuits.
-    pub use_depth_oracle: bool,
 }
 
 impl Default for DecomposerConfig {
@@ -66,15 +61,24 @@ impl Default for DecomposerConfig {
             // plateau that impossible decompositions stall at.
             tol: 1e-7,
             restarts: 12,
-            max_layers: 6,
             seed: 0x5eed,
-            use_depth_oracle: true,
         }
     }
 }
 
+/// Most entangling layers [`Decomposer::decompose_from`] tries.
+const MAX_LAYERS: usize = 6;
+
 /// Decomposes two-qubit targets into a fixed hardware basis gate plus local
 /// (single-qubit) unitaries.
+///
+/// The search settings are constants ([`DecomposerConfig::default`] and a
+/// cap of six layers), not configuration. They enter neither
+/// [`SynthKey`](crate::SynthKey) nor a device's calibration hash, so a
+/// result is fully determined by the basis gate and the target: by the
+/// `(SynthKey, target_fp)` pair of [`Decomposer::synth_key`]. That is what
+/// lets a cache, or a snapshot persisted by another process, stand in for
+/// a fresh synthesis.
 ///
 /// # Examples
 ///
@@ -91,23 +95,14 @@ impl Default for DecomposerConfig {
 pub struct Decomposer {
     basis: Mat4,
     basis_coord: WeylCoord,
-    config: DecomposerConfig,
 }
 
 impl Decomposer {
-    /// Creates a decomposer for the given hardware basis gate with default
-    /// configuration.
+    /// Creates a decomposer for the given hardware basis gate.
     pub fn new(basis: Mat4) -> Self {
-        Decomposer::with_config(basis, DecomposerConfig::default())
-    }
-
-    /// Creates a decomposer with explicit configuration.
-    pub fn with_config(basis: Mat4, config: DecomposerConfig) -> Self {
-        let basis_coord = kak_vector(&basis);
         Decomposer {
             basis,
-            basis_coord,
-            config,
+            basis_coord: kak_vector(&basis),
         }
     }
 
@@ -151,82 +146,43 @@ impl Decomposer {
         2
     }
 
-    /// Decomposes `target` into the minimum number of basis-gate layers.
+    /// Decomposes `target` into the minimum number of basis-gate layers,
+    /// starting the search at the depth oracle's [`min_layers`](Self::min_layers).
     ///
     /// # Errors
     ///
-    /// Returns [`SynthesisFailed`] when no layer count up to the configured
-    /// maximum reaches the tolerance.
+    /// Returns [`SynthesisFailed`] when no layer count up to six reaches
+    /// the tolerance.
     pub fn decompose(&self, target: &Mat4) -> Result<Synthesized2Q, SynthesisFailed> {
-        let start = if self.config.use_depth_oracle {
-            self.min_layers(kak_vector(target))
-        } else {
-            // NuOp-style: start from zero layers and work upward.
-            0
-        };
-        self.decompose_from(target, start)
+        self.decompose_from(target, self.min_layers(kak_vector(target)))
     }
 
-    /// Decomposes with an explicit number of layers (no search).
+    /// Decomposes `target` with the fewest layers from `min_layers` up to
+    /// six: one search per layer count, the first that reaches the
+    /// tolerance wins. `decompose_from(target, 0)` is NuOp's incremental
+    /// strategy, the ablation of [`decompose`](Self::decompose).
     ///
     /// # Errors
     ///
-    /// Returns [`SynthesisFailed`] when the tolerance is not reached at
-    /// exactly `layers` layers.
-    pub fn decompose_exact_layers(
+    /// Returns [`SynthesisFailed`] when no layer count reaches the
+    /// tolerance; `best_error` is the best over all layer counts tried.
+    pub fn decompose_from(
         &self,
         target: &Mat4,
-        layers: usize,
+        min_layers: usize,
     ) -> Result<Synthesized2Q, SynthesisFailed> {
-        self.decompose_exact_layers_ws(target, layers, &mut Workspace::new())
-    }
-
-    /// [`Decomposer::decompose_exact_layers`] with caller-owned optimizer
-    /// scratch, so a layer search reuses one set of buffers throughout.
-    fn decompose_exact_layers_ws(
-        &self,
-        target: &Mat4,
-        layers: usize,
-        ws: &mut Workspace,
-    ) -> Result<Synthesized2Q, SynthesisFailed> {
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let bases = vec![self.basis; layers];
-        let run = optimize_with_restarts_ws(
-            target,
-            &bases,
-            self.config.restarts,
-            1.0 - self.config.tol / 5.0,
-            &OptimizerConfig::default(),
-            &mut rng,
-            ws,
-        );
-        let result = finish(target, run.locals, layers, &bases);
-        if result.error <= self.config.tol {
-            Ok(result)
-        } else {
-            Err(SynthesisFailed {
-                best_error: result.error,
-                max_layers: layers,
-            })
-        }
-    }
-
-    fn decompose_from(
-        &self,
-        target: &Mat4,
-        start_layers: usize,
-    ) -> Result<Synthesized2Q, SynthesisFailed> {
+        let config = DecomposerConfig::default();
         let mut best_error = f64::INFINITY;
         let mut ws = Workspace::new();
-        for layers in start_layers..=self.config.max_layers {
-            match self.decompose_exact_layers_ws(target, layers, &mut ws) {
+        for layers in min_layers..=MAX_LAYERS {
+            match search(target, &vec![self.basis; layers], &config, &mut ws) {
                 Ok(result) => return Ok(result),
                 Err(e) => best_error = best_error.min(e.best_error),
             }
         }
         Err(SynthesisFailed {
             best_error,
-            max_layers: self.config.max_layers,
+            max_layers: MAX_LAYERS,
         })
     }
 }
@@ -242,42 +198,42 @@ pub fn decompose_with_bases(
     bases: &[Mat4],
     config: &DecomposerConfig,
 ) -> Result<Synthesized2Q, SynthesisFailed> {
+    search(target, bases, config, &mut Workspace::new())
+}
+
+/// The synthesis search: locals for `target` over the fixed per-layer
+/// `bases`, from `config.restarts` seeded restarts, accepted when the
+/// decomposition error is within `config.tol`.
+fn search(
+    target: &Mat4,
+    bases: &[Mat4],
+    config: &DecomposerConfig,
+    ws: &mut Workspace,
+) -> Result<Synthesized2Q, SynthesisFailed> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let run = optimize_with_restarts(
+    let (locals, _) = optimize_with_restarts(
         target,
         bases,
         config.restarts,
         1.0 - config.tol / 5.0,
-        &OptimizerConfig::default(),
         &mut rng,
+        ws,
     );
-    let result = finish(target, run.locals, bases.len(), bases);
-    if result.error <= config.tol {
-        Ok(result)
+    let tr = (build_ansatz(&locals, bases).adjoint() * *target).trace();
+    let error = 1.0 - (tr.abs() * tr.abs() + 4.0) / 20.0;
+    if error <= config.tol {
+        Ok(Synthesized2Q {
+            locals,
+            layers: bases.len(),
+            trace_overlap: tr.abs() / 4.0,
+            error,
+            phase: tr.arg(),
+        })
     } else {
         Err(SynthesisFailed {
-            best_error: result.error,
+            best_error: error,
             max_layers: bases.len(),
         })
-    }
-}
-
-fn finish(
-    target: &Mat4,
-    locals: Vec<(nsb_math::Mat2, nsb_math::Mat2)>,
-    layers: usize,
-    bases: &[Mat4],
-) -> Synthesized2Q {
-    let w = crate::ansatz::build_ansatz(&locals, bases);
-    let tr = (w.adjoint() * *target).trace();
-    let overlap = tr.abs() / 4.0;
-    let avg_fid = (tr.abs() * tr.abs() + 4.0) / 20.0;
-    Synthesized2Q {
-        locals,
-        layers,
-        trace_overlap: overlap,
-        error: 1.0 - avg_fid,
-        phase: tr.arg(),
     }
 }
 
@@ -416,24 +372,10 @@ mod tests {
 
     #[test]
     fn depth_oracle_and_incremental_agree() {
-        let basis = Mat4::sqrt_iswap();
-        let with = Decomposer::with_config(
-            basis,
-            DecomposerConfig {
-                use_depth_oracle: true,
-                ..DecomposerConfig::default()
-            },
-        );
-        let without = Decomposer::with_config(
-            basis,
-            DecomposerConfig {
-                use_depth_oracle: false,
-                ..DecomposerConfig::default()
-            },
-        );
+        let dec = Decomposer::new(Mat4::sqrt_iswap());
         for target in [Mat4::swap(), Mat4::cnot(), Mat4::cphase(0.8)] {
-            let a = with.decompose(&target).unwrap();
-            let b = without.decompose(&target).unwrap();
+            let a = dec.decompose(&target).unwrap();
+            let b = dec.decompose_from(&target, 0).unwrap();
             assert_eq!(a.layers, b.layers, "layer mismatch");
         }
     }

@@ -39,13 +39,7 @@ mod decomposer;
 mod optimizer;
 mod oracle;
 
-pub use ansatz::{build_ansatz, Synthesized2Q};
-pub use cache::{mat4_fingerprint, quantize_coord, NoCache, StableHasher, SynthCache, SynthKey};
+pub use ansatz::Synthesized2Q;
+pub use cache::{mat4_fingerprint, NoCache, StableHasher, SynthCache, SynthKey};
 pub use decomposer::{decompose_with_bases, Decomposer, DecomposerConfig, SynthesisFailed};
-pub use optimizer::{
-    optimize_locals, optimize_with_restarts, optimize_with_restarts_ws, OptimizerConfig, RunResult,
-    Workspace,
-};
-pub use oracle::{
-    can_decompose_2layer, numerical_can_cnot_in_2, numerical_can_swap_in_3, OracleConfig,
-};
+pub use oracle::{can_decompose_2layer, numerical_can_cnot_in_2, numerical_can_swap_in_3};

@@ -1,14 +1,16 @@
 //! Alternating "environment" optimization of the local unitaries, with a
 //! Levenberg–Marquardt polish.
 //!
-//! With all but one local factor fixed, the trace objective is linear in
-//! that factor: `tr(T^dag W) = tr(u E)` for a 2x2 environment `E` obtained
-//! by partial contraction. The optimal unitary `u` is the polar factor
-//! `V U^dag` of the SVD `E = U S V^dag`, achieving `s1 + s2`. Sweeping all
-//! factors monotonically increases the objective; random restarts make the
-//! search reliable enough to serve as a *decision procedure* for
-//! decomposability (the approach NuOp takes with generic optimizers, made
-//! deterministic and fast here).
+//! The objective is the trace overlap `|tr(T^dag W)|`. With all but one
+//! local factor fixed, the trace is linear in that factor:
+//! `tr(T^dag W) = tr(u E)` for a 2x2 environment `E` obtained by partial
+//! contraction. The unitary `u` maximizing `Re tr(u E)` is the polar
+//! factor `V U^dag` of the SVD `E = U S V^dag`, achieving `s1 + s2`, which
+//! is also the largest `|tr(u E)|` any unitary reaches. Sweeping all
+//! factors therefore monotonically increases `|tr(T^dag W)|`; random
+//! restarts make the search reliable enough to serve as a *decision
+//! procedure* for decomposability (the approach NuOp takes with generic
+//! optimizers, made deterministic and fast here).
 //!
 //! The sweeps converge linearly, and slowly when the basis gate sits just
 //! inside the region face that makes the target reachable in this many
@@ -22,42 +24,17 @@ use crate::ansatz::build_ansatz;
 use nsb_math::{haar_su2, max_trace_unitary, Complex64, Mat2, Mat4};
 use rand::Rng;
 
-/// Tuning knobs for the alternating optimizer.
-#[derive(Clone, Copy, Debug)]
-pub struct OptimizerConfig {
-    /// Maximum number of full sweeps per restart.
-    pub max_sweeps: usize,
-    /// Declare a stall after this many consecutive sweeps with improvement
-    /// below `stall_tol`.
-    pub stall_sweeps: usize,
-    /// Improvement threshold counting as "no progress".
-    pub stall_tol: f64,
-    /// Stop as converged once `4 - Re tr(T^dag W)` drops below this
-    /// residual. The default is tight enough that a converged result
-    /// reconstructs the target to `sqrt(2e-12) ~ 1.4e-6` in Frobenius
-    /// norm.
-    pub target_residual: f64,
-}
-
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        OptimizerConfig {
-            max_sweeps: 2000,
-            stall_sweeps: 8,
-            stall_tol: 1e-15,
-            target_residual: 1.0e-12,
-        }
-    }
-}
-
-/// Outcome of one optimization run: locals and the achieved overlap.
-#[derive(Clone, Debug)]
-pub struct RunResult {
-    /// Optimized local pairs (`bases.len() + 1` of them).
-    pub locals: Vec<(Mat2, Mat2)>,
-    /// Achieved `|tr(T^dag W)| / 4` in `[0, 1]`.
-    pub overlap: f64,
-}
+/// Maximum number of full sweeps per restart.
+const MAX_SWEEPS: usize = 2000;
+/// Declare a stall after this many consecutive sweeps with improvement
+/// below [`STALL_TOL`].
+const STALL_SWEEPS: usize = 8;
+/// Improvement threshold counting as "no progress".
+const STALL_TOL: f64 = 1e-15;
+/// Stop as converged once `4 - |tr(T^dag W)|` drops below this residual.
+/// It is tight enough that a converged result reconstructs the target to
+/// `sqrt(2e-12) ~ 1.4e-6` in Frobenius norm.
+const TARGET_RESIDUAL: f64 = 1.0e-12;
 
 /// Reusable scratch buffers for the restart search and its polish.
 ///
@@ -69,7 +46,7 @@ pub struct RunResult {
 /// assertions that the buffers stop growing after the first restart warms
 /// them up.
 #[derive(Debug, Default)]
-pub struct Workspace {
+pub(crate) struct Workspace {
     /// Current-attempt locals; the polish iterate.
     cand: Vec<(Mat2, Mat2)>,
     /// Best locals found so far.
@@ -96,15 +73,8 @@ pub struct Workspace {
 
 impl Workspace {
     /// Creates an empty workspace; buffers are sized on first use.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Workspace::default()
-    }
-
-    /// Number of buffer capacity growths so far. After the first restart of
-    /// a search has warmed the buffers, this must stay constant — the
-    /// restart loop and the polish debug-assert exactly that.
-    pub fn grows(&self) -> usize {
-        self.grows
     }
 
     /// Sizes every buffer for an `n`-local ansatz, counting capacity growth.
@@ -137,21 +107,6 @@ impl Workspace {
     }
 }
 
-/// Optimizes the locals for `target` over the fixed per-layer `bases`,
-/// starting from the supplied initial locals.
-pub fn optimize_locals(
-    target: &Mat4,
-    bases: &[Mat4],
-    mut locals: Vec<(Mat2, Mat2)>,
-    config: &OptimizerConfig,
-) -> RunResult {
-    assert_eq!(locals.len(), bases.len() + 1, "ansatz shape mismatch");
-    let t_dag = target.adjoint();
-    let mut suffix = vec![Mat4::identity(); locals.len()];
-    let overlap = optimize_slice(&t_dag, bases, &mut locals, &mut suffix, config);
-    RunResult { locals, overlap }
-}
-
 /// Core alternating sweep working entirely in caller-provided storage.
 ///
 /// Each sweep builds the suffix products `A_k` once (right-to-left) and
@@ -163,14 +118,13 @@ fn optimize_slice(
     bases: &[Mat4],
     locals: &mut [(Mat2, Mat2)],
     suffix: &mut [Mat4],
-    config: &OptimizerConfig,
 ) -> f64 {
     let n = locals.len();
     debug_assert_eq!(n, bases.len() + 1, "ansatz shape mismatch");
     debug_assert_eq!(suffix.len(), n, "suffix buffer shape mismatch");
     let mut prev = objective(t_dag, locals, bases);
     let mut stalled = 0usize;
-    for _sweep in 0..config.max_sweeps {
+    for _sweep in 0..MAX_SWEEPS {
         // Suffix products from the sweep-entry locals:
         // A_k = L_{n-1} B_{n-2} ... L_{k+1} (basis gates interleaved), so
         // F_k = F_{k+1} B_{k+1} K_{k+1} with F_{n-1} = I.
@@ -215,21 +169,21 @@ fn optimize_slice(
         let cur = (Mat4::kron(&locals[n - 1].0, &locals[n - 1].1) * last_g)
             .trace()
             .abs();
-        if 4.0 - cur < config.target_residual {
+        if 4.0 - cur < TARGET_RESIDUAL {
             prev = cur;
             break;
         }
-        if cur - prev < config.stall_tol {
+        if cur - prev < STALL_TOL {
             stalled += 1;
             // Near convergence (residual within ~1e-5 of the target) the
-            // alternating sweeps can creep in steps below `stall_tol` yet
+            // alternating sweeps can creep in steps below `STALL_TOL` yet
             // still close the gap; give those tails extra patience so the
             // decision procedure does not misclassify a decomposable
             // target on an unlucky start.
             let patience = if 4.0 - cur < 1e-5 {
-                4 * config.stall_sweeps
+                4 * STALL_SWEEPS
             } else {
-                config.stall_sweeps
+                STALL_SWEEPS
             };
             if stalled >= patience {
                 prev = prev.max(cur);
@@ -243,44 +197,21 @@ fn optimize_slice(
     prev / 4.0
 }
 
-/// Runs the optimizer from `restarts` random starting points, returning the
-/// best result; stops early when `target_overlap` is reached.
+/// Runs the optimizer from `restarts` random starting points and returns
+/// the best locals with their overlap `|tr(T^dag W)| / 4`; stops early
+/// when `target_overlap` is reached.
 ///
-/// Allocates a fresh [`Workspace`] per call; hot callers should hold one and
-/// use [`optimize_with_restarts_ws`] instead.
-pub fn optimize_with_restarts<R: Rng + ?Sized>(
+/// Every restart and the polish reuse the workspace buffers, so after the
+/// first restart the search performs no allocations (debug-asserted via
+/// the workspace's growth counter).
+pub(crate) fn optimize_with_restarts<R: Rng + ?Sized>(
     target: &Mat4,
     bases: &[Mat4],
     restarts: usize,
     target_overlap: f64,
-    config: &OptimizerConfig,
-    rng: &mut R,
-) -> RunResult {
-    let mut ws = Workspace::new();
-    optimize_with_restarts_ws(
-        target,
-        bases,
-        restarts,
-        target_overlap,
-        config,
-        rng,
-        &mut ws,
-    )
-}
-
-/// [`optimize_with_restarts`] with caller-owned scratch: every restart and
-/// the polish reuse the workspace buffers, so after the first restart the
-/// search performs no allocations (debug-asserted via [`Workspace::grows`]).
-#[allow(clippy::too_many_arguments)] // same signature as optimize_with_restarts plus the scratch
-pub fn optimize_with_restarts_ws<R: Rng + ?Sized>(
-    target: &Mat4,
-    bases: &[Mat4],
-    restarts: usize,
-    target_overlap: f64,
-    config: &OptimizerConfig,
     rng: &mut R,
     ws: &mut Workspace,
-) -> RunResult {
+) -> (Vec<(Mat2, Mat2)>, f64) {
     let n = bases.len() + 1;
     ws.prepare(n);
     let t_dag = target.adjoint();
@@ -296,7 +227,7 @@ pub fn optimize_with_restarts_ws<R: Rng + ?Sized>(
                 (haar_su2(rng), haar_su2(rng))
             };
         }
-        let overlap = optimize_slice(&t_dag, bases, &mut ws.cand, &mut ws.suffix, config);
+        let overlap = optimize_slice(&t_dag, bases, &mut ws.cand, &mut ws.suffix);
         match warm_grows {
             None => warm_grows = Some(ws.grows),
             Some(warm) => debug_assert_eq!(
@@ -320,8 +251,8 @@ pub fn optimize_with_restarts_ws<R: Rng + ?Sized>(
     // residual are genuine rejections and are returned untouched, so the
     // decision procedure stays cheap.
     let residual = 4.0 * (1.0 - best_overlap);
-    if residual < POLISH_THRESHOLD && residual > config.target_residual {
-        let polished = lm_polish(target, &t_dag, bases, config, ws);
+    if residual < POLISH_THRESHOLD && residual > TARGET_RESIDUAL {
+        let polished = lm_polish(target, &t_dag, bases, ws);
         debug_assert_eq!(
             ws.grows,
             warm_grows.unwrap_or(0),
@@ -332,10 +263,7 @@ pub fn optimize_with_restarts_ws<R: Rng + ?Sized>(
             ws.best.copy_from_slice(&ws.cand);
         }
     }
-    RunResult {
-        locals: ws.best.clone(),
-        overlap: best_overlap,
-    }
+    (ws.best.clone(), best_overlap)
 }
 
 /// Residual below which a non-converged run is treated as a slow tail
@@ -367,13 +295,7 @@ fn lm_params(n: usize) -> usize {
 /// [`lm_jacobian`]). A step is taken only if it lowers the residual;
 /// otherwise the damping grows and the step is re-solved. Deterministic:
 /// no random numbers are drawn.
-fn lm_polish(
-    target: &Mat4,
-    t_dag: &Mat4,
-    bases: &[Mat4],
-    config: &OptimizerConfig,
-    ws: &mut Workspace,
-) -> f64 {
+fn lm_polish(target: &Mat4, t_dag: &Mat4, bases: &[Mat4], ws: &mut Workspace) -> f64 {
     let n = ws.best.len();
     let p = lm_params(n);
     ws.cand.copy_from_slice(&ws.best);
@@ -384,7 +306,7 @@ fn lm_polish(
     'steps: for _ in 0..LM_STEPS {
         // 4 - |tr(T^dag W)| <= cost / 2, so this is the sweeps' own
         // convergence test.
-        if cost / 2.0 <= config.target_residual {
+        if cost / 2.0 <= TARGET_RESIDUAL {
             break;
         }
         let r = lm_jacobian(target, bases, phase, ws);
@@ -558,9 +480,7 @@ fn cholesky_solve(a: &mut [f64], b: &mut [f64], p: usize) -> bool {
     true
 }
 
-/// `Re tr(T^dag W)` — the raw objective maximized by the sweeps. At
-/// convergence it equals `|tr|` because the phase is absorbed into the
-/// local factors.
+/// `|tr(T^dag W)|`, the objective the sweeps maximize.
 fn objective(t_dag: &Mat4, locals: &[(Mat2, Mat2)], bases: &[Mat4]) -> f64 {
     let w = build_ansatz(locals, bases);
     (*t_dag * w).trace().abs()
@@ -631,15 +551,15 @@ mod tests {
     fn recovers_local_target_with_zero_layers() {
         let mut rng = StdRng::seed_from_u64(4);
         let target = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
-        let run = optimize_with_restarts(
+        let (_, overlap) = optimize_with_restarts(
             &target,
             &[],
             4,
             1.0 - 1e-12,
-            &OptimizerConfig::default(),
             &mut rng,
+            &mut Workspace::new(),
         );
-        assert!(run.overlap > 1.0 - 1e-10, "overlap {}", run.overlap);
+        assert!(overlap > 1.0 - 1e-10, "overlap {overlap}");
     }
 
     #[test]
@@ -648,15 +568,15 @@ mod tests {
         let b = Mat4::sqrt_iswap();
         let dress = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
         let target = dress * b * Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
-        let run = optimize_with_restarts(
+        let (_, overlap) = optimize_with_restarts(
             &target,
             &[b],
             6,
             1.0 - 1e-12,
-            &OptimizerConfig::default(),
             &mut rng,
+            &mut Workspace::new(),
         );
-        assert!(run.overlap > 1.0 - 1e-9, "overlap {}", run.overlap);
+        assert!(overlap > 1.0 - 1e-9, "overlap {overlap}");
     }
 
     #[test]
@@ -665,29 +585,33 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let dress = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
         let target = dress * b * Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
-        let cfg = OptimizerConfig::default();
         let mut ws = Workspace::new();
         // Warm the workspace on an unrelated problem (different size).
         let mut warm_rng = StdRng::seed_from_u64(8);
-        let _ = optimize_with_restarts_ws(
+        let _ = optimize_with_restarts(
             &Mat4::swap(),
             &[b, b, b],
             2,
             1.0 - 1e-12,
-            &cfg,
             &mut warm_rng,
             &mut ws,
         );
         let mut rng_a = StdRng::seed_from_u64(9);
-        let reused =
-            optimize_with_restarts_ws(&target, &[b], 4, 1.0 - 1e-12, &cfg, &mut rng_a, &mut ws);
+        let reused = optimize_with_restarts(&target, &[b], 4, 1.0 - 1e-12, &mut rng_a, &mut ws);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let fresh = optimize_with_restarts(&target, &[b], 4, 1.0 - 1e-12, &cfg, &mut rng_b);
+        let fresh = optimize_with_restarts(
+            &target,
+            &[b],
+            4,
+            1.0 - 1e-12,
+            &mut rng_b,
+            &mut Workspace::new(),
+        );
         // Same rng seed + same code path => bit-identical outcome, warm or
         // cold buffers.
-        assert_eq!(reused.overlap.to_bits(), fresh.overlap.to_bits());
-        assert_eq!(reused.locals.len(), fresh.locals.len());
-        for ((ru, rv), (fu, fv)) in reused.locals.iter().zip(&fresh.locals) {
+        assert_eq!(reused.1.to_bits(), fresh.1.to_bits());
+        assert_eq!(reused.0.len(), fresh.0.len());
+        for ((ru, rv), (fu, fv)) in reused.0.iter().zip(&fresh.0) {
             assert!(ru.approx_eq(fu, 0.0) && rv.approx_eq(fv, 0.0));
         }
     }
@@ -695,55 +619,40 @@ mod tests {
     #[test]
     fn workspace_stops_growing_after_warmup() {
         let b = Mat4::cnot();
-        let cfg = OptimizerConfig::default();
         let mut ws = Workspace::new();
         let mut rng = StdRng::seed_from_u64(14);
-        let _ = optimize_with_restarts_ws(
-            &Mat4::swap(),
-            &[b, b, b],
-            3,
-            1.0 - 1e-12,
-            &cfg,
-            &mut rng,
-            &mut ws,
-        );
-        let grows_after_first = ws.grows();
+        let _ =
+            optimize_with_restarts(&Mat4::swap(), &[b, b, b], 3, 1.0 - 1e-12, &mut rng, &mut ws);
+        let grows_after_first = ws.grows;
         for seed in 15..18 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let _ = optimize_with_restarts_ws(
+            let _ = optimize_with_restarts(
                 &Mat4::swap(),
                 &[b, b, b],
                 3,
                 1.0 - 1e-12,
-                &cfg,
                 &mut rng,
                 &mut ws,
             );
         }
         assert_eq!(
-            ws.grows(),
-            grows_after_first,
+            ws.grows, grows_after_first,
             "same-size searches must not grow the workspace again"
         );
         // A smaller search whose best restart needs the polish: the polish
         // buffers were sized up front too.
         let mut rng = StdRng::seed_from_u64(23);
-        let run = optimize_with_restarts_ws(
+        let (_, overlap) = optimize_with_restarts(
             &Mat4::cnot(),
             &[near_face_basis(); 2],
             4,
             1.0 - 1e-12,
-            &cfg,
             &mut rng,
             &mut ws,
         );
-        let residual = 4.0 * (1.0 - run.overlap);
+        let residual = 4.0 * (1.0 - overlap);
         assert!(residual <= 1e-12, "polished residual {residual:e}");
-        assert_eq!(
-            ws.grows(),
-            grows_after_first,
-            "the polish grew the workspace"
-        );
+        assert_eq!(ws.grows, grows_after_first, "the polish grew the workspace");
     }
 
     /// A basis gate just inside the CNOT-in-2 face (the Criterion 2 gate
@@ -793,22 +702,20 @@ mod tests {
         let target = Mat4::cnot();
         let bases = [near_face_basis(); 2];
         let mut rng = StdRng::seed_from_u64(21);
-        let start: Vec<_> = (0..3)
-            .map(|_| (haar_su2(&mut rng), haar_su2(&mut rng)))
-            .collect();
-        let cfg = OptimizerConfig::default();
+        let mut ws = Workspace::new();
+        ws.prepare(3);
+        for pair in ws.best.iter_mut() {
+            *pair = (haar_su2(&mut rng), haar_su2(&mut rng));
+        }
         // The full sweep budget ends far above the convergence target...
-        let swept = optimize_locals(&target, &bases, start, &cfg);
-        let swept_residual = 4.0 * (1.0 - swept.overlap);
+        let swept = optimize_slice(&target.adjoint(), &bases, &mut ws.best, &mut ws.suffix);
+        let swept_residual = 4.0 * (1.0 - swept);
         assert!(
             swept_residual < POLISH_THRESHOLD && swept_residual > 1e-10,
             "sweeps residual {swept_residual:e}"
         );
         // ...and the polish of that very run converges.
-        let mut ws = Workspace::new();
-        ws.prepare(3);
-        ws.best.copy_from_slice(&swept.locals);
-        let polished = 4.0 * (1.0 - lm_polish(&target, &target.adjoint(), &bases, &cfg, &mut ws));
+        let polished = 4.0 * (1.0 - lm_polish(&target, &target.adjoint(), &bases, &mut ws));
         assert!(polished <= 1e-12, "LM residual {polished:e}");
         let rebuilt = build_ansatz(&ws.cand, &bases);
         assert!(rebuilt.approx_eq_up_to_phase(&target, 1e-6));
@@ -819,15 +726,15 @@ mod tests {
         // 2 layers of CNOT cannot make SWAP: overlap must stay below 1 but
         // the optimizer should still do clearly better than a random start.
         let mut rng = StdRng::seed_from_u64(6);
-        let run = optimize_with_restarts(
+        let (_, overlap) = optimize_with_restarts(
             &Mat4::swap(),
             &[Mat4::cnot(), Mat4::cnot()],
             6,
             1.0 - 1e-12,
-            &OptimizerConfig::default(),
             &mut rng,
+            &mut Workspace::new(),
         );
-        assert!(run.overlap < 1.0 - 1e-3, "SWAP from 2 CNOTs is impossible");
-        assert!(run.overlap > 0.5, "optimizer made no progress");
+        assert!(overlap < 1.0 - 1e-3, "SWAP from 2 CNOTs is impossible");
+        assert!(overlap > 0.5, "optimizer made no progress");
     }
 }

@@ -5,7 +5,7 @@
 //! inequalities). Those inequality tables are not reproducible offline, so
 //! this workspace substitutes a *certified numerical oracle*: a target is
 //! declared decomposable into the given layers when multi-restart
-//! alternating-SVD synthesis reaches decomposition error below `1e-9`. The
+//! alternating-SVD synthesis reaches decomposition error below `1e-7`. The
 //! oracle is cross-validated against the paper's closed-form region
 //! geometry (Figure 4) in this module's tests and in the `fig4_regions`
 //! bench binary.
@@ -14,55 +14,34 @@ use crate::decomposer::{decompose_with_bases, DecomposerConfig};
 use nsb_math::Mat4;
 use nsb_weyl::{canonical_gate, WeylCoord};
 
-/// Configuration for the numerical oracle; higher `restarts` lowers the
-/// false-negative rate at proportional cost.
-#[derive(Clone, Copy, Debug)]
-pub struct OracleConfig {
-    /// Restarts for the underlying optimizer.
-    pub restarts: usize,
-    /// Error threshold counting as an exact decomposition.
-    pub tol: f64,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for OracleConfig {
-    fn default() -> Self {
-        OracleConfig {
-            restarts: 10,
-            tol: 1e-7,
-            seed: 0xacce5,
-        }
-    }
-}
+/// The oracle's search settings: the decomposer's tolerance, with fewer
+/// restarts and its own seed.
+const ORACLE: DecomposerConfig = DecomposerConfig {
+    tol: 1e-7,
+    restarts: 10,
+    seed: 0xacce5,
+};
 
 /// Numerically decides whether `target` can be written as
 /// `L2 . C . L1 . B . L0` (two layers with possibly different bases).
-pub fn can_decompose_2layer(target: &Mat4, b: &Mat4, c: &Mat4, config: &OracleConfig) -> bool {
-    let cfg = DecomposerConfig {
-        tol: config.tol,
-        restarts: config.restarts,
-        max_layers: 2,
-        seed: config.seed,
-        use_depth_oracle: false,
-    };
-    decompose_with_bases(target, &[*b, *c], &cfg).is_ok()
+pub fn can_decompose_2layer(target: &Mat4, b: &Mat4, c: &Mat4) -> bool {
+    decompose_with_bases(target, &[*b, *c], &ORACLE).is_ok()
 }
 
 /// Numerically decides whether the *class* `basis` can synthesize SWAP in
 /// three layers, via the mirror construction: `G` works iff `G_mirror` is
 /// reachable from two layers of `G` (paper Section V-C).
-pub fn numerical_can_swap_in_3(basis: WeylCoord, config: &OracleConfig) -> bool {
+pub fn numerical_can_swap_in_3(basis: WeylCoord) -> bool {
     let g = canonical_gate(basis.canonicalize());
     let mirror = canonical_gate(basis.mirror());
-    can_decompose_2layer(&mirror, &g, &g, config)
+    can_decompose_2layer(&mirror, &g, &g)
 }
 
 /// Numerically decides whether the class `basis` can synthesize CNOT in two
 /// layers.
-pub fn numerical_can_cnot_in_2(basis: WeylCoord, config: &OracleConfig) -> bool {
+pub fn numerical_can_cnot_in_2(basis: WeylCoord) -> bool {
     let g = canonical_gate(basis.canonicalize());
-    can_decompose_2layer(&Mat4::cnot(), &g, &g, config)
+    can_decompose_2layer(&Mat4::cnot(), &g, &g)
 }
 
 #[cfg(test)]
@@ -74,7 +53,6 @@ mod tests {
 
     #[test]
     fn oracle_agrees_with_region_geometry_on_landmarks() {
-        let cfg = OracleConfig::default();
         for (coord, expect_swap3, expect_cnot2) in [
             (WeylCoord::CNOT, true, true),
             (WeylCoord::ISWAP, true, true),
@@ -84,12 +62,12 @@ mod tests {
             (WeylCoord::new(0.4, 0.2, 0.1), true, true),
         ] {
             assert_eq!(
-                numerical_can_swap_in_3(coord, &cfg),
+                numerical_can_swap_in_3(coord),
                 expect_swap3,
                 "swap3 oracle at {coord}"
             );
             assert_eq!(
-                numerical_can_cnot_in_2(coord, &cfg),
+                numerical_can_cnot_in_2(coord),
                 expect_cnot2,
                 "cnot2 oracle at {coord}"
             );
@@ -111,7 +89,6 @@ mod tests {
     fn oracle_cross_validates_regions_on_random_sample() {
         // Small sample here; the fig4_regions bench runs a large one.
         let mut rng = StdRng::seed_from_u64(77);
-        let cfg = OracleConfig::default();
         let mut checked = 0;
         for _ in 0..12 {
             let p = sample_chamber(&mut rng);
@@ -121,12 +98,12 @@ mod tests {
                 continue;
             }
             assert_eq!(
-                numerical_can_swap_in_3(p, &cfg),
+                numerical_can_swap_in_3(p),
                 can_swap_in_3(p),
                 "swap3 mismatch at {p}"
             );
             assert_eq!(
-                numerical_can_cnot_in_2(p, &cfg),
+                numerical_can_cnot_in_2(p),
                 can_cnot_in_2(p),
                 "cnot2 mismatch at {p}"
             );
