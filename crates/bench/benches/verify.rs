@@ -9,6 +9,9 @@ use nsb_core::compiler::{default_mode, sabre_route, to_verify_ops, Lowerer, Sabr
 use nsb_core::prelude::*;
 use nsb_core::verify::{UnitaryEquivalence, VerifyOp, VerifyTarget, WeylCanonicality};
 
+/// One check's entry point, as the suites call it.
+type Check = fn(&VerifyTarget, &mut VerifyReport);
+
 fn bench_checks(c: &mut Criterion) {
     let device = Device::build(4, 3, DeviceConfig::fast_test()).expect("bench device");
     let strategy = BasisStrategy::Criterion2;
@@ -36,31 +39,27 @@ fn bench_checks(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("verify/qft10_criterion2");
     group.sample_size(20);
-    for (name, suite) in [
-        ("unitary_equivalence", single(UnitaryEquivalence)),
-        ("weyl_canonicality", single(WeylCanonicality)),
-    ] {
+    let checks: [(&str, Check); 2] = [
+        ("unitary_equivalence", UnitaryEquivalence::check),
+        ("weyl_canonicality", WeylCanonicality::check),
+    ];
+    for (name, check) in checks {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let report = suite.run(&target);
+                let mut report = VerifyReport::default();
+                check(&target, &mut report);
                 assert!(report.is_clean(), "{report}");
             })
         });
     }
-    let equivalence = single(UnitaryEquivalence);
     group.bench_function("unitary_equivalence_wrong_local", |b| {
         b.iter(|| {
-            let report = equivalence.run(&wrong_target);
+            let mut report = VerifyReport::default();
+            UnitaryEquivalence::check(&wrong_target, &mut report);
             assert!(!report.is_clean(), "a wrong local passed: {report}");
         })
     });
     group.finish();
-}
-
-fn single<V: nsb_core::verify::Verifier + 'static>(check: V) -> VerifierSuite {
-    let mut suite = VerifierSuite::empty();
-    suite.push(check);
-    suite
 }
 
 criterion_group!(benches, bench_checks);

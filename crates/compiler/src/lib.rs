@@ -48,4 +48,4 @@ pub use schedule::{schedule, Schedule};
 
 // Re-export the verification vocabulary so downstream crates can configure
 // the pipeline without depending on nsb-verify directly.
-pub use nsb_verify::{VerifyConfig, VerifyLevel, VerifyReport};
+pub use nsb_verify::{VerifyLevel, VerifyReport};

@@ -2,7 +2,7 @@
 
 use crate::error::ServiceError;
 use nsb_circuit::Circuit;
-use nsb_compiler::{CompiledCircuit, LoweringMode, VerifyLevel};
+use nsb_compiler::{CompiledCircuit, VerifyLevel};
 use nsb_device::BasisStrategy;
 use nsb_verify::VerifyReport;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,9 +17,6 @@ pub struct JobSpec {
     pub circuit: Circuit,
     /// Basis-gate strategy to compile with.
     pub strategy: BasisStrategy,
-    /// Lowering mode override; `None` uses the strategy's default
-    /// ([`nsb_compiler::default_mode`]).
-    pub mode: Option<LoweringMode>,
     /// Optional wall-clock budget, measured from submission. Jobs whose
     /// deadline elapses — even while still queued — fail with
     /// [`ServiceError::DeadlineExceeded`].
@@ -38,16 +35,9 @@ impl JobSpec {
         JobSpec {
             circuit,
             strategy,
-            mode: None,
             deadline: None,
             verify: VerifyLevel::from_env(),
         }
-    }
-
-    /// Sets a lowering-mode override.
-    pub fn with_mode(mut self, mode: LoweringMode) -> Self {
-        self.mode = Some(mode);
-        self
     }
 
     /// Sets the verification level (see [`JobSpec::verify`]).
@@ -64,9 +54,8 @@ impl JobSpec {
 }
 
 /// A successful job's full output: the compiled circuit plus, when the
-/// job was verified (its own [`VerifyLevel`] or the service's sampling
-/// mode — see `ServiceConfig::verify_sample`), the clean verification
-/// report. Jobs whose verification found violations fail with the report
+/// job was verified (its [`VerifyLevel`] enabled verification), the clean
+/// verification report. Jobs whose verification found violations fail with the report
 /// inside the error instead.
 #[derive(Clone, Debug)]
 pub struct JobOutput {
@@ -119,8 +108,7 @@ impl JobHandle {
     }
 
     /// Blocks until the job finishes and returns its full output,
-    /// including the clean [`VerifyReport`] when the job was verified
-    /// (explicitly or through the service's sampling mode).
+    /// including the clean [`VerifyReport`] when the job was verified.
     ///
     /// # Errors
     ///

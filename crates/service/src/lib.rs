@@ -27,8 +27,10 @@
 //! transpiler's inter-pass verifier suites run, and the job is rejected —
 //! with the full violation report and the stage it failed after — if any
 //! static check fails; verified successes carry their clean report
-//! ([`JobHandle::wait_full`]), and [`ServiceConfig::verify_sample`]
-//! spot-checks every Nth job. Everything is `std`-only.
+//! ([`JobHandle::wait_full`]). The job's
+//! [`VerifyLevel`](nsb_compiler::VerifyLevel) reaches the transpiler
+//! unchanged, so the service verifies exactly what the transpiler would.
+//! Everything is `std`-only.
 //!
 //! For multiple devices, a [`ServicePool`] runs one service per
 //! calibration and routes jobs by [`JobRoute`]; given a store directory

@@ -31,10 +31,6 @@ pub struct ServiceMetrics {
     pub verify_nanos: AtomicU64,
     /// Jobs whose output ran through the verifier suite.
     pub jobs_verified: AtomicU64,
-    /// Jobs verified only because the service's sampling mode
-    /// (`ServiceConfig::verify_sample`) picked them (a subset of
-    /// `jobs_verified`).
-    pub jobs_verify_sampled: AtomicU64,
     /// Total verifier violations across all verified jobs (every one of
     /// these also failed its job with a verification error).
     pub verification_violations: AtomicU64,
@@ -64,7 +60,7 @@ impl ServiceMetrics {
             "service metrics\n\
              \x20 jobs: {} submitted, {} completed, {} failed, {} timed out, {} canceled\n\
              \x20 queue depth: {}\n\
-             \x20 verification: {} jobs verified ({} sampled), {} violations\n\
+             \x20 verification: {} jobs verified, {} violations\n\
              \x20 stage latency sums: route {:.1} ms, lower {:.1} ms, schedule {:.1} ms, \
              verify {:.1} ms",
             load(&self.jobs_submitted),
@@ -74,7 +70,6 @@ impl ServiceMetrics {
             load(&self.jobs_canceled),
             load(&self.queue_depth),
             load(&self.jobs_verified),
-            load(&self.jobs_verify_sampled),
             load(&self.verification_violations),
             ms(&self.route_nanos),
             ms(&self.lower_nanos),

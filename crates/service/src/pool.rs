@@ -394,7 +394,6 @@ mod tests {
             workers: 1,
             queue_capacity: 16,
             cache_capacity: 128,
-            ..ServiceConfig::default()
         }
     }
 

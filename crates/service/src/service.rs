@@ -7,10 +7,9 @@ use crate::cache::SharedSynthCache;
 use crate::error::ServiceError;
 use crate::job::{Job, JobHandle, JobOutput, JobSpec};
 use crate::metrics::ServiceMetrics;
-use nsb_compiler::{default_mode, CompileError, Stage, Transpiler, VerifyLevel};
+use nsb_compiler::{CompileError, Stage, Transpiler};
 use nsb_device::Device;
 use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError};
-use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -32,12 +31,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Approximate shared synthesis-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Verification sampling: `Some(n)` runs the full verifier suite on
-    /// every `n`-th job *in addition to* jobs that request verification
-    /// themselves — spot checks for high-throughput deployments where
-    /// verifying every job is too expensive. `Some(1)` verifies
-    /// everything; `None` (the default) samples nothing.
-    pub verify_sample: Option<NonZeroU64>,
 }
 
 impl Default for ServiceConfig {
@@ -49,7 +42,6 @@ impl Default for ServiceConfig {
                 .min(8),
             queue_capacity: 256,
             cache_capacity: 4096,
-            verify_sample: None,
         }
     }
 }
@@ -72,29 +64,6 @@ pub struct CompileService {
     workers: Vec<JoinHandle<()>>,
 }
 
-/// Per-worker verification-sampling state: a shared job counter plus the
-/// configured stride. `None` stride disables sampling.
-#[derive(Clone)]
-struct SampleState {
-    stride: Option<NonZeroU64>,
-    counter: Arc<AtomicU64>,
-}
-
-impl SampleState {
-    /// Whether the next job should be verified by sampling. Advances the
-    /// shared counter only when sampling is enabled, so the stride is
-    /// exact across all workers.
-    fn pick(&self) -> bool {
-        match self.stride {
-            Some(n) => self
-                .counter
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(n.get()),
-            None => false,
-        }
-    }
-}
-
 impl CompileService {
     /// Starts the worker pool for `device`.
     ///
@@ -112,17 +81,12 @@ impl CompileService {
         let cache = Arc::new(SharedSynthCache::new(config.cache_capacity));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity.max(1)));
         let accepting = Arc::new(AtomicBool::new(true));
-        let sampling = SampleState {
-            stride: config.verify_sample,
-            counter: Arc::new(AtomicU64::new(0)),
-        };
         let mut workers = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
             let device = device.clone();
             let queue_for_worker = queue.clone();
             let cache = cache.clone();
             let metrics = metrics.clone();
-            let sampling = sampling.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("nsb-service-worker-{i}"))
                 .spawn(move || {
@@ -131,7 +95,6 @@ impl CompileService {
                         &queue_for_worker,
                         &cache,
                         &metrics,
-                        &sampling,
                         synthesis_threads,
                     )
                 });
@@ -292,19 +255,11 @@ fn worker_loop(
     queue: &BoundedQueue<Job>,
     cache: &Arc<SharedSynthCache>,
     metrics: &ServiceMetrics,
-    sampling: &SampleState,
     synthesis_threads: usize,
 ) {
     while let Some(job) = queue.pop() {
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let outcome = run_job(
-            device,
-            cache,
-            metrics,
-            &job,
-            sampling.pick(),
-            synthesis_threads,
-        );
+        let outcome = run_job(device, cache, metrics, &job, synthesis_threads);
         match &outcome {
             Ok(_) => metrics.jobs_completed.fetch_add(1, Ordering::Relaxed),
             Err(ServiceError::Canceled) => metrics.jobs_canceled.fetch_add(1, Ordering::Relaxed),
@@ -333,29 +288,22 @@ fn abort_check(job: &Job, stage: &'static str) -> Result<(), ServiceError> {
 
 /// Compiles one job with [`Transpiler::compile_staged`]. The stage hook
 /// records stage latencies and checks cancellation and the deadline after
-/// route, lower and schedule. `sampled` forces verification for this job
-/// (the service's sampling mode picked it) even if the spec itself runs
-/// unverified.
+/// route, lower and schedule. The job's verification level goes to the
+/// transpiler unchanged, so the service verifies exactly what the
+/// transpiler would.
 fn run_job(
     device: &Device,
     cache: &Arc<SharedSynthCache>,
     metrics: &ServiceMetrics,
     job: &Job,
-    sampled: bool,
     synthesis_threads: usize,
 ) -> Result<JobOutput, ServiceError> {
     abort_check(job, "queued")?;
     let spec = &job.spec;
-    let verify = if spec.verify.is_enabled() || sampled {
-        VerifyLevel::Full
-    } else {
-        VerifyLevel::Off
-    };
     let outcome = Transpiler::new(device, spec.strategy)
-        .with_mode(spec.mode.unwrap_or_else(|| default_mode(spec.strategy)))
         .with_shared_cache(cache.clone())
         .with_synthesis_threads(synthesis_threads)
-        .with_verification(verify)
+        .with_verification(spec.verify)
         .compile_staged(&spec.circuit, |stage, elapsed| {
             metrics.record_stage(stage, elapsed);
             match stage {
@@ -370,9 +318,6 @@ fn run_job(
     };
     if let Some(report) = report {
         metrics.jobs_verified.fetch_add(1, Ordering::Relaxed);
-        if !spec.verify.is_enabled() {
-            metrics.jobs_verify_sampled.fetch_add(1, Ordering::Relaxed);
-        }
         metrics
             .verification_violations
             .fetch_add(report.violations.len() as u64, Ordering::Relaxed);
@@ -397,7 +342,6 @@ mod tests {
             workers: 2,
             queue_capacity: 16,
             cache_capacity: 256,
-            ..ServiceConfig::default()
         }
     }
 
@@ -444,7 +388,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 1,
                 cache_capacity: 16,
-                ..ServiceConfig::default()
             },
         )
         .expect("service");
@@ -479,7 +422,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 16,
                 cache_capacity: 256,
-                ..ServiceConfig::default()
             },
         )
         .expect("service");
@@ -515,7 +457,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 16,
                 cache_capacity: 256,
-                ..ServiceConfig::default()
             },
         )
         .expect("service");
@@ -570,39 +511,8 @@ mod tests {
             .wait_full()
             .expect("unverified compile");
         assert!(unverified.verify.is_none());
-    }
-
-    #[test]
-    fn verify_sampling_checks_every_nth_job() {
-        use nsb_verify::VerifyLevel;
-        let service = CompileService::new(
-            test_device(),
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 16,
-                cache_capacity: 256,
-                verify_sample: NonZeroU64::new(2),
-            },
-        )
-        .expect("service");
-        let mut reports = 0;
-        for _ in 0..4 {
-            let out = service
-                .submit(
-                    JobSpec::new(generators::ghz(3), BasisStrategy::Criterion1)
-                        .with_verification(VerifyLevel::Off),
-                )
-                .expect("submit")
-                .wait_full()
-                .expect("compile");
-            if out.verify.is_some() {
-                reports += 1;
-            }
-        }
         let m = service.metrics();
-        assert_eq!(m.jobs_verified.load(Ordering::Relaxed), 2);
-        assert_eq!(m.jobs_verify_sampled.load(Ordering::Relaxed), 2);
-        assert_eq!(reports, 2, "sampled jobs still surface their report");
+        assert_eq!(m.jobs_verified.load(Ordering::Relaxed), 1);
         assert_eq!(m.verification_violations.load(Ordering::Relaxed), 0);
     }
 
@@ -658,7 +568,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 16,
                 cache_capacity: 256,
-                ..ServiceConfig::default()
             },
         )
         .expect("service");

@@ -53,7 +53,6 @@ fn concurrent_results_match_serial_exactly() {
                 workers: 4,
                 queue_capacity: 4 * jobs.len(),
                 cache_capacity: 1024,
-                ..ServiceConfig::default()
             },
         )
         .expect("start service"),

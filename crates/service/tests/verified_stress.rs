@@ -93,7 +93,6 @@ fn verified_concurrent_results_match_serial_and_stay_clean() {
                 workers: 4,
                 queue_capacity: 4 * jobs.len(),
                 cache_capacity: 1024,
-                ..ServiceConfig::default()
             },
         )
         .expect("start service"),

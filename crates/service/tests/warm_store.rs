@@ -25,7 +25,6 @@ fn config() -> ServiceConfig {
         workers: 2,
         queue_capacity: 64,
         cache_capacity: 1024,
-        ..ServiceConfig::default()
     }
 }
 

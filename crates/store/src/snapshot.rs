@@ -9,6 +9,7 @@ use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Why a store operation failed.
 ///
@@ -166,9 +167,13 @@ impl SnapshotStore {
             encode_record(&mut bytes, entry);
         }
         let target = self.path_for(calibration_hash);
+        // Unique per call: clones of a store in one process may save the
+        // same calibration concurrently, and each needs its own temp file.
+        static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
         let tmp = self.dir.join(format!(
-            ".synth-{calibration_hash:016x}.tmp-{}",
-            std::process::id()
+            ".synth-{calibration_hash:016x}.tmp-{}-{}",
+            std::process::id(),
+            NEXT_TMP.fetch_add(1, Ordering::Relaxed)
         ));
         let io_err = |path: &Path, op: &'static str, e: std::io::Error| StoreError::Io {
             path: path.to_path_buf(),

@@ -142,3 +142,42 @@ fn save_overwrites_atomically() {
     assert!(leftovers.is_empty(), "{leftovers:?}");
     let _ = std::fs::remove_dir_all(store.dir());
 }
+
+#[test]
+fn concurrent_saves_of_one_calibration_all_succeed() {
+    // Clones of one store saving the same calibration from several threads
+    // must not share a temporary file. The barrier starts every round's
+    // four saves together.
+    let store = temp_store("concurrent");
+    let all = entries();
+    let start = std::sync::Barrier::new(4);
+    let failures: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let (store, all, start) = (store.clone(), &all, &start);
+                scope.spawn(move || {
+                    (0..20)
+                        .filter_map(|_| {
+                            start.wait();
+                            store.save(9, all).err().map(|e| e.to_string())
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("saver thread"))
+            .collect()
+    });
+    assert!(
+        failures.is_empty(),
+        "{} of 80 saves failed, first: {}",
+        failures.len(),
+        failures[0]
+    );
+    let outcome = store.load(9).expect("load");
+    assert_eq!(outcome.report.skipped, 0);
+    assert_eq!(outcome.report.loaded, all.len());
+    let _ = std::fs::remove_dir_all(store.dir());
+}

@@ -1,58 +1,30 @@
 //! The standard battery of static checks.
 //!
-//! Each check is a [`Verifier`] that re-derives one invariant from first
-//! principles — device calibration tables, the Weyl chamber geometry, an
-//! independent schedule recomputation, a miter reduction backed by
-//! statevector simulation — and reports every place the compiled program
-//! breaks it.
+//! Each check is a unit struct whose `check` re-derives one invariant from
+//! first principles — device calibration tables, the Weyl chamber
+//! geometry, an independent schedule recomputation, a miter reduction
+//! backed by statevector simulation — and reports every place the compiled
+//! program breaks it.
 
 use crate::report::{VerifyReport, Violation, ViolationKind};
-use crate::suite::Verifier;
 use crate::target::{ScheduleFacts, VerifyOp, VerifyTarget};
 use nsb_circuit::{Circuit, Gate, Operation, StateVector};
 use nsb_math::{svd2, Complex64, Mat2, Mat4};
 use nsb_weyl::{kak_vector, WeylCoord};
 use std::collections::HashMap;
 
-/// Tolerances and limits shared by all checks.
-#[derive(Clone, Copy, Debug)]
-pub struct VerifyConfig {
-    /// Element-wise tolerance for unitarity and gate-matrix comparisons.
-    pub unitary_tol: f64,
-    /// Tolerance for Cartan-coordinate class comparisons.
-    pub coord_tol: f64,
-    /// Absolute tolerance (ns) for schedule times and durations.
-    pub schedule_tol: f64,
-    /// Maximum tolerated probe-state infidelity for the unitary-equivalence
-    /// check: a program passes when its minimum probe overlap, less the
-    /// [`Miter::bound`] on the reduction's error, is at least
-    /// `1 - overlap_tol`. Basis gates are characterized through a simulated
-    /// tomography noise model, so exact equivalence is not expected; the
-    /// default admits that calibration noise.
-    pub overlap_tol: f64,
-    /// Largest residual the equivalence check will simulate. The check
-    /// simulates only the qubits touched by two-qubit blocks its miter
-    /// reduction could not cancel (none for a correct lowering, whatever
-    /// the register size); a residual on more qubits skips the check
-    /// (recorded in the report).
-    pub max_sim_qubits: usize,
-    /// Fraction of the device coherence time a qubit's active window may
-    /// occupy before the schedule check flags it.
-    pub coherence_budget: f64,
-}
-
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        VerifyConfig {
-            unitary_tol: 1e-6,
-            coord_tol: 1e-6,
-            schedule_tol: 1e-6,
-            overlap_tol: 1e-2,
-            max_sim_qubits: 12,
-            coherence_budget: 1.0,
-        }
-    }
-}
+/// Element-wise tolerance for unitarity and gate-matrix comparisons.
+const UNITARY_TOL: f64 = 1e-6;
+/// Tolerance for Cartan-coordinate class comparisons.
+const COORD_TOL: f64 = 1e-6;
+/// Absolute tolerance (ns) for schedule times and durations.
+const SCHEDULE_TOL: f64 = 1e-6;
+/// Largest residual the equivalence check will simulate. The check
+/// simulates only the qubits touched by two-qubit blocks its miter
+/// reduction could not cancel (none for a correct lowering, whatever the
+/// register size); a residual on more qubits skips the check (recorded in
+/// the report).
+const MAX_SIM_QUBITS: usize = 12;
 
 fn violation(
     check: &'static str,
@@ -76,19 +48,21 @@ fn violation(
 /// calibrated duration.
 pub struct BasisLegality;
 
-impl Verifier for BasisLegality {
-    fn name(&self) -> &'static str {
-        "basis-legality"
-    }
+impl BasisLegality {
+    /// The check's name in reports.
+    pub const NAME: &'static str = "basis-legality";
 
-    fn verify(&self, target: &VerifyTarget, config: &VerifyConfig, report: &mut VerifyReport) {
+    /// Records the check in `report.checks_run` and appends every
+    /// violation it finds in `target`.
+    pub fn check(target: &VerifyTarget, report: &mut VerifyReport) {
+        report.checks_run.push(Self::NAME);
         let topo = target.device.topology();
         for (i, op) in target.ops.iter().enumerate() {
             match op {
                 VerifyOp::Local { qubit, unitary } => {
-                    if !unitary.is_unitary(config.unitary_tol) {
+                    if !unitary.is_unitary(UNITARY_TOL) {
                         report.violations.push(violation(
-                            self.name(),
+                            Self::NAME,
                             ViolationKind::IllegalBasisGate,
                             Some(i),
                             vec![*qubit],
@@ -110,7 +84,7 @@ impl Verifier for BasisLegality {
                     let basis = cal.basis(target.strategy);
                     if *qubits != cal.gate_order {
                         report.violations.push(violation(
-                            self.name(),
+                            Self::NAME,
                             ViolationKind::IllegalBasisGate,
                             Some(i),
                             vec![qubits.0, qubits.1],
@@ -121,9 +95,9 @@ impl Verifier for BasisLegality {
                         ));
                         continue;
                     }
-                    if (*duration - basis.duration).abs() > config.schedule_tol {
+                    if (*duration - basis.duration).abs() > SCHEDULE_TOL {
                         report.violations.push(violation(
-                            self.name(),
+                            Self::NAME,
                             ViolationKind::IllegalBasisGate,
                             Some(i),
                             vec![qubits.0, qubits.1],
@@ -133,9 +107,9 @@ impl Verifier for BasisLegality {
                             ),
                         ));
                     }
-                    if !unitary.approx_eq_up_to_phase(&basis.gate, config.unitary_tol) {
+                    if !unitary.approx_eq_up_to_phase(&basis.gate, UNITARY_TOL) {
                         report.violations.push(violation(
-                            self.name(),
+                            Self::NAME,
                             ViolationKind::IllegalBasisGate,
                             Some(i),
                             vec![qubits.0, qubits.1],
@@ -158,19 +132,21 @@ impl Verifier for BasisLegality {
 /// on a coupled pair of the device topology.
 pub struct ConnectivityLegality;
 
-impl Verifier for ConnectivityLegality {
-    fn name(&self) -> &'static str {
-        "connectivity-legality"
-    }
+impl ConnectivityLegality {
+    /// The check's name in reports.
+    pub const NAME: &'static str = "connectivity-legality";
 
-    fn verify(&self, target: &VerifyTarget, _config: &VerifyConfig, report: &mut VerifyReport) {
+    /// Records the check in `report.checks_run` and appends every
+    /// violation it finds in `target`.
+    pub fn check(target: &VerifyTarget, report: &mut VerifyReport) {
+        report.checks_run.push(Self::NAME);
         let topo = target.device.topology();
         let n = topo.n_qubits();
         for (i, op) in target.ops.iter().enumerate() {
             let qs = op.qubits();
             if let Some(&q) = qs.iter().find(|&&q| q >= n) {
                 report.violations.push(violation(
-                    self.name(),
+                    Self::NAME,
                     ViolationKind::QubitOutOfRange,
                     Some(i),
                     qs.clone(),
@@ -181,7 +157,7 @@ impl Verifier for ConnectivityLegality {
             if let VerifyOp::TwoQubit { qubits, .. } = op {
                 if qubits.0 == qubits.1 || !topo.are_adjacent(qubits.0, qubits.1) {
                     report.violations.push(violation(
-                        self.name(),
+                        Self::NAME,
                         ViolationKind::UncoupledPair,
                         Some(i),
                         vec![qubits.0, qubits.1],
@@ -196,7 +172,7 @@ impl Verifier for ConnectivityLegality {
                     let (a, b) = (op.qubits[0], op.qubits[1]);
                     if a >= n || b >= n || a == b || !topo.are_adjacent(a, b) {
                         report.violations.push(violation(
-                            self.name(),
+                            Self::NAME,
                             ViolationKind::UncoupledPair,
                             Some(i),
                             vec![a, b],
@@ -216,12 +192,14 @@ impl Verifier for ConnectivityLegality {
 /// the producer's bookkeeping is broken.
 pub struct WeylCanonicality;
 
-impl Verifier for WeylCanonicality {
-    fn name(&self) -> &'static str {
-        "weyl-canonicality"
-    }
+impl WeylCanonicality {
+    /// The check's name in reports.
+    pub const NAME: &'static str = "weyl-canonicality";
 
-    fn verify(&self, target: &VerifyTarget, config: &VerifyConfig, report: &mut VerifyReport) {
+    /// Records the check in `report.checks_run` and appends every
+    /// violation it finds in `target`.
+    pub fn check(target: &VerifyTarget, report: &mut VerifyReport) {
+        report.checks_run.push(Self::NAME);
         let topo = target.device.topology();
         // A lowered program applies each edge's few calibrated entanglers
         // over and over, so the recomputed class is memoized on the exact
@@ -237,14 +215,12 @@ impl Verifier for WeylCanonicality {
             else {
                 continue;
             };
-            let class = *classes.entry(mat4_bits(unitary)).or_insert_with(|| {
-                unitary
-                    .is_unitary(config.unitary_tol)
-                    .then(|| kak_vector(unitary))
-            });
+            let class = *classes
+                .entry(mat4_bits(unitary))
+                .or_insert_with(|| unitary.is_unitary(UNITARY_TOL).then(|| kak_vector(unitary)));
             let Some(actual) = class else {
                 report.violations.push(violation(
-                    self.name(),
+                    Self::NAME,
                     ViolationKind::NonCanonicalWeyl,
                     Some(i),
                     vec![qubits.0, qubits.1],
@@ -253,17 +229,17 @@ impl Verifier for WeylCanonicality {
                 continue;
             };
             if let Some(claimed) = coord {
-                if !claimed.in_chamber(config.coord_tol) {
+                if !claimed.in_chamber(COORD_TOL) {
                     report.violations.push(violation(
-                        self.name(),
+                        Self::NAME,
                         ViolationKind::NonCanonicalWeyl,
                         Some(i),
                         vec![qubits.0, qubits.1],
                         format!("claimed coordinate {claimed} lies outside the Weyl chamber"),
                     ));
-                } else if !claimed.class_eq(actual, config.coord_tol) {
+                } else if !claimed.class_eq(actual, COORD_TOL) {
                     report.violations.push(violation(
-                        self.name(),
+                        Self::NAME,
                         ViolationKind::NonCanonicalWeyl,
                         Some(i),
                         vec![qubits.0, qubits.1],
@@ -273,9 +249,9 @@ impl Verifier for WeylCanonicality {
             }
             if let Some(edge) = topo.edge_index(qubits.0, qubits.1) {
                 let basis = target.device.edges()[edge].basis(target.strategy);
-                if !actual.class_eq(basis.coord, config.coord_tol) {
+                if !actual.class_eq(basis.coord, COORD_TOL) {
                     report.violations.push(violation(
-                        self.name(),
+                        Self::NAME,
                         ViolationKind::NonCanonicalWeyl,
                         Some(i),
                         vec![qubits.0, qubits.1],
@@ -307,7 +283,7 @@ fn mat4_bits(m: &Mat4) -> [u64; 32] {
 /// Check 4: the claimed schedule is consistent with an independent
 /// ASAP/ALAP recomputation from the operation list, its times are sane
 /// (non-negative, ordered, within the total duration), and every qubit's
-/// active window fits inside the coherence budget.
+/// active window fits inside the device's coherence time.
 pub struct ScheduleSanity;
 
 impl ScheduleSanity {
@@ -371,27 +347,27 @@ impl ScheduleSanity {
             local_count,
         }
     }
-}
 
-impl Verifier for ScheduleSanity {
-    fn name(&self) -> &'static str {
-        "schedule-sanity"
-    }
+    /// The check's name in reports.
+    pub const NAME: &'static str = "schedule-sanity";
 
-    fn verify(&self, target: &VerifyTarget, config: &VerifyConfig, report: &mut VerifyReport) {
+    /// Records the check in `report.checks_run` and appends every
+    /// violation it finds in `target`.
+    pub fn check(target: &VerifyTarget, report: &mut VerifyReport) {
+        report.checks_run.push(Self::NAME);
         let n = target.device.topology().n_qubits();
         let t_1q = target.device.config().t_1q;
-        let tol = config.schedule_tol;
+        let tol = SCHEDULE_TOL;
         let recomputed = Self::recompute(&target.ops, n, t_1q);
         let push = |report: &mut VerifyReport, kind, qubits: Vec<usize>, message: String| {
             report
                 .violations
-                .push(violation("schedule-sanity", kind, None, qubits, message));
+                .push(violation(Self::NAME, kind, None, qubits, message));
         };
         // Intrinsic sanity and coherence budget on the effective facts
         // (the claimed schedule when provided, otherwise the recomputation).
         let facts = target.schedule.as_ref().unwrap_or(&recomputed);
-        let budget = config.coherence_budget * target.device.config().coherence_time;
+        let budget = target.device.config().coherence_time;
         for q in 0..facts.windows.len().min(facts.busy.len()) {
             let busy = facts.busy[q];
             if busy < -tol {
@@ -526,7 +502,7 @@ impl Verifier for ScheduleSanity {
 /// source circuit over a fixed family of product probe states, established
 /// by reducing the [`Miter`] of the two and simulating only what does not
 /// reduce. Skipped — and recorded as skipped — when no source is attached
-/// or that residual spans more than `max_sim_qubits` qubits.
+/// or that residual spans more than 12 qubits.
 pub struct UnitaryEquivalence;
 
 impl UnitaryEquivalence {
@@ -567,18 +543,25 @@ impl UnitaryEquivalence {
         probes.push(mixed);
         probes
     }
-}
 
-impl Verifier for UnitaryEquivalence {
-    fn name(&self) -> &'static str {
-        "unitary-equivalence"
-    }
+    /// The check's name in reports.
+    pub const NAME: &'static str = "unitary-equivalence";
 
-    fn verify(&self, target: &VerifyTarget, config: &VerifyConfig, report: &mut VerifyReport) {
+    /// Maximum tolerated probe-state infidelity: a program passes when its
+    /// minimum probe overlap, less the [`Miter::bound`] on the reduction's
+    /// error, is at least `1 - OVERLAP_TOL`. Basis gates are characterized
+    /// through a simulated tomography noise model, so exact equivalence is
+    /// not expected; this admits that calibration noise.
+    pub const OVERLAP_TOL: f64 = 1e-2;
+
+    /// Records the check in `report.checks_run` and appends every
+    /// violation it finds in `target`.
+    pub fn check(target: &VerifyTarget, report: &mut VerifyReport) {
+        report.checks_run.push(Self::NAME);
         let Some(source) = target.source else {
             report
                 .skipped
-                .push((self.name(), "no source circuit attached".into()));
+                .push((Self::NAME, "no source circuit attached".into()));
             return;
         };
         let n = target.device.topology().n_qubits();
@@ -589,29 +572,29 @@ impl Verifier for UnitaryEquivalence {
             })
         {
             report.skipped.push((
-                self.name(),
+                Self::NAME,
                 "register mismatch or malformed ops (reported by other checks)".into(),
             ));
             return;
         }
         let miter = Miter::new(&target.ops, source);
         let residual = miter.residual_qubits().len();
-        if residual > config.max_sim_qubits {
+        if residual > MAX_SIM_QUBITS {
             report.skipped.push((
-                self.name(),
+                Self::NAME,
                 format!(
                     "the unreduced residual spans {residual} qubits, beyond the \
                      {}-qubit simulation limit",
-                    config.max_sim_qubits
+                    MAX_SIM_QUBITS
                 ),
             ));
             return;
         }
         let min_overlap = miter.min_overlap();
-        let floor = 1.0 - config.overlap_tol;
+        let floor = 1.0 - Self::OVERLAP_TOL;
         if min_overlap - miter.bound() < floor {
             report.violations.push(violation(
-                self.name(),
+                Self::NAME,
                 ViolationKind::UnitaryMismatch,
                 None,
                 Vec::new(),

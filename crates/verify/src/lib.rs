@@ -9,13 +9,15 @@
 //! reports every violation, instead of trusting the pipeline that produced
 //! the program.
 //!
-//! The design is deliberately pass-like: a [`Verifier`] is one check, a
-//! [`VerifierSuite`] is an ordered battery of them, and a [`VerifyTarget`]
-//! is the program under inspection expressed in the verifier's own minimal
-//! IR ([`VerifyOp`]) so no compiler internals are trusted. The compiler
-//! converts its lowered output at the verification boundary and runs the
-//! suite between passes; the compile service surfaces violation counts in
-//! its metrics.
+//! The battery is fixed: each check is a unit struct with a `check`
+//! function, a [`VerifierSuite`] is one of the two batteries the pipeline
+//! runs ([`structural`](VerifierSuite::structural) after routing,
+//! [`standard`](VerifierSuite::standard) after lowering), and a
+//! [`VerifyTarget`] is the program under inspection expressed in the
+//! verifier's own minimal IR ([`VerifyOp`]) so no compiler internals are
+//! trusted. The compiler converts its lowered output at the verification
+//! boundary and runs the suites between passes; the compile service
+//! surfaces violation counts in its metrics.
 //!
 //! # Examples
 //!
@@ -55,9 +57,9 @@ mod suite;
 mod target;
 
 pub use checks::{
-    BasisLegality, ConnectivityLegality, Miter, ScheduleSanity, UnitaryEquivalence, VerifyConfig,
+    BasisLegality, ConnectivityLegality, Miter, ScheduleSanity, UnitaryEquivalence,
     WeylCanonicality,
 };
 pub use report::{VerifyLevel, VerifyReport, Violation, ViolationKind};
-pub use suite::{Verifier, VerifierSuite};
+pub use suite::VerifierSuite;
 pub use target::{ScheduleFacts, VerifyOp, VerifyTarget};

@@ -4,8 +4,8 @@ use std::fmt;
 
 /// The kind of invariant a check found broken.
 ///
-/// Each [`Verifier`](crate::Verifier) in the standard suite reports one or
-/// two kinds, so a report can be asserted on precisely in tests.
+/// Each check in the standard suite reports one or two kinds, so a report
+/// can be asserted on precisely in tests.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ViolationKind {
     /// A two-qubit operation's unitary (or duration, or operand order) does
@@ -23,7 +23,7 @@ pub enum ViolationKind {
     /// The reported schedule disagrees with the one recomputed from the
     /// operation list (counts, busy times, duration or windows).
     ScheduleInconsistent,
-    /// A qubit's active window exceeds the configured coherence budget.
+    /// A qubit's active window exceeds the device's coherence time.
     CoherenceExceeded,
     /// The lowered program is not unitarily equivalent to its synthesis
     /// source within tolerance.
@@ -50,7 +50,8 @@ impl fmt::Display for ViolationKind {
 pub struct Violation {
     /// What was broken.
     pub kind: ViolationKind,
-    /// The check that found it (see [`Verifier::name`](crate::Verifier::name)).
+    /// The check that found it (its `NAME`, e.g.
+    /// [`BasisLegality::NAME`](crate::BasisLegality::NAME)).
     pub check: &'static str,
     /// Index into the verified operation list, when the violation is
     /// attributable to a single operation.

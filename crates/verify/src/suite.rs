@@ -1,100 +1,43 @@
-//! The pass-style verifier framework: the [`Verifier`] trait and the
-//! [`VerifierSuite`] that runs a battery of checks over one target.
+//! The two fixed verifier batteries the pipeline runs.
 
 use crate::checks::{
-    BasisLegality, ConnectivityLegality, ScheduleSanity, UnitaryEquivalence, VerifyConfig,
-    WeylCanonicality,
+    BasisLegality, ConnectivityLegality, ScheduleSanity, UnitaryEquivalence, WeylCanonicality,
 };
 use crate::report::VerifyReport;
 use crate::target::VerifyTarget;
 
-/// One static check over a compiled program.
+/// One of the two fixed batteries of checks over a compiled program.
 ///
-/// A verifier never mutates the target and never stops early: it reports
-/// *every* violation it finds so a single run gives the full picture. It
-/// must be `Send + Sync` because the compile service runs suites from
-/// worker threads.
-pub trait Verifier: Send + Sync {
-    /// Stable name used in reports and diagnostics.
-    fn name(&self) -> &'static str;
-    /// Examines the target and appends violations (or a skip record) to
-    /// the report.
-    fn verify(&self, target: &VerifyTarget, config: &VerifyConfig, report: &mut VerifyReport);
-}
-
-/// An ordered battery of [`Verifier`]s sharing one [`VerifyConfig`].
+/// Every check reports *every* violation it finds, so a single run gives
+/// the full picture; the target is never mutated.
+#[derive(Clone, Copy, Debug)]
 pub struct VerifierSuite {
-    config: VerifyConfig,
-    verifiers: Vec<Box<dyn Verifier>>,
-}
-
-impl Default for VerifierSuite {
-    fn default() -> Self {
-        VerifierSuite::standard()
-    }
+    equivalence: bool,
 }
 
 impl VerifierSuite {
     /// The full battery: basis legality, connectivity, Weyl canonicality,
     /// schedule sanity and unitary equivalence.
     pub fn standard() -> Self {
-        let mut suite = VerifierSuite::structural();
-        suite.push(UnitaryEquivalence);
-        suite
+        VerifierSuite { equivalence: true }
     }
 
     /// The four purely structural checks (no statevector simulation) —
     /// cheap enough to run on every compilation of any size.
     pub fn structural() -> Self {
-        let mut suite = VerifierSuite::empty();
-        suite.push(BasisLegality);
-        suite.push(ConnectivityLegality);
-        suite.push(WeylCanonicality);
-        suite.push(ScheduleSanity);
-        suite
+        VerifierSuite { equivalence: false }
     }
 
-    /// A suite with no checks; build it up with [`VerifierSuite::push`].
-    pub fn empty() -> Self {
-        VerifierSuite {
-            config: VerifyConfig::default(),
-            verifiers: Vec::new(),
-        }
-    }
-
-    /// Replaces the shared configuration.
-    pub fn with_config(mut self, config: VerifyConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The shared configuration.
-    pub fn config(&self) -> &VerifyConfig {
-        &self.config
-    }
-
-    /// Appends a check; checks run in insertion order.
-    pub fn push<V: Verifier + 'static>(&mut self, verifier: V) -> &mut Self {
-        self.verifiers.push(Box::new(verifier));
-        self
-    }
-
-    /// Number of registered checks.
-    pub fn len(&self) -> usize {
-        self.verifiers.len()
-    }
-
-    /// True when no checks are registered.
-    pub fn is_empty(&self) -> bool {
-        self.verifiers.is_empty()
-    }
-
-    /// Runs every check over the target and collects one report.
+    /// Runs the suite's checks over the target, in the order listed above,
+    /// and collects one report.
     pub fn run(&self, target: &VerifyTarget) -> VerifyReport {
         let mut report = VerifyReport::default();
-        for v in &self.verifiers {
-            report.checks_run.push(v.name());
-            v.verify(target, &self.config, &mut report);
+        BasisLegality::check(target, &mut report);
+        ConnectivityLegality::check(target, &mut report);
+        WeylCanonicality::check(target, &mut report);
+        ScheduleSanity::check(target, &mut report);
+        if self.equivalence {
+            UnitaryEquivalence::check(target, &mut report);
         }
         report
     }

@@ -74,7 +74,7 @@ pub struct ScheduleFacts {
     pub local_count: usize,
 }
 
-/// Everything a [`Verifier`](crate::Verifier) may inspect.
+/// Everything a check may inspect.
 pub struct VerifyTarget<'a> {
     /// The calibrated device the program claims to run on.
     pub device: &'a Device,

@@ -12,7 +12,7 @@ use nsb_core::experiments::table2_suite;
 use nsb_device::{BasisStrategy, Device, DeviceConfig};
 use nsb_math::{haar_su2, haar_u4, Mat2, Mat4};
 use nsb_verify::{
-    Miter, UnitaryEquivalence, VerifierSuite, VerifyConfig, VerifyOp, VerifyTarget, ViolationKind,
+    Miter, UnitaryEquivalence, VerifierSuite, VerifyOp, VerifyReport, VerifyTarget, ViolationKind,
     WeylCanonicality,
 };
 use rand::rngs::StdRng;
@@ -231,7 +231,7 @@ fn mutated(op: &VerifyOp, error: Mat2) -> Option<VerifyOp> {
 #[test]
 fn mutated_locals_get_the_gate_by_gate_verdict() {
     let device = grid_device();
-    let floor = 1.0 - VerifyConfig::default().overlap_tol;
+    let floor = 1.0 - UnitaryEquivalence::OVERLAP_TOL;
     let (mut passed, mut failed) = (0, 0);
     for (what, source, ops) in lowered_rows(device, STRATEGY, &["qft 10", "cuccaro 10"]) {
         let locals: Vec<usize> = (0..ops.len())
@@ -290,9 +290,10 @@ fn reducing_miters_check_equivalence_beyond_the_simulation_limit() {
     assert_eq!(rows.len(), 2);
     for (what, source, ops) in rows {
         let run = |ops: Vec<VerifyOp>| {
-            let mut suite = VerifierSuite::empty();
-            suite.push(UnitaryEquivalence);
-            suite.run(&VerifyTarget::new(device, STRATEGY, ops).with_source(&source))
+            let mut report = VerifyReport::default();
+            let target = VerifyTarget::new(device, STRATEGY, ops).with_source(&source);
+            UnitaryEquivalence::check(&target, &mut report);
+            report
         };
         let report = run(ops.clone());
         assert!(
@@ -434,9 +435,11 @@ fn memoized_weyl_check_reports_the_one_off_class_block() {
         unitary: Mat4::swap(),
         coord: None,
     });
-    let mut suite = VerifierSuite::empty();
-    suite.push(WeylCanonicality);
-    let report = suite.run(&VerifyTarget::new(small_device(), STRATEGY, ops));
+    let mut report = VerifyReport::default();
+    WeylCanonicality::check(
+        &VerifyTarget::new(small_device(), STRATEGY, ops),
+        &mut report,
+    );
     let weyl: Vec<_> = report
         .violations
         .iter()

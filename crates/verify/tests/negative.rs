@@ -7,8 +7,7 @@ use nsb_compiler::{to_schedule_facts, to_verify_ops, Transpiler, VerifyLevel};
 use nsb_device::{BasisStrategy, Device, DeviceConfig};
 use nsb_math::Mat2;
 use nsb_verify::{
-    ScheduleFacts, ScheduleSanity, VerifierSuite, VerifyConfig, VerifyOp, VerifyTarget,
-    ViolationKind,
+    ScheduleFacts, ScheduleSanity, VerifierSuite, VerifyOp, VerifyTarget, ViolationKind,
 };
 use nsb_weyl::WeylCoord;
 use std::sync::OnceLock;
@@ -22,7 +21,13 @@ fn device() -> &'static Device {
 
 /// A two-qubit op applying exactly the calibrated basis gate of edge 0.
 fn legal_op() -> VerifyOp {
-    let cal = &device().edges()[0];
+    legal_op_on(device())
+}
+
+/// A two-qubit op applying exactly the calibrated basis gate of `device`'s
+/// edge 0.
+fn legal_op_on(device: &Device) -> VerifyOp {
+    let cal = &device.edges()[0];
     let basis = cal.basis(STRATEGY);
     VerifyOp::TwoQubit {
         qubits: cal.gate_order,
@@ -290,15 +295,51 @@ fn wrong_op_counts_are_rejected() {
 
 #[test]
 fn coherence_budget_violation_is_rejected() {
-    let config = VerifyConfig {
-        // One basis-gate application already exceeds this budget.
-        coherence_budget: 1e-9,
-        ..VerifyConfig::default()
-    };
-    let report = VerifierSuite::structural()
-        .with_config(config)
-        .run(&VerifyTarget::new(device(), STRATEGY, vec![legal_op()]));
+    // One basis-gate application already exceeds this coherence time.
+    let short = Device::build(
+        3,
+        2,
+        DeviceConfig {
+            coherence_time: 1e-9,
+            ..DeviceConfig::fast_test()
+        },
+    )
+    .expect("short-coherence device");
+    let report = VerifierSuite::structural().run(&VerifyTarget::new(
+        &short,
+        STRATEGY,
+        vec![legal_op_on(&short)],
+    ));
     assert!(report.has(ViolationKind::CoherenceExceeded), "{report}");
+}
+
+// ---- the two suites -----------------------------------------------------------
+
+#[test]
+fn each_suite_runs_its_fixed_checks_in_order() {
+    let n = device().topology().n_qubits();
+    let cal = &device().edges()[0];
+    let mut source = Circuit::new(n);
+    source.push(
+        Gate::Unitary2(Box::new(*cal.basis(STRATEGY).gate)),
+        &[cal.gate_order.0, cal.gate_order.1],
+    );
+    let target = VerifyTarget::new(device(), STRATEGY, vec![legal_op()]).with_source(&source);
+    let structural = [
+        "basis-legality",
+        "connectivity-legality",
+        "weyl-canonicality",
+        "schedule-sanity",
+    ];
+    let report = VerifierSuite::structural().run(&target);
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.checks_run, structural);
+    let report = VerifierSuite::standard().run(&target);
+    assert!(report.is_clean() && report.skipped.is_empty(), "{report}");
+    assert_eq!(
+        report.checks_run,
+        [&structural[..], &["unitary-equivalence"]].concat()
+    );
 }
 
 // ---- unitary equivalence ----------------------------------------------------

@@ -45,7 +45,6 @@ fn main() {
         workers: 2,
         queue_capacity: 128,
         cache_capacity: 2048,
-        ..ServiceConfig::default()
     };
     let pool = ServicePool::new(
         vec![
