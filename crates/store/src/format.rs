@@ -20,7 +20,11 @@ pub const MAGIC: [u8; 8] = *b"NSBSTOR1";
 /// Version 2: the synthesis optimizer's Levenberg–Marquardt polish
 /// changed the stored locals, so version-1 entries would break
 /// fresh-vs-cached bit-identity.
-pub const FORMAT_VERSION: u32 = 2;
+///
+/// Version 3: the search polishes each near-converged restart as it ends
+/// and stops at the first converged one, so searches that used to polish
+/// the best of all restarts store different locals.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Header length in bytes: magic + version + reserved + calibration hash.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
@@ -301,14 +305,20 @@ mod tests {
     }
 
     #[test]
-    fn header_carries_version_2_and_rejects_version_1() {
+    fn header_carries_version_3_and_rejects_version_2() {
         let h = encode_header(7);
-        assert_eq!(FORMAT_VERSION, 2);
-        assert_eq!(h[8..12], 2u32.to_le_bytes());
-        // Version-1 snapshots hold locals from the old optimizer polish.
-        let mut v1 = h;
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        assert_eq!(decode_header(&v1), Err(HeaderError::UnsupportedVersion(1)));
+        assert_eq!(FORMAT_VERSION, 3);
+        assert_eq!(h[8..12], 3u32.to_le_bytes());
+        // Version-2 snapshots hold locals from the search that polished
+        // only the best of all restarts.
+        for old in [1u32, 2] {
+            let mut stale = h;
+            stale[8..12].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode_header(&stale),
+                Err(HeaderError::UnsupportedVersion(old))
+            );
+        }
     }
 
     #[test]

@@ -211,14 +211,7 @@ fn search(
     ws: &mut Workspace,
 ) -> Result<Synthesized2Q, SynthesisFailed> {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let (locals, _) = optimize_with_restarts(
-        target,
-        bases,
-        config.restarts,
-        1.0 - config.tol / 5.0,
-        &mut rng,
-        ws,
-    );
+    let (locals, _) = optimize_with_restarts(target, bases, config.restarts, &mut rng, ws);
     let tr = (build_ansatz(&locals, bases).adjoint() * *target).trace();
     let error = 1.0 - (tr.abs() * tr.abs() + 4.0) / 20.0;
     if error <= config.tol {

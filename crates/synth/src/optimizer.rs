@@ -14,11 +14,13 @@
 //!
 //! The sweeps converge linearly, and slowly when the basis gate sits just
 //! inside the region face that makes the target reachable in this many
-//! layers. So the best restart, when its residual is small but not yet
-//! converged, is polished by a deterministic Levenberg–Marquardt
-//! refinement on `||W - e^{i phi} T||_F`, with an analytic Jacobian built
-//! from the same prefix/suffix products the sweeps use. It converges
-//! quadratically and leaves the result only if it improves it.
+//! layers. So each restart whose residual is small but not yet converged
+//! is polished as soon as its sweeps end, by a deterministic
+//! Levenberg–Marquardt refinement on `||W - e^{i phi} T||_F` with an
+//! analytic Jacobian built from the same prefix/suffix products the sweeps
+//! use. It converges quadratically and takes only steps that lower the
+//! residual. The search stops at the first restart that converges, after
+//! its sweeps or after its polish.
 
 use crate::ansatz::build_ansatz;
 use nsb_math::{haar_su2, max_trace_unitary, Complex64, Mat2, Mat4};
@@ -42,9 +44,9 @@ const TARGET_RESIDUAL: f64 = 1.0e-12;
 /// Levenberg–Marquardt polish makes both allocation-free: candidate, best
 /// and trial locals live in resizable buffers, the per-sweep suffix
 /// products and the polish's prefix products, Jacobian columns and normal
-/// equations reuse their own `Vec`s. A capacity-growth counter backs debug
-/// assertions that the buffers stop growing after the first restart warms
-/// them up.
+/// equations reuse their own `Vec`s. Every buffer is sized before the
+/// first restart; a capacity-growth counter backs the debug assertion that
+/// the restart loop never grows one.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
     /// Current-attempt locals; the polish iterate.
@@ -197,26 +199,32 @@ fn optimize_slice(
     prev / 4.0
 }
 
-/// Runs the optimizer from `restarts` random starting points and returns
-/// the best locals with their overlap `|tr(T^dag W)| / 4`; stops early
-/// when `target_overlap` is reached.
+/// Runs the optimizer from up to `restarts` random starting points and
+/// returns the best locals with their overlap `|tr(T^dag W)| / 4`.
 ///
-/// Every restart and the polish reuse the workspace buffers, so after the
-/// first restart the search performs no allocations (debug-asserted via
-/// the workspace's growth counter).
+/// A restart whose sweeps end short of [`TARGET_RESIDUAL`] but within
+/// [`POLISH_THRESHOLD`] is a slow tail next to a region face, not a
+/// rejection: it is polished right away. The search stops at the first
+/// restart whose residual, after its sweeps or its polish, is at most
+/// [`TARGET_RESIDUAL`]; otherwise every restart runs and the best one is
+/// returned. The polish draws no random numbers, so restart `k` starts
+/// from the same locals however many restarts before it were polished.
+///
+/// Every restart and every polish reuse the workspace buffers, so the
+/// loop performs no allocations (debug-asserted via the workspace's
+/// growth counter).
 pub(crate) fn optimize_with_restarts<R: Rng + ?Sized>(
     target: &Mat4,
     bases: &[Mat4],
     restarts: usize,
-    target_overlap: f64,
     rng: &mut R,
     ws: &mut Workspace,
 ) -> (Vec<(Mat2, Mat2)>, f64) {
     let n = bases.len() + 1;
     ws.prepare(n);
+    let warm_grows = ws.grows;
     let t_dag = target.adjoint();
     let mut best_overlap = f64::NEG_INFINITY;
-    let mut warm_grows: Option<usize> = None;
     for attempt in 0..restarts.max(1) {
         for pair in ws.cand.iter_mut() {
             *pair = if attempt == 0 {
@@ -227,40 +235,24 @@ pub(crate) fn optimize_with_restarts<R: Rng + ?Sized>(
                 (haar_su2(rng), haar_su2(rng))
             };
         }
-        let overlap = optimize_slice(&t_dag, bases, &mut ws.cand, &mut ws.suffix);
-        match warm_grows {
-            None => warm_grows = Some(ws.grows),
-            Some(warm) => debug_assert_eq!(
-                ws.grows, warm,
-                "optimizer buffers grew after the warm-up restart"
-            ),
+        let mut overlap = optimize_slice(&t_dag, bases, &mut ws.cand, &mut ws.suffix);
+        // Only slow tails are polished: a run with a large residual is a
+        // genuine rejection, left as it is so the decision procedure stays
+        // cheap.
+        let residual = 4.0 * (1.0 - overlap);
+        if residual < POLISH_THRESHOLD && residual > TARGET_RESIDUAL {
+            overlap = lm_polish(target, &t_dag, bases, ws);
         }
+        debug_assert_eq!(
+            ws.grows, warm_grows,
+            "optimizer buffers grew inside the restart loop"
+        );
         if overlap > best_overlap {
             best_overlap = overlap;
             ws.best.copy_from_slice(&ws.cand);
         }
-        if best_overlap >= target_overlap {
+        if 4.0 * (1.0 - best_overlap) <= TARGET_RESIDUAL {
             break;
-        }
-    }
-    // Polish phase: alternating sweeps converge only linearly, and next to
-    // a region face (a basis gate that barely reaches the target in this
-    // many layers) they crawl, so restarts end at the sweep cap short of
-    // the target residual. A Levenberg–Marquardt refinement of the best
-    // restart converges quadratically from there. Runs with a large
-    // residual are genuine rejections and are returned untouched, so the
-    // decision procedure stays cheap.
-    let residual = 4.0 * (1.0 - best_overlap);
-    if residual < POLISH_THRESHOLD && residual > TARGET_RESIDUAL {
-        let polished = lm_polish(target, &t_dag, bases, ws);
-        debug_assert_eq!(
-            ws.grows,
-            warm_grows.unwrap_or(0),
-            "the polish must not grow optimizer buffers"
-        );
-        if polished > best_overlap {
-            best_overlap = polished;
-            ws.best.copy_from_slice(&ws.cand);
         }
     }
     (ws.best.clone(), best_overlap)
@@ -285,8 +277,8 @@ fn lm_params(n: usize) -> usize {
     6 * n + 1
 }
 
-/// Levenberg–Marquardt refinement of `ws.best`, left in `ws.cand`; returns
-/// the overlap of the refined locals.
+/// Levenberg–Marquardt refinement of `ws.cand` in place; returns the
+/// overlap of the refined locals.
 ///
 /// Minimizes `||W - e^{i phi} T||_F^2`, which equals `2 (4 - |tr(T^dag W)|)`
 /// once `phi` matches the trace phase. Each local moves as
@@ -296,9 +288,8 @@ fn lm_params(n: usize) -> usize {
 /// otherwise the damping grows and the step is re-solved. Deterministic:
 /// no random numbers are drawn.
 fn lm_polish(target: &Mat4, t_dag: &Mat4, bases: &[Mat4], ws: &mut Workspace) -> f64 {
-    let n = ws.best.len();
+    let n = ws.cand.len();
     let p = lm_params(n);
-    ws.cand.copy_from_slice(&ws.best);
     let w = build_ansatz(&ws.cand, bases);
     let mut phase = (*t_dag * w).trace().arg();
     let mut cost = lm_cost(&w, target, phase);
@@ -551,14 +542,7 @@ mod tests {
     fn recovers_local_target_with_zero_layers() {
         let mut rng = StdRng::seed_from_u64(4);
         let target = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
-        let (_, overlap) = optimize_with_restarts(
-            &target,
-            &[],
-            4,
-            1.0 - 1e-12,
-            &mut rng,
-            &mut Workspace::new(),
-        );
+        let (_, overlap) = optimize_with_restarts(&target, &[], 4, &mut rng, &mut Workspace::new());
         assert!(overlap > 1.0 - 1e-10, "overlap {overlap}");
     }
 
@@ -568,14 +552,8 @@ mod tests {
         let b = Mat4::sqrt_iswap();
         let dress = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
         let target = dress * b * Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
-        let (_, overlap) = optimize_with_restarts(
-            &target,
-            &[b],
-            6,
-            1.0 - 1e-12,
-            &mut rng,
-            &mut Workspace::new(),
-        );
+        let (_, overlap) =
+            optimize_with_restarts(&target, &[b], 6, &mut rng, &mut Workspace::new());
         assert!(overlap > 1.0 - 1e-9, "overlap {overlap}");
     }
 
@@ -588,25 +566,11 @@ mod tests {
         let mut ws = Workspace::new();
         // Warm the workspace on an unrelated problem (different size).
         let mut warm_rng = StdRng::seed_from_u64(8);
-        let _ = optimize_with_restarts(
-            &Mat4::swap(),
-            &[b, b, b],
-            2,
-            1.0 - 1e-12,
-            &mut warm_rng,
-            &mut ws,
-        );
+        let _ = optimize_with_restarts(&Mat4::swap(), &[b, b, b], 2, &mut warm_rng, &mut ws);
         let mut rng_a = StdRng::seed_from_u64(9);
-        let reused = optimize_with_restarts(&target, &[b], 4, 1.0 - 1e-12, &mut rng_a, &mut ws);
+        let reused = optimize_with_restarts(&target, &[b], 4, &mut rng_a, &mut ws);
         let mut rng_b = StdRng::seed_from_u64(9);
-        let fresh = optimize_with_restarts(
-            &target,
-            &[b],
-            4,
-            1.0 - 1e-12,
-            &mut rng_b,
-            &mut Workspace::new(),
-        );
+        let fresh = optimize_with_restarts(&target, &[b], 4, &mut rng_b, &mut Workspace::new());
         // Same rng seed + same code path => bit-identical outcome, warm or
         // cold buffers.
         assert_eq!(reused.1.to_bits(), fresh.1.to_bits());
@@ -621,35 +585,21 @@ mod tests {
         let b = Mat4::cnot();
         let mut ws = Workspace::new();
         let mut rng = StdRng::seed_from_u64(14);
-        let _ =
-            optimize_with_restarts(&Mat4::swap(), &[b, b, b], 3, 1.0 - 1e-12, &mut rng, &mut ws);
+        let _ = optimize_with_restarts(&Mat4::swap(), &[b, b, b], 3, &mut rng, &mut ws);
         let grows_after_first = ws.grows;
         for seed in 15..18 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let _ = optimize_with_restarts(
-                &Mat4::swap(),
-                &[b, b, b],
-                3,
-                1.0 - 1e-12,
-                &mut rng,
-                &mut ws,
-            );
+            let _ = optimize_with_restarts(&Mat4::swap(), &[b, b, b], 3, &mut rng, &mut ws);
         }
         assert_eq!(
             ws.grows, grows_after_first,
             "same-size searches must not grow the workspace again"
         );
-        // A smaller search whose best restart needs the polish: the polish
+        // A smaller search whose restarts need the polish: the polish
         // buffers were sized up front too.
         let mut rng = StdRng::seed_from_u64(23);
-        let (_, overlap) = optimize_with_restarts(
-            &Mat4::cnot(),
-            &[near_face_basis(); 2],
-            4,
-            1.0 - 1e-12,
-            &mut rng,
-            &mut ws,
-        );
+        let (_, overlap) =
+            optimize_with_restarts(&Mat4::cnot(), &[near_face_basis(); 2], 4, &mut rng, &mut ws);
         let residual = 4.0 * (1.0 - overlap);
         assert!(residual <= 1e-12, "polished residual {residual:e}");
         assert_eq!(ws.grows, grows_after_first, "the polish grew the workspace");
@@ -704,11 +654,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let mut ws = Workspace::new();
         ws.prepare(3);
-        for pair in ws.best.iter_mut() {
+        for pair in ws.cand.iter_mut() {
             *pair = (haar_su2(&mut rng), haar_su2(&mut rng));
         }
         // The full sweep budget ends far above the convergence target...
-        let swept = optimize_slice(&target.adjoint(), &bases, &mut ws.best, &mut ws.suffix);
+        let swept = optimize_slice(&target.adjoint(), &bases, &mut ws.cand, &mut ws.suffix);
         let swept_residual = 4.0 * (1.0 - swept);
         assert!(
             swept_residual < POLISH_THRESHOLD && swept_residual > 1e-10,
@@ -730,7 +680,6 @@ mod tests {
             &Mat4::swap(),
             &[Mat4::cnot(), Mat4::cnot()],
             6,
-            1.0 - 1e-12,
             &mut rng,
             &mut Workspace::new(),
         );

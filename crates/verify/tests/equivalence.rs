@@ -2,7 +2,8 @@
 //! its source and the Weyl check memoizes recomputed classes. These tests
 //! pin both to what they replace: the reduced overlap equals a gate-by-gate
 //! simulation within the reported bound, lowered Table II jobs reduce to
-//! locals, mutated programs get the gate-by-gate verdict, the shapes fusion
+//! locals (which needs the device's syntheses converged well below the
+//! split tolerance), mutated programs get the gate-by-gate verdict, the shapes fusion
 //! rewrites still catch wrong programs, and the memo reports every bad
 //! block where it is.
 
@@ -15,6 +16,7 @@ use nsb_verify::{
     Miter, UnitaryEquivalence, VerifierSuite, VerifyOp, VerifyReport, VerifyTarget, ViolationKind,
     WeylCanonicality,
 };
+use nsb_weyl::kak_vector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
@@ -214,6 +216,50 @@ fn fused_overlap_matches_gate_by_gate_on_compiled_table2_jobs() {
     assert!(
         jobs >= 18,
         "Table II rows x strategies that fit 12 qubits: {jobs}"
+    );
+}
+
+/// The miter cancels a lowered block against its source gate only when the
+/// block's synthesis rebuilds the gate to well within the split
+/// tolerance, so the synthesis search must stop on strict convergence,
+/// not on the decomposition-error acceptance threshold. The Haar target
+/// is one whose polish on edge (4, 8) stops short of convergence but
+/// inside that threshold.
+#[test]
+fn device_syntheses_converge_tightly_enough_for_the_miter() {
+    let device = grid_device();
+    let haar = haar_u4(&mut StdRng::seed_from_u64(99));
+    for edge in device.edges() {
+        for strategy in BasisStrategy::ALL {
+            let basis = edge.basis(strategy);
+            let haar_synthesis = basis.decomposer.decompose(&haar).expect("haar target");
+            for (name, target, s) in [
+                ("swap", Mat4::swap(), &basis.swap.circuit),
+                ("cnot", Mat4::cnot(), &basis.cnot.circuit),
+                ("haar", haar, &haar_synthesis),
+            ] {
+                let what = format!("edge {:?} {strategy} {name}", edge.qubits);
+                let rebuilt = s.unitary_with_phase(&vec![*basis.gate; s.layers]);
+                let err = (rebuilt - target).norm();
+                assert!(err <= 1e-5, "{what}: reconstruction error {err:e}");
+                if name != "haar" {
+                    let min = basis.decomposer.min_layers(kak_vector(&target));
+                    assert_eq!(s.layers, min, "{what}: layers");
+                }
+            }
+        }
+    }
+    let mut jobs = 0;
+    for strategy in [BasisStrategy::Criterion1, BasisStrategy::Criterion2] {
+        for (what, source, ops) in lowered_rows(device, strategy, &[]) {
+            let residual = Miter::new(&ops, &source).residual_qubits();
+            assert!(residual.is_empty(), "{what}: residual qubits {residual:?}");
+            jobs += 1;
+        }
+    }
+    assert_eq!(
+        jobs, 12,
+        "Table II rows of at most 12 qubits x 2 strategies"
     );
 }
 
