@@ -1,6 +1,7 @@
 //! Device bring-up: building the 4x3 `fast_test` device simulates every
 //! edge's trajectories, selects its three basis gates and synthesizes each
-//! gate's SWAP and CNOT. The per-edge synthesis dominates.
+//! gate's SWAP and CNOT. The trajectory simulation and the Weyl
+//! coordinates (`kak_vector`) now cost more than the synthesis.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsb_core::prelude::*;

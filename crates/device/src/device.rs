@@ -256,7 +256,9 @@ impl Device {
         let mut slots: Vec<Option<Result<EdgeCalibration, DeviceBuildError>>> =
             (0..edge_list.len()).map(|_| None).collect();
         let threads = config.threads.max(1);
-        let chunk = edge_list.len().div_ceil(threads);
+        // At least one: a grid without edges has no slots to split, and
+        // `chunks_mut(0)` panics.
+        let chunk = edge_list.len().div_ceil(threads).max(1);
         std::thread::scope(|scope| {
             for (tid, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
                 let edge_list = &edge_list;
@@ -599,6 +601,15 @@ mod tests {
         assert!(c1.basis_fidelity > base.basis_fidelity);
         assert!(c2.cnot_fidelity >= c1.cnot_fidelity - 1e-6);
         assert!(base.swap_duration > c1.swap_duration);
+    }
+
+    #[test]
+    fn single_qubit_device_builds_with_no_edges() {
+        // A 1x1 grid has no couplers; building used to panic splitting
+        // zero edges into zero-sized per-thread chunks.
+        let device = Device::build(1, 1, DeviceConfig::fast_test()).expect("build");
+        assert_eq!(device.topology().n_qubits(), 1);
+        assert!(device.edges().is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::job::{JobHandle, JobSpec};
 use crate::metrics::ServiceMetrics;
 use crate::service::{CompileService, ServiceConfig};
 use nsb_device::Device;
-use nsb_store::{LoadReport, PeriodicFlusher, SaveReport, SnapshotStore};
+use nsb_store::{LoadReport, PeriodicFlusher, SaveReport, SnapshotStore, StoreError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -133,9 +133,9 @@ pub struct ServicePool {
 
 impl ServicePool {
     /// Builds one service per spec, warm-starting each shard's cache
-    /// from the store when [`PoolConfig::store_dir`] is set (missing or
-    /// partially corrupted snapshots degrade to a colder start, never an
-    /// error), and starts the background flusher when
+    /// from the store when [`PoolConfig::store_dir`] is set (missing,
+    /// partially corrupted or other-version snapshots degrade to a colder
+    /// start, never an error), and starts the background flusher when
     /// [`PoolConfig::flush_interval`] is also set.
     ///
     /// # Errors
@@ -154,7 +154,13 @@ impl ServicePool {
         for spec in specs {
             let service = CompileService::new(spec.device, spec.config)?;
             if let Some(store) = &store {
-                let report = service.warm_start_from(store)?;
+                let report = match service.warm_start_from(store) {
+                    // A snapshot of another format version holds stale
+                    // syntheses: start cold, as if it were absent; the
+                    // next drain replaces it under the current version.
+                    Err(StoreError::UnsupportedVersion { .. }) => LoadReport::default(),
+                    other => other?,
+                };
                 warm_reports.push((spec.name.clone(), report));
             }
             shards.push(Shard {
@@ -528,7 +534,7 @@ mod tests {
         let alpha_saved = saved[0].1.entries;
         assert!(alpha_saved > 0, "alpha compiled, so it must persist");
 
-        let warm = two_shard_pool(config);
+        let warm = two_shard_pool(config.clone());
         let alpha_report = &warm.warm_reports()[0].1;
         assert!(alpha_report.found);
         assert_eq!(alpha_report.loaded, alpha_saved);
@@ -537,7 +543,20 @@ mod tests {
             warm.shard("alpha").expect("alpha").cache().stats().entries,
             alpha_saved
         );
+        let alpha_cal = warm.shard("alpha").expect("alpha").calibration_hash();
         warm.shutdown().expect("second drain");
+
+        // A snapshot of another format version starts the shard cold (this
+        // used to fail the pool with `UnsupportedVersion`), and the drain
+        // replaces it under the current version.
+        let store = SnapshotStore::open(&dir).expect("store");
+        let mut bytes = std::fs::read(store.path_for(alpha_cal)).expect("snapshot");
+        bytes[8..12].copy_from_slice(&(nsb_store::FORMAT_VERSION - 1).to_le_bytes());
+        std::fs::write(store.path_for(alpha_cal), bytes).expect("rewrite");
+        let stale = two_shard_pool(config);
+        assert_eq!(stale.warm_reports()[0].1, LoadReport::default());
+        stale.shutdown().expect("third drain");
+        assert!(store.load(alpha_cal).expect("current version").report.found);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -24,7 +24,11 @@ pub const MAGIC: [u8; 8] = *b"NSBSTOR1";
 /// Version 3: the search polishes each near-converged restart as it ends
 /// and stops at the first converged one, so searches that used to polish
 /// the best of all restarts store different locals.
-pub const FORMAT_VERSION: u32 = 3;
+///
+/// Version 4: each restart's sweeps hand over to the polish as soon as
+/// the residual enters the polish window, so searches whose sweeps used
+/// to crawl on to convergence store different locals.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Header length in bytes: magic + version + reserved + calibration hash.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
@@ -305,13 +309,13 @@ mod tests {
     }
 
     #[test]
-    fn header_carries_version_3_and_rejects_version_2() {
+    fn header_carries_version_4_and_rejects_version_3() {
         let h = encode_header(7);
-        assert_eq!(FORMAT_VERSION, 3);
-        assert_eq!(h[8..12], 3u32.to_le_bytes());
-        // Version-2 snapshots hold locals from the search that polished
-        // only the best of all restarts.
-        for old in [1u32, 2] {
+        assert_eq!(FORMAT_VERSION, 4);
+        assert_eq!(h[8..12], 4u32.to_le_bytes());
+        // Version-3 snapshots hold locals from sweeps that crawled on past
+        // the polish window.
+        for old in [1u32, 2, 3] {
             let mut stale = h;
             stale[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(

@@ -12,15 +12,14 @@
 //! procedure* for decomposability (the approach NuOp takes with generic
 //! optimizers, made deterministic and fast here).
 //!
-//! The sweeps converge linearly, and slowly when the basis gate sits just
-//! inside the region face that makes the target reachable in this many
-//! layers. So each restart whose residual is small but not yet converged
-//! is polished as soon as its sweeps end, by a deterministic
-//! Levenberg–Marquardt refinement on `||W - e^{i phi} T||_F` with an
-//! analytic Jacobian built from the same prefix/suffix products the sweeps
-//! use. It converges quadratically and takes only steps that lower the
-//! residual. The search stops at the first restart that converges, after
-//! its sweeps or after its polish.
+//! The sweeps reach a decomposition's basin fast but converge only
+//! linearly inside it, slowest next to a region face. So a restart's
+//! sweeps stop as soon as its residual enters the polish window (below
+//! [`POLISH_THRESHOLD`]), and a deterministic Levenberg–Marquardt
+//! refinement on `||W - e^{i phi} T||_F`, with an analytic Jacobian built
+//! from the same prefix/suffix products the sweeps use, finishes it. It
+//! converges quadratically and takes only steps that lower the residual.
+//! The search stops at the first restart that converges.
 
 use crate::ansatz::build_ansatz;
 use nsb_math::{haar_su2, max_trace_unitary, Complex64, Mat2, Mat4};
@@ -37,6 +36,9 @@ const STALL_TOL: f64 = 1e-15;
 /// It is tight enough that a converged result reconstructs the target to
 /// `sqrt(2e-12) ~ 1.4e-6` in Frobenius norm.
 const TARGET_RESIDUAL: f64 = 1.0e-12;
+/// Residual at which a restart's sweeps hand over to the polish: below it
+/// the run is in the basin of a decomposition, not a genuine rejection.
+const POLISH_THRESHOLD: f64 = 1e-4;
 
 /// Reusable scratch buffers for the restart search and its polish.
 ///
@@ -114,7 +116,8 @@ impl Workspace {
 /// Each sweep builds the suffix products `A_k` once (right-to-left) and
 /// grows the prefix `C_k` incrementally as factors are updated, instead of
 /// rebuilding both from scratch for every `k` — ~`n(2n+1)` matmuls per
-/// sweep drop to ~`7n`. Returns the achieved overlap in `[0, 1]`.
+/// sweep drop to ~`7n`. Stops once `4 - |tr(T^dag W)|` enters the polish
+/// window, or on a stall. Returns the achieved overlap in `[0, 1]`.
 fn optimize_slice(
     t_dag: &Mat4,
     bases: &[Mat4],
@@ -171,23 +174,13 @@ fn optimize_slice(
         let cur = (Mat4::kron(&locals[n - 1].0, &locals[n - 1].1) * last_g)
             .trace()
             .abs();
-        if 4.0 - cur < TARGET_RESIDUAL {
+        if 4.0 - cur < POLISH_THRESHOLD {
             prev = cur;
             break;
         }
         if cur - prev < STALL_TOL {
             stalled += 1;
-            // Near convergence (residual within ~1e-5 of the target) the
-            // alternating sweeps can creep in steps below `STALL_TOL` yet
-            // still close the gap; give those tails extra patience so the
-            // decision procedure does not misclassify a decomposable
-            // target on an unlucky start.
-            let patience = if 4.0 - cur < 1e-5 {
-                4 * STALL_SWEEPS
-            } else {
-                STALL_SWEEPS
-            };
-            if stalled >= patience {
+            if stalled >= STALL_SWEEPS {
                 prev = prev.max(cur);
                 break;
             }
@@ -202,10 +195,10 @@ fn optimize_slice(
 /// Runs the optimizer from up to `restarts` random starting points and
 /// returns the best locals with their overlap `|tr(T^dag W)| / 4`.
 ///
-/// A restart whose sweeps end short of [`TARGET_RESIDUAL`] but within
-/// [`POLISH_THRESHOLD`] is a slow tail next to a region face, not a
-/// rejection: it is polished right away. The search stops at the first
-/// restart whose residual, after its sweeps or its polish, is at most
+/// A restart whose sweeps reach the polish window (residual below
+/// [`POLISH_THRESHOLD`]) is in a decomposition's basin: its sweeps stop
+/// there and it is polished right away. The search stops at the first
+/// restart whose residual, after its polish, is at most
 /// [`TARGET_RESIDUAL`]; otherwise every restart runs and the best one is
 /// returned. The polish draws no random numbers, so restart `k` starts
 /// from the same locals however many restarts before it were polished.
@@ -236,9 +229,9 @@ pub(crate) fn optimize_with_restarts<R: Rng + ?Sized>(
             };
         }
         let mut overlap = optimize_slice(&t_dag, bases, &mut ws.cand, &mut ws.suffix);
-        // Only slow tails are polished: a run with a large residual is a
-        // genuine rejection, left as it is so the decision procedure stays
-        // cheap.
+        // Only runs in the polish window are polished: a run with a large
+        // residual is a genuine rejection, left as it is so the decision
+        // procedure stays cheap.
         let residual = 4.0 * (1.0 - overlap);
         if residual < POLISH_THRESHOLD && residual > TARGET_RESIDUAL {
             overlap = lm_polish(target, &t_dag, bases, ws);
@@ -258,9 +251,6 @@ pub(crate) fn optimize_with_restarts<R: Rng + ?Sized>(
     (ws.best.clone(), best_overlap)
 }
 
-/// Residual below which a non-converged run is treated as a slow tail
-/// worth polishing rather than as a genuine rejection.
-const POLISH_THRESHOLD: f64 = 1e-4;
 /// Maximum accepted Levenberg–Marquardt steps in one polish.
 const LM_STEPS: usize = 200;
 /// Initial Levenberg–Marquardt damping.
@@ -654,21 +644,28 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let mut ws = Workspace::new();
         ws.prepare(3);
-        for pair in ws.cand.iter_mut() {
-            *pair = (haar_su2(&mut rng), haar_su2(&mut rng));
+        // Identity locals, as the first restart starts, then a random start.
+        for start in 0..2 {
+            if start > 0 {
+                for pair in ws.cand.iter_mut() {
+                    *pair = (haar_su2(&mut rng), haar_su2(&mut rng));
+                }
+            }
+            // The sweeps stop as soon as the residual enters the polish
+            // window, at its upper edge rather than deep inside it where
+            // their crawl would end...
+            let swept = optimize_slice(&target.adjoint(), &bases, &mut ws.cand, &mut ws.suffix);
+            let swept_residual = 4.0 * (1.0 - swept);
+            assert!(
+                swept_residual < POLISH_THRESHOLD && swept_residual > POLISH_THRESHOLD / 10.0,
+                "start {start}: sweeps residual {swept_residual:e}"
+            );
+            // ...and the polish of that very run converges.
+            let polished = 4.0 * (1.0 - lm_polish(&target, &target.adjoint(), &bases, &mut ws));
+            assert!(polished <= TARGET_RESIDUAL, "LM residual {polished:e}");
+            let rebuilt = build_ansatz(&ws.cand, &bases);
+            assert!(rebuilt.approx_eq_up_to_phase(&target, 1e-6));
         }
-        // The full sweep budget ends far above the convergence target...
-        let swept = optimize_slice(&target.adjoint(), &bases, &mut ws.cand, &mut ws.suffix);
-        let swept_residual = 4.0 * (1.0 - swept);
-        assert!(
-            swept_residual < POLISH_THRESHOLD && swept_residual > 1e-10,
-            "sweeps residual {swept_residual:e}"
-        );
-        // ...and the polish of that very run converges.
-        let polished = 4.0 * (1.0 - lm_polish(&target, &target.adjoint(), &bases, &mut ws));
-        assert!(polished <= 1e-12, "LM residual {polished:e}");
-        let rebuilt = build_ansatz(&ws.cand, &bases);
-        assert!(rebuilt.approx_eq_up_to_phase(&target, 1e-6));
     }
 
     #[test]

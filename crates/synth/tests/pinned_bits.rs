@@ -34,38 +34,46 @@ fn digest(s: &Synthesized2Q) -> u64 {
     h.finish()
 }
 
-fn check(name: &str, s: &Synthesized2Q, expected: u64) {
-    let got = digest(s);
-    assert_eq!(
-        got, expected,
-        "{name}: synthesis digest {got:#018x} != pinned {expected:#018x}"
+/// Compares every `(name, synthesis, pinned digest)` and fails once,
+/// listing each mismatch, so one bit change shows all the digests it moves.
+fn check(cases: &[(&str, Synthesized2Q, u64)]) {
+    let mismatches: Vec<String> = cases
+        .iter()
+        .filter_map(|(name, s, pinned)| {
+            let got = digest(s);
+            (got != *pinned).then(|| format!("{name}: got {got:#018x}, pinned {pinned:#018x}"))
+        })
+        .collect();
+    assert!(
+        mismatches.is_empty(),
+        "synthesis digests moved:\n{}",
+        mismatches.join("\n")
     );
 }
 
 #[test]
 fn sqrt_iswap_syntheses_are_pinned() {
     let dec = Decomposer::new(Mat4::sqrt_iswap());
-    for (name, target, expected) in [
-        ("cnot", Mat4::cnot(), 0xf6f5_fb48_2672_6402),
-        ("swap", Mat4::swap(), 0x8948_8075_f4af_ba2a),
-        ("cphase(0.7)", Mat4::cphase(0.7), 0x29d6_84ea_577b_7ce0),
-    ] {
-        check(
-            name,
-            &dec.decompose(&target).expect("synthesizes"),
-            expected,
-        );
-    }
+    let synth = |target: Mat4| dec.decompose(&target).expect("synthesizes");
+    check(&[
+        ("cnot", synth(Mat4::cnot()), 0xee0f_a80a_ef1e_852c),
+        ("swap", synth(Mat4::swap()), 0x8463_8753_544e_7858),
+        (
+            "cphase(0.7)",
+            synth(Mat4::cphase(0.7)),
+            0x2372_6bef_5990_8003,
+        ),
+    ]);
 }
 
 #[test]
 fn near_face_polished_cnot_is_pinned() {
-    // Just inside the CNOT-in-2 face: the sweeps stall above tolerance,
-    // and the first restart whose Levenberg–Marquardt polish converges
-    // ends the search.
+    // Just inside the CNOT-in-2 face: the sweeps hand over to the
+    // Levenberg–Marquardt polish in the polish window, and the first
+    // restart whose polish converges ends the search.
     let dec = Decomposer::new(Mat4::canonical(0.250247, 0.248563, 0.044147));
     let s = dec.decompose(&Mat4::cnot()).expect("synthesizes");
-    check("near-face cnot", &s, 0xc8fd_ae62_5871_f33b);
+    check(&[("near-face cnot", s, 0x5d66_a846_3cbb_cf53)]);
 }
 
 #[test]
@@ -76,5 +84,5 @@ fn mirror_pair_swap_is_pinned() {
         &DecomposerConfig::default(),
     )
     .expect("synthesizes");
-    check("mirror-pair swap", &s, 0x15b9_faf7_a62b_47ae);
+    check(&[("mirror-pair swap", s, 0x15b9_faf7_a62b_47ae)]);
 }
