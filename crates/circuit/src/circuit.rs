@@ -68,14 +68,14 @@ impl Circuit {
     /// # Panics
     ///
     /// Panics when the other circuit uses more qubits.
-    pub fn extend(&mut self, other: &Circuit) -> &mut Self {
+    pub(crate) fn extend(&mut self, other: &Circuit) -> &mut Self {
         assert!(other.n_qubits <= self.n_qubits, "qubit count mismatch");
         self.ops.extend(other.ops.iter().cloned());
         self
     }
 
     /// Appends a Toffoli (CCX) expanded into the standard 6-CNOT network.
-    pub fn ccx(&mut self, a: usize, b: usize, t: usize) -> &mut Self {
+    pub(crate) fn ccx(&mut self, a: usize, b: usize, t: usize) -> &mut Self {
         self.push(Gate::H, &[t]);
         self.push(Gate::Cx, &[b, t]);
         self.push(Gate::Tdg, &[t]);
@@ -99,26 +99,13 @@ impl Circuit {
         self.ops.iter().filter(|o| o.gate.arity() == 2).count()
     }
 
-    /// Count of operations by display name (useful in tests and reports).
-    pub fn count_by_name(&self, name: &str) -> usize {
+    /// Count of operations by display name.
+    #[cfg(test)]
+    pub(crate) fn count_by_name(&self, name: &str) -> usize {
         self.ops
             .iter()
             .filter(|o| o.gate.to_string().starts_with(name))
             .count()
-    }
-
-    /// Circuit depth: the length of the longest qubit-dependency chain.
-    pub fn depth(&self) -> usize {
-        let mut level = vec![0usize; self.n_qubits];
-        let mut max = 0;
-        for op in &self.ops {
-            let start = op.qubits.iter().map(|&q| level[q]).max().unwrap_or(0);
-            for &q in &op.qubits {
-                level[q] = start + 1;
-            }
-            max = max.max(start + 1);
-        }
-        max
     }
 
     /// Returns a copy with qubits relabeled through `map` (old -> new), on
@@ -138,29 +125,6 @@ impl Circuit {
         }
         out
     }
-
-    /// Greedy partition of the circuit into layers of operations acting on
-    /// disjoint qubits (an as-soon-as-possible schedule by dependency).
-    pub fn layers(&self) -> Vec<Vec<&Operation>> {
-        let mut level_of_qubit = vec![0usize; self.n_qubits];
-        let mut layers: Vec<Vec<&Operation>> = Vec::new();
-        for op in &self.ops {
-            let lvl = op
-                .qubits
-                .iter()
-                .map(|&q| level_of_qubit[q])
-                .max()
-                .unwrap_or(0);
-            if lvl >= layers.len() {
-                layers.resize_with(lvl + 1, Vec::new);
-            }
-            layers[lvl].push(op);
-            for &q in &op.qubits {
-                level_of_qubit[q] = lvl + 1;
-            }
-        }
-        layers
-    }
 }
 
 impl fmt::Display for Circuit {
@@ -176,18 +140,6 @@ impl fmt::Display for Circuit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn depth_computation() {
-        let mut c = Circuit::new(3);
-        c.push(Gate::H, &[0]);
-        c.push(Gate::H, &[1]);
-        c.push(Gate::Cx, &[0, 1]);
-        c.push(Gate::H, &[2]);
-        assert_eq!(c.depth(), 2);
-        assert_eq!(c.layers().len(), 2);
-        assert_eq!(c.layers()[0].len(), 3);
-    }
 
     #[test]
     fn remap_permutes_operands() {

@@ -30,7 +30,7 @@ pub fn qft(n: usize, do_swaps: bool) -> Circuit {
 }
 
 /// Inverse QFT (no swaps), the adjoint of [`qft`] with `do_swaps = false`.
-pub fn qft_inverse(n: usize) -> Circuit {
+pub(crate) fn qft_inverse(n: usize) -> Circuit {
     let mut c = Circuit::new(n);
     for i in (0..n).rev() {
         for j in ((i + 1)..n).rev() {
@@ -163,7 +163,7 @@ pub fn qaoa_from_edges(n: usize, edges: &[(usize, usize)], gamma: f64, beta: f64
 }
 
 /// Samples an Erdos-Renyi graph `G(n, p)` edge list.
-pub fn random_graph<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Vec<(usize, usize)> {
+pub(crate) fn random_graph<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Vec<(usize, usize)> {
     let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {

@@ -15,7 +15,7 @@
 //! let c = generators::ghz(3);
 //! let mut s = StateVector::zero(3);
 //! s.apply_circuit(&c);
-//! assert!((s.probability(0b111) - 0.5).abs() < 1e-12);
+//! assert!((s.amplitudes()[0b111].norm_sqr() - 0.5).abs() < 1e-12);
 //! ```
 
 #![cfg_attr(
@@ -37,4 +37,4 @@ mod state;
 
 pub use circuit::Circuit;
 pub use gate::{Gate, Operation};
-pub use state::{circuits_equivalent, StateVector};
+pub use state::StateVector;

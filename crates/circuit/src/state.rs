@@ -55,7 +55,7 @@ impl StateVector {
     }
 
     /// Applies a single operation.
-    pub fn apply(&mut self, op: &Operation) {
+    pub(crate) fn apply(&mut self, op: &Operation) {
         match op.qubits.len() {
             1 => self.apply_1q(op),
             2 => self.apply_2q(op),
@@ -108,7 +108,8 @@ impl StateVector {
     }
 
     /// Probability of measuring basis state `index`.
-    pub fn probability(&self, index: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability(&self, index: usize) -> f64 {
         self.amps[index].norm_sqr()
     }
 
@@ -154,8 +155,10 @@ impl StateVector {
 
 /// Checks that two circuits implement the same unitary up to global phase,
 /// by comparing their action on a deterministic set of random-ish product
-/// states plus a handful of basis states.
-pub fn circuits_equivalent(a: &Circuit, b: &Circuit, tol: f64) -> bool {
+/// states plus a handful of basis states: the tests' oracle for circuit
+/// rewrites.
+#[cfg(test)]
+pub(crate) fn circuits_equivalent(a: &Circuit, b: &Circuit, tol: f64) -> bool {
     assert_eq!(a.n_qubits(), b.n_qubits());
     let n = a.n_qubits();
     // Basis states probe the permutation structure; superposition states

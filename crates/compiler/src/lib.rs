@@ -36,9 +36,7 @@ mod pipeline;
 mod sabre;
 mod schedule;
 
-pub use lower::{
-    merge_locals, mode_tag, swap_conjugate, LowerError, LoweredOp, Lowerer, LoweringMode,
-};
+pub use lower::{LowerError, LoweredOp, Lowerer, LoweringMode};
 pub use pipeline::{
     default_mode, to_schedule_facts, to_verify_ops, verify_compiled, CompileError, CompiledCircuit,
     Stage, Transpiler,

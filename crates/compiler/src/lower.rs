@@ -81,7 +81,7 @@ pub enum LoweredOp {
 
 impl LoweredOp {
     /// Qubits the operation touches.
-    pub fn qubits(&self) -> Vec<usize> {
+    pub(crate) fn qubits(&self) -> Vec<usize> {
         match self {
             LoweredOp::Local { qubit, .. } => vec![*qubit],
             LoweredOp::Entangler { qubits, .. } => vec![qubits.0, qubits.1],
@@ -346,7 +346,7 @@ fn local(qubit: usize, unitary: Mat2) -> LoweredOp {
 
 /// Cache-namespace tag of a lowering mode, used as the `tag` of shared
 /// [`nsb_synth::SynthKey`]s so modes never share entries.
-pub fn mode_tag(mode: LoweringMode) -> u8 {
+pub(crate) fn mode_tag(mode: LoweringMode) -> u8 {
     match mode {
         LoweringMode::ViaCnot => 0,
         LoweringMode::Direct => 1,
@@ -354,14 +354,14 @@ pub fn mode_tag(mode: LoweringMode) -> u8 {
 }
 
 /// Conjugates a two-qubit unitary by SWAP (reverses the tensor order).
-pub fn swap_conjugate(m: &Mat4) -> Mat4 {
+pub(crate) fn swap_conjugate(m: &Mat4) -> Mat4 {
     Mat4::swap() * *m * Mat4::swap()
 }
 
 /// Merges runs of adjacent local gates per qubit and drops locals that are
 /// the identity up to a global phase. The result holds no spare capacity:
 /// compiled programs are kept around, and merging drops about half the ops.
-pub fn merge_locals(ops: Vec<LoweredOp>, n_qubits: usize) -> Vec<LoweredOp> {
+pub(crate) fn merge_locals(ops: Vec<LoweredOp>, n_qubits: usize) -> Vec<LoweredOp> {
     let mut pending: Vec<Option<Mat2>> = vec![None; n_qubits];
     let mut out = Vec::with_capacity(ops.len());
     let flush = |pending: &mut Vec<Option<Mat2>>, q: usize, out: &mut Vec<LoweredOp>| {
@@ -507,7 +507,7 @@ pub(crate) mod tests {
         let routed = crate::sabre_route(
             &generators::qft(4, true),
             device.topology(),
-            &crate::SabreConfig::default(),
+            &crate::sabre::SabreConfig::default(),
         )
         .expect("route");
         let lower = |threads| {
@@ -585,7 +585,7 @@ pub(crate) mod tests {
         let routed = crate::sabre_route(
             &generators::qft(10, true),
             device.topology(),
-            &crate::SabreConfig::default(),
+            &crate::sabre::SabreConfig::default(),
         )
         .expect("route");
         let ops = Lowerer::new(&device, BasisStrategy::Criterion2, LoweringMode::ViaCnot)
@@ -601,7 +601,7 @@ pub(crate) mod tests {
         let routed = crate::sabre_route(
             &generators::qft(2, true),
             device.topology(),
-            &crate::SabreConfig::default(),
+            &crate::sabre::SabreConfig::default(),
         )
         .expect("route");
         let ops = Lowerer::new(&device, BasisStrategy::Criterion2, LoweringMode::ViaCnot)

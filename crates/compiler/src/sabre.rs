@@ -39,15 +39,8 @@ pub struct Layout {
 }
 
 impl Layout {
-    /// The trivial layout `l -> l` for `n_logical` qubits.
-    pub fn trivial(n_logical: usize) -> Self {
-        Layout {
-            logical_to_physical: (0..n_logical).collect(),
-        }
-    }
-
     /// Physical host of a logical qubit.
-    pub fn physical(&self, logical: usize) -> usize {
+    pub(crate) fn physical(&self, logical: usize) -> usize {
         self.logical_to_physical[logical]
     }
 

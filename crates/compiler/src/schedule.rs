@@ -32,7 +32,7 @@ pub struct Schedule {
 impl Schedule {
     /// Active-window length of one qubit: at least its busy time, at most
     /// `t_f - t_i`.
-    pub fn window_length(&self, q: usize) -> f64 {
+    pub(crate) fn window_length(&self, q: usize) -> f64 {
         match self.windows[q] {
             None => 0.0,
             Some((ti, tf)) => (tf - ti).max(self.busy[q]),
@@ -52,7 +52,8 @@ impl Schedule {
     }
 
     /// Number of qubits that executed at least one gate.
-    pub fn active_qubits(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn active_qubits(&self) -> usize {
         self.windows.iter().flatten().count()
     }
 }

@@ -1,9 +1,9 @@
 //! # nsb-core
 //!
 //! Facade crate for the reproduction of *Let Each Quantum Bit Choose Its
-//! Basis Gates* (MICRO 2022): re-exports every subsystem and provides the
-//! shared experiment harness used by the table/figure regeneration
-//! binaries.
+//! Basis Gates* (MICRO 2022): re-exports the subsystems its users reach
+//! into, gathers the common items in [`prelude`], and provides the shared
+//! experiment harness used by the table/figure regeneration binaries.
 //!
 //! ## Subsystems
 //!
@@ -14,15 +14,17 @@
 //!   (Section VII).
 //! * [`sim`] — the transmon-coupler-transmon pulse simulator
 //!   (Section VIII-B, Appendix A).
-//! * [`circuit`] — circuit IR, statevector simulation, benchmarks.
+//! * `nsb-circuit` — circuit IR, statevector simulation, benchmarks
+//!   (its items are in [`prelude`]).
 //! * [`device`] — the simulated 10x10 device, per-edge basis-gate
 //!   selection and the calibration protocol (Sections V-E, VI).
 //! * [`compiler`] — SABRE mapping and per-edge basis lowering.
 //! * [`service`] — concurrent compilation service with a shared
 //!   synthesis cache, deadlines and metrics; [`ServicePool`](service::ServicePool)
 //!   shards it across multiple device calibrations.
-//! * [`store`] — persistent snapshot store for the synthesis cache:
-//!   checksummed on-disk format, atomic replacement, warm starts.
+//! * `nsb-store` — persistent snapshot store for the synthesis cache:
+//!   checksummed on-disk format, atomic replacement, warm starts (its
+//!   items are in [`prelude`]).
 //! * [`verify`] — static verification of compiled programs: basis
 //!   legality, connectivity, Weyl canonicality, schedule sanity and
 //!   unitary equivalence.
@@ -77,13 +79,11 @@
 )]
 #![deny(missing_docs)]
 
-pub use nsb_circuit as circuit;
 pub use nsb_compiler as compiler;
 pub use nsb_device as device;
 pub use nsb_math as math;
 pub use nsb_service as service;
 pub use nsb_sim as sim;
-pub use nsb_store as store;
 pub use nsb_synth as synth;
 pub use nsb_verify as verify;
 pub use nsb_weyl as weyl;
@@ -94,26 +94,20 @@ pub mod experiments;
 pub mod prelude {
     pub use crate::experiments::{
         build_case_study_device, compile_on, evaluate_benchmark, small_suite, table2_suite,
-        Benchmark, StrategyResult, Table2Row,
     };
-    pub use nsb_circuit::{generators, Circuit, Gate, StateVector};
+    pub use nsb_circuit::{generators, Circuit, StateVector};
     pub use nsb_compiler::{verify_compiled, CompiledCircuit, LoweringMode, Transpiler};
-    pub use nsb_device::{
-        BasisStrategy, Device, DeviceConfig, FrequencyPlan, GridTopology, Table1Row,
-    };
-    pub use nsb_math::{Complex64, DMat, Mat2, Mat4};
+    pub use nsb_device::{BasisStrategy, Device, DeviceConfig, FrequencyPlan, GridTopology};
+    pub use nsb_math::{Complex64, Mat2, Mat4};
     pub use nsb_service::{
-        CompileService, FallbackPolicy, JobOutput, JobRoute, JobSpec, PoolConfig, ServiceConfig,
-        ServiceError, ServiceMetrics, ServicePool, ShardSpec,
+        CompileService, FallbackPolicy, JobRoute, JobSpec, PoolConfig, ServiceConfig, ServicePool,
+        ShardSpec,
     };
-    pub use nsb_sim::{
-        CartanTrajectory, DriveParams, PreparedCell, TrajectoryConfig, UnitCellParams,
-    };
-    pub use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoredEntry};
+    pub use nsb_sim::{PreparedCell, TrajectoryConfig, UnitCellParams};
+    pub use nsb_store::{SnapshotStore, StoredEntry};
     pub use nsb_synth::{Decomposer, DecomposerConfig, Synthesized2Q};
-    pub use nsb_verify::{VerifierSuite, VerifyLevel, VerifyReport, ViolationKind};
+    pub use nsb_verify::{VerifierSuite, VerifyLevel, VerifyReport};
     pub use nsb_weyl::{
-        can_cnot_in_2, can_swap_in_3, entangling_power, first_crossing, is_perfect_entangler,
-        kak_vector, SelectionCriterion, WeylCoord,
+        can_cnot_in_2, can_swap_in_3, first_crossing, kak_vector, SelectionCriterion, WeylCoord,
     };
 }

@@ -22,7 +22,7 @@ use rand::Rng;
 
 /// Statistical model of a tomographic characterization.
 #[derive(Clone, Copy, Debug)]
-pub struct TomographyModel {
+pub(crate) struct TomographyModel {
     /// Number of measurement shots per configuration.
     pub shots: u64,
     /// Noise amplification constant mapping shots to matrix-element noise.
@@ -33,7 +33,7 @@ impl TomographyModel {
     /// Typical quick QPT: enough to localize candidates but not to compile
     /// against (paper: "we are not able to narrow down to one basis gate
     /// due to the imprecision of QPT").
-    pub fn qpt() -> Self {
+    pub(crate) fn qpt() -> Self {
         TomographyModel {
             shots: 4_000,
             noise_scale: 2.0,
@@ -42,7 +42,7 @@ impl TomographyModel {
 
     /// GST-grade characterization: an order of magnitude more effective
     /// statistics after the self-consistent fit.
-    pub fn gst() -> Self {
+    pub(crate) fn gst() -> Self {
         TomographyModel {
             shots: 400_000,
             noise_scale: 2.0,
@@ -50,7 +50,7 @@ impl TomographyModel {
     }
 
     /// Produces an estimated unitary for a true gate.
-    pub fn estimate<R: Rng + ?Sized>(&self, truth: &Mat4, rng: &mut R) -> Mat4 {
+    pub(crate) fn estimate<R: Rng + ?Sized>(&self, truth: &Mat4, rng: &mut R) -> Mat4 {
         let sigma = self.noise_scale / (self.shots as f64).sqrt();
         let mut noisy = *truth;
         for r in 0..4 {
@@ -59,11 +59,6 @@ impl TomographyModel {
             }
         }
         polar_unitary4(&noisy)
-    }
-
-    /// Expected estimation error scale (Frobenius) for sanity checks.
-    pub fn expected_error(&self) -> f64 {
-        self.noise_scale / (self.shots as f64).sqrt() * 4.0
     }
 }
 
@@ -116,7 +111,7 @@ pub fn initial_tuneup<R: Rng + ?Sized>(
 
 /// The tuneup logic given an already-simulated trajectory (shared by the
 /// initial tuneup and by tests).
-pub fn tuneup_from_trajectory<R: Rng + ?Sized>(
+pub(crate) fn tuneup_from_trajectory<R: Rng + ?Sized>(
     traj: &CartanTrajectory,
     criterion: SelectionCriterion,
     min_entangling_power: f64,

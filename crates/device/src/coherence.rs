@@ -2,13 +2,6 @@
 //! forms behind Qiskit Ignis' `coherence_limit` (the function the paper
 //! uses for Table I).
 
-/// Average-gate-infidelity coherence limit for a single qubit with
-/// relaxation time `t1`, dephasing time `t2`, over a gate of length
-/// `gate_len` (same time units).
-pub fn coherence_limit_1q(t1: f64, t2: f64, gate_len: f64) -> f64 {
-    0.5 * (1.0 - (2.0 / 3.0) * (-gate_len / t2).exp() - (1.0 / 3.0) * (-gate_len / t1).exp())
-}
-
 /// Average-gate-infidelity coherence limit for a two-qubit gate, given the
 /// per-qubit `t1` and `t2` lists. For `t1 = t2 = T` this expands to
 /// `1.2 * gate_len / T` at small `gate_len`.
@@ -46,7 +39,6 @@ mod tests {
 
     #[test]
     fn limits_vanish_at_zero_duration() {
-        assert!(coherence_limit_1q(80e3, 80e3, 0.0).abs() < 1e-15);
         assert!(coherence_limit_2q([80e3; 2], [80e3; 2], 0.0).abs() < 1e-15);
     }
 
@@ -60,14 +52,6 @@ mod tests {
             (err / expected - 1.0).abs() < 1e-3,
             "err {err:.3e} vs 1.2 t/T {expected:.3e}"
         );
-    }
-
-    #[test]
-    fn small_time_expansion_1q_is_half_t_over_big_t() {
-        let t = 80_000.0;
-        let dt = 20.0;
-        let err = coherence_limit_1q(t, t, dt);
-        assert!((err / (0.5 * dt / t) - 1.0).abs() < 1e-3);
     }
 
     #[test]

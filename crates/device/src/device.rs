@@ -211,15 +211,18 @@ impl DeviceConfig {
 /// Errors produced while building a device.
 #[derive(Clone, Debug)]
 pub struct DeviceBuildError {
-    /// Edge index that failed.
-    pub edge: usize,
+    /// Edge index that failed; `None` when the grid itself is rejected.
+    pub edge: Option<usize>,
     /// Human-readable reason.
     pub reason: String,
 }
 
 impl fmt::Display for DeviceBuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "edge {}: {}", self.edge, self.reason)
+        match self.edge {
+            Some(edge) => write!(f, "edge {edge}: {}", self.reason),
+            None => f.write_str(&self.reason),
+        }
     }
 }
 
@@ -229,7 +232,6 @@ impl std::error::Error for DeviceBuildError {}
 #[derive(Clone, Debug)]
 pub struct Device {
     topology: GridTopology,
-    frequencies: FrequencyAllocation,
     config: DeviceConfig,
     edges: Vec<EdgeCalibration>,
 }
@@ -242,13 +244,20 @@ impl Device {
     ///
     /// # Errors
     ///
-    /// Returns the first [`DeviceBuildError`] when any edge fails
-    /// calibration or synthesis.
+    /// Returns a [`DeviceBuildError`] for an empty grid (zero width or
+    /// height), or the first one when any edge fails calibration or
+    /// synthesis.
     pub fn build(
         width: usize,
         height: usize,
         config: DeviceConfig,
     ) -> Result<Device, DeviceBuildError> {
+        if width == 0 || height == 0 {
+            return Err(DeviceBuildError {
+                edge: None,
+                reason: format!("empty grid: a {width}x{height} device has no qubits"),
+            });
+        }
         let topology = GridTopology::new(width, height);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let frequencies = FrequencyAllocation::sample(&topology, &config.plan, &mut rng);
@@ -303,7 +312,6 @@ impl Device {
         }
         Ok(Device {
             topology,
-            frequencies,
             config,
             edges,
         })
@@ -314,11 +322,6 @@ impl Device {
         &self.topology
     }
 
-    /// Qubit frequencies.
-    pub fn frequencies(&self) -> &FrequencyAllocation {
-        &self.frequencies
-    }
-
     /// Build configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.config
@@ -327,20 +330,6 @@ impl Device {
     /// All edge calibrations in [`GridTopology::edges`] order.
     pub fn edges(&self) -> &[EdgeCalibration] {
         &self.edges
-    }
-
-    /// Calibration record for the edge between `a` and `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the qubits are not adjacent.
-    pub fn edge(&self, a: usize, b: usize) -> &EdgeCalibration {
-        #[expect(clippy::panic, reason = "documented contract")]
-        let idx = self
-            .topology
-            .edge_index(a, b)
-            .unwrap_or_else(|| panic!("qubits {a},{b} are not coupled"));
-        &self.edges[idx]
     }
 
     /// A stable fingerprint of this device's calibration.
@@ -435,7 +424,10 @@ fn build_edge(
     frequencies: &FrequencyAllocation,
     config: &DeviceConfig,
 ) -> Result<EdgeCalibration, DeviceBuildError> {
-    let err = |reason: String| DeviceBuildError { edge: idx, reason };
+    let err = |reason: String| DeviceBuildError {
+        edge: Some(idx),
+        reason,
+    };
     let mut rng =
         StdRng::seed_from_u64(config.seed ^ (0x9e3779b97f4a7c15u64.wrapping_mul(idx as u64 + 1)));
     let (fa, fb) = (frequencies.frequency(a), frequencies.frequency(b));
@@ -613,10 +605,20 @@ mod tests {
     }
 
     #[test]
+    fn empty_grid_is_a_build_error_not_a_panic() {
+        for (width, height) in [(0, 3), (3, 0)] {
+            let err = Device::build(width, height, DeviceConfig::fast_test())
+                .expect_err("an empty grid has no device");
+            assert_eq!(err.edge, None);
+            assert!(err.reason.contains("empty grid"), "{err}");
+        }
+    }
+
+    #[test]
     fn edge_lookup_by_qubits() {
         let device = Device::build(2, 1, DeviceConfig::fast_test()).expect("build");
-        let e = device.edge(1, 0);
-        assert_eq!(e.qubits, (0, 1));
+        let idx = device.topology().edge_index(1, 0).expect("coupled");
+        assert_eq!(device.edges()[idx].qubits, (0, 1));
     }
 
     #[test]

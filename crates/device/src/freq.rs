@@ -68,7 +68,8 @@ impl FrequencyAllocation {
     }
 
     /// All frequencies (GHz).
-    pub fn frequencies(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn frequencies(&self) -> &[f64] {
         &self.freqs
     }
 }

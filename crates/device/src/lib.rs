@@ -33,12 +33,8 @@ mod device;
 mod freq;
 mod topology;
 
-pub use calibration::{
-    initial_tuneup, retune, tuneup_from_trajectory, CandidateGate, TomographyModel, TuneupResult,
-};
-pub use coherence::{
-    coherence_fidelity_2q, coherence_limit_1q, coherence_limit_2q, synthesized_duration,
-};
+pub use calibration::{initial_tuneup, retune, CandidateGate, TuneupResult};
+pub use coherence::{coherence_fidelity_2q, coherence_limit_2q, synthesized_duration};
 pub use device::{
     BasisStrategy, Device, DeviceBuildError, DeviceConfig, EdgeCalibration, SelectedBasis,
     SynthesizedGate, Table1Row,

@@ -4,33 +4,11 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-/// How severe a finding is. Every shipped rule currently reports
-/// errors; the field exists so future advisory rules fit the schema.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the lint gate.
-    Error,
-    /// Reported but does not fail the gate.
-    Warning,
-}
-
-impl Severity {
-    /// Lowercase name used in rendering and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        }
-    }
-}
-
 /// One finding.
 #[derive(Clone, Debug)]
 pub struct Diagnostic {
     /// Stable rule identifier (e.g. `lock-order`).
     pub rule: &'static str,
-    /// Finding severity.
-    pub severity: Severity,
     /// Workspace-relative file.
     pub file: PathBuf,
     /// 1-based line (0 for file-level findings).
@@ -46,12 +24,7 @@ pub struct Diagnostic {
 impl Diagnostic {
     /// Renders the finding rustc-style.
     pub fn render(&self) -> String {
-        let mut s = format!(
-            "{}[{}]: {}\n",
-            self.severity.name(),
-            self.rule,
-            self.message
-        );
+        let mut s = format!("error[{}]: {}\n", self.rule, self.message);
         if self.line > 0 {
             s.push_str(&format!(
                 "  --> {}:{}{}\n",
@@ -96,9 +69,8 @@ pub fn to_json(diags: &[Diagnostic]) -> String {
             s.push(',');
         }
         s.push_str(&format!(
-            "\n    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}, \"snippet\": {}}}",
+            "\n    {{\"rule\": {}, \"severity\": \"error\", \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}, \"snippet\": {}}}",
             json_str(d.rule),
-            json_str(d.severity.name()),
             json_str(&d.file.display().to_string()),
             d.line,
             d.col,
@@ -148,7 +120,6 @@ mod tests {
     fn diag() -> Diagnostic {
         Diagnostic {
             rule: "lock-order",
-            severity: Severity::Error,
             file: PathBuf::from("crates/x/src/a.rs"),
             line: 3,
             col: 7,

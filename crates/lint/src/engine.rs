@@ -29,7 +29,7 @@ fn crate_dirs(root: &Path) -> Vec<PathBuf> {
 /// Scanned roots are `src/`, `tests/`, and each `crates/*/{src,tests}`.
 /// Files under a `tests/` directory are [`FileKind::Test`] (evidence
 /// only); everything else is [`FileKind::Lib`].
-pub fn collect_files(root: &Path) -> Vec<SourceFile> {
+pub(crate) fn collect_files(root: &Path) -> Vec<SourceFile> {
     let mut files = Vec::new();
     for dir in std::iter::once(root.to_path_buf()).chain(crate_dirs(root)) {
         collect_dir(root, &dir.join("src"), FileKind::Lib, &mut files);
@@ -40,7 +40,7 @@ pub fn collect_files(root: &Path) -> Vec<SourceFile> {
 
 /// Reads the root manifest and every `crates/*/Cargo.toml`, as
 /// (workspace-relative path, text) pairs.
-pub fn collect_manifests(root: &Path) -> Vec<(PathBuf, String)> {
+pub(crate) fn collect_manifests(root: &Path) -> Vec<(PathBuf, String)> {
     std::iter::once(root.to_path_buf())
         .chain(crate_dirs(root))
         .filter_map(|dir| {

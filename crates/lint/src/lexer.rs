@@ -9,7 +9,7 @@
 
 /// What a single token is.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// An identifier or keyword (`self`, `fn`, `shard_of`, ...).
     Ident(String),
     /// A lifetime such as `'a` (without the quote).
@@ -30,7 +30,7 @@ pub enum TokenKind {
 
 /// One token with its position.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token's kind and text.
     pub kind: TokenKind,
     /// 1-based source line of the token's first character.
@@ -97,7 +97,7 @@ impl Cursor {
 /// unterminated string, say) is consumed to end-of-file and the tokens
 /// seen so far are returned — a linter must degrade gracefully on code
 /// that rustc itself will reject later.
-pub fn lex(src: &str) -> Vec<Token> {
+pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut cur = Cursor::new(src);
     let mut out = Vec::new();
     while let Some(c) = cur.peek() {

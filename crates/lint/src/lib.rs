@@ -2,27 +2,27 @@
 //! checks clippy cannot do.
 //!
 //! The crate parses every workspace source file with a hand-rolled
-//! lexer ([`lexer`]) and token-tree builder ([`tree`]) — no external
-//! parser dependency — and walks the trees with a set of structural
-//! rules, emitting rustc-style diagnostics ([`diag`]) with file/line
-//! spans, a severity, and a machine-readable JSON encoding for CI
-//! artifacts.
+//! lexer and token-tree builder — no external parser dependency — and
+//! walks the trees with a set of structural rules, emitting rustc-style
+//! [`Diagnostic`]s with file/line spans and a machine-readable JSON
+//! encoding for CI artifacts ([`to_json`]).
 //!
 //! Rules:
 //!
 //! * **`lock-order`** — a static deadlock detector over `std::sync`
 //!   usage: lock-acquisition-order cycles, re-entrant acquisitions, and
 //!   guards held across blocking calls (`Condvar` waits, `recv`,
-//!   `join`). See [`rules::lock_order`].
+//!   `join`).
 //! * **`condvar-predicate`** — a raw `Condvar::wait`/`wait_timeout`
 //!   that does not re-check its guarded state inside a loop.
-//! * **`error-variant-coverage`** — every variant of a `pub enum
-//!   *Error` must be constructed or matched somewhere in test code.
+//! * **`error-variant-coverage`** — every variant of a `pub` or
+//!   `pub(crate)` `enum *Error` must be constructed or matched somewhere
+//!   in test code.
 //! * **`prefer-mat4`** — heap-allocated `DMat::zeros(4, 4)` in the
 //!   simulation/synthesis hot paths, matched structurally.
 //! * **`crate-root-lints`** — every crate opts into the clippy and
 //!   rustc lints that enforce the panicking, printing, float-compare
-//!   and unsafe rules. See [`rules::crate_root`].
+//!   and unsafe rules.
 //!
 //! The entry point is [`run_workspace`]; `cargo run -p xtask -- lint`
 //! drives it from the command line.
@@ -39,15 +39,15 @@
     )
 )]
 
-pub mod diag;
-pub mod engine;
-pub mod lexer;
-pub mod rules;
-pub mod source;
-pub mod tree;
+mod diag;
+mod engine;
+mod lexer;
+mod rules;
+mod source;
+mod tree;
 
-pub use diag::{to_json, Diagnostic, Severity};
-pub use engine::{analyze_files, collect_files, collect_manifests, run_workspace};
+pub use diag::{to_json, Diagnostic};
+pub use engine::{analyze_files, run_workspace};
 pub use source::{FileKind, SourceFile};
 
 /// Every rule id with a one-line summary, in catalogue order.
@@ -62,7 +62,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "error-variant-coverage",
-        "every public error enum variant is constructed or matched in test code",
+        "every pub or pub(crate) error enum variant is constructed or matched in test code",
     ),
     (
         "prefer-mat4",

@@ -1,6 +1,6 @@
 //! `crate-root-lints`: every crate opts into the clippy and rustc lints
 //! that enforce the panicking, printing, float-compare and unsafe rules,
-//! so a new crate cannot opt out silently. Both checks report
+//! so a new crate cannot opt out silently. All three checks report
 //! file-level findings (`line: 0`):
 //!
 //! * each library root (`src/lib.rs`) carries
@@ -9,15 +9,18 @@
 //!   spelling the attribute does not count;
 //! * each manifest has `[lints] workspace = true`, which brings in the
 //!   workspace table (`unsafe_code = "forbid"`, `todo`,
-//!   `unimplemented`, `dbg_macro`, `missing_docs`).
+//!   `unimplemented`, `dbg_macro`, `missing_docs`);
+//! * the root manifest's `[workspace.lints.rust]` sets `unreachable_pub`
+//!   (to `warn`, `deny` or `forbid`), so a `pub` item that nothing
+//!   outside its crate can reach fails CI instead of hiding dead code.
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::source::{FileKind, SourceFile};
 use crate::tree::collect_idents;
 use std::path::Path;
 
 /// The clippy lints every library crate root enables outside tests.
-pub const LIBRARY_LINTS: &[&str] = &[
+pub(crate) const LIBRARY_LINTS: &[&str] = &[
     "unwrap_used",
     "expect_used",
     "panic",
@@ -29,7 +32,6 @@ pub const LIBRARY_LINTS: &[&str] = &[
 fn finding(file: &Path, message: String) -> Diagnostic {
     Diagnostic {
         rule: "crate-root-lints",
-        severity: Severity::Error,
         file: file.to_path_buf(),
         line: 0,
         col: 0,
@@ -39,7 +41,7 @@ fn finding(file: &Path, message: String) -> Diagnostic {
 }
 
 /// Checks one parsed source file (only library roots are concerned).
-pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if file.kind != FileKind::Lib || !file.is_crate_root() {
         return;
     }
@@ -61,18 +63,33 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Checks one `Cargo.toml` (`path` is workspace-relative).
-pub fn check_manifest(path: &Path, text: &str, out: &mut Vec<Diagnostic>) {
-    let mut in_lints = false;
+/// Checks one `Cargo.toml` (`path` is workspace-relative; the root
+/// manifest is `Cargo.toml`).
+pub(crate) fn check_manifest(path: &Path, text: &str, out: &mut Vec<Diagnostic>) {
+    let mut table = "";
+    let mut opted_in = false;
+    let mut unreachable_pub = false;
     for line in text.lines().map(str::trim) {
         if line.starts_with('[') {
-            in_lints = line == "[lints]";
-        } else if in_lints && line.replace(' ', "") == "workspace=true" {
-            return;
+            table = line;
+            continue;
         }
+        let setting = line.replace(' ', "");
+        opted_in |= table == "[lints]" && setting == "workspace=true";
+        unreachable_pub |= table == "[workspace.lints.rust]"
+            && ["warn", "deny", "forbid"]
+                .iter()
+                .any(|level| setting == format!("unreachable_pub=\"{level}\""));
     }
-    let message = "manifest does not opt into the workspace lints with `[lints] workspace = true`";
-    out.push(finding(path, message.into()));
+    if !opted_in {
+        let message =
+            "manifest does not opt into the workspace lints with `[lints] workspace = true`";
+        out.push(finding(path, message.into()));
+    }
+    if path == Path::new("Cargo.toml") && !unreachable_pub {
+        let message = "root manifest does not set `unreachable_pub` in `[workspace.lints.rust]`";
+        out.push(finding(path, message.into()));
+    }
 }
 
 #[cfg(test)]
@@ -112,17 +129,38 @@ mod tests {
 
     #[test]
     fn missing_manifest_opt_in_is_flagged() {
-        let count = |text: &str| {
+        let count = |path: &str, text: &str| {
             let mut out = Vec::new();
-            check_manifest(Path::new("crates/x/Cargo.toml"), text, &mut out);
+            check_manifest(Path::new(path), text, &mut out);
             out.len()
         };
+        let member = "crates/x/Cargo.toml";
         assert_eq!(
-            count("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n"),
+            count(
+                member,
+                "[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n"
+            ),
             0
         );
-        assert_eq!(count("[package]\nname = \"x\"\n"), 1);
-        assert_eq!(count("[package]\nworkspace = true\n[lints]\n"), 1);
+        assert_eq!(count(member, "[package]\nname = \"x\"\n"), 1);
+        assert_eq!(count(member, "[package]\nworkspace = true\n[lints]\n"), 1);
+        // The root manifest must also set `unreachable_pub`, in the rust
+        // lint table and to a level that reports.
+        let root =
+            "[workspace.lints.rust]\nunreachable_pub = \"warn\"\n\n[lints]\nworkspace = true\n";
+        assert_eq!(count("Cargo.toml", root), 0);
+        assert_eq!(
+            count(
+                "Cargo.toml",
+                &root.replace("unreachable_pub = \"warn\"\n", "")
+            ),
+            1
+        );
+        assert_eq!(
+            count("Cargo.toml", &root.replace("\"warn\"", "\"allow\"")),
+            1
+        );
+        assert_eq!(count("Cargo.toml", &root.replace(".rust]", ".clippy]")), 1);
     }
 
     #[test]

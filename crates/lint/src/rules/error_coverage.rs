@@ -1,15 +1,15 @@
-//! `error-variant-coverage`: every variant of a public error enum must
-//! be exercised somewhere in test code.
+//! `error-variant-coverage`: every variant of a `pub` or `pub(crate)`
+//! error enum must be exercised somewhere in test code.
 //!
-//! Pass 1 collects definitions: `pub enum Name` items (not
-//! `pub(crate)`) whose name ends in `Error`, in non-test library code,
+//! Pass 1 collects definitions: `pub enum Name` and `pub(crate) enum
+//! Name` items whose name ends in `Error`, in non-test library code,
 //! with each variant's definition site. Pass 2 collects evidence: any
 //! `Name::Variant` path mention inside `#[cfg(test)]` code or files
 //! under `tests/` — constructions and `matches!`-style assertions both
 //! count, since either pins the variant's existence and shape to a
 //! test. Variants with no evidence are reported at their definition.
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::source::{FileKind, SourceFile};
 use crate::tree::{walk_groups, Tree};
 use std::collections::{BTreeMap, BTreeSet};
@@ -25,7 +25,7 @@ struct VariantDef {
 }
 
 /// Runs the rule over the whole workspace.
-pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     let mut defs: Vec<VariantDef> = Vec::new();
     for f in files {
         if f.kind == FileKind::Lib {
@@ -61,13 +61,11 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
         if !seen {
             out.push(Diagnostic {
                 rule: "error-variant-coverage",
-                severity: Severity::Error,
                 file: d.file,
                 line: d.line,
                 col: d.col,
                 message: format!(
-                    "public error variant `{}::{}` is never constructed or matched \
-                     in test code",
+                    "error variant `{}::{}` is never constructed or matched in test code",
                     d.enum_name, d.variant
                 ),
                 snippet: d.snippet,
@@ -76,16 +74,21 @@ pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Finds `pub enum *Error` items at any nesting level of a file.
+/// Finds `pub enum *Error` and `pub(crate) enum *Error` items at any
+/// nesting level of a file.
 fn collect_defs(file: &SourceFile, out: &mut Vec<VariantDef>) {
     walk_groups(&file.trees, &mut |trees| {
         let mut i = 0;
         while i < trees.len() {
             if trees[i].ident() == Some("pub") {
                 let mut j = i + 1;
-                // `pub(crate)` / `pub(super)` are not public API.
-                let restricted = trees.get(j).and_then(Tree::group).is_some();
-                if !restricted && trees.get(j).and_then(Tree::ident) == Some("enum") {
+                // `pub(crate)` counts; after `pub(super)` / `pub(in …)`, `j`
+                // stays on the group, which is not `enum`.
+                let crate_only = trees.get(j).and_then(Tree::group).is_some_and(
+                    |g| matches!(g.trees.as_slice(), [t] if t.ident() == Some("crate")),
+                );
+                j += usize::from(crate_only);
+                if trees.get(j).and_then(Tree::ident) == Some("enum") {
                     j += 1;
                     if let Some(name) = trees.get(j).and_then(Tree::ident) {
                         if name.ends_with("Error") && !file.is_test_line(trees[i].line()) {
@@ -201,10 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn only_public_error_enums_participate() {
-        let private =
-            "enum StoreError { A }\npub(crate) enum IoError { B }\npub enum Shape { C }\n";
-        let msgs = run(vec![lib_file("crates/x/src/a.rs", private)]);
-        assert!(msgs.is_empty(), "{msgs:?}");
+    fn pub_and_pub_crate_error_enums_participate() {
+        let src = "enum StoreError { A }\npub(crate) enum IoError { B }\npub(super) enum UpError { C }\npub enum Shape { D }\npub enum PushError { E }\n";
+        let msgs = run(vec![lib_file("crates/x/src/a.rs", src)]);
+        assert_eq!(msgs.len(), 2, "{msgs:?}");
+        assert!(msgs[0].contains("IoError::B"));
+        assert!(msgs[1].contains("PushError::E"));
     }
 }

@@ -39,7 +39,7 @@
 //! and zero-argument waits (`JobHandle::wait()`, `Barrier::wait()`) are
 //! not condvar waits.
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::source::{FileKind, SourceFile};
 use crate::tree::{collect_idents, Group, Tree};
 use std::collections::{BTreeMap, BTreeSet};
@@ -74,7 +74,7 @@ struct AcqEdge {
 }
 
 /// Runs the rule over the whole workspace.
-pub fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(files: &[SourceFile], out: &mut Vec<Diagnostic>) {
     let mut edges: Vec<AcqEdge> = Vec::new();
     for f in files {
         if f.kind == FileKind::Test {
@@ -396,7 +396,6 @@ fn finding(file: &SourceFile, site: &Tree, rule: &'static str, message: String) 
     let line = site.line();
     Diagnostic {
         rule,
-        severity: Severity::Error,
         file: file.path.clone(),
         line,
         col: site.col(),
@@ -547,7 +546,6 @@ fn report_cycles(edges: &[AcqEdge], out: &mut Vec<Diagnostic>) {
             .collect();
         out.push(Diagnostic {
             rule: "lock-order",
-            severity: Severity::Error,
             file: e.file.clone(),
             line: e.line,
             col: e.col,

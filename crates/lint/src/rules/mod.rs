@@ -5,7 +5,7 @@
 //! because their evidence (test constructions, lock-acquisition edges)
 //! crosses file boundaries. [`crate_root`] also checks manifests.
 
-pub mod crate_root;
-pub mod error_coverage;
-pub mod lock_order;
-pub mod prefer_mat4;
+pub(crate) mod crate_root;
+pub(crate) mod error_coverage;
+pub(crate) mod lock_order;
+pub(crate) mod prefer_mat4;

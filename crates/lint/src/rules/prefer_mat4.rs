@@ -4,7 +4,7 @@
 //! whitespace, comments between tokens, or the string `"DMat::zeros(4, 4)"`
 //! can no longer produce false results.
 
-use crate::diag::{Diagnostic, Severity};
+use crate::diag::Diagnostic;
 use crate::lexer::TokenKind;
 use crate::source::{FileKind, SourceFile};
 use crate::tree::{walk_groups, Tree};
@@ -22,7 +22,7 @@ fn is_int(t: &Tree, value: &str) -> bool {
 }
 
 /// Runs the rule over one file.
-pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     if file.kind != FileKind::Lib || !hot_path(file) {
         return;
     }
@@ -46,7 +46,6 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             if four_by_four && !file.is_test_line(line) {
                 out.push(Diagnostic {
                     rule: "prefer-mat4",
-                    severity: Severity::Error,
                     file: file.path.clone(),
                     line,
                     col: t.col(),

@@ -3,7 +3,7 @@
 
 use crate::lexer::lex;
 use crate::tree::{build, Tree};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// How a file's code is classified for rule applicability.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub struct SourceFile {
     /// Raw text (for diagnostics' snippet lines).
     pub text: String,
     /// Token trees of the whole file.
-    pub trees: Vec<Tree>,
+    pub(crate) trees: Vec<Tree>,
     /// Inclusive line ranges of `#[cfg(test)]` / `#[test]` items.
     test_ranges: Vec<(usize, usize)>,
 }
@@ -49,7 +49,7 @@ impl SourceFile {
 
     /// Whether `line` lies inside test-gated code (or the whole file is
     /// a test file).
-    pub fn is_test_line(&self, line: usize) -> bool {
+    pub(crate) fn is_test_line(&self, line: usize) -> bool {
         self.kind == FileKind::Test
             || self
                 .test_ranges
@@ -58,7 +58,7 @@ impl SourceFile {
     }
 
     /// The trimmed source line (1-based), for diagnostic snippets.
-    pub fn snippet(&self, line: usize) -> String {
+    pub(crate) fn snippet(&self, line: usize) -> String {
         self.text
             .lines()
             .nth(line.saturating_sub(1))
@@ -67,7 +67,7 @@ impl SourceFile {
     }
 
     /// Whether this file is a crate root (`src/lib.rs`).
-    pub fn is_crate_root(&self) -> bool {
+    pub(crate) fn is_crate_root(&self) -> bool {
         self.path.file_name().is_some_and(|n| n == "lib.rs")
             && self
                 .path
@@ -159,8 +159,9 @@ fn contains_test_outside_not(trees: &[Tree]) -> bool {
 }
 
 /// Convenience for rule unit tests: parse as a library file at `path`.
-pub fn lib_file(path: &str, text: &str) -> SourceFile {
-    SourceFile::parse(Path::new(path), FileKind::Lib, text)
+#[cfg(test)]
+pub(crate) fn lib_file(path: &str, text: &str) -> SourceFile {
+    SourceFile::parse(std::path::Path::new(path), FileKind::Lib, text)
 }
 
 #[cfg(test)]

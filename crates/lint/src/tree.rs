@@ -9,7 +9,7 @@ use crate::lexer::{Token, TokenKind};
 
 /// One node: a leaf token or a delimited group.
 #[derive(Clone, Debug)]
-pub enum Tree {
+pub(crate) enum Tree {
     /// A non-delimiter token.
     Leaf(Token),
     /// A `(…)`, `[…]` or `{…}` group.
@@ -18,7 +18,7 @@ pub enum Tree {
 
 /// A delimited token group.
 #[derive(Clone, Debug)]
-pub struct Group {
+pub(crate) struct Group {
     /// Opening delimiter: `(`, `[` or `{`.
     pub delim: char,
     /// 1-based line of the opening delimiter.
@@ -34,7 +34,7 @@ pub struct Group {
 
 impl Tree {
     /// The group, if this is a group.
-    pub fn group(&self) -> Option<&Group> {
+    pub(crate) fn group(&self) -> Option<&Group> {
         match self {
             Tree::Group(g) => Some(g),
             Tree::Leaf(_) => None,
@@ -42,7 +42,7 @@ impl Tree {
     }
 
     /// The identifier's text, if this is an identifier leaf.
-    pub fn ident(&self) -> Option<&str> {
+    pub(crate) fn ident(&self) -> Option<&str> {
         match self {
             Tree::Leaf(Token {
                 kind: TokenKind::Ident(name),
@@ -53,7 +53,7 @@ impl Tree {
     }
 
     /// Whether this is the punctuation `op`.
-    pub fn is_punct(&self, op: &str) -> bool {
+    pub(crate) fn is_punct(&self, op: &str) -> bool {
         matches!(
             self,
             Tree::Leaf(Token {
@@ -64,7 +64,7 @@ impl Tree {
     }
 
     /// The source line this node starts on.
-    pub fn line(&self) -> usize {
+    pub(crate) fn line(&self) -> usize {
         match self {
             Tree::Leaf(t) => t.line,
             Tree::Group(g) => g.open_line,
@@ -72,7 +72,7 @@ impl Tree {
     }
 
     /// The source column this node starts on.
-    pub fn col(&self) -> usize {
+    pub(crate) fn col(&self) -> usize {
         match self {
             Tree::Leaf(t) => t.col,
             Tree::Group(g) => g.open_col,
@@ -90,7 +90,7 @@ fn closing(delim: char) -> &'static str {
 
 /// Groups a token stream into trees. Tolerant of imbalance: a stray
 /// closer is dropped, an unterminated group closes at end of input.
-pub fn build(tokens: &[Token]) -> Vec<Tree> {
+pub(crate) fn build(tokens: &[Token]) -> Vec<Tree> {
     let mut pos = 0;
     build_until(tokens, &mut pos, None)
 }
@@ -139,7 +139,7 @@ fn build_until(tokens: &[Token], pos: &mut usize, close: Option<&str>) -> Vec<Tr
 
 /// Depth-first walk over every group (including nested ones), calling
 /// `f` with each group's child list. The top-level list is visited too.
-pub fn walk_groups<'a>(trees: &'a [Tree], f: &mut dyn FnMut(&'a [Tree])) {
+pub(crate) fn walk_groups<'a>(trees: &'a [Tree], f: &mut dyn FnMut(&'a [Tree])) {
     f(trees);
     for t in trees {
         if let Tree::Group(g) = t {
@@ -149,7 +149,7 @@ pub fn walk_groups<'a>(trees: &'a [Tree], f: &mut dyn FnMut(&'a [Tree])) {
 }
 
 /// Every identifier in `trees`, nested groups included, in source order.
-pub fn collect_idents<'a>(trees: &'a [Tree], out: &mut impl Extend<&'a str>) {
+pub(crate) fn collect_idents<'a>(trees: &'a [Tree], out: &mut impl Extend<&'a str>) {
     for t in trees {
         match t {
             Tree::Group(g) => collect_idents(&g.trees, out),

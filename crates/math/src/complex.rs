@@ -52,24 +52,18 @@ impl Complex64 {
         Complex64 { re: 0.0, im }
     }
 
-    /// Creates `r * exp(i * theta)`.
+    /// Returns `exp(i * theta)`, a point on the unit circle.
     ///
     /// # Examples
     ///
     /// ```
     /// use nsb_math::Complex64;
-    /// let z = Complex64::from_polar(2.0, std::f64::consts::FRAC_PI_2);
+    /// let z = Complex64::cis(std::f64::consts::FRAC_PI_2).scale(2.0);
     /// assert!((z - Complex64::new(0.0, 2.0)).abs() < 1e-15);
     /// ```
     #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        Complex64::new(r * theta.cos(), r * theta.sin())
-    }
-
-    /// Returns `exp(i * theta)`, a point on the unit circle.
-    #[inline]
     pub fn cis(theta: f64) -> Self {
-        Complex64::from_polar(1.0, theta)
+        Complex64::new(theta.cos(), theta.sin())
     }
 
     /// Complex conjugate.
@@ -97,18 +91,6 @@ impl Complex64 {
         self.im.atan2(self.re)
     }
 
-    /// Complex exponential.
-    #[inline]
-    pub fn exp(self) -> Self {
-        Complex64::from_polar(self.re.exp(), self.im)
-    }
-
-    /// Principal square root.
-    #[inline]
-    pub fn sqrt(self) -> Self {
-        Complex64::from_polar(self.abs().sqrt(), self.arg() / 2.0)
-    }
-
     /// Multiplicative inverse.
     ///
     /// # Panics
@@ -125,12 +107,6 @@ impl Complex64 {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         Complex64::new(self.re * k, self.im * k)
-    }
-
-    /// Returns true when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 
     /// Returns true when `self` and `other` differ by at most `tol` in
@@ -280,23 +256,16 @@ mod tests {
     #[test]
     fn polar_round_trip() {
         let z = Complex64::new(-0.3, 0.8);
-        let w = Complex64::from_polar(z.abs(), z.arg());
+        let w = Complex64::cis(z.arg()).scale(z.abs());
         assert!(z.approx_eq(w, 1e-14));
     }
 
     #[test]
     fn exp_of_imaginary_is_rotation() {
         let theta = 0.731;
-        let z = Complex64::imag(theta).exp();
+        let z = Complex64::cis(theta);
         assert!((z.abs() - 1.0).abs() < 1e-15);
         assert!((z.arg() - theta).abs() < 1e-15);
-    }
-
-    #[test]
-    fn sqrt_squares_back() {
-        let z = Complex64::new(-2.0, 0.5);
-        let s = z.sqrt();
-        assert!((s * s).approx_eq(z, 1e-12));
     }
 
     #[test]

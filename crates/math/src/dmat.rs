@@ -3,7 +3,8 @@
 //! These back the pulse-level Hamiltonian simulator (27-dimensional Hilbert
 //! spaces) and the generic eigensolver / matrix-exponential routines.
 
-use crate::{Complex64, Mat4};
+use crate::complex::Complex64;
+use crate::mat4::Mat4;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -14,7 +15,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// ```
 /// use nsb_math::DMat;
 /// let i = DMat::identity(3);
-/// assert!((i.clone() * i.clone()).approx_eq(&i, 1e-15));
+/// assert_eq!(i.clone() * i.clone(), i);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct DMat {
@@ -53,7 +54,7 @@ impl DMat {
     }
 
     /// Creates a diagonal matrix from the given entries.
-    pub fn from_diag(diag: &[Complex64]) -> Self {
+    pub(crate) fn from_diag(diag: &[Complex64]) -> Self {
         let n = diag.len();
         let mut m = DMat::zeros(n, n);
         for (i, d) in diag.iter().enumerate() {
@@ -75,8 +76,8 @@ impl DMat {
     }
 
     /// Raw row-major data slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[Complex64] {
+    #[cfg(test)]
+    pub(crate) fn as_slice(&self) -> &[Complex64] {
         &self.data
     }
 
@@ -148,7 +149,7 @@ impl DMat {
 
     /// Maximum absolute column sum (induced 1-norm); used by the matrix
     /// exponential's scaling heuristic.
-    pub fn one_norm(&self) -> f64 {
+    pub(crate) fn one_norm(&self) -> f64 {
         let mut best = 0.0f64;
         for c in 0..self.cols {
             let s: f64 = (0..self.rows).map(|r| self[(r, c)].abs()).sum();
@@ -182,7 +183,8 @@ impl DMat {
     }
 
     /// Entry-wise comparison within `tol` (Frobenius norm of difference).
-    pub fn approx_eq(&self, other: &DMat, tol: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn approx_eq(&self, other: &DMat, tol: f64) -> bool {
         if self.rows != other.rows || self.cols != other.cols {
             return false;
         }
@@ -257,7 +259,7 @@ impl DMat {
     /// # Panics
     ///
     /// Panics when shapes are incompatible.
-    pub fn solve(&self, b: &DMat) -> Result<DMat, SingularMatrix> {
+    pub(crate) fn solve(&self, b: &DMat) -> Result<DMat, SingularMatrix> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(self.rows, b.rows, "rhs row mismatch");
         let n = self.rows;
@@ -325,7 +327,7 @@ impl DMat {
     /// # Panics
     ///
     /// Panics when the matrix is smaller than 4x4.
-    pub fn to_mat4(&self) -> Mat4 {
+    pub(crate) fn to_mat4(&self) -> Mat4 {
         assert!(self.rows >= 4 && self.cols >= 4);
         let mut m = Mat4::zero();
         for r in 0..4 {
@@ -350,7 +352,7 @@ impl DMat {
 
 /// Error returned by [`DMat::solve`] when the system is singular.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SingularMatrix;
+pub(crate) struct SingularMatrix;
 
 impl fmt::Display for SingularMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

@@ -5,7 +5,8 @@
 //! simple and numerically excellent (eigenvectors orthogonal to machine
 //! precision).
 
-use crate::{Complex64, DMat};
+use crate::complex::Complex64;
+use crate::dmat::DMat;
 
 /// Result of a Hermitian eigendecomposition: `a = V diag(values) V^dagger`.
 #[derive(Clone, Debug)]
@@ -17,8 +18,9 @@ pub struct HermitianEig {
 }
 
 impl HermitianEig {
-    /// Reconstructs the original matrix; mainly useful in tests.
-    pub fn reconstruct(&self) -> DMat {
+    /// Reconstructs the original matrix: the tests' oracle for [`eigh`].
+    #[cfg(test)]
+    pub(crate) fn reconstruct(&self) -> DMat {
         let d = DMat::from_diag(
             &self
                 .values
@@ -33,7 +35,7 @@ impl HermitianEig {
     ///
     /// This is how the workspace computes functions of Hermitian matrices,
     /// e.g. `exp(-i H t)` or `H^{-1/2}`.
-    pub fn map(&self, mut f: impl FnMut(f64) -> Complex64) -> DMat {
+    pub(crate) fn map(&self, mut f: impl FnMut(f64) -> Complex64) -> DMat {
         let d = DMat::from_diag(&self.values.iter().map(|&v| f(v)).collect::<Vec<_>>());
         &(&self.vectors * &d) * &self.vectors.adjoint()
     }

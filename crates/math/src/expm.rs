@@ -5,12 +5,14 @@
 //! 27-dimensional transmon-coupler-transmon Hilbert space).
 //!
 //! Two implementations share the coefficients: the generic heap-backed
-//! [`expm_generic`] for arbitrary dimensions, and the stack-allocated
-//! [`expm_mat4`] specialized to [`Mat4`] for the two-qubit hot paths (no
-//! heap traffic at all — every intermediate lives on the stack). [`expm`]
-//! dispatches 4x4 inputs to the specialized kernel automatically.
+//! `expm_generic` for arbitrary dimensions, and the stack-allocated
+//! `expm_mat4` specialized to [`Mat4`] for the two-qubit hot paths (no
+//! heap traffic at all — every intermediate lives on the stack).
+//! [`expm_i_h_t`] dispatches 4x4 generators to the specialized kernel.
 
-use crate::{Complex64, DMat, Mat4};
+use crate::complex::Complex64;
+use crate::dmat::DMat;
+use crate::mat4::Mat4;
 
 /// Degree-13 Pade coefficients.
 const B13: [f64; 14] = [
@@ -33,37 +35,15 @@ const B13: [f64; 14] = [
 /// 1-norm threshold above which scaling is applied for degree 13.
 const THETA13: f64 = 5.371920351148152;
 
-/// Computes the matrix exponential `exp(a)`.
+/// The generic heap-backed Pade path for any square matrix, without the
+/// 4x4 fast-path dispatch; also the tests' independent reference for
+/// [`expm_mat4`].
 ///
 /// # Panics
 ///
 /// Panics when `a` is not square, or (in the astronomically unlikely event)
 /// the internal Pade solve encounters a singular system.
-///
-/// # Examples
-///
-/// ```
-/// use nsb_math::{expm, Complex64, DMat};
-/// let z = DMat::zeros(3, 3);
-/// assert!(expm(&z).approx_eq(&DMat::identity(3), 1e-14));
-/// ```
-pub fn expm(a: &DMat) -> DMat {
-    let n = a.rows();
-    assert_eq!(n, a.cols(), "expm requires a square matrix");
-    if n == 4 {
-        return DMat::from_mat4(&expm_mat4(&a.to_mat4()));
-    }
-    expm_generic(a)
-}
-
-/// The generic heap-backed Pade path for any square matrix, without the
-/// 4x4 fast-path dispatch of [`expm`]. Exposed so tests can compare
-/// [`expm_mat4`] against an independent reference implementation.
-///
-/// # Panics
-///
-/// Same contract as [`expm`].
-pub fn expm_generic(a: &DMat) -> DMat {
+fn expm_generic(a: &DMat) -> DMat {
     let n = a.rows();
     assert_eq!(n, a.cols(), "expm requires a square matrix");
     let norm = a.one_norm();
@@ -81,11 +61,12 @@ pub fn expm_generic(a: &DMat) -> DMat {
 }
 
 /// Stack-allocated matrix exponential `exp(a)` for 4x4 matrices: the same
-/// Higham degree-13 Pade scheme with scaling and squaring as [`expm`], but
+/// Higham degree-13 Pade scheme with scaling and squaring as
+/// [`expm_generic`], but
 /// every intermediate is a [`Mat4`] on the stack — no heap allocation at
 /// any point. This is the kernel behind every 4x4 `expm` call on the
 /// simulation and synthesis hot paths.
-pub fn expm_mat4(a: &Mat4) -> Mat4 {
+pub(crate) fn expm_mat4(a: &Mat4) -> Mat4 {
     let norm = a.one_norm();
     let s = if norm > THETA13 {
         (norm / THETA13).log2().ceil() as u32
@@ -103,7 +84,15 @@ pub fn expm_mat4(a: &Mat4) -> Mat4 {
 /// Computes `exp(-i h t)` for a Hermitian generator `h`; convenience wrapper
 /// used by the time-evolution code. Produces a unitary by construction of
 /// the Pade approximant up to rounding. 4x4 generators route through the
-/// allocation-free [`expm_mat4`] kernel.
+/// allocation-free stack kernel (`expm_mat4`).
+///
+/// # Examples
+///
+/// ```
+/// use nsb_math::{expm_i_h_t, DMat};
+/// let u = expm_i_h_t(&DMat::zeros(3, 3), 1.0);
+/// assert!((&u - &DMat::identity(3)).norm() < 1e-14);
+/// ```
 pub fn expm_i_h_t(h: &DMat, t: f64) -> DMat {
     if h.rows() == 4 && h.cols() == 4 {
         return DMat::from_mat4(&expm_i_h_t_mat4(&h.to_mat4(), t));
@@ -113,7 +102,7 @@ pub fn expm_i_h_t(h: &DMat, t: f64) -> DMat {
 }
 
 /// `exp(-i h t)` for a Hermitian 4x4 generator, entirely on the stack.
-pub fn expm_i_h_t_mat4(h: &Mat4, t: f64) -> Mat4 {
+pub(crate) fn expm_i_h_t_mat4(h: &Mat4, t: f64) -> Mat4 {
     expm_mat4(&h.scale(Complex64::new(0.0, -t)))
 }
 
@@ -232,6 +221,15 @@ fn solve4(a: Mat4, rhs: Mat4) -> Mat4 {
 mod tests {
     use super::*;
     use crate::eigh;
+
+    /// `exp(a)` for any square matrix: 4x4 inputs go through the stack
+    /// kernel, every other size through the generic path.
+    fn expm(a: &DMat) -> DMat {
+        if a.rows() == 4 {
+            return DMat::from_mat4(&expm_mat4(&a.to_mat4()));
+        }
+        expm_generic(a)
+    }
 
     #[test]
     fn exp_zero_is_identity() {

@@ -47,10 +47,10 @@ mod random;
 mod svd;
 
 pub use complex::Complex64;
-pub use dmat::{DMat, SingularMatrix};
+pub use dmat::DMat;
 pub use eig::{eigh, HermitianEig};
-pub use expm::{expm, expm_generic, expm_i_h_t, expm_i_h_t_mat4, expm_mat4};
+pub use expm::expm_i_h_t;
 pub use mat2::Mat2;
 pub use mat4::Mat4;
-pub use random::{complex_normal, haar_su2, haar_u4, haar_unitary, random_local4, standard_normal};
-pub use svd::{max_trace_unitary, polar_unitary, polar_unitary4, svd2};
+pub use random::{complex_normal, haar_su2, haar_u4, standard_normal};
+pub use svd::{max_trace_unitary, polar_unitary4, svd2};

@@ -1,6 +1,6 @@
 //! Fixed-size 2x2 complex matrices and standard single-qubit gates.
 
-use crate::Complex64;
+use crate::complex::Complex64;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
@@ -215,50 +215,6 @@ impl Mat2 {
     pub fn approx_eq(&self, other: &Mat2, tol: f64) -> bool {
         (*self - *other).norm() <= tol
     }
-
-    /// Rescales a near-unitary matrix into SU(2) (unit determinant).
-    ///
-    /// Returns the SU(2) matrix together with the removed global phase
-    /// `alpha` such that `self = e^{i alpha} * su2`.
-    pub fn to_su2(&self) -> (Mat2, f64) {
-        let d = self.det();
-        let alpha = d.arg() / 2.0;
-        (self.scale(Complex64::cis(-alpha)), alpha)
-    }
-
-    /// ZYZ Euler decomposition of a unitary.
-    ///
-    /// Returns `(theta, phi, lambda, global_phase)` such that
-    /// `self = e^{i global_phase} Rz(phi) Ry(theta) Rz(lambda)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `self` is far from unitary.
-    pub fn zyz_angles(&self) -> (f64, f64, f64, f64) {
-        debug_assert!(self.is_unitary(1e-6), "zyz_angles requires a unitary");
-        let (u, alpha) = self.to_su2();
-        // SU(2): [[a, -b*], [b, a*]] with |a|^2+|b|^2 = 1.
-        let a = u.at(0, 0);
-        let b = u.at(1, 0);
-        let theta = 2.0 * b.abs().atan2(a.abs());
-        // a = cos(theta/2) e^{-i(phi+lambda)/2}; b = sin(theta/2) e^{i(phi-lambda)/2}
-        let (sum, diff) = if a.abs() > 1e-12 && b.abs() > 1e-12 {
-            (-2.0 * a.arg(), 2.0 * b.arg())
-        } else if a.abs() > 1e-12 {
-            (-2.0 * a.arg(), 0.0)
-        } else {
-            (0.0, 2.0 * b.arg())
-        };
-        let phi = (sum + diff) / 2.0;
-        let lambda = (sum - diff) / 2.0;
-        (theta, phi, lambda, alpha)
-    }
-
-    /// Reconstructs a unitary from ZYZ Euler angles; inverse of
-    /// [`Mat2::zyz_angles`].
-    pub fn from_zyz(theta: f64, phi: f64, lambda: f64, global_phase: f64) -> Mat2 {
-        (Mat2::rz(phi) * Mat2::ry(theta) * Mat2::rz(lambda)).scale(Complex64::cis(global_phase))
-    }
 }
 
 impl Index<(usize, usize)> for Mat2 {
@@ -382,27 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn zyz_round_trip() {
-        let gates = [
-            Mat2::h(),
-            Mat2::x(),
-            Mat2::t(),
-            Mat2::u3(0.3, -0.9, 2.2),
-            Mat2::rx(1.1) * Mat2::rz(0.2) * Mat2::ry(-2.0),
-        ];
-        for g in gates {
-            let (t, p, l, a) = g.zyz_angles();
-            let back = Mat2::from_zyz(t, p, l, a);
-            assert!(back.approx_eq(&g, 1e-10), "{g} vs {back}");
-        }
-    }
-
-    #[test]
     fn det_and_trace() {
         let u = Mat2::u3(0.7, 0.1, -0.4);
         assert!((u.det().abs() - 1.0).abs() < 1e-12);
-        let (su, alpha) = u.to_su2();
-        assert!((su.det() - Complex64::ONE).abs() < 1e-12);
-        assert!(su.scale(Complex64::cis(alpha)).approx_eq(&u, 1e-12));
     }
 }

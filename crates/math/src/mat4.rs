@@ -1,6 +1,7 @@
 //! Fixed-size 4x4 complex matrices and standard two-qubit gates.
 
-use crate::{Complex64, Mat2};
+use crate::complex::Complex64;
+use crate::mat2::Mat2;
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 
@@ -263,7 +264,7 @@ impl Mat4 {
 
     /// Maximum absolute column sum (induced 1-norm); used by the
     /// stack-allocated matrix exponential's scaling heuristic.
-    pub fn one_norm(&self) -> f64 {
+    pub(crate) fn one_norm(&self) -> f64 {
         let mut best = 0.0f64;
         for c in 0..4 {
             let s: f64 = (0..4).map(|r| self.e[r][c].abs()).sum();
@@ -293,18 +294,6 @@ impl Mat4 {
         let t = (self.adjoint() * *other).trace().abs();
         let d2 = self.norm().powi(2) + other.norm().powi(2) - 2.0 * t;
         d2.max(0.0).sqrt()
-    }
-
-    /// `|tr(self^dagger other)| / 4`, the normalized trace overlap.
-    pub fn trace_overlap(&self, other: &Mat4) -> f64 {
-        (self.adjoint() * *other).trace().abs() / 4.0
-    }
-
-    /// Average gate fidelity between two unitaries,
-    /// `(|tr(U^dagger V)|^2 + d) / (d^2 + d)` with `d = 4`.
-    pub fn average_gate_fidelity(&self, other: &Mat4) -> f64 {
-        let t = (self.adjoint() * *other).trace().abs();
-        (t * t + 4.0) / 20.0
     }
 
     /// Rescales a near-unitary matrix into SU(4) and returns the removed
@@ -540,14 +529,5 @@ mod tests {
         let v = u.scale(Complex64::cis(1.234));
         assert!(u.phase_distance(&v) < 1e-12);
         assert!(u.approx_eq_up_to_phase(&v, 1e-10));
-    }
-
-    #[test]
-    fn average_gate_fidelity_bounds() {
-        let u = Mat4::cnot();
-        assert!((u.average_gate_fidelity(&u) - 1.0).abs() < 1e-12);
-        let v = Mat4::swap();
-        let f = u.average_gate_fidelity(&v);
-        assert!(f < 1.0 && f > 0.0);
     }
 }

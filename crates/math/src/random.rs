@@ -3,7 +3,10 @@
 //! `rand` 0.8 without `rand_distr` has no normal distribution, so a small
 //! Box-Muller implementation lives here; everything else is built on it.
 
-use crate::{Complex64, DMat, Mat2, Mat4};
+use crate::complex::Complex64;
+use crate::dmat::DMat;
+use crate::mat2::Mat2;
+use crate::mat4::Mat4;
 use rand::Rng;
 
 /// Draws a standard normal sample via the Box-Muller transform.
@@ -56,7 +59,7 @@ pub fn haar_su2<R: Rng + ?Sized>(rng: &mut R) -> Mat2 {
 
 /// Draws a Haar-random `n x n` unitary via QR of a Ginibre matrix with the
 /// phases of the R diagonal divided out (Mezzadri's recipe).
-pub fn haar_unitary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> DMat {
+pub(crate) fn haar_unitary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> DMat {
     // Ginibre ensemble.
     let mut g = DMat::zeros(n, n);
     for r in 0..n {
@@ -102,11 +105,6 @@ pub fn haar_unitary<R: Rng + ?Sized>(n: usize, rng: &mut R) -> DMat {
 /// Draws a Haar-random two-qubit unitary as a [`Mat4`].
 pub fn haar_u4<R: Rng + ?Sized>(rng: &mut R) -> Mat4 {
     haar_unitary(4, rng).to_mat4()
-}
-
-/// Draws a random local (1Q (x) 1Q) two-qubit unitary.
-pub fn random_local4<R: Rng + ?Sized>(rng: &mut R) -> Mat4 {
-    Mat4::kron(&haar_su2(rng), &haar_su2(rng))
 }
 
 #[cfg(test)]
@@ -160,7 +158,7 @@ mod tests {
     #[test]
     fn random_local_is_product() {
         let mut rng = StdRng::seed_from_u64(4);
-        let u = random_local4(&mut rng);
+        let u = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng));
         assert!(u.kron_factor(1e-8).is_some());
     }
 }

@@ -5,7 +5,11 @@
 //! 4x4 and dynamic matrices (for extracting gates from noisy tomography or
 //! simulation data).
 
-use crate::{eigh, Complex64, DMat, Mat2, Mat4};
+use crate::complex::Complex64;
+use crate::dmat::DMat;
+use crate::eig::eigh;
+use crate::mat2::Mat2;
+use crate::mat4::Mat4;
 
 /// Closed-form singular value decomposition of a 2x2 complex matrix:
 /// `a = u * diag(s) * v^dagger` with `s[0] >= s[1] >= 0` and unitary `u`, `v`.
@@ -87,7 +91,7 @@ pub fn max_trace_unitary(e: &Mat2) -> Mat2 {
 /// # Panics
 ///
 /// Panics when `a` is not square or is rank-deficient to working precision.
-pub fn polar_unitary(a: &DMat) -> DMat {
+pub(crate) fn polar_unitary(a: &DMat) -> DMat {
     let n = a.rows();
     assert_eq!(n, a.cols(), "polar projection requires a square matrix");
     let h = &a.adjoint() * a;

@@ -20,7 +20,7 @@ fn relock<'a, T>(
 
 /// Why a push was rejected.
 #[derive(Debug, PartialEq, Eq)]
-pub enum PushError<T> {
+pub(crate) enum PushError<T> {
     /// The queue holds `capacity` items; the value is handed back.
     Full(T),
     /// The queue was closed; the value is handed back.
@@ -33,7 +33,7 @@ struct Inner<T> {
 }
 
 /// The queue. All methods take `&self`; share it via `Arc`.
-pub struct BoundedQueue<T> {
+pub(crate) struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     capacity: usize,
@@ -45,7 +45,7 @@ impl<T> BoundedQueue<T> {
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         BoundedQueue {
             inner: Mutex::new(Inner {
@@ -58,18 +58,8 @@ impl<T> BoundedQueue<T> {
     }
 
     /// The maximum number of queued items.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Current number of queued items.
-    pub fn len(&self) -> usize {
-        relock(self.inner.lock()).items.len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Enqueues without blocking.
@@ -78,7 +68,7 @@ impl<T> BoundedQueue<T> {
     ///
     /// Returns the item back inside [`PushError::Full`] or
     /// [`PushError::Closed`].
-    pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), PushError<T>> {
         let mut inner = relock(self.inner.lock());
         if inner.closed {
             return Err(PushError::Closed(item));
@@ -94,7 +84,7 @@ impl<T> BoundedQueue<T> {
 
     /// Blocks until an item is available and returns it, or returns
     /// `None` once the queue is closed **and** fully drained.
-    pub fn pop(&self) -> Option<T> {
+    pub(crate) fn pop(&self) -> Option<T> {
         let mut inner = relock(self.inner.lock());
         loop {
             if let Some(item) = inner.items.pop_front() {
@@ -109,7 +99,7 @@ impl<T> BoundedQueue<T> {
 
     /// Closes the queue: pushes start failing immediately, pops keep
     /// draining what was already accepted, then return `None`.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         relock(self.inner.lock()).closed = true;
         self.not_empty.notify_all();
     }

@@ -110,18 +110,18 @@ pub struct SharedSynthCache {
 
 impl SharedSynthCache {
     /// Number of independently locked shards.
-    pub const SHARDS: usize = 16;
+    pub(crate) const SHARDS: usize = 16;
 
     /// Minimum effective capacity: one entry per shard. A requested
     /// capacity below this (including zero) is clamped up — a cache that
     /// cannot hold anything would silently turn every lookup into a miss
     /// and defeat the service's reuse guarantees, so it is not
     /// constructible.
-    pub const MIN_CAPACITY: usize = Self::SHARDS;
+    pub(crate) const MIN_CAPACITY: usize = Self::SHARDS;
 
     /// Creates a cache holding at most ~`capacity` entries (rounded up
-    /// to a multiple of the shard count; clamped to at least
-    /// [`MIN_CAPACITY`](Self::MIN_CAPACITY), i.e. one entry per shard).
+    /// to a multiple of the shard count; clamped to at least one entry
+    /// per shard).
     pub fn new(capacity: usize) -> Self {
         SharedSynthCache {
             shards: (0..Self::SHARDS).map(|_| ShardLock::default()).collect(),

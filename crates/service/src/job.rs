@@ -45,12 +45,6 @@ impl JobSpec {
         self.verify = level;
         self
     }
-
-    /// Sets a deadline relative to submission.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
 }
 
 /// A successful job's full output: the compiled circuit plus, when the
@@ -77,17 +71,11 @@ pub(crate) struct Job {
 
 /// The caller's side of a submitted job: await the result, or cancel.
 pub struct JobHandle {
-    pub(crate) id: u64,
     pub(crate) cancel: Arc<AtomicBool>,
     pub(crate) result_rx: mpsc::Receiver<Result<JobOutput, ServiceError>>,
 }
 
 impl JobHandle {
-    /// The service-assigned job id (also useful for correlating logs).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Requests cancellation. Best-effort: a job already past its last
     /// cancellation check still completes. Safe to call multiple times
     /// and from any thread (the handle itself stays usable).
@@ -118,16 +106,6 @@ impl JobHandle {
             .recv()
             .unwrap_or(Err(ServiceError::Disconnected))
     }
-
-    /// Waits up to `timeout` for the result; `None` when it is not
-    /// ready yet (the handle stays usable).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<CompiledCircuit, ServiceError>> {
-        match self.result_rx.recv_timeout(timeout) {
-            Ok(result) => Some(result.map(|o| o.circuit)),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServiceError::Disconnected)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -138,11 +116,9 @@ mod tests {
     fn handle_reports_disconnect_when_sender_dropped() {
         let (tx, rx) = mpsc::channel();
         let handle = JobHandle {
-            id: 7,
             cancel: Arc::new(AtomicBool::new(false)),
             result_rx: rx,
         };
-        assert_eq!(handle.id(), 7);
         drop(tx);
         assert!(matches!(handle.wait(), Err(ServiceError::Disconnected)));
     }
@@ -151,7 +127,6 @@ mod tests {
     fn cancel_sets_the_flag() {
         let (_tx, rx) = mpsc::channel::<Result<JobOutput, ServiceError>>();
         let handle = JobHandle {
-            id: 0,
             cancel: Arc::new(AtomicBool::new(false)),
             result_rx: rx,
         };

@@ -77,7 +77,6 @@ mod metrics;
 mod pool;
 mod service;
 
-pub use bounded::{BoundedQueue, PushError};
 pub use cache::{CacheStats, SharedSynthCache};
 pub use error::ServiceError;
 pub use job::{JobHandle, JobOutput, JobSpec};

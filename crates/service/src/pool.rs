@@ -215,16 +215,12 @@ impl ServicePool {
     }
 
     /// The shard named `name`, if any.
-    pub fn shard(&self, name: &str) -> Option<&CompileService> {
+    #[cfg(test)]
+    pub(crate) fn shard(&self, name: &str) -> Option<&CompileService> {
         self.shards
             .iter()
             .find(|s| s.name == name)
             .map(|s| &s.service)
-    }
-
-    /// Iterates `(name, service)` over all shards in construction order.
-    pub fn shards(&self) -> impl Iterator<Item = (&str, &CompileService)> {
-        self.shards.iter().map(|s| (s.name.as_str(), &s.service))
     }
 
     /// Jobs that compiled on a substitute shard because their route

@@ -10,7 +10,7 @@ use crate::metrics::ServiceMetrics;
 use nsb_compiler::{CompileError, Stage, Transpiler};
 use nsb_device::Device;
 use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -60,7 +60,6 @@ pub struct CompileService {
     cache: Arc<SharedSynthCache>,
     metrics: Arc<ServiceMetrics>,
     accepting: Arc<AtomicBool>,
-    next_id: AtomicU64,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -117,7 +116,6 @@ impl CompileService {
             cache,
             metrics,
             accepting,
-            next_id: AtomicU64::new(0),
             workers,
         })
     }
@@ -200,7 +198,6 @@ impl CompileService {
         if !self.accepting.load(Ordering::Relaxed) {
             return Err(ServiceError::ShuttingDown);
         }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (result_tx, result_rx) = mpsc::channel();
         let cancel = Arc::new(AtomicBool::new(false));
         let deadline = spec.deadline.map(|d| Instant::now() + d);
@@ -210,21 +207,21 @@ impl CompileService {
             cancel: cancel.clone(),
             result_tx,
         };
-        match self.queue.try_push(job) {
-            Ok(()) => {
-                self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-                self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
-                Ok(JobHandle {
-                    id,
-                    cancel,
-                    result_rx,
-                })
-            }
-            Err(PushError::Full(_)) => Err(ServiceError::QueueFull {
+        // Count the job before a worker can see it: a worker idle in `pop`
+        // takes it the moment it is pushed, and its decrement must not run
+        // first (the depth would wrap to 2^64 - 1).
+        self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
+        self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
+        let rejected = match self.queue.try_push(job) {
+            Ok(()) => return Ok(JobHandle { cancel, result_rx }),
+            Err(PushError::Full(_)) => ServiceError::QueueFull {
                 capacity: self.queue.capacity(),
-            }),
-            Err(PushError::Closed(_)) => Err(ServiceError::ShuttingDown),
-        }
+            },
+            Err(PushError::Closed(_)) => ServiceError::ShuttingDown,
+        };
+        self.metrics.jobs_submitted.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        Err(rejected)
     }
 
     /// Stops accepting jobs, lets the workers drain everything already
@@ -368,10 +365,46 @@ mod tests {
     }
 
     #[test]
+    fn queue_depth_stays_within_capacity_while_jobs_flow() {
+        // One job at a time, so a worker is always idle in `pop` when the
+        // next one is pushed.
+        const JOBS: usize = 300;
+        let config = ServiceConfig {
+            queue_capacity: JOBS,
+            ..small_config()
+        };
+        let service = CompileService::new(test_device(), config).expect("service");
+        let mut circuit = nsb_circuit::Circuit::new(1);
+        circuit.push(nsb_circuit::Gate::H, &[0]);
+        let done = AtomicBool::new(false);
+        let worst = std::thread::scope(|scope| {
+            let sampler = scope.spawn(|| {
+                let mut worst = 0;
+                while !done.load(Ordering::Relaxed) {
+                    worst = worst.max(service.metrics().queue_depth.load(Ordering::Relaxed));
+                }
+                worst
+            });
+            for _ in 0..JOBS {
+                let spec = JobSpec::new(circuit.clone(), BasisStrategy::Baseline);
+                service
+                    .submit(spec)
+                    .expect("submit")
+                    .wait()
+                    .expect("compile");
+            }
+            done.store(true, Ordering::Relaxed);
+            sampler.join().expect("sampler")
+        });
+        assert!(worst <= JOBS as u64, "queue depth sampled at {worst}");
+        assert_eq!(service.metrics().queue_depth.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn zero_deadline_times_out() {
         let service = CompileService::new(test_device(), small_config()).expect("service");
-        let spec = JobSpec::new(generators::ghz(4), BasisStrategy::Criterion1)
-            .with_deadline(Duration::ZERO);
+        let mut spec = JobSpec::new(generators::ghz(4), BasisStrategy::Criterion1);
+        spec.deadline = Some(Duration::ZERO);
         let handle = service.submit(spec).expect("submit");
         match handle.wait() {
             Err(ServiceError::DeadlineExceeded { .. }) => {}
@@ -445,7 +478,8 @@ mod tests {
         service.accepting.store(false, Ordering::Relaxed);
         match service.submit(JobSpec::new(generators::ghz(3), BasisStrategy::Baseline)) {
             Err(ServiceError::ShuttingDown) => {}
-            other => panic!("expected shutting-down, got {:?}", other.map(|h| h.id())),
+            Err(other) => panic!("expected shutting-down, got {other:?}"),
+            Ok(_) => panic!("expected shutting-down, the job was accepted"),
         }
     }
 

@@ -31,11 +31,11 @@ use nsb_math::{expm_i_h_t, polar_unitary4, Complex64, DMat, Mat4};
 
 /// Default integrator step (ns); chosen so accumulated phase error over a
 /// few hundred ns is well below the decoherence scale.
-pub const DEFAULT_DT: f64 = 0.01;
+pub(crate) const DEFAULT_DT: f64 = 0.01;
 
 /// A snapshot of the evolving gate at one sample time.
 #[derive(Clone, Debug)]
-pub struct GateSnapshot {
+pub(crate) struct GateSnapshot {
     /// Entangling pulse duration (ns), including the envelope fall.
     pub t: f64,
     /// The effective two-qubit gate: rotating-frame projected propagator,
@@ -146,7 +146,7 @@ impl Stepper {
 /// The gate is reported in the rotating frame of the dressed qubit
 /// frequencies, so an undriven cell yields gates that stay near the
 /// identity (up to residual ZZ).
-pub fn evolve_and_sample(
+pub(crate) fn evolve_and_sample(
     h: &UnitCellHamiltonian,
     frame: &DressedFrame,
     drive: &DriveParams,
@@ -223,17 +223,6 @@ fn snapshot_cols(frame: &DressedFrame, y: &DMat, t: f64) -> GateSnapshot {
     }
     let gate = polar_unitary4(&rotated);
     GateSnapshot { t, gate, leakage }
-}
-
-/// Convenience wrapper: evolve with the default step size.
-pub fn evolve_gate_trajectory(
-    h: &UnitCellHamiltonian,
-    frame: &DressedFrame,
-    drive: &DriveParams,
-    t_max: f64,
-    sample_every: f64,
-) -> Vec<GateSnapshot> {
-    evolve_and_sample(h, frame, drive, t_max, sample_every, DEFAULT_DT)
 }
 
 #[cfg(test)]

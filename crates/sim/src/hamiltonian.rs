@@ -16,7 +16,7 @@ use nsb_math::{Complex64, DMat};
 /// Pre-assembled operator pieces of the unit-cell Hamiltonian, so the
 /// time-dependent part is a cheap diagonal update.
 #[derive(Clone, Debug)]
-pub struct UnitCellHamiltonian {
+pub(crate) struct UnitCellHamiltonian {
     /// The static Hamiltonian at the DC bias point (drive off).
     pub h_static: DMat,
     /// Coupler number operator `c^dag c` (diagonal), the operator the
@@ -29,7 +29,7 @@ pub struct UnitCellHamiltonian {
 
 impl UnitCellHamiltonian {
     /// Assembles the Hamiltonian pieces for the given parameters.
-    pub fn new(params: &UnitCellParams) -> Self {
+    pub(crate) fn new(params: &UnitCellParams) -> Self {
         let l = params.levels;
         let a = destroy(l);
         let ident = DMat::identity(l);
@@ -62,31 +62,28 @@ impl UnitCellHamiltonian {
         }
     }
 
-    /// Levels per mode.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
     /// Index of the bare product state `|n_a, n_b, n_c>`.
     ///
     /// # Panics
     ///
     /// Panics when any occupation is out of range.
-    pub fn bare_index(&self, n_a: usize, n_b: usize, n_c: usize) -> usize {
+    pub(crate) fn bare_index(&self, n_a: usize, n_b: usize, n_c: usize) -> usize {
         assert!(n_a < self.levels && n_b < self.levels && n_c < self.levels);
         (n_a * self.levels + n_b) * self.levels + n_c
     }
 
     /// The Hamiltonian at time `t` under a drive, `H_static + delta
-    /// sin(omega_d t) n_c`.
-    pub fn at_time(&self, delta: f64, omega_d: f64, t: f64) -> DMat {
+    /// sin(omega_d t) n_c`: the tests' reference for the split-step
+    /// propagator.
+    #[cfg(test)]
+    pub(crate) fn at_time(&self, delta: f64, omega_d: f64, t: f64) -> DMat {
         let s = delta * (omega_d * t).sin();
         &self.h_static + &self.n_c.scale(Complex64::real(s))
     }
 }
 
 /// Bosonic annihilation operator truncated to `levels` levels.
-pub fn destroy(levels: usize) -> DMat {
+pub(crate) fn destroy(levels: usize) -> DMat {
     let mut m = DMat::zeros(levels, levels);
     for n in 1..levels {
         m[(n - 1, n)] = Complex64::real((n as f64).sqrt());

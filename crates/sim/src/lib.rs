@@ -8,10 +8,9 @@
 //!
 //! The simulation protocol follows Section VIII-B:
 //!
-//! 1. assemble the three-mode Hamiltonian ([`UnitCellHamiltonian`]);
-//! 2. bias the coupler to the zero-ZZ point ([`zero_zz_bias`]);
-//! 3. calibrate the drive frequency for maximal population swapping
-//!    ([`PreparedCell::calibrate_drive`]);
+//! 1. assemble the three-mode Hamiltonian and
+//! 2. bias the coupler to the zero-ZZ point ([`PreparedCell::prepare`]);
+//! 3. calibrate the drive frequency for maximal population swapping,
 //! 4. evolve the propagator, project onto the dressed computational
 //!    subspace, and plot the gate in the Weyl chamber
 //!    ([`PreparedCell::trajectory`]).
@@ -46,11 +45,7 @@ mod params;
 mod spectrum;
 mod trajectory;
 
-pub use evolve::{evolve_and_sample, evolve_gate_trajectory, GateSnapshot, DEFAULT_DT};
-pub use hamiltonian::{destroy, UnitCellHamiltonian};
-pub use params::{ghz, DriveParams, UnitCellParams};
-pub use spectrum::{static_zz_at, zero_zz_bias, DressedFrame};
+pub use params::{DriveParams, UnitCellParams};
 pub use trajectory::{
-    max_entangling_power, trajectory_speed, CartanTrajectory, PreparedCell, TrajectoryConfig,
-    TrajectoryPoint,
+    trajectory_speed, CartanTrajectory, PreparedCell, TrajectoryConfig, TrajectoryPoint,
 };

@@ -4,7 +4,7 @@
 //! al. [7] / Guinn et al. [43]).
 
 /// Converts a frequency in GHz to an angular frequency in rad/ns.
-pub fn ghz(f: f64) -> f64 {
+pub(crate) fn ghz(f: f64) -> f64 {
     2.0 * std::f64::consts::PI * f
 }
 
@@ -82,18 +82,13 @@ impl UnitCellParams {
         }
     }
 
-    /// Hilbert-space dimension (`levels^3`).
-    pub fn dim(&self) -> usize {
-        self.levels.pow(3)
-    }
-
     /// Qubit-qubit detuning `|omega_b - omega_a|`.
-    pub fn detuning(&self) -> f64 {
+    pub(crate) fn detuning(&self) -> f64 {
         (self.omega_b - self.omega_a).abs()
     }
 
     /// Coupler modulation depth for a drive amplitude `xi` (in Phi_0).
-    pub fn modulation_depth(&self, xi: f64) -> f64 {
+    pub(crate) fn modulation_depth(&self, xi: f64) -> f64 {
         self.drive_transfer * xi
     }
 }
@@ -117,7 +112,7 @@ pub struct DriveParams {
 
 impl DriveParams {
     /// Envelope value during the rise (and mirrored during the fall).
-    pub fn rise_envelope(&self, t: f64) -> f64 {
+    pub(crate) fn rise_envelope(&self, t: f64) -> f64 {
         if self.ramp <= 0.0 || t >= self.ramp {
             1.0
         } else if t <= 0.0 {
@@ -138,7 +133,6 @@ mod tests {
         let p = UnitCellParams::default();
         assert!((p.detuning() - ghz(2.0)).abs() < 1e-9);
         assert!(p.alpha_a < 0.0 && p.alpha_c > 0.0);
-        assert_eq!(p.dim(), 27);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use nsb_math::{eigh, Complex64, DMat};
 /// adiabatically connected to `|00>, |01>, |10>, |11>` (qubit order `a b`,
 /// coupler in its ground state).
 #[derive(Clone, Debug)]
-pub struct DressedFrame {
+pub(crate) struct DressedFrame {
     /// Dressed state vectors as columns, order `|00>, |01>, |10>, |11>`.
     pub states: [Vec<Complex64>; 4],
     /// Dressed energies in the same order.
@@ -26,11 +26,8 @@ impl DressedFrame {
     /// Panics when the computational subspace cannot be identified
     /// (hybridization too strong); use
     /// [`DressedFrame::try_from_hamiltonian`] to handle that case.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panicking variant; try_from_hamiltonian is the fallible API"
-    )]
-    pub fn from_hamiltonian(h: &UnitCellHamiltonian) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_hamiltonian(h: &UnitCellHamiltonian) -> Self {
         DressedFrame::try_from_hamiltonian(h)
             .expect("dressed state identification ambiguous: overlap below 0.5")
     }
@@ -38,7 +35,7 @@ impl DressedFrame {
     /// Fallible variant of [`DressedFrame::from_hamiltonian`]: returns
     /// `None` when some computational state has less than 50% overlap with
     /// every remaining eigenvector (e.g. coupler resonant with a qubit).
-    pub fn try_from_hamiltonian(h: &UnitCellHamiltonian) -> Option<Self> {
+    pub(crate) fn try_from_hamiltonian(h: &UnitCellHamiltonian) -> Option<Self> {
         let e = eigh(&h.h_static);
         let dim = h.dim;
         let bare = [
@@ -84,23 +81,25 @@ impl DressedFrame {
     }
 
     /// Dressed qubit-a frequency `E10 - E00`.
-    pub fn omega_a_dressed(&self) -> f64 {
+    pub(crate) fn omega_a_dressed(&self) -> f64 {
         self.energies[2] - self.energies[0]
     }
 
     /// Dressed qubit-b frequency `E01 - E00`.
-    pub fn omega_b_dressed(&self) -> f64 {
+    pub(crate) fn omega_b_dressed(&self) -> f64 {
         self.energies[1] - self.energies[0]
     }
 
     /// Static ZZ rate `zeta = E11 - E10 - E01 + E00` (rad/ns).
-    pub fn static_zz(&self) -> f64 {
+    pub(crate) fn static_zz(&self) -> f64 {
         self.energies[3] - self.energies[2] - self.energies[1] + self.energies[0]
     }
 
     /// Projects a full-space propagator onto the computational subspace,
-    /// returning the raw (not yet unitary) 4x4 block.
-    pub fn project(&self, u: &DMat) -> nsb_math::Mat4 {
+    /// returning the raw (not yet unitary) 4x4 block: the tests' reference
+    /// for [`DressedFrame::project_cols`].
+    #[cfg(test)]
+    pub(crate) fn project(&self, u: &DMat) -> nsb_math::Mat4 {
         let mut m = nsb_math::Mat4::zero();
         for (j, ket) in self.states.iter().enumerate() {
             let col = u.mul_vec(ket);
@@ -120,7 +119,7 @@ impl DressedFrame {
     /// Evolving the block `Y = U P` directly (instead of the full `dim x
     /// dim` propagator) cuts the per-step matmul cost by `dim / 4` while
     /// computing the exact same projected gate `P^T U P`.
-    pub fn basis_columns(&self) -> DMat {
+    pub(crate) fn basis_columns(&self) -> DMat {
         let mut p = DMat::zeros(self.dim, 4);
         for (j, ket) in self.states.iter().enumerate() {
             for (r, z) in ket.iter().enumerate() {
@@ -136,7 +135,7 @@ impl DressedFrame {
     /// # Panics
     ///
     /// Panics when `y` is not `dim x 4`.
-    pub fn project_cols(&self, y: &DMat) -> nsb_math::Mat4 {
+    pub(crate) fn project_cols(&self, y: &DMat) -> nsb_math::Mat4 {
         assert_eq!(y.rows(), self.dim, "block row mismatch");
         assert_eq!(y.cols(), 4, "block must have 4 columns");
         let mut m = nsb_math::Mat4::zero();
@@ -155,7 +154,7 @@ impl DressedFrame {
 
 /// Static ZZ at a trial coupler bias (rad/ns); `NaN` when the
 /// computational subspace cannot be identified at that bias.
-pub fn static_zz_at(params: &UnitCellParams, omega_c: f64) -> f64 {
+pub(crate) fn static_zz_at(params: &UnitCellParams, omega_c: f64) -> f64 {
     let p = UnitCellParams { omega_c, ..*params };
     let h = UnitCellHamiltonian::new(&p);
     match DressedFrame::try_from_hamiltonian(&h) {
@@ -170,7 +169,7 @@ pub fn static_zz_at(params: &UnitCellParams, omega_c: f64) -> f64 {
 /// exists in the window.
 ///
 /// Returns the biased parameters and the residual ZZ there.
-pub fn zero_zz_bias(params: &UnitCellParams) -> (UnitCellParams, f64) {
+pub(crate) fn zero_zz_bias(params: &UnitCellParams) -> (UnitCellParams, f64) {
     let lo = params.omega_a + 0.12 * params.detuning();
     let hi = params.omega_b - 0.12 * params.detuning();
     let n = 120;

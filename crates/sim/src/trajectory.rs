@@ -7,7 +7,7 @@ use crate::hamiltonian::UnitCellHamiltonian;
 use crate::params::{DriveParams, UnitCellParams};
 use crate::spectrum::{zero_zz_bias, DressedFrame};
 use nsb_math::Mat4;
-use nsb_weyl::{entangling_power, kak_vector, WeylCoord};
+use nsb_weyl::{kak_vector, WeylCoord};
 
 /// One point on a Cartan trajectory.
 #[derive(Clone, Debug)]
@@ -100,9 +100,9 @@ pub struct PreparedCell {
     /// Residual static ZZ after biasing (rad/ns).
     pub residual_zz: f64,
     /// Assembled Hamiltonian at the bias point.
-    pub hamiltonian: UnitCellHamiltonian,
+    pub(crate) hamiltonian: UnitCellHamiltonian,
     /// Dressed computational frame.
-    pub frame: DressedFrame,
+    pub(crate) frame: DressedFrame,
 }
 
 impl PreparedCell {
@@ -122,8 +122,8 @@ impl PreparedCell {
     }
 
     /// Fallible variant of [`PreparedCell::prepare`]: returns `None` when
-    /// the biased cell's dressed frame is ambiguous (see
-    /// [`DressedFrame::try_from_hamiltonian`]).
+    /// the biased cell's dressed frame is ambiguous (some computational
+    /// state overlaps every remaining eigenvector by less than 50%).
     pub fn try_prepare(params: &UnitCellParams) -> Option<Self> {
         let (biased, residual_zz) = zero_zz_bias(params);
         let hamiltonian = UnitCellHamiltonian::new(&biased);
@@ -145,7 +145,7 @@ impl PreparedCell {
     /// scanning around the difference frequency and maximizing the
     /// population-swap amplitude `max_t |<10|U(t)|01>|` over a short probe
     /// (paper Section VI, step 1: coarse amplitude/frequency tuning).
-    pub fn calibrate_drive(&self, xi: f64, config: &TrajectoryConfig) -> DriveParams {
+    pub(crate) fn calibrate_drive(&self, xi: f64, config: &TrajectoryConfig) -> DriveParams {
         let delta = self.params.modulation_depth(xi);
         let w0 = self.difference_frequency();
         // Scan window widens with drive strength (AC-Stark-like shifts).
@@ -198,7 +198,7 @@ impl PreparedCell {
 
     /// Simulates the trajectory with explicitly given drive parameters
     /// (used by the retuning stage of the calibration protocol).
-    pub fn trajectory_with_drive(
+    pub(crate) fn trajectory_with_drive(
         &self,
         xi: f64,
         drive: DriveParams,
@@ -239,17 +239,18 @@ pub fn trajectory_speed(traj: &CartanTrajectory, n: usize) -> f64 {
     acc / (pts[pts.len() - 1].duration - pts[0].duration)
 }
 
-/// Reaches for the maximum entangling power attained along the trajectory.
-pub fn max_entangling_power(traj: &CartanTrajectory) -> f64 {
-    traj.points
-        .iter()
-        .map(|p| entangling_power(p.coord))
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsb_weyl::entangling_power;
+
+    /// The maximum entangling power attained along the trajectory.
+    fn max_entangling_power(traj: &CartanTrajectory) -> f64 {
+        traj.points
+            .iter()
+            .map(|p| entangling_power(p.coord))
+            .fold(0.0, f64::max)
+    }
 
     fn fast_config() -> TrajectoryConfig {
         TrajectoryConfig {

@@ -7,7 +7,6 @@
 //! means the store crate needs no knowledge of any particular cache.
 
 use crate::snapshot::StoreError;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -19,7 +18,6 @@ use std::time::Duration;
 /// tail of recent entries is lost, and joins it.
 pub struct PeriodicFlusher {
     shared: Arc<(Mutex<bool>, Condvar)>,
-    flushes: Arc<AtomicU64>,
     handle: Option<JoinHandle<()>>,
 }
 
@@ -35,9 +33,7 @@ impl PeriodicFlusher {
         F: FnMut() + Send + 'static,
     {
         let shared = Arc::new((Mutex::new(false), Condvar::new()));
-        let flushes = Arc::new(AtomicU64::new(0));
         let thread_shared = shared.clone();
-        let thread_flushes = flushes.clone();
         let handle = std::thread::Builder::new()
             .name("nsb-store-flusher".into())
             .spawn(move || {
@@ -56,7 +52,6 @@ impl PeriodicFlusher {
                         *guard
                     };
                     flush();
-                    thread_flushes.fetch_add(1, Ordering::Relaxed);
                     if stopped {
                         break;
                     }
@@ -69,14 +64,8 @@ impl PeriodicFlusher {
             })?;
         Ok(PeriodicFlusher {
             shared,
-            flushes,
             handle: Some(handle),
         })
-    }
-
-    /// Number of completed flushes so far.
-    pub fn flush_count(&self) -> u64 {
-        self.flushes.load(Ordering::Relaxed)
     }
 
     /// Stops the thread: wakes it, runs one final flush, joins.
@@ -106,7 +95,7 @@ impl Drop for PeriodicFlusher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn stop_runs_a_final_flush() {
@@ -148,7 +137,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(count.load(Ordering::Relaxed) >= 3, "flusher never ticked");
-        assert!(flusher.flush_count() >= 3);
         drop(flusher);
     }
 }

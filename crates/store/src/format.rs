@@ -11,7 +11,7 @@ use nsb_synth::{StableHasher, SynthKey, Synthesized2Q};
 use std::hash::Hasher;
 
 /// File magic: identifies an nsb-store snapshot ("NSBSTOR1").
-pub const MAGIC: [u8; 8] = *b"NSBSTOR1";
+pub(crate) const MAGIC: [u8; 8] = *b"NSBSTOR1";
 
 /// Current format version. Bumped whenever the header, record layout, any
 /// persisted fingerprint algorithm or the synthesized outputs themselves
@@ -36,7 +36,7 @@ pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
 /// Upper bound on one record's payload length. Real payloads are a few
 /// hundred bytes (`73 + 128 * n_locals`); anything larger means the
 /// length field itself is corrupt and resynchronization is hopeless.
-pub const MAX_PAYLOAD_LEN: u32 = 1 << 20;
+pub(crate) const MAX_PAYLOAD_LEN: u32 = 1 << 20;
 
 /// One persisted cache entry: the shared-cache key, the full target
 /// fingerprint, and the synthesized circuit.
@@ -51,14 +51,14 @@ pub struct StoredEntry {
 }
 
 /// FNV-1a checksum of a byte slice, as appended to every record.
-pub fn checksum(payload: &[u8]) -> u64 {
+pub(crate) fn checksum(payload: &[u8]) -> u64 {
     let mut h = StableHasher::new();
     h.write(payload);
     h.finish()
 }
 
 /// Encodes the fixed-size file header.
-pub fn encode_header(calibration_hash: u64) -> [u8; HEADER_LEN] {
+pub(crate) fn encode_header(calibration_hash: u64) -> [u8; HEADER_LEN] {
     let mut out = [0u8; HEADER_LEN];
     out[0..8].copy_from_slice(&MAGIC);
     out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -69,7 +69,7 @@ pub fn encode_header(calibration_hash: u64) -> [u8; HEADER_LEN] {
 
 /// Why a header failed to parse.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum HeaderError {
+pub(crate) enum HeaderError {
     /// The file is shorter than a header.
     Truncated,
     /// The magic bytes do not match [`MAGIC`].
@@ -79,7 +79,7 @@ pub enum HeaderError {
 }
 
 /// Decodes and validates the header, returning the calibration hash.
-pub fn decode_header(bytes: &[u8]) -> Result<u64, HeaderError> {
+pub(crate) fn decode_header(bytes: &[u8]) -> Result<u64, HeaderError> {
     if bytes.len() < HEADER_LEN {
         return Err(HeaderError::Truncated);
     }
@@ -114,7 +114,7 @@ fn push_mat2(out: &mut Vec<u8>, m: &Mat2) {
 }
 
 /// Serializes one entry's record payload (without length or checksum).
-pub fn encode_payload(entry: &StoredEntry) -> Vec<u8> {
+pub(crate) fn encode_payload(entry: &StoredEntry) -> Vec<u8> {
     let n_locals = entry.value.locals.len();
     let mut out = Vec::with_capacity(73 + 128 * n_locals);
     for c in entry.key.coord {
@@ -136,7 +136,7 @@ pub fn encode_payload(entry: &StoredEntry) -> Vec<u8> {
 }
 
 /// Appends one full record (length, payload, checksum) to `out`.
-pub fn encode_record(out: &mut Vec<u8>, entry: &StoredEntry) {
+pub(crate) fn encode_record(out: &mut Vec<u8>, entry: &StoredEntry) {
     let payload = encode_payload(entry);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     let sum = checksum(&payload);
@@ -201,7 +201,7 @@ impl<'a> Reader<'a> {
 /// Deserializes a record payload. `None` means the payload is internally
 /// inconsistent (truncated fields, impossible counts) even though its
 /// checksum matched — treated as corruption by the loader.
-pub fn decode_payload(payload: &[u8]) -> Option<StoredEntry> {
+pub(crate) fn decode_payload(payload: &[u8]) -> Option<StoredEntry> {
     let mut r = Reader {
         bytes: payload,
         pos: 0,

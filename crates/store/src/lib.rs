@@ -62,8 +62,5 @@ mod format;
 mod snapshot;
 
 pub use flush::PeriodicFlusher;
-pub use format::{
-    decode_header, decode_payload, encode_header, encode_payload, HeaderError, StoredEntry,
-    FORMAT_VERSION, HEADER_LEN, MAGIC,
-};
+pub use format::{StoredEntry, FORMAT_VERSION, HEADER_LEN};
 pub use snapshot::{LoadOutcome, LoadReport, SaveReport, SnapshotStore, StoreError};

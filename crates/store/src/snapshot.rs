@@ -292,35 +292,6 @@ impl SnapshotStore {
         }
         Ok(outcome)
     }
-
-    /// Calibration hashes with a snapshot file present in the directory.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] when the directory cannot be read.
-    pub fn snapshots(&self) -> Result<Vec<u64>, StoreError> {
-        let entries = fs::read_dir(&self.dir).map_err(|e| StoreError::Io {
-            path: self.dir.clone(),
-            op: "read dir",
-            reason: e.to_string(),
-        })?;
-        let mut out = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name
-                .strip_prefix("synth-")
-                .and_then(|s| s.strip_suffix(".nsbstore"))
-            else {
-                continue;
-            };
-            if let Ok(hash) = u64::from_str_radix(hex, 16) {
-                out.push(hash);
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -362,7 +333,6 @@ mod tests {
         assert_eq!(outcome.report.skipped, 0);
         assert!(outcome.report.found);
         assert_eq!(outcome.entries.len(), 3);
-        assert_eq!(store.snapshots().expect("list"), vec![7]);
         let _ = fs::remove_dir_all(store.dir());
     }
 

@@ -35,7 +35,7 @@ impl Synthesized2Q {
     /// # Panics
     ///
     /// Panics when `bases.len() != self.layers`.
-    pub fn unitary(&self, bases: &[Mat4]) -> Mat4 {
+    pub(crate) fn unitary(&self, bases: &[Mat4]) -> Mat4 {
         assert_eq!(bases.len(), self.layers, "basis count mismatch");
         build_ansatz(&self.locals, bases)
     }

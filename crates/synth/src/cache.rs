@@ -31,11 +31,11 @@ use std::hash::{Hash, Hasher};
 /// resolution of `1e-6`, three orders of magnitude coarser than the
 /// synthesis tolerance and fine enough that distinct gate angles never
 /// collide.
-pub const COORD_SCALE: f64 = 1e6;
+pub(crate) const COORD_SCALE: f64 = 1e6;
 
 /// Quantization scale for matrix-entry fingerprints (see
 /// [`mat4_fingerprint`]).
-pub const ENTRY_SCALE: f64 = 1e9;
+pub(crate) const ENTRY_SCALE: f64 = 1e9;
 
 /// Key identifying a decomposition in a shared synthesis cache.
 ///
@@ -201,7 +201,7 @@ impl SynthCache for NoCache {
 impl Decomposer {
     /// Fingerprint of this decomposer's basis gate, namespacing its
     /// cache entries.
-    pub fn basis_id(&self) -> u64 {
+    pub(crate) fn basis_id(&self) -> u64 {
         mat4_fingerprint(self.basis())
     }
 

@@ -107,7 +107,7 @@ impl Decomposer {
     }
 
     /// The hardware basis gate.
-    pub fn basis(&self) -> &Mat4 {
+    pub(crate) fn basis(&self) -> &Mat4 {
         &self.basis
     }
 

@@ -42,4 +42,4 @@ mod oracle;
 pub use ansatz::Synthesized2Q;
 pub use cache::{mat4_fingerprint, NoCache, StableHasher, SynthCache, SynthKey};
 pub use decomposer::{decompose_with_bases, Decomposer, DecomposerConfig, SynthesisFailed};
-pub use oracle::{can_decompose_2layer, numerical_can_cnot_in_2, numerical_can_swap_in_3};
+pub use oracle::{numerical_can_cnot_in_2, numerical_can_swap_in_3};

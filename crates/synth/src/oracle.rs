@@ -24,7 +24,7 @@ const ORACLE: DecomposerConfig = DecomposerConfig {
 
 /// Numerically decides whether `target` can be written as
 /// `L2 . C . L1 . B . L0` (two layers with possibly different bases).
-pub fn can_decompose_2layer(target: &Mat4, b: &Mat4, c: &Mat4) -> bool {
+pub(crate) fn can_decompose_2layer(target: &Mat4, b: &Mat4, c: &Mat4) -> bool {
     decompose_with_bases(target, &[*b, *c], &ORACLE).is_ok()
 }
 

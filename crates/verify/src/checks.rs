@@ -46,15 +46,15 @@ fn violation(
 /// locals must be unitary, two-qubit ops must apply exactly the calibrated
 /// basis gate of their edge, in the calibrated tensor order, with the
 /// calibrated duration.
-pub struct BasisLegality;
+pub(crate) struct BasisLegality;
 
 impl BasisLegality {
     /// The check's name in reports.
-    pub const NAME: &'static str = "basis-legality";
+    pub(crate) const NAME: &'static str = "basis-legality";
 
     /// Records the check in `report.checks_run` and appends every
     /// violation it finds in `target`.
-    pub fn check(target: &VerifyTarget, report: &mut VerifyReport) {
+    pub(crate) fn check(target: &VerifyTarget, report: &mut VerifyReport) {
         report.checks_run.push(Self::NAME);
         let topo = target.device.topology();
         for (i, op) in target.ops.iter().enumerate() {
@@ -130,15 +130,15 @@ impl BasisLegality {
 /// Check 2: every operation addresses qubits inside the register, and
 /// every two-qubit operation — in the ops and in the routed source — acts
 /// on a coupled pair of the device topology.
-pub struct ConnectivityLegality;
+pub(crate) struct ConnectivityLegality;
 
 impl ConnectivityLegality {
     /// The check's name in reports.
-    pub const NAME: &'static str = "connectivity-legality";
+    pub(crate) const NAME: &'static str = "connectivity-legality";
 
     /// Records the check in `report.checks_run` and appends every
     /// violation it finds in `target`.
-    pub fn check(target: &VerifyTarget, report: &mut VerifyReport) {
+    pub(crate) fn check(target: &VerifyTarget, report: &mut VerifyReport) {
         report.checks_run.push(Self::NAME);
         let topo = target.device.topology();
         let n = topo.n_qubits();
@@ -194,7 +194,7 @@ pub struct WeylCanonicality;
 
 impl WeylCanonicality {
     /// The check's name in reports.
-    pub const NAME: &'static str = "weyl-canonicality";
+    pub(crate) const NAME: &'static str = "weyl-canonicality";
 
     /// Records the check in `report.checks_run` and appends every
     /// violation it finds in `target`.
@@ -349,7 +349,7 @@ impl ScheduleSanity {
     }
 
     /// The check's name in reports.
-    pub const NAME: &'static str = "schedule-sanity";
+    pub(crate) const NAME: &'static str = "schedule-sanity";
 
     /// Records the check in `report.checks_run` and appends every
     /// violation it finds in `target`.
@@ -545,7 +545,7 @@ impl UnitaryEquivalence {
     }
 
     /// The check's name in reports.
-    pub const NAME: &'static str = "unitary-equivalence";
+    pub(crate) const NAME: &'static str = "unitary-equivalence";
 
     /// Maximum tolerated probe-state infidelity: a program passes when its
     /// minimum probe overlap, less the [`Miter::bound`] on the reduction's
@@ -649,7 +649,7 @@ const SPLIT_TOL: f64 = 1e-4;
 /// touch. Replacing unitary blocks by unitary ones within Frobenius
 /// distance `d` moves every overlap by at most `d`, so the reduced overlap
 /// is within `bound` of the exact one when every op is unitary (checked by
-/// [`BasisLegality`]).
+/// the suite's `basis-legality` check).
 pub struct Miter {
     n: usize,
     /// Surviving blocks `(a, b, unitary)` in an order that respects every

@@ -56,10 +56,7 @@ mod report;
 mod suite;
 mod target;
 
-pub use checks::{
-    BasisLegality, ConnectivityLegality, Miter, ScheduleSanity, UnitaryEquivalence,
-    WeylCanonicality,
-};
+pub use checks::{Miter, ScheduleSanity, UnitaryEquivalence, WeylCanonicality};
 pub use report::{VerifyLevel, VerifyReport, Violation, ViolationKind};
 pub use suite::VerifierSuite;
 pub use target::{ScheduleFacts, VerifyOp, VerifyTarget};

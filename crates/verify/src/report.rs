@@ -50,8 +50,7 @@ impl fmt::Display for ViolationKind {
 pub struct Violation {
     /// What was broken.
     pub kind: ViolationKind,
-    /// The check that found it (its `NAME`, e.g.
-    /// [`BasisLegality::NAME`](crate::BasisLegality::NAME)).
+    /// The name of the check that found it, e.g. `"basis-legality"`.
     pub check: &'static str,
     /// Index into the verified operation list, when the violation is
     /// attributable to a single operation.
@@ -92,11 +91,6 @@ impl VerifyReport {
     /// True when no check reported a violation.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Number of violations of one kind.
-    pub fn count(&self, kind: ViolationKind) -> usize {
-        self.violations.iter().filter(|v| v.kind == kind).count()
     }
 
     /// True when at least one violation of `kind` was reported.
@@ -148,7 +142,7 @@ impl VerifyLevel {
     }
 
     /// Parses a level name: `off`, `debug` or `full` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
+    pub(crate) fn parse(s: &str) -> Option<Self> {
         match s.to_ascii_lowercase().as_str() {
             "off" => Some(VerifyLevel::Off),
             "debug" => Some(VerifyLevel::Debug),
@@ -197,7 +191,6 @@ mod tests {
         r.violations.push(v(ViolationKind::UncoupledPair));
         r.violations.push(v(ViolationKind::UnitaryMismatch));
         assert!(!r.is_clean());
-        assert_eq!(r.count(ViolationKind::UncoupledPair), 2);
         assert!(r.has(ViolationKind::UnitaryMismatch));
         assert!(!r.has(ViolationKind::IllegalBasisGate));
         let text = r.to_string();

@@ -42,7 +42,7 @@ pub enum VerifyOp {
 
 impl VerifyOp {
     /// Qubits the operation acts on.
-    pub fn qubits(&self) -> Vec<usize> {
+    pub(crate) fn qubits(&self) -> Vec<usize> {
         match self {
             VerifyOp::Local { qubit, .. } => vec![*qubit],
             VerifyOp::TwoQubit { qubits, .. } => vec![qubits.0, qubits.1],
@@ -50,7 +50,7 @@ impl VerifyOp {
     }
 
     /// Duration of the operation given the device's local-gate time.
-    pub fn duration(&self, t_1q: f64) -> f64 {
+    pub(crate) fn duration(&self, t_1q: f64) -> f64 {
         match self {
             VerifyOp::Local { .. } => t_1q,
             VerifyOp::TwoQubit { duration, .. } => *duration,

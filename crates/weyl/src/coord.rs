@@ -13,7 +13,7 @@
 use std::fmt;
 
 /// Tolerance used for chamber membership and coordinate comparisons.
-pub const COORD_EPS: f64 = 1e-9;
+pub(crate) const COORD_EPS: f64 = 1e-9;
 
 /// A point in Cartan-coordinate space.
 ///
@@ -46,7 +46,7 @@ impl WeylCoord {
     /// The identity point `I0 = (0, 0, 0)`.
     pub const IDENTITY: WeylCoord = WeylCoord::new(0.0, 0.0, 0.0);
     /// The second identity point `I1 = (1, 0, 0)`.
-    pub const IDENTITY_1: WeylCoord = WeylCoord::new(1.0, 0.0, 0.0);
+    pub(crate) const IDENTITY_1: WeylCoord = WeylCoord::new(1.0, 0.0, 0.0);
     /// CNOT / CZ local-equivalence class.
     pub const CNOT: WeylCoord = WeylCoord::new(0.5, 0.0, 0.0);
     /// iSWAP class.
@@ -57,16 +57,17 @@ impl WeylCoord {
     pub const SQRT_ISWAP: WeylCoord = WeylCoord::new(0.25, 0.25, 0.0);
     /// sqrt(iSWAP) class (right copy, same class via the bottom-face
     /// identification).
-    pub const SQRT_ISWAP_MIRROR: WeylCoord = WeylCoord::new(0.75, 0.25, 0.0);
+    #[cfg(test)]
+    pub(crate) const SQRT_ISWAP_MIRROR: WeylCoord = WeylCoord::new(0.75, 0.25, 0.0);
     /// sqrt(SWAP) class.
-    pub const SQRT_SWAP: WeylCoord = WeylCoord::new(0.25, 0.25, 0.25);
+    pub(crate) const SQRT_SWAP: WeylCoord = WeylCoord::new(0.25, 0.25, 0.25);
     /// sqrt(SWAP)^dagger class.
-    pub const SQRT_SWAP_DAG: WeylCoord = WeylCoord::new(0.75, 0.25, 0.25);
+    pub(crate) const SQRT_SWAP_DAG: WeylCoord = WeylCoord::new(0.75, 0.25, 0.25);
     /// The B gate, midpoint of the CNOT-iSWAP segment.
     pub const B_GATE: WeylCoord = WeylCoord::new(0.5, 0.25, 0.0);
 
     /// Returns the coordinates as an array `[x, y, z]`.
-    pub fn to_array(self) -> [f64; 3] {
+    pub(crate) fn to_array(self) -> [f64; 3] {
         [self.x, self.y, self.z]
     }
 
@@ -244,7 +245,7 @@ impl fmt::Display for WeylCoord {
 }
 
 /// Distance from a point to the segment `[a, b]` in coordinate space.
-pub fn dist_to_segment(p: WeylCoord, a: WeylCoord, b: WeylCoord) -> f64 {
+pub(crate) fn dist_to_segment(p: WeylCoord, a: WeylCoord, b: WeylCoord) -> f64 {
     let ab = [b.x - a.x, b.y - a.y, b.z - a.z];
     let ap = [p.x - a.x, p.y - a.y, p.z - a.z];
     let ab2 = ab[0] * ab[0] + ab[1] * ab[1] + ab[2] * ab[2];

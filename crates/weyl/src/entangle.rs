@@ -1,6 +1,6 @@
 //! Entangling power and the perfect-entangler polyhedron.
 
-use crate::WeylCoord;
+use crate::coord::WeylCoord;
 
 /// Entangling power of a two-qubit gate, as a function of its Cartan
 /// coordinates (Zanardi-Zalka-Faoro): values lie in `[0, 2/9]`.
@@ -48,12 +48,6 @@ pub fn is_perfect_entangler(c: WeylCoord, tol: f64) -> bool {
     p.z.abs() <= tol && mirror_image.in_chamber(tol) && test(mirror_image)
 }
 
-/// Tests whether a gate class is a *special perfect entangler* (entangling
-/// power exactly `2/9`): these lie on the segment from CNOT to iSWAP.
-pub fn is_special_perfect_entangler(c: WeylCoord, tol: f64) -> bool {
-    (entangling_power(c) - 2.0 / 9.0).abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,9 +90,9 @@ mod tests {
         for k in 0..=10 {
             let t = k as f64 / 10.0;
             let p = WeylCoord::new(0.5, 0.5 * t, 0.0);
-            assert!(is_special_perfect_entangler(p, 1e-9), "{p}");
+            assert!((entangling_power(p) - 2.0 / 9.0).abs() <= 1e-9, "{p}");
         }
-        assert!(!is_special_perfect_entangler(WeylCoord::SQRT_ISWAP, 1e-6));
+        assert!((entangling_power(WeylCoord::SQRT_ISWAP) - 2.0 / 9.0).abs() > 1e-6);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! we recover `(x, y, z)` by enumerating eigenvalue assignments and branch
 //! offsets and solving the small least-squares system, then canonicalize.
 
-use crate::WeylCoord;
+use crate::coord::WeylCoord;
 use nsb_math::{eigh, Complex64, DMat, Mat4};
 
 /// The magic-basis change matrix `B` (columns are phased Bell states).
-pub fn magic_basis() -> Mat4 {
+pub(crate) fn magic_basis() -> Mat4 {
     let s = std::f64::consts::FRAC_1_SQRT_2;
     let r = Complex64::real(s);
     let i = Complex64::imag(s);
@@ -57,8 +57,10 @@ pub fn local_invariants(u: &Mat4) -> (f64, f64, f64) {
     (g12.re, g12.im, g3.re)
 }
 
-/// Tests local equivalence of two gates by comparing invariants.
-pub fn locally_equivalent(u: &Mat4, v: &Mat4, tol: f64) -> bool {
+/// Tests local equivalence of two gates by comparing invariants: the
+/// tests' oracle for [`kak_vector`] and [`canonical_gate`].
+#[cfg(test)]
+pub(crate) fn locally_equivalent(u: &Mat4, v: &Mat4, tol: f64) -> bool {
     let a = local_invariants(u);
     let b = local_invariants(v);
     (a.0 - b.0).abs() <= tol && (a.1 - b.1).abs() <= tol && (a.2 - b.2).abs() <= tol

@@ -45,11 +45,11 @@ mod entangle;
 mod kak;
 mod regions;
 
-pub use coord::{dist_to_segment, WeylCoord, COORD_EPS};
-pub use entangle::{entangling_power, is_perfect_entangler, is_special_perfect_entangler};
-pub use kak::{canonical_gate, kak_vector, local_invariants, locally_equivalent, magic_basis};
+pub use coord::WeylCoord;
+pub use entangle::{entangling_power, is_perfect_entangler};
+pub use kak::{canonical_gate, kak_vector, local_invariants};
 pub use regions::{
-    can_cnot_in_2, can_swap_in_1, can_swap_in_2_pair, can_swap_in_2_self, can_swap_in_3,
-    chamber_volume, cnot2_complement, first_crossing, min_layers_for_swap, sample_chamber,
-    swap3_complement, volume_fraction, ComplementTet, SelectionCriterion, Tetrahedron,
+    can_cnot_in_2, can_swap_in_2_pair, can_swap_in_3, chamber_volume, cnot2_complement,
+    first_crossing, min_layers_for_swap, sample_chamber, swap3_complement, volume_fraction,
+    ComplementTet, SelectionCriterion, Tetrahedron,
 };

@@ -8,7 +8,8 @@
 //! 68.5% of the chamber and `S_CNOT,2` covers 75%.
 
 use crate::coord::dist_to_segment;
-use crate::{entangling_power, WeylCoord};
+use crate::coord::WeylCoord;
+use crate::entangle::entangling_power;
 use rand::Rng;
 
 /// A tetrahedron in Cartan-coordinate space, stored by its four vertices.
@@ -67,23 +68,6 @@ impl Tetrahedron {
             w[k] = det3(&mk) / det;
         }
         Some([1.0 - w[0] - w[1] - w[2], w[0], w[1], w[2]])
-    }
-
-    /// Tests whether `p` lies strictly inside the tetrahedron: all
-    /// barycentric weights exceed `eps`.
-    pub fn contains(&self, p: WeylCoord, eps: f64) -> bool {
-        match self.barycentric(p) {
-            Some(w) => w.iter().all(|&v| v > eps),
-            None => false,
-        }
-    }
-
-    /// Tests whether `p` lies inside the *closed* tetrahedron within `eps`.
-    pub fn contains_closed(&self, p: WeylCoord, eps: f64) -> bool {
-        match self.barycentric(p) {
-            Some(w) => w.iter().all(|&v| v >= -eps),
-            None => false,
-        }
     }
 }
 
@@ -201,14 +185,14 @@ pub fn cnot2_complement() -> [ComplementTet; 3] {
 
 /// Tests whether a gate class can synthesize SWAP in one layer (it must be
 /// the SWAP class itself).
-pub fn can_swap_in_1(c: WeylCoord, tol: f64) -> bool {
+pub(crate) fn can_swap_in_1(c: WeylCoord, tol: f64) -> bool {
     c.canonicalize().dist(WeylCoord::SWAP) <= tol
 }
 
 /// Tests whether a gate class can synthesize SWAP in two layers *using two
 /// copies of itself*: it must lie on the self-mirror segments L0
 /// (B gate to sqrt(SWAP)) or L1 (B gate to sqrt(SWAP)^dagger).
-pub fn can_swap_in_2_self(c: WeylCoord, tol: f64) -> bool {
+pub(crate) fn can_swap_in_2_self(c: WeylCoord, tol: f64) -> bool {
     let p = c.canonicalize();
     let l0 = dist_to_segment(p, WeylCoord::B_GATE, WeylCoord::SQRT_SWAP);
     // L1 lives on the x >= 1/2 side; compare against the mirrored image too

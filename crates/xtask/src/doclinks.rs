@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 /// One unresolved markdown link.
 #[derive(Clone, Debug)]
-pub struct BrokenLink {
+pub(crate) struct BrokenLink {
     /// The markdown file containing the link.
     pub file: PathBuf,
     /// 1-based line number of the link.
@@ -25,7 +25,7 @@ pub struct BrokenLink {
 
 impl BrokenLink {
     /// Renders the finding as a rustc-style diagnostic.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         format!(
             "error[doc-links]: broken relative link `{}`\n  --> {}:{}\n",
             self.target,
@@ -39,7 +39,7 @@ impl BrokenLink {
 const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
 
 /// Checks every markdown file under `root`; returns all broken links.
-pub fn run(root: &Path) -> Vec<BrokenLink> {
+pub(crate) fn run(root: &Path) -> Vec<BrokenLink> {
     let mut files = Vec::new();
     collect_md(root, &mut files);
     files.sort();
