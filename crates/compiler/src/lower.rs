@@ -398,7 +398,7 @@ pub(crate) fn merge_locals(ops: Vec<LoweredOp>, n_qubits: usize) -> Vec<LoweredO
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use nsb_circuit::generators;
     use nsb_device::DeviceConfig;
@@ -471,10 +471,10 @@ pub(crate) mod tests {
     /// A [`SynthCache`] that stores nothing and counts
     /// `get_or_compute` calls.
     #[derive(Default)]
-    pub(crate) struct CountingCache(AtomicUsize);
+    struct CountingCache(AtomicUsize);
 
     impl CountingCache {
-        pub(crate) fn calls(&self) -> usize {
+        fn calls(&self) -> usize {
             self.0.load(Ordering::Relaxed)
         }
     }

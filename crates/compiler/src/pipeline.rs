@@ -243,32 +243,25 @@ impl<'d> Transpiler<'d> {
     /// fails, or (with verification enabled) an inter-pass check rejects the
     /// compiled program.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, CompileError> {
-        self.compile_staged(circuit, |_, _| Ok::<_, CompileError>(()))
-            .map(|(compiled, _)| compiled)
+        self.compile_staged(circuit, |_, _| {})
     }
 
     /// Compiles a logical circuit, calling `after_stage` with each stage's
     /// wall time as soon as the stage completes. The stages run route →
     /// \[verify\] → lower → schedule → \[verify\], the verifier suites only
-    /// when verification is enabled. An `Err` from the hook stops the
-    /// compilation and is returned as-is.
-    ///
-    /// Returns the compiled circuit and, when verification ran, the clean
-    /// post-lowering [`VerifyReport`].
+    /// when verification is enabled.
     ///
     /// # Errors
     ///
-    /// The hook's error, or a [`CompileError`] as for
-    /// [`compile`](Transpiler::compile).
-    pub fn compile_staged<E: From<CompileError>>(
+    /// As for [`compile`](Transpiler::compile).
+    pub fn compile_staged(
         &self,
         circuit: &Circuit,
-        mut after_stage: impl FnMut(Stage, Duration) -> Result<(), E>,
-    ) -> Result<(CompiledCircuit, Option<VerifyReport>), E> {
+        mut after_stage: impl FnMut(Stage, Duration),
+    ) -> Result<CompiledCircuit, CompileError> {
         let started = Instant::now();
-        let routed = sabre_route(circuit, self.device.topology(), &SabreConfig::default())
-            .map_err(CompileError::from)?;
-        after_stage(Stage::Route, started.elapsed())?;
+        let routed = sabre_route(circuit, self.device.topology(), &SabreConfig::default())?;
+        after_stage(Stage::Route, started.elapsed());
         // Post-routing checkpoint: every remaining two-qubit gate must sit
         // on a coupled pair; lowering relies on this.
         self.verify_after(Stage::Route, &mut after_stage, || {
@@ -279,19 +272,18 @@ impl<'d> Transpiler<'d> {
         let ops = Lowerer::new(self.device, self.strategy, self.mode)
             .with_shared_cache(self.cache.clone())
             .with_synthesis_threads(self.threads)
-            .lower(&routed.circuit)
-            .map_err(CompileError::from)?;
-        after_stage(Stage::Lower, started.elapsed())?;
+            .lower(&routed.circuit)?;
+        after_stage(Stage::Lower, started.elapsed());
 
         let started = Instant::now();
         let n_qubits = self.device.topology().n_qubits();
         let sched = schedule(&ops, n_qubits, self.device.config().t_1q);
         let fidelity = sched.coherence_fidelity(self.device.config().coherence_time);
-        after_stage(Stage::Schedule, started.elapsed())?;
+        after_stage(Stage::Schedule, started.elapsed());
         // Post-lowering checkpoint: basis legality, Weyl canonicality,
         // schedule consistency and (for small devices) full unitary
         // equivalence against the routed source.
-        let report = self.verify_after(Stage::Lower, &mut after_stage, || {
+        self.verify_after(Stage::Lower, &mut after_stage, || {
             VerifyTarget::new(
                 self.device,
                 self.strategy,
@@ -301,7 +293,7 @@ impl<'d> Transpiler<'d> {
             .with_schedule(to_schedule_facts(&sched))
         })?;
 
-        let compiled = CompiledCircuit {
+        Ok(CompiledCircuit {
             ops,
             n_qubits,
             initial_layout: routed.initial_layout,
@@ -309,22 +301,21 @@ impl<'d> Transpiler<'d> {
             swaps_inserted: routed.swaps_inserted,
             schedule: sched,
             fidelity,
-        };
-        Ok((compiled, report))
+        })
     }
 
     /// When verification is enabled, runs the suite that checks `stage`'s
     /// output (structural after routing, standard after lowering), reports
     /// its time as [`Stage::Verify`], and turns violations into
     /// [`CompileError::Verification`] labeled with `stage`.
-    fn verify_after<'t, E: From<CompileError>>(
+    fn verify_after<'t>(
         &self,
         stage: Stage,
-        after_stage: &mut impl FnMut(Stage, Duration) -> Result<(), E>,
+        after_stage: &mut impl FnMut(Stage, Duration),
         target: impl FnOnce() -> VerifyTarget<'t>,
-    ) -> Result<Option<VerifyReport>, E> {
+    ) -> Result<(), CompileError> {
         if !self.verify.is_enabled() {
-            return Ok(None);
+            return Ok(());
         }
         let started = Instant::now();
         let suite = match stage {
@@ -332,15 +323,14 @@ impl<'d> Transpiler<'d> {
             _ => VerifierSuite::standard(),
         };
         let report = suite.run(&target());
-        after_stage(Stage::Verify, started.elapsed())?;
+        after_stage(Stage::Verify, started.elapsed());
         if report.is_clean() {
-            Ok(Some(report))
+            Ok(())
         } else {
             Err(CompileError::Verification {
                 stage: stage.name(),
                 report,
-            }
-            .into())
+            })
         }
     }
 }
@@ -497,53 +487,12 @@ mod tests {
             ),
         ] {
             let mut seen = Vec::new();
-            let (_, report) = Transpiler::new(device, BasisStrategy::Criterion2)
+            Transpiler::new(device, BasisStrategy::Criterion2)
                 .with_verification(level)
-                .compile_staged(&generators::ghz(4), |stage, _| {
-                    seen.push(stage);
-                    Ok::<_, CompileError>(())
-                })
+                .compile_staged(&generators::ghz(4), |stage, _| seen.push(stage))
                 .expect("compile");
             assert_eq!(seen, expected, "{level:?}");
-            assert_eq!(report.is_some(), level == VerifyLevel::Full);
         }
-    }
-
-    /// The hook's own error type, distinct from anything the pipeline
-    /// produces.
-    #[derive(Debug)]
-    enum Abort {
-        Hook(Stage),
-        Compile(CompileError),
-    }
-
-    impl From<CompileError> for Abort {
-        fn from(e: CompileError) -> Self {
-            Abort::Compile(e)
-        }
-    }
-
-    #[test]
-    fn hook_error_after_route_is_returned_before_lowering() {
-        let device = test_device();
-        let logical = generators::qft(4, true);
-        let cache = Arc::new(crate::lower::tests::CountingCache::default());
-        let transpiler = Transpiler::new(device, BasisStrategy::Baseline)
-            .with_mode(LoweringMode::Direct)
-            .with_shared_cache(cache.clone());
-        let aborted = transpiler.compile_staged(&logical, |stage, _| match stage {
-            Stage::Route => Err(Abort::Hook(stage)),
-            _ => Ok(()),
-        });
-        match aborted {
-            Err(Abort::Hook(Stage::Route)) => {}
-            Err(Abort::Compile(e)) => panic!("expected the hook's error, got {e}"),
-            other => panic!("expected the hook's error, got {other:?}"),
-        }
-        assert_eq!(cache.calls(), 0, "lowering ran after the hook aborted");
-        // The control: without the abort, this job does synthesize.
-        transpiler.compile(&logical).expect("compile");
-        assert!(cache.calls() > 0);
     }
 
     #[test]

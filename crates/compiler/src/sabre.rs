@@ -74,15 +74,15 @@ pub struct RoutedCircuit {
 #[derive(Clone, Copy, Debug)]
 pub struct SabreConfig {
     /// Extended-set (lookahead) size.
-    pub extended_set_size: usize,
+    pub(crate) extended_set_size: usize,
     /// Weight of the extended-set term in the swap score.
-    pub extended_set_weight: f64,
+    pub(crate) extended_set_weight: f64,
     /// Decay increment per swap touching a qubit.
-    pub decay_increment: f64,
+    pub(crate) decay_increment: f64,
     /// Rounds between decay resets.
-    pub decay_reset_interval: usize,
+    pub(crate) decay_reset_interval: usize,
     /// Layout refinement iterations (forward/backward passes).
-    pub layout_iterations: usize,
+    pub(crate) layout_iterations: usize,
 }
 
 impl Default for SabreConfig {

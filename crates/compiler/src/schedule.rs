@@ -19,10 +19,10 @@ pub struct Schedule {
     pub duration: f64,
     /// Per-qubit active windows `(t_i, t_f)` — ALAP start of the first
     /// gate, ASAP end of the last gate; `None` for untouched qubits.
-    pub windows: Vec<Option<(f64, f64)>>,
+    pub(crate) windows: Vec<Option<(f64, f64)>>,
     /// Per-qubit total busy time (sum of gate durations), a lower bound on
     /// the active window.
-    pub busy: Vec<f64>,
+    pub(crate) busy: Vec<f64>,
     /// Number of entangler applications.
     pub entangler_count: usize,
     /// Number of (merged) local gates.

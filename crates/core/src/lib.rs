@@ -20,7 +20,7 @@
 //!   selection and the calibration protocol (Sections V-E, VI).
 //! * [`compiler`] — SABRE mapping and per-edge basis lowering.
 //! * [`service`] — concurrent compilation service with a shared
-//!   synthesis cache, deadlines and metrics; [`ServicePool`](service::ServicePool)
+//!   synthesis cache and metrics; [`ServicePool`](service::ServicePool)
 //!   shards it across multiple device calibrations.
 //! * `nsb-store` — persistent snapshot store for the synthesis cache:
 //!   checksummed on-disk format, atomic replacement, warm starts (its

@@ -24,9 +24,9 @@ use rand::Rng;
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TomographyModel {
     /// Number of measurement shots per configuration.
-    pub shots: u64,
+    pub(crate) shots: u64,
     /// Noise amplification constant mapping shots to matrix-element noise.
-    pub noise_scale: f64,
+    pub(crate) noise_scale: f64,
 }
 
 impl TomographyModel {
@@ -62,24 +62,12 @@ impl TomographyModel {
     }
 }
 
-/// A candidate basis gate surviving the QPT narrowing stage.
-#[derive(Clone, Debug)]
-pub struct CandidateGate {
-    /// Index into the trajectory.
-    pub index: usize,
-    /// Pulse duration (ns).
-    pub duration: f64,
-    /// QPT-estimated unitary.
-    pub qpt_estimate: Mat4,
-    /// Coordinates of the QPT estimate.
-    pub qpt_coord: WeylCoord,
-}
-
 /// The outcome of an initial tuneup for one edge and one criterion.
 #[derive(Clone, Debug)]
 pub struct TuneupResult {
-    /// Candidates that passed the criterion under QPT coordinates.
-    pub candidates: Vec<CandidateGate>,
+    /// Trajectory indices of the points that passed the criterion under
+    /// QPT coordinates, fastest first.
+    pub candidates: Vec<usize>,
     /// Index (into the trajectory) of the selected gate.
     pub selected_index: usize,
     /// GST-refined unitary of the selected gate — the unitary handed to
@@ -132,12 +120,7 @@ pub(crate) fn tuneup_from_trajectory<R: Rng + ?Sized>(
         let est = qpt.estimate(&p.gate, rng);
         let coord = kak_vector(&est);
         if criterion.accepts(coord) && nsb_weyl::entangling_power(coord) >= min_entangling_power {
-            candidates.push(CandidateGate {
-                index: i,
-                duration: p.duration,
-                qpt_estimate: est,
-                qpt_coord: coord,
-            });
+            candidates.push(i);
         }
     }
     if candidates.is_empty() {
@@ -145,13 +128,13 @@ pub(crate) fn tuneup_from_trajectory<R: Rng + ?Sized>(
     }
     // Step 4: GST-refine the fastest few candidates; select the fastest
     // whose *refined* coordinates still pass the criterion.
-    for cand in candidates.iter().take(5) {
-        let p = &traj.points[cand.index];
+    for &index in candidates.iter().take(5) {
+        let p = &traj.points[index];
         let refined = gst.estimate(&p.gate, rng);
         let coord = kak_vector(&refined);
         if criterion.accepts(coord) && nsb_weyl::entangling_power(coord) >= min_entangling_power {
             return Some(TuneupResult {
-                selected_index: cand.index,
+                selected_index: index,
                 refined_gate: refined,
                 refined_coord: coord,
                 duration: p.duration,

@@ -52,14 +52,12 @@ pub struct SynthesizedGate {
     /// The synthesized circuit (locals + layer count).
     pub circuit: Synthesized2Q,
     /// Wall-clock duration including local layers (ns).
-    pub duration: f64,
+    pub(crate) duration: f64,
 }
 
 /// One selected basis gate on one edge, with its decomposition cache.
 #[derive(Clone, Debug)]
 pub struct SelectedBasis {
-    /// Which strategy selected this gate.
-    pub strategy: BasisStrategy,
     /// Entangling pulse duration of the basis gate (ns).
     pub duration: f64,
     /// The characterized unitary the compiler targets, shared with every
@@ -87,8 +85,6 @@ pub struct EdgeCalibration {
     /// (low-frequency qubit, high-frequency qubit). Basis-gate unitaries
     /// act on `|q_lo q_hi>` in this order.
     pub gate_order: (usize, usize),
-    /// Residual static ZZ at the coupler bias (rad/ns).
-    pub residual_zz: f64,
     /// Baseline sqrt(iSWAP) basis gate.
     pub baseline: SelectedBasis,
     /// Criterion-1 nonstandard basis gate.
@@ -212,9 +208,9 @@ impl DeviceConfig {
 #[derive(Clone, Debug)]
 pub struct DeviceBuildError {
     /// Edge index that failed; `None` when the grid itself is rejected.
-    pub edge: Option<usize>,
+    pub(crate) edge: Option<usize>,
     /// Human-readable reason.
-    pub reason: String,
+    pub(crate) reason: String,
 }
 
 impl fmt::Display for DeviceBuildError {
@@ -367,10 +363,7 @@ impl Device {
     pub fn table1_row(&self, strategy: BasisStrategy) -> Table1Row {
         let t = self.config.coherence_time;
         let n = self.edges.len() as f64;
-        let mut row = Table1Row {
-            strategy,
-            ..Table1Row::default()
-        };
+        let mut row = Table1Row::default();
         for e in &self.edges {
             let b = e.basis(strategy);
             row.basis_duration += b.duration / n;
@@ -385,10 +378,8 @@ impl Device {
 }
 
 /// One row of the paper's Table I.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Table1Row {
-    /// The strategy this row describes.
-    pub strategy: BasisStrategy,
     /// Mean basis-gate duration (ns).
     pub basis_duration: f64,
     /// Mean basis-gate coherence-limited fidelity.
@@ -401,20 +392,6 @@ pub struct Table1Row {
     pub cnot_duration: f64,
     /// Mean synthesized CNOT fidelity.
     pub cnot_fidelity: f64,
-}
-
-impl Default for Table1Row {
-    fn default() -> Self {
-        Table1Row {
-            strategy: BasisStrategy::Baseline,
-            basis_duration: 0.0,
-            basis_fidelity: 0.0,
-            swap_duration: 0.0,
-            swap_fidelity: 0.0,
-            cnot_duration: 0.0,
-            cnot_fidelity: 0.0,
-        }
-    }
 }
 
 fn build_edge(
@@ -519,7 +496,6 @@ fn build_edge(
     Ok(EdgeCalibration {
         qubits: (a.min(b), a.max(b)),
         gate_order,
-        residual_zz: cell.residual_zz,
         baseline,
         criterion1,
         criterion2,
@@ -550,7 +526,6 @@ fn finish_basis(
         circuit: cnot,
     };
     Ok(SelectedBasis {
-        strategy,
         duration,
         gate: Arc::new(gate),
         coord,

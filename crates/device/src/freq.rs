@@ -11,12 +11,12 @@ use rand::Rng;
 #[derive(Clone, Copy, Debug)]
 pub struct FrequencyPlan {
     /// Mean of the low-frequency group (GHz).
-    pub low_mean: f64,
+    pub(crate) low_mean: f64,
     /// Mean of the high-frequency group (GHz).
-    pub high_mean: f64,
+    pub(crate) high_mean: f64,
     /// Relative standard deviation (paper: 5%, deliberately pessimistic
     /// versus the ~0.5% of laser-annealed junctions).
-    pub rel_std: f64,
+    pub(crate) rel_std: f64,
 }
 
 impl Default for FrequencyPlan {

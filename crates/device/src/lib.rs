@@ -33,7 +33,7 @@ mod device;
 mod freq;
 mod topology;
 
-pub use calibration::{initial_tuneup, retune, CandidateGate, TuneupResult};
+pub use calibration::{initial_tuneup, retune, TuneupResult};
 pub use coherence::{coherence_fidelity_2q, coherence_limit_2q, synthesized_duration};
 pub use device::{
     BasisStrategy, Device, DeviceBuildError, DeviceConfig, EdgeCalibration, SelectedBasis,

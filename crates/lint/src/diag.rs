@@ -10,11 +10,11 @@ pub struct Diagnostic {
     /// Stable rule identifier (e.g. `lock-order`).
     pub rule: &'static str,
     /// Workspace-relative file.
-    pub file: PathBuf,
+    pub(crate) file: PathBuf,
     /// 1-based line (0 for file-level findings).
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column (0 when not meaningful).
-    pub col: usize,
+    pub(crate) col: usize,
     /// Human-readable description.
     pub message: String,
     /// The offending source line, trimmed.

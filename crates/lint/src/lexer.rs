@@ -32,11 +32,11 @@ pub(crate) enum TokenKind {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct Token {
     /// The token's kind and text.
-    pub kind: TokenKind,
+    pub(crate) kind: TokenKind,
     /// 1-based source line of the token's first character.
-    pub line: usize,
+    pub(crate) line: usize,
     /// 1-based column of the token's first character.
-    pub col: usize,
+    pub(crate) col: usize,
 }
 
 /// Punctuation, longest first so maximal munch works by scanning the

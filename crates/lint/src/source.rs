@@ -19,11 +19,11 @@ pub enum FileKind {
 #[derive(Clone, Debug)]
 pub struct SourceFile {
     /// Workspace-relative path.
-    pub path: PathBuf,
+    pub(crate) path: PathBuf,
     /// Rule-applicability class.
-    pub kind: FileKind,
+    pub(crate) kind: FileKind,
     /// Raw text (for diagnostics' snippet lines).
-    pub text: String,
+    pub(crate) text: String,
     /// Token trees of the whole file.
     pub(crate) trees: Vec<Tree>,
     /// Inclusive line ranges of `#[cfg(test)]` / `#[test]` items.

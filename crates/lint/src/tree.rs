@@ -20,16 +20,16 @@ pub(crate) enum Tree {
 #[derive(Clone, Debug)]
 pub(crate) struct Group {
     /// Opening delimiter: `(`, `[` or `{`.
-    pub delim: char,
+    pub(crate) delim: char,
     /// 1-based line of the opening delimiter.
-    pub open_line: usize,
+    pub(crate) open_line: usize,
     /// 1-based column of the opening delimiter.
-    pub open_col: usize,
+    pub(crate) open_col: usize,
     /// 1-based line of the closing delimiter (end of file when
     /// unterminated).
-    pub close_line: usize,
+    pub(crate) close_line: usize,
     /// Children in source order.
-    pub trees: Vec<Tree>,
+    pub(crate) trees: Vec<Tree>,
 }
 
 impl Tree {

@@ -15,13 +15,6 @@ pub enum ServiceError {
     },
     /// The service is shutting down and no longer accepts jobs.
     ShuttingDown,
-    /// The job's deadline elapsed before compilation finished.
-    DeadlineExceeded {
-        /// The pipeline stage (or `"queued"`) the deadline fired in.
-        stage: &'static str,
-    },
-    /// The job was canceled through its [`JobHandle`](crate::JobHandle).
-    Canceled,
     /// Compilation itself failed (a numerical synthesis did not
     /// converge).
     Compile(CompileError),
@@ -51,10 +44,6 @@ impl fmt::Display for ServiceError {
                 write!(f, "job queue full (capacity {capacity})")
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
-            ServiceError::DeadlineExceeded { stage } => {
-                write!(f, "deadline exceeded during stage `{stage}`")
-            }
-            ServiceError::Canceled => write!(f, "job canceled"),
             ServiceError::Compile(e) => write!(f, "{e}"),
             ServiceError::Disconnected => write!(f, "worker disconnected before reporting"),
             ServiceError::WorkerSpawn { reason } => {
@@ -99,8 +88,6 @@ mod tests {
         let e = ServiceError::QueueFull { capacity: 8 };
         assert!(e.to_string().contains("capacity 8"));
         assert!(e.source().is_none());
-        let d = ServiceError::DeadlineExceeded { stage: "lower" };
-        assert!(d.to_string().contains("lower"));
     }
 
     #[test]

@@ -17,17 +17,15 @@
 //!
 //! Every job runs the transpiler's own staged pipeline
 //! ([`nsb_compiler::Transpiler::compile_staged`]), so service output is
-//! bit-identical to a serial compile. Its stage hook records stage
-//! latencies and enforces per-job deadlines and cooperative cancellation
-//! after route, lower and schedule; shutdown is graceful — accepted jobs
-//! drain before the workers exit. Cores the workers leave idle go to
-//! each job's synthesis fan-out: a job synthesizes its distinct targets
-//! on `max(1, available_parallelism / workers)` threads. Jobs may also
-//! request *verified compilation* ([`JobSpec::with_verification`]): the
-//! transpiler's inter-pass verifier suites run, and the job is rejected —
-//! with the full violation report and the stage it failed after — if any
-//! static check fails; verified successes carry their clean report
-//! ([`JobHandle::wait_full`]). The job's
+//! bit-identical to a serial compile. A job either compiles or fails;
+//! the stage hook only records stage latencies. Shutdown is graceful —
+//! accepted jobs drain before the workers exit. Cores the workers leave
+//! idle go to each job's synthesis fan-out: a job synthesizes its
+//! distinct targets on `max(1, available_parallelism / workers)`
+//! threads. Jobs may also request *verified compilation*
+//! ([`JobSpec::with_verification`]): the transpiler's inter-pass verifier
+//! suites run, and the job is rejected — with the full violation report
+//! and the stage it failed after — if any static check fails. The job's
 //! [`VerifyLevel`](nsb_compiler::VerifyLevel) reaches the transpiler
 //! unchanged, so the service verifies exactly what the transpiler would.
 //! Everything is `std`-only.
@@ -79,7 +77,7 @@ mod service;
 
 pub use cache::{CacheStats, SharedSynthCache};
 pub use error::ServiceError;
-pub use job::{JobHandle, JobOutput, JobSpec};
+pub use job::{JobHandle, JobSpec};
 pub use metrics::ServiceMetrics;
 pub use pool::{FallbackPolicy, JobRoute, PoolConfig, ServicePool, ShardMetrics, ShardSpec};
 pub use service::{CompileService, ServiceConfig};

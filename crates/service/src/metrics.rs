@@ -9,17 +9,13 @@ use std::time::Duration;
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
     /// Jobs accepted into the queue.
-    pub jobs_submitted: AtomicU64,
+    pub(crate) jobs_submitted: AtomicU64,
     /// Jobs that produced a compiled circuit.
-    pub jobs_completed: AtomicU64,
-    /// Jobs that failed with a compilation error.
-    pub jobs_failed: AtomicU64,
-    /// Jobs that ran past their deadline (queued or mid-pipeline).
-    pub jobs_timed_out: AtomicU64,
-    /// Jobs canceled through their handle.
-    pub jobs_canceled: AtomicU64,
+    pub(crate) jobs_completed: AtomicU64,
+    /// Jobs that failed (a compilation or verification error).
+    pub(crate) jobs_failed: AtomicU64,
     /// Jobs currently sitting in the queue.
-    pub queue_depth: AtomicU64,
+    pub(crate) queue_depth: AtomicU64,
     /// Total nanoseconds spent in SABRE routing.
     pub route_nanos: AtomicU64,
     /// Total nanoseconds spent lowering (includes synthesis).
@@ -58,7 +54,7 @@ impl ServiceMetrics {
         let ms = |c: &AtomicU64| load(c) as f64 / 1e6;
         format!(
             "service metrics\n\
-             \x20 jobs: {} submitted, {} completed, {} failed, {} timed out, {} canceled\n\
+             \x20 jobs: {} submitted, {} completed, {} failed\n\
              \x20 queue depth: {}\n\
              \x20 verification: {} jobs verified, {} violations\n\
              \x20 stage latency sums: route {:.1} ms, lower {:.1} ms, schedule {:.1} ms, \
@@ -66,8 +62,6 @@ impl ServiceMetrics {
             load(&self.jobs_submitted),
             load(&self.jobs_completed),
             load(&self.jobs_failed),
-            load(&self.jobs_timed_out),
-            load(&self.jobs_canceled),
             load(&self.queue_depth),
             load(&self.jobs_verified),
             load(&self.verification_violations),

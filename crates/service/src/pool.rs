@@ -28,11 +28,11 @@ use std::time::Duration;
 pub struct ShardSpec {
     /// Human-readable shard name, used by [`JobRoute::Name`] and in
     /// reports. Names should be unique; routing picks the first match.
-    pub name: String,
+    pub(crate) name: String,
     /// The device this shard compiles onto.
-    pub device: Device,
+    pub(crate) device: Device,
     /// Sizing knobs for the shard's service.
-    pub config: ServiceConfig,
+    pub(crate) config: ServiceConfig,
 }
 
 impl ShardSpec {
@@ -82,7 +82,7 @@ pub struct PoolConfig {
 /// Where a job should compile.
 #[derive(Clone, Debug)]
 pub enum JobRoute {
-    /// The shard with this [`ShardSpec::name`].
+    /// The shard with this name (see [`ShardSpec::new`]).
     Name(String),
     /// The shard whose device has this calibration hash (see
     /// `Device::calibration_hash`).
@@ -97,17 +97,15 @@ pub enum JobRoute {
 #[derive(Clone, Debug)]
 pub struct ShardMetrics {
     /// The shard's name.
-    pub name: String,
+    pub(crate) name: String,
     /// The shard device's calibration hash.
-    pub calibration_hash: u64,
+    pub(crate) calibration_hash: u64,
     /// Jobs accepted by this shard.
-    pub jobs_submitted: u64,
+    pub(crate) jobs_submitted: u64,
     /// Jobs that produced a compiled circuit.
-    pub jobs_completed: u64,
+    pub(crate) jobs_completed: u64,
     /// Jobs that failed (compile or verification errors).
-    pub jobs_failed: u64,
-    /// Jobs currently queued.
-    pub queue_depth: u64,
+    pub(crate) jobs_failed: u64,
     /// The shard cache's counters.
     pub cache: CacheStats,
 }
@@ -281,7 +279,6 @@ impl ServicePool {
                     jobs_submitted: load(&m.jobs_submitted),
                     jobs_completed: load(&m.jobs_completed),
                     jobs_failed: load(&m.jobs_failed),
-                    queue_depth: load(&m.queue_depth),
                     cache: s.service.cache().stats(),
                 }
             })

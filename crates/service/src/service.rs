@@ -1,19 +1,17 @@
-//! The concurrent compilation service: worker pool, deadlines and
-//! cancellation around the transpiler's staged pipeline, and graceful
-//! shutdown.
+//! The concurrent compilation service: a worker pool around the
+//! transpiler's staged pipeline, and graceful shutdown.
 
 use crate::bounded::{BoundedQueue, PushError};
 use crate::cache::SharedSynthCache;
 use crate::error::ServiceError;
-use crate::job::{Job, JobHandle, JobOutput, JobSpec};
+use crate::job::{Job, JobHandle, JobSpec};
 use crate::metrics::ServiceMetrics;
-use nsb_compiler::{CompileError, Stage, Transpiler};
+use nsb_compiler::{CompileError, CompiledCircuit, Transpiler};
 use nsb_device::Device;
 use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Service sizing knobs.
 ///
@@ -199,21 +197,14 @@ impl CompileService {
             return Err(ServiceError::ShuttingDown);
         }
         let (result_tx, result_rx) = mpsc::channel();
-        let cancel = Arc::new(AtomicBool::new(false));
-        let deadline = spec.deadline.map(|d| Instant::now() + d);
-        let job = Job {
-            spec,
-            deadline,
-            cancel: cancel.clone(),
-            result_tx,
-        };
+        let job = Job { spec, result_tx };
         // Count the job before a worker can see it: a worker idle in `pop`
         // takes it the moment it is pushed, and its decrement must not run
         // first (the depth would wrap to 2^64 - 1).
         self.metrics.jobs_submitted.fetch_add(1, Ordering::Relaxed);
         self.metrics.queue_depth.fetch_add(1, Ordering::Relaxed);
         let rejected = match self.queue.try_push(job) {
-            Ok(()) => return Ok(JobHandle { cancel, result_rx }),
+            Ok(()) => return Ok(JobHandle { result_rx }),
             Err(PushError::Full(_)) => ServiceError::QueueFull {
                 capacity: self.queue.capacity(),
             },
@@ -256,79 +247,55 @@ fn worker_loop(
 ) {
     while let Some(job) = queue.pop() {
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let outcome = run_job(device, cache, metrics, &job, synthesis_threads);
-        match &outcome {
-            Ok(_) => metrics.jobs_completed.fetch_add(1, Ordering::Relaxed),
-            Err(ServiceError::Canceled) => metrics.jobs_canceled.fetch_add(1, Ordering::Relaxed),
-            Err(ServiceError::DeadlineExceeded { .. }) => {
-                metrics.jobs_timed_out.fetch_add(1, Ordering::Relaxed)
-            }
-            Err(_) => metrics.jobs_failed.fetch_add(1, Ordering::Relaxed),
+        let outcome = run_job(device, cache, metrics, &job.spec, synthesis_threads);
+        let counter = match outcome {
+            Ok(_) => &metrics.jobs_completed,
+            Err(_) => &metrics.jobs_failed,
         };
+        counter.fetch_add(1, Ordering::Relaxed);
         // The caller may have dropped its handle; that is fine.
         let _ = job.result_tx.send(outcome);
     }
 }
 
-/// Checks the two abort conditions between pipeline stages.
-fn abort_check(job: &Job, stage: &'static str) -> Result<(), ServiceError> {
-    if job.cancel.load(Ordering::Relaxed) {
-        return Err(ServiceError::Canceled);
-    }
-    if let Some(deadline) = job.deadline {
-        if Instant::now() >= deadline {
-            return Err(ServiceError::DeadlineExceeded { stage });
-        }
-    }
-    Ok(())
-}
-
-/// Compiles one job with [`Transpiler::compile_staged`]. The stage hook
-/// records stage latencies and checks cancellation and the deadline after
-/// route, lower and schedule. The job's verification level goes to the
-/// transpiler unchanged, so the service verifies exactly what the
+/// Compiles one job with [`Transpiler::compile_staged`], whose stage
+/// hook records stage latencies. The job's verification level goes to
+/// the transpiler unchanged, so the service verifies exactly what the
 /// transpiler would.
 fn run_job(
     device: &Device,
     cache: &Arc<SharedSynthCache>,
     metrics: &ServiceMetrics,
-    job: &Job,
+    spec: &JobSpec,
     synthesis_threads: usize,
-) -> Result<JobOutput, ServiceError> {
-    abort_check(job, "queued")?;
-    let spec = &job.spec;
+) -> Result<CompiledCircuit, ServiceError> {
     let outcome = Transpiler::new(device, spec.strategy)
         .with_shared_cache(cache.clone())
         .with_synthesis_threads(synthesis_threads)
         .with_verification(spec.verify)
         .compile_staged(&spec.circuit, |stage, elapsed| {
-            metrics.record_stage(stage, elapsed);
-            match stage {
-                Stage::Verify => Ok(()),
-                _ => abort_check(job, stage.name()),
-            }
+            metrics.record_stage(stage, elapsed)
         });
-    let report = match &outcome {
-        Ok((_, report)) => report.as_ref(),
-        Err(ServiceError::Compile(CompileError::Verification { report, .. })) => Some(report),
-        Err(_) => None,
+    let violations = match &outcome {
+        Ok(_) if spec.verify.is_enabled() => Some(0),
+        Err(CompileError::Verification { report, .. }) => Some(report.violations.len()),
+        _ => None,
     };
-    if let Some(report) = report {
+    if let Some(violations) = violations {
         metrics.jobs_verified.fetch_add(1, Ordering::Relaxed);
         metrics
             .verification_violations
-            .fetch_add(report.violations.len() as u64, Ordering::Relaxed);
+            .fetch_add(violations as u64, Ordering::Relaxed);
     }
-    let (circuit, verify) = outcome?;
-    Ok(JobOutput { circuit, verify })
+    outcome.map_err(ServiceError::from)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nsb_circuit::generators;
+    use nsb_compiler::VerifyLevel;
     use nsb_device::{BasisStrategy, DeviceConfig};
-    use std::time::Duration;
 
     fn test_device() -> Device {
         Device::build(3, 2, DeviceConfig::fast_test()).expect("test device")
@@ -398,19 +365,6 @@ mod tests {
         });
         assert!(worst <= JOBS as u64, "queue depth sampled at {worst}");
         assert_eq!(service.metrics().queue_depth.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn zero_deadline_times_out() {
-        let service = CompileService::new(test_device(), small_config()).expect("service");
-        let mut spec = JobSpec::new(generators::ghz(4), BasisStrategy::Criterion1);
-        spec.deadline = Some(Duration::ZERO);
-        let handle = service.submit(spec).expect("submit");
-        match handle.wait() {
-            Err(ServiceError::DeadlineExceeded { .. }) => {}
-            other => panic!("expected deadline error, got {other:?}"),
-        }
-        assert_eq!(service.metrics().jobs_timed_out.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -484,67 +438,18 @@ mod tests {
     }
 
     #[test]
-    fn cancel_while_queued() {
-        let service = CompileService::new(
-            test_device(),
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 16,
-                cache_capacity: 256,
-            },
-        )
-        .expect("service");
-        // Occupy the single worker with slow jobs, then cancel a queued
-        // one before it can start.
-        let slow: Vec<_> = (0..2)
-            .map(|_| {
-                service
-                    .submit(JobSpec::new(
-                        generators::qft(6, true),
-                        BasisStrategy::Baseline,
-                    ))
-                    .expect("submit slow")
-            })
-            .collect();
-        let victim = service
-            .submit(JobSpec::new(generators::ghz(4), BasisStrategy::Criterion1))
-            .expect("submit victim");
-        victim.cancel();
-        match victim.wait() {
-            Err(ServiceError::Canceled) => {}
-            Ok(_) => panic!("victim ran to completion despite cancellation"),
-            Err(other) => panic!("unexpected {other:?}"),
-        }
-        for h in slow {
-            h.wait().expect("slow jobs unaffected");
-        }
-        assert_eq!(service.metrics().jobs_canceled.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn wait_full_surfaces_a_clean_verify_report() {
-        use nsb_verify::VerifyLevel;
+    fn verified_jobs_are_counted() {
         let service = CompileService::new(test_device(), small_config()).expect("service");
-        let verified = service
-            .submit(
-                JobSpec::new(generators::ghz(4), BasisStrategy::Criterion2)
-                    .with_verification(VerifyLevel::Full),
-            )
-            .expect("submit")
-            .wait_full()
-            .expect("verified compile");
-        let report = verified.verify.expect("verified job carries a report");
-        assert!(report.is_clean());
-        assert!(!report.checks_run.is_empty());
-        let unverified = service
-            .submit(
-                JobSpec::new(generators::ghz(4), BasisStrategy::Criterion2)
-                    .with_verification(VerifyLevel::Off),
-            )
-            .expect("submit")
-            .wait_full()
-            .expect("unverified compile");
-        assert!(unverified.verify.is_none());
+        for level in [VerifyLevel::Full, VerifyLevel::Off] {
+            service
+                .submit(
+                    JobSpec::new(generators::ghz(4), BasisStrategy::Criterion2)
+                        .with_verification(level),
+                )
+                .expect("submit")
+                .wait()
+                .expect("compile");
+        }
         let m = service.metrics();
         assert_eq!(m.jobs_verified.load(Ordering::Relaxed), 1);
         assert_eq!(m.verification_violations.load(Ordering::Relaxed), 0);

@@ -37,13 +37,13 @@ pub(crate) const DEFAULT_DT: f64 = 0.01;
 #[derive(Clone, Debug)]
 pub(crate) struct GateSnapshot {
     /// Entangling pulse duration (ns), including the envelope fall.
-    pub t: f64,
+    pub(crate) t: f64,
     /// The effective two-qubit gate: rotating-frame projected propagator,
     /// polar-projected to the nearest unitary.
-    pub gate: Mat4,
+    pub(crate) gate: Mat4,
     /// Leakage out of the computational subspace,
     /// `1 - ||projection||_F^2 / 4`.
-    pub leakage: f64,
+    pub(crate) leakage: f64,
 }
 
 /// Precomputed stepping machinery for one unit cell.

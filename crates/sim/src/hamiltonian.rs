@@ -18,12 +18,12 @@ use nsb_math::{Complex64, DMat};
 #[derive(Clone, Debug)]
 pub(crate) struct UnitCellHamiltonian {
     /// The static Hamiltonian at the DC bias point (drive off).
-    pub h_static: DMat,
+    pub(crate) h_static: DMat,
     /// Coupler number operator `c^dag c` (diagonal), the operator the
     /// drive modulates.
-    pub n_c: DMat,
+    pub(crate) n_c: DMat,
     /// Hilbert-space dimension.
-    pub dim: usize,
+    pub(crate) dim: usize,
     levels: usize,
 }
 

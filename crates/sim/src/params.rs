@@ -107,7 +107,7 @@ pub struct DriveParams {
     /// Drive angular frequency `omega_d` (rad/ns).
     pub omega_d: f64,
     /// Rise/fall time of the flat-top envelope (ns).
-    pub ramp: f64,
+    pub(crate) ramp: f64,
 }
 
 impl DriveParams {

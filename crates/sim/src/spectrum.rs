@@ -11,11 +11,11 @@ use nsb_math::{eigh, Complex64, DMat};
 #[derive(Clone, Debug)]
 pub(crate) struct DressedFrame {
     /// Dressed state vectors as columns, order `|00>, |01>, |10>, |11>`.
-    pub states: [Vec<Complex64>; 4],
+    pub(crate) states: [Vec<Complex64>; 4],
     /// Dressed energies in the same order.
-    pub energies: [f64; 4],
+    pub(crate) energies: [f64; 4],
     /// Hilbert-space dimension.
-    pub dim: usize,
+    pub(crate) dim: usize,
 }
 
 impl DressedFrame {

@@ -25,8 +25,6 @@ pub struct TrajectoryPoint {
 /// A simulated Cartan trajectory for one qubit pair at one drive amplitude.
 #[derive(Clone, Debug)]
 pub struct CartanTrajectory {
-    /// Drive amplitude `xi` in units of Phi_0.
-    pub xi: f64,
     /// Calibrated drive parameters used.
     pub drive: DriveParams,
     /// Sampled points in time order (1 ns spacing by default, matching the
@@ -193,17 +191,6 @@ impl PreparedCell {
     /// Simulates the Cartan trajectory at drive amplitude `xi`.
     pub fn trajectory(&self, xi: f64, config: &TrajectoryConfig) -> CartanTrajectory {
         let drive = self.calibrate_drive(xi, config);
-        self.trajectory_with_drive(xi, drive, config)
-    }
-
-    /// Simulates the trajectory with explicitly given drive parameters
-    /// (used by the retuning stage of the calibration protocol).
-    pub(crate) fn trajectory_with_drive(
-        &self,
-        xi: f64,
-        drive: DriveParams,
-        config: &TrajectoryConfig,
-    ) -> CartanTrajectory {
         let snaps = evolve_and_sample(
             &self.hamiltonian,
             &self.frame,
@@ -221,7 +208,7 @@ impl PreparedCell {
                 leakage: s.leakage,
             })
             .collect();
-        CartanTrajectory { xi, drive, points }
+        CartanTrajectory { drive, points }
     }
 }
 

@@ -51,14 +51,14 @@ pub struct Violation {
     /// What was broken.
     pub kind: ViolationKind,
     /// The name of the check that found it, e.g. `"basis-legality"`.
-    pub check: &'static str,
+    pub(crate) check: &'static str,
     /// Index into the verified operation list, when the violation is
     /// attributable to a single operation.
     pub op_index: Option<usize>,
     /// Qubits involved, when attributable.
-    pub qubits: Vec<usize>,
+    pub(crate) qubits: Vec<usize>,
     /// Human-readable detail.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for Violation {

@@ -77,16 +77,16 @@ pub struct ScheduleFacts {
 /// Everything a check may inspect.
 pub struct VerifyTarget<'a> {
     /// The calibrated device the program claims to run on.
-    pub device: &'a Device,
+    pub(crate) device: &'a Device,
     /// The basis-gate strategy the program was lowered for.
-    pub strategy: BasisStrategy,
+    pub(crate) strategy: BasisStrategy,
     /// The hardware-level operation list.
-    pub ops: Vec<VerifyOp>,
+    pub(crate) ops: Vec<VerifyOp>,
     /// The routed (physical-register) source circuit the ops should be
     /// unitarily equivalent to, when available.
-    pub source: Option<&'a Circuit>,
+    pub(crate) source: Option<&'a Circuit>,
     /// The schedule the producer claims for the ops, when available.
-    pub schedule: Option<ScheduleFacts>,
+    pub(crate) schedule: Option<ScheduleFacts>,
 }
 
 impl<'a> VerifyTarget<'a> {

@@ -16,7 +16,7 @@ use rand::Rng;
 #[derive(Clone, Copy, Debug)]
 pub struct Tetrahedron {
     /// The four vertices.
-    pub vertices: [WeylCoord; 4],
+    pub(crate) vertices: [WeylCoord; 4],
 }
 
 impl Tetrahedron {
@@ -83,7 +83,7 @@ pub struct ComplementTet {
     /// The tetrahedron.
     pub tet: Tetrahedron,
     /// Index of the apex vertex (exit face is the face opposite it).
-    pub apex: usize,
+    pub(crate) apex: usize,
 }
 
 impl ComplementTet {

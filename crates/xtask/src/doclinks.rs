@@ -16,11 +16,11 @@ use std::path::{Path, PathBuf};
 #[derive(Clone, Debug)]
 pub(crate) struct BrokenLink {
     /// The markdown file containing the link.
-    pub file: PathBuf,
+    pub(crate) file: PathBuf,
     /// 1-based line number of the link.
-    pub line: usize,
+    pub(crate) line: usize,
     /// The link target as written.
-    pub target: String,
+    pub(crate) target: String,
 }
 
 impl BrokenLink {
