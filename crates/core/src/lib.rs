@@ -21,7 +21,8 @@
 //! * [`compiler`] — SABRE mapping and per-edge basis lowering.
 //! * [`service`] — concurrent compilation service with a shared
 //!   synthesis cache and metrics; [`ServicePool`](service::ServicePool)
-//!   shards it across multiple device calibrations.
+//!   runs one service per device calibration and routes each job by
+//!   calibration hash.
 //! * `nsb-store` — persistent snapshot store for the synthesis cache:
 //!   checksummed on-disk format, atomic replacement, warm starts (its
 //!   items are in [`prelude`]).
@@ -99,10 +100,7 @@ pub mod prelude {
     pub use nsb_compiler::{verify_compiled, CompiledCircuit, LoweringMode, Transpiler};
     pub use nsb_device::{BasisStrategy, Device, DeviceConfig, FrequencyPlan, GridTopology};
     pub use nsb_math::{Complex64, Mat2, Mat4};
-    pub use nsb_service::{
-        CompileService, FallbackPolicy, JobRoute, JobSpec, PoolConfig, ServiceConfig, ServicePool,
-        ShardSpec,
-    };
+    pub use nsb_service::{CompileService, JobSpec, PoolConfig, ServiceConfig, ServicePool};
     pub use nsb_sim::{PreparedCell, TrajectoryConfig, UnitCellParams};
     pub use nsb_store::{SnapshotStore, StoredEntry};
     pub use nsb_synth::{Decomposer, DecomposerConfig, Synthesized2Q};

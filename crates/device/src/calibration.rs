@@ -13,7 +13,9 @@
 //! scale `~1/sqrt(shots)` — the asymptotic behavior of linear-inversion
 //! QPT. GST differs by a higher effective shot budget (and in reality by
 //! SPAM self-consistency, which has no analogue in this noiseless-SPAM
-//! simulation). See DESIGN.md for the substitution note.
+//! simulation). This statistical model substitutes for running QPT and
+//! GST circuits: the simulator gives the exact gate, so only the
+//! estimation error is modeled.
 
 use nsb_math::{complex_normal, polar_unitary4, Mat4};
 use nsb_sim::{CartanTrajectory, PreparedCell, TrajectoryConfig};

@@ -136,10 +136,6 @@ pub struct DeviceConfig {
     pub levels: usize,
     /// Worker threads for the per-edge builds.
     pub threads: usize,
-    /// Whether basis gates are characterized through the simulated GST
-    /// noise model (true reproduces the calibration pipeline; false uses
-    /// the exact simulated unitary).
-    pub tomography: bool,
 }
 
 impl Default for DeviceConfig {
@@ -168,7 +164,6 @@ impl Default for DeviceConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            tomography: true,
         }
     }
 }
@@ -429,12 +424,7 @@ fn build_edge(
             bp.coord, bp.duration
         )));
     }
-    let gst = TomographyModel::gst();
-    let baseline_gate = if config.tomography {
-        gst.estimate(&bp.gate, &mut rng)
-    } else {
-        bp.gate
-    };
+    let baseline_gate = TomographyModel::gst().estimate(&bp.gate, &mut rng);
     let baseline = finish_basis(
         BasisStrategy::Baseline,
         bp.duration,
@@ -449,31 +439,13 @@ fn build_edge(
                   strategy: BasisStrategy,
                   rng: &mut StdRng|
      -> Result<SelectedBasis, DeviceBuildError> {
-        let tune = if config.tomography {
-            tuneup_from_trajectory(
-                &fast_traj,
-                criterion,
-                config.min_entangling_power,
-                config.max_leakage,
-                rng,
-            )
-        } else {
-            fast_traj
-                .points
-                .iter()
-                .position(|p| {
-                    p.leakage <= config.max_leakage
-                        && criterion.accepts(p.coord)
-                        && nsb_weyl::entangling_power(p.coord) >= config.min_entangling_power
-                })
-                .map(|i| crate::calibration::TuneupResult {
-                    candidates: Vec::new(),
-                    selected_index: i,
-                    refined_gate: fast_traj.points[i].gate,
-                    refined_coord: fast_traj.points[i].coord,
-                    duration: fast_traj.points[i].duration,
-                })
-        }
+        let tune = tuneup_from_trajectory(
+            &fast_traj,
+            criterion,
+            config.min_entangling_power,
+            config.max_leakage,
+            rng,
+        )
         .ok_or_else(|| {
             err(format!(
                 "no {strategy} basis gate found within {} ns",

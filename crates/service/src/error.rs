@@ -26,11 +26,19 @@ pub enum ServiceError {
         /// The operating system's error message.
         reason: String,
     },
-    /// A pool submission named a route no shard matches (and the pool's
-    /// fallback policy is [`FallbackPolicy::Reject`](crate::FallbackPolicy)).
+    /// A pool submission named a calibration hash no shard has. A
+    /// program lowered for one calibration is not valid on another, so
+    /// the pool never substitutes a different shard.
     NoMatchingShard {
-        /// Human-readable description of the requested route.
-        requested: String,
+        /// The requested calibration hash.
+        calibration: u64,
+    },
+    /// Two devices given to one pool share a calibration hash: the
+    /// second shard could never be routed to, and both would save over
+    /// the same snapshot.
+    DuplicateShard {
+        /// The shared calibration hash.
+        calibration: u64,
     },
     /// A persistent-store operation (warm start, drain, flush setup)
     /// failed.
@@ -49,8 +57,11 @@ impl fmt::Display for ServiceError {
             ServiceError::WorkerSpawn { reason } => {
                 write!(f, "failed to spawn worker thread: {reason}")
             }
-            ServiceError::NoMatchingShard { requested } => {
-                write!(f, "no pool shard matches route {requested}")
+            ServiceError::NoMatchingShard { calibration } => {
+                write!(f, "no pool shard has calibration {calibration:#018x}")
+            }
+            ServiceError::DuplicateShard { calibration } => {
+                write!(f, "two pool shards share calibration {calibration:#018x}")
             }
             ServiceError::Store(e) => write!(f, "{e}"),
         }
@@ -88,6 +99,10 @@ mod tests {
         let e = ServiceError::QueueFull { capacity: 8 };
         assert!(e.to_string().contains("capacity 8"));
         assert!(e.source().is_none());
+        let missing = ServiceError::NoMatchingShard { calibration: 0xabc };
+        assert!(missing.to_string().contains("0x0000000000000abc"));
+        let duplicate = ServiceError::DuplicateShard { calibration: 0xabc };
+        assert!(duplicate.to_string().contains("0x0000000000000abc"));
     }
 
     #[test]

@@ -31,10 +31,11 @@
 //! Everything is `std`-only.
 //!
 //! For multiple devices, a [`ServicePool`] runs one service per
-//! calibration and routes jobs by [`JobRoute`]; given a store directory
-//! it persists every shard's synthesis cache through `nsb-store` —
-//! warm start on construction, optional periodic background flush,
-//! drain on shutdown.
+//! calibration and routes each job by the calibration hash it names
+//! (a hash no shard has is refused, never rerouted); given a store
+//! directory it persists every shard's synthesis cache through
+//! `nsb-store` — warm start on construction, optional periodic
+//! background flush, drain on shutdown.
 //!
 //! ```
 //! use nsb_circuit::generators;
@@ -79,5 +80,5 @@ pub use cache::{CacheStats, SharedSynthCache};
 pub use error::ServiceError;
 pub use job::{JobHandle, JobSpec};
 pub use metrics::ServiceMetrics;
-pub use pool::{FallbackPolicy, JobRoute, PoolConfig, ServicePool, ShardMetrics, ShardSpec};
+pub use pool::{PoolConfig, ServicePool};
 pub use service::{CompileService, ServiceConfig};

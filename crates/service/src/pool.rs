@@ -2,74 +2,32 @@
 //! calibration, with routing, warm start and background persistence.
 //!
 //! A [`ServicePool`] owns N shards, each a full compile service for one
-//! [`Device`]. Jobs carry a [`JobRoute`] naming the shard (or the device
-//! calibration) they must compile on; what happens when no shard matches
-//! is the pool's [`FallbackPolicy`]. When the pool is given a snapshot
-//! store directory, every shard warm-starts its synthesis cache from the
-//! store on construction and drains it back on shutdown — and optionally
-//! keeps flushing in the background on a fixed interval, so even a crash
-//! loses at most one interval's worth of new syntheses.
+//! [`Device`]. A shard's only identity is its device's calibration hash
+//! (`Device::calibration_hash`), the same key its store snapshot is
+//! saved under: jobs name the calibration they were lowered for, and a
+//! hash no shard has fails with [`ServiceError::NoMatchingShard`]. When
+//! the pool is given a snapshot store directory, every shard warm-starts
+//! its synthesis cache from the store on construction and drains it back
+//! on shutdown — and optionally keeps flushing in the background on a
+//! fixed interval, so even a crash loses at most one interval's worth of
+//! new syntheses.
 
 use crate::cache::{CacheStats, SharedSynthCache};
 use crate::error::ServiceError;
 use crate::job::{JobHandle, JobSpec};
-use crate::metrics::ServiceMetrics;
 use crate::service::{CompileService, ServiceConfig};
 use nsb_device::Device;
 use nsb_store::{LoadReport, PeriodicFlusher, SaveReport, SnapshotStore, StoreError};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// One shard's definition: a display name, the device it compiles onto,
-/// and its service sizing.
-#[derive(Clone, Debug)]
-pub struct ShardSpec {
-    /// Human-readable shard name, used by [`JobRoute::Name`] and in
-    /// reports. Names should be unique; routing picks the first match.
-    pub(crate) name: String,
-    /// The device this shard compiles onto.
-    pub(crate) device: Device,
-    /// Sizing knobs for the shard's service.
-    pub(crate) config: ServiceConfig,
-}
-
-impl ShardSpec {
-    /// A shard with the default [`ServiceConfig`].
-    pub fn new(name: impl Into<String>, device: Device) -> Self {
-        ShardSpec {
-            name: name.into(),
-            device,
-            config: ServiceConfig::default(),
-        }
-    }
-
-    /// Overrides the shard's service configuration.
-    pub fn with_config(mut self, config: ServiceConfig) -> Self {
-        self.config = config;
-        self
-    }
-}
-
-/// What the pool does with a job whose route matches no shard.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FallbackPolicy {
-    /// Fail the submission with [`ServiceError::NoMatchingShard`].
-    #[default]
-    Reject,
-    /// Compile on the shard with the shallowest queue instead. The job
-    /// still compiles correctly — every shard runs the full pipeline —
-    /// but against a different calibration than requested; the pool
-    /// counts these in [`ServicePool::fallback_routed`].
-    LeastLoaded,
-}
 
 /// Pool-level configuration.
 #[derive(Clone, Debug, Default)]
 pub struct PoolConfig {
-    /// Policy for jobs whose route matches no shard.
-    pub fallback: FallbackPolicy,
+    /// Sizing of every shard's service.
+    pub service: ServiceConfig,
     /// Directory of cache snapshots. When set, every shard warm-starts
     /// from `store_dir` on construction and drains back on
     /// [`shutdown`](ServicePool::shutdown).
@@ -79,58 +37,25 @@ pub struct PoolConfig {
     pub flush_interval: Option<Duration>,
 }
 
-/// Where a job should compile.
-#[derive(Clone, Debug)]
-pub enum JobRoute {
-    /// The shard with this name (see [`ShardSpec::new`]).
-    Name(String),
-    /// The shard whose device has this calibration hash (see
-    /// `Device::calibration_hash`).
-    Calibration(u64),
-    /// No affinity: always the least-loaded shard. Never counts as a
-    /// fallback.
-    Any,
-}
-
-/// A point-in-time snapshot of one shard's counters, for per-shard
-/// reporting without handing out the live atomics.
-#[derive(Clone, Debug)]
-pub struct ShardMetrics {
-    /// The shard's name.
-    pub(crate) name: String,
-    /// The shard device's calibration hash.
-    pub(crate) calibration_hash: u64,
-    /// Jobs accepted by this shard.
-    pub(crate) jobs_submitted: u64,
-    /// Jobs that produced a compiled circuit.
-    pub(crate) jobs_completed: u64,
-    /// Jobs that failed (compile or verification errors).
-    pub(crate) jobs_failed: u64,
-    /// The shard cache's counters.
-    pub cache: CacheStats,
-}
-
 struct Shard {
-    name: String,
     calibration: u64,
     service: CompileService,
 }
 
 /// N compile services for distinct device calibrations behind one
-/// routing front end. With a snapshot store, each shard warm-starts its
-/// synthesis cache from the store on construction and drains it back on
-/// shutdown, optionally flushing in the background as well.
+/// front end that routes each job by calibration hash. With a snapshot
+/// store, each shard warm-starts its synthesis cache from the store on
+/// construction and drains it back on shutdown, optionally flushing in
+/// the background as well.
 pub struct ServicePool {
     shards: Vec<Shard>,
     store: Option<SnapshotStore>,
     flusher: Option<PeriodicFlusher>,
-    fallback: FallbackPolicy,
-    fallback_routed: AtomicU64,
-    warm_reports: Vec<(String, LoadReport)>,
+    warm_reports: Vec<(u64, LoadReport)>,
 }
 
 impl ServicePool {
-    /// Builds one service per spec, warm-starting each shard's cache
+    /// Builds one service per device, warm-starting each shard's cache
     /// from the store when [`PoolConfig::store_dir`] is set (missing,
     /// partially corrupted or other-version snapshots degrade to a colder
     /// start, never an error), and starts the background flusher when
@@ -138,19 +63,29 @@ impl ServicePool {
     ///
     /// # Errors
     ///
+    /// [`ServiceError::DuplicateShard`] when two devices share a
+    /// calibration hash (checked before anything starts);
     /// [`ServiceError::WorkerSpawn`] when a shard's workers cannot start;
     /// [`ServiceError::Store`] when the store directory cannot be
     /// created/read or the flusher thread cannot spawn. Shards already
     /// built are shut down gracefully before the error returns.
-    pub fn new(specs: Vec<ShardSpec>, config: PoolConfig) -> Result<Self, ServiceError> {
+    pub fn new(devices: Vec<Device>, config: PoolConfig) -> Result<Self, ServiceError> {
+        let calibrations: Vec<u64> = devices.iter().map(Device::calibration_hash).collect();
+        for (i, calibration) in calibrations.iter().enumerate() {
+            if calibrations[..i].contains(calibration) {
+                return Err(ServiceError::DuplicateShard {
+                    calibration: *calibration,
+                });
+            }
+        }
         let store = match &config.store_dir {
             Some(dir) => Some(SnapshotStore::open(dir)?),
             None => None,
         };
-        let mut shards = Vec::with_capacity(specs.len());
+        let mut shards = Vec::with_capacity(devices.len());
         let mut warm_reports = Vec::new();
-        for spec in specs {
-            let service = CompileService::new(spec.device, spec.config)?;
+        for (device, calibration) in devices.into_iter().zip(calibrations) {
+            let service = CompileService::new(device, config.service)?;
             if let Some(store) = &store {
                 let report = match service.warm_start_from(store) {
                     // A snapshot of another format version holds stale
@@ -159,11 +94,10 @@ impl ServicePool {
                     Err(StoreError::UnsupportedVersion { .. }) => LoadReport::default(),
                     other => other?,
                 };
-                warm_reports.push((spec.name.clone(), report));
+                warm_reports.push((calibration, report));
             }
             shards.push(Shard {
-                name: spec.name,
-                calibration: service.calibration_hash(),
+                calibration,
                 service,
             });
         }
@@ -189,15 +123,14 @@ impl ServicePool {
             shards,
             store,
             flusher,
-            fallback: config.fallback,
-            fallback_routed: AtomicU64::new(0),
             warm_reports,
         })
     }
 
-    /// Per-shard warm-start reports from construction, in shard order
-    /// (empty when the pool has no store).
-    pub fn warm_reports(&self) -> &[(String, LoadReport)] {
+    /// Per-shard warm-start reports from construction, keyed by
+    /// calibration hash, in shard order (empty when the pool has no
+    /// store).
+    pub fn warm_reports(&self) -> &[(u64, LoadReport)] {
         &self.warm_reports
     }
 
@@ -212,118 +145,59 @@ impl ServicePool {
         self.shards.is_empty()
     }
 
-    /// The shard named `name`, if any.
-    #[cfg(test)]
-    pub(crate) fn shard(&self, name: &str) -> Option<&CompileService> {
+    /// The shard compiling for `calibration`, if any.
+    fn shard(&self, calibration: u64) -> Option<&CompileService> {
         self.shards
             .iter()
-            .find(|s| s.name == name)
+            .find(|s| s.calibration == calibration)
             .map(|s| &s.service)
     }
 
-    /// Jobs that compiled on a substitute shard because their route
-    /// matched nothing (only possible under
-    /// [`FallbackPolicy::LeastLoaded`]).
-    pub fn fallback_routed(&self) -> u64 {
-        self.fallback_routed.load(Ordering::Relaxed)
-    }
-
-    /// Routes and submits a job.
+    /// Submits a job to the shard whose device has this calibration hash.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NoMatchingShard`] when the route matches nothing
-    /// and the policy is [`FallbackPolicy::Reject`] (or the pool is
-    /// empty); otherwise whatever the chosen shard's
+    /// [`ServiceError::NoMatchingShard`] when no shard has `calibration`;
+    /// otherwise whatever that shard's
     /// [`submit`](CompileService::submit) returns.
-    pub fn submit(&self, route: &JobRoute, spec: JobSpec) -> Result<JobHandle, ServiceError> {
-        let matched = match route {
-            JobRoute::Name(name) => self.shards.iter().find(|s| s.name == *name),
-            JobRoute::Calibration(hash) => self.shards.iter().find(|s| s.calibration == *hash),
-            JobRoute::Any => self.least_loaded(),
-        };
-        let shard = match matched {
-            Some(shard) => shard,
-            None => match (route, self.fallback) {
-                // `Any` already means least-loaded; reaching here means
-                // the pool is empty, which no policy can save.
-                (JobRoute::Any, _) | (_, FallbackPolicy::Reject) => {
-                    return Err(ServiceError::NoMatchingShard {
-                        requested: describe(route),
-                    });
-                }
-                (_, FallbackPolicy::LeastLoaded) => {
-                    let shard =
-                        self.least_loaded()
-                            .ok_or_else(|| ServiceError::NoMatchingShard {
-                                requested: describe(route),
-                            })?;
-                    self.fallback_routed.fetch_add(1, Ordering::Relaxed);
-                    shard
-                }
-            },
-        };
-        shard.service.submit(spec)
+    pub fn submit(&self, calibration: u64, spec: JobSpec) -> Result<JobHandle, ServiceError> {
+        self.shard(calibration)
+            .ok_or(ServiceError::NoMatchingShard { calibration })?
+            .submit(spec)
     }
 
-    /// Point-in-time per-shard counter snapshots, in shard order.
-    pub fn shard_metrics(&self) -> Vec<ShardMetrics> {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        self.shards
-            .iter()
-            .map(|s| {
-                let m: &ServiceMetrics = s.service.metrics();
-                ShardMetrics {
-                    name: s.name.clone(),
-                    calibration_hash: s.calibration,
-                    jobs_submitted: load(&m.jobs_submitted),
-                    jobs_completed: load(&m.jobs_completed),
-                    jobs_failed: load(&m.jobs_failed),
-                    cache: s.service.cache().stats(),
-                }
-            })
-            .collect()
+    /// Every shard's cache counters, summed.
+    pub fn cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for s in &self.shards {
+            let stats = s.service.cache().stats();
+            total.hits += stats.hits;
+            total.misses += stats.misses;
+            total.coalesced += stats.coalesced;
+            total.entries += stats.entries;
+        }
+        total
     }
 
-    /// A human-readable report: one line per shard plus aggregate totals
-    /// and the fallback count.
+    /// A human-readable report: one line per shard, keyed by calibration
+    /// hash, plus aggregate totals.
     pub fn report(&self) -> String {
         let mut out = String::from("service pool\n");
-        let shards = self.shard_metrics();
-        let mut submitted = 0u64;
-        let mut completed = 0u64;
-        let mut failed = 0u64;
-        let mut cache = CacheStats::default();
-        for m in &shards {
-            submitted += m.jobs_submitted;
-            completed += m.jobs_completed;
-            failed += m.jobs_failed;
-            cache.hits += m.cache.hits;
-            cache.misses += m.cache.misses;
-            out.push_str(&format!(
-                "  shard `{}` (cal {:#018x}): {} submitted, {} completed, {} failed, \
-                 cache {}/{} ({:.1}% hit rate)\n",
-                m.name,
-                m.calibration_hash,
-                m.jobs_submitted,
-                m.jobs_completed,
-                m.jobs_failed,
-                m.cache.hits,
-                m.cache.hits + m.cache.misses,
-                100.0 * m.cache.hit_rate(),
-            ));
+        let mut totals = [0u64; 3];
+        for s in &self.shards {
+            let m = s.service.metrics();
+            let counts = [&m.jobs_submitted, &m.jobs_completed, &m.jobs_failed]
+                .map(|c| c.load(Ordering::Relaxed));
+            for (total, count) in totals.iter_mut().zip(counts) {
+                *total += count;
+            }
+            let line = summary(counts, &s.service.cache().stats());
+            out.push_str(&format!("  cal {:#018x}: {line}\n", s.calibration));
         }
         out.push_str(&format!(
-            "  aggregate: {} shards, {} submitted, {} completed, {} failed, \
-             cache {}/{} ({:.1}% hit rate), {} fallback-routed",
-            shards.len(),
-            submitted,
-            completed,
-            failed,
-            cache.hits,
-            cache.hits + cache.misses,
-            100.0 * cache.hit_rate(),
-            self.fallback_routed(),
+            "  aggregate: {} shards, {}",
+            self.shards.len(),
+            summary(totals, &self.cache_stats())
         ));
         out
     }
@@ -331,15 +205,15 @@ impl ServicePool {
     /// Stops the background flusher, shuts every shard down (queued jobs
     /// drain first), and — when the pool has a store — saves each
     /// shard's final cache contents as that calibration's snapshot.
-    /// Returns the per-shard save reports, in shard order (empty without
-    /// a store).
+    /// Returns the save reports keyed by calibration hash, in shard order
+    /// (empty without a store).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Store`] on the first failed save; shards not yet
     /// drained are still shut down gracefully (by drop), only their
     /// final snapshots are not written.
-    pub fn shutdown(mut self) -> Result<Vec<(String, SaveReport)>, ServiceError> {
+    pub fn shutdown(mut self) -> Result<Vec<(u64, SaveReport)>, ServiceError> {
         if let Some(flusher) = self.flusher.take() {
             flusher.stop();
         }
@@ -353,25 +227,23 @@ impl ServicePool {
             shard.service.shutdown();
             if let Some(store) = &store {
                 let report = store.save(shard.calibration, &cache.stored_entries())?;
-                reports.push((shard.name, report));
+                reports.push((shard.calibration, report));
             }
         }
         Ok(reports)
     }
-
-    fn least_loaded(&self) -> Option<&Shard> {
-        self.shards
-            .iter()
-            .min_by_key(|s| s.service.metrics().queue_depth.load(Ordering::Relaxed))
-    }
 }
 
-fn describe(route: &JobRoute) -> String {
-    match route {
-        JobRoute::Name(name) => format!("name `{name}`"),
-        JobRoute::Calibration(hash) => format!("calibration {hash:#018x}"),
-        JobRoute::Any => "any".into(),
-    }
+/// One report line's counters: jobs submitted, completed and failed,
+/// then the cache's hit rate.
+fn summary([submitted, completed, failed]: [u64; 3], cache: &CacheStats) -> String {
+    format!(
+        "{submitted} submitted, {completed} completed, {failed} failed, \
+         cache {}/{} ({:.1}% hit rate)",
+        cache.hits,
+        cache.hits + cache.misses,
+        100.0 * cache.hit_rate(),
+    )
 }
 
 #[cfg(test)]
@@ -388,112 +260,88 @@ mod tests {
         (a, b)
     }
 
-    fn small() -> ServiceConfig {
-        ServiceConfig {
-            workers: 1,
-            queue_capacity: 16,
-            cache_capacity: 128,
+    fn small(store_dir: Option<PathBuf>, flush_interval: Option<Duration>) -> PoolConfig {
+        PoolConfig {
+            service: ServiceConfig {
+                workers: 1,
+                queue_capacity: 16,
+                cache_capacity: 128,
+            },
+            store_dir,
+            flush_interval,
         }
     }
 
-    fn two_shard_pool(config: PoolConfig) -> ServicePool {
+    /// A pool over [`two_devices`], with its two shards' calibration
+    /// hashes.
+    fn two_shard_pool(config: PoolConfig) -> (ServicePool, u64, u64) {
         let (a, b) = two_devices();
-        ServicePool::new(
-            vec![
-                ShardSpec::new("alpha", a).with_config(small()),
-                ShardSpec::new("beta", b).with_config(small()),
-            ],
-            config,
-        )
-        .expect("pool")
+        let (alpha, beta) = (a.calibration_hash(), b.calibration_hash());
+        let pool = ServicePool::new(vec![a, b], config).expect("pool");
+        (pool, alpha, beta)
     }
 
     #[test]
-    fn routes_by_name_and_calibration() {
-        let pool = two_shard_pool(PoolConfig::default());
+    fn routes_by_calibration() {
+        let (pool, alpha, beta) = two_shard_pool(small(None, None));
         assert_eq!(pool.len(), 2);
-        let beta_cal = pool.shard("beta").expect("beta").calibration_hash();
-        pool.submit(
-            &JobRoute::Name("alpha".into()),
-            JobSpec::new(generators::ghz(3), BasisStrategy::Criterion1),
-        )
-        .expect("submit alpha")
-        .wait()
-        .expect("compile alpha");
-        pool.submit(
-            &JobRoute::Calibration(beta_cal),
-            JobSpec::new(generators::ghz(3), BasisStrategy::Criterion1),
-        )
-        .expect("submit beta")
-        .wait()
-        .expect("compile beta");
-        let metrics = pool.shard_metrics();
-        assert_eq!(metrics[0].jobs_completed, 1);
-        assert_eq!(metrics[1].jobs_completed, 1);
-        assert_eq!(pool.fallback_routed(), 0);
+        for calibration in [alpha, beta] {
+            pool.submit(
+                calibration,
+                JobSpec::new(generators::ghz(3), BasisStrategy::Criterion1),
+            )
+            .expect("submit")
+            .wait()
+            .expect("compile");
+            let shard = pool.shard(calibration).expect("shard");
+            assert_eq!(shard.calibration_hash(), calibration);
+            assert_eq!(shard.metrics().jobs_completed.load(Ordering::Relaxed), 1);
+        }
         let report = pool.report();
-        assert!(report.contains("shard `alpha`"));
+        assert!(report.contains(&format!("cal {alpha:#018x}")));
+        assert!(report.contains(&format!("cal {beta:#018x}")));
         assert!(report.contains("2 shards"));
     }
 
     #[test]
-    fn reject_policy_fails_unknown_routes() {
-        let pool = two_shard_pool(PoolConfig::default());
+    fn unknown_calibration_is_refused() {
+        let (pool, alpha, beta) = two_shard_pool(small(None, None));
+        let unknown = alpha.wrapping_add(1);
+        assert_ne!(unknown, beta);
         let err = pool
             .submit(
-                &JobRoute::Name("gamma".into()),
+                unknown,
                 JobSpec::new(generators::ghz(3), BasisStrategy::Baseline),
             )
             .err()
-            .expect("must reject");
+            .expect("must refuse");
         match err {
-            ServiceError::NoMatchingShard { requested } => {
-                assert!(requested.contains("gamma"));
-            }
+            ServiceError::NoMatchingShard { calibration } => assert_eq!(calibration, unknown),
             other => panic!("expected NoMatchingShard, got {other:?}"),
         }
     }
 
     #[test]
-    fn least_loaded_fallback_compiles_anyway() {
-        let pool = two_shard_pool(PoolConfig {
-            fallback: FallbackPolicy::LeastLoaded,
-            ..PoolConfig::default()
-        });
-        pool.submit(
-            &JobRoute::Name("gamma".into()),
-            JobSpec::new(generators::ghz(3), BasisStrategy::Baseline),
-        )
-        .expect("fallback submit")
-        .wait()
-        .expect("fallback compile");
-        assert_eq!(pool.fallback_routed(), 1);
-        // `Any` routes without counting as a fallback.
-        pool.submit(
-            &JobRoute::Any,
-            JobSpec::new(generators::ghz(3), BasisStrategy::Baseline),
-        )
-        .expect("any submit")
-        .wait()
-        .expect("any compile");
-        assert_eq!(pool.fallback_routed(), 1);
+    fn duplicate_calibrations_are_rejected() {
+        let (a, b) = two_devices();
+        let alpha = a.calibration_hash();
+        let err = ServicePool::new(vec![a.clone(), b, a], small(None, None))
+            .err()
+            .expect("must reject");
+        match err {
+            ServiceError::DuplicateShard { calibration } => assert_eq!(calibration, alpha),
+            other => panic!("expected DuplicateShard, got {other:?}"),
+        }
     }
 
     #[test]
     fn empty_pool_rejects_everything() {
-        let pool = ServicePool::new(
-            Vec::new(),
-            PoolConfig {
-                fallback: FallbackPolicy::LeastLoaded,
-                ..PoolConfig::default()
-            },
-        )
-        .expect("empty pool");
+        let pool = ServicePool::new(Vec::new(), PoolConfig::default()).expect("empty pool");
         assert!(pool.is_empty());
-        for route in [JobRoute::Any, JobRoute::Name("x".into())] {
+        for calibration in [0, u64::MAX] {
             assert!(matches!(
                 pool.submit(
-                    &route,
+                    calibration,
                     JobSpec::new(generators::ghz(3), BasisStrategy::Baseline)
                 ),
                 Err(ServiceError::NoMatchingShard { .. })
@@ -505,18 +353,14 @@ mod tests {
     fn shutdown_persists_and_next_pool_warm_starts() {
         let dir = std::env::temp_dir().join(format!("nsb-pool-warm-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let config = PoolConfig {
-            fallback: FallbackPolicy::Reject,
-            store_dir: Some(dir.clone()),
-            flush_interval: None,
-        };
+        let config = small(Some(dir.clone()), None);
 
-        let cold = two_shard_pool(config.clone());
+        let (cold, alpha, _) = two_shard_pool(config.clone());
         for (_, report) in cold.warm_reports() {
             assert!(!report.found, "no snapshot exists yet");
         }
         cold.submit(
-            &JobRoute::Name("alpha".into()),
+            alpha,
             JobSpec::new(generators::qft(4, true), BasisStrategy::Baseline),
         )
         .expect("submit")
@@ -524,32 +368,33 @@ mod tests {
         .expect("compile");
         let saved = cold.shutdown().expect("drain");
         assert_eq!(saved.len(), 2);
+        assert_eq!(saved[0].0, alpha);
         let alpha_saved = saved[0].1.entries;
         assert!(alpha_saved > 0, "alpha compiled, so it must persist");
 
-        let warm = two_shard_pool(config.clone());
-        let alpha_report = &warm.warm_reports()[0].1;
+        let (warm, _, _) = two_shard_pool(config.clone());
+        let (warm_cal, alpha_report) = &warm.warm_reports()[0];
+        assert_eq!(*warm_cal, alpha);
         assert!(alpha_report.found);
         assert_eq!(alpha_report.loaded, alpha_saved);
         assert_eq!(alpha_report.skipped, 0);
         assert_eq!(
-            warm.shard("alpha").expect("alpha").cache().stats().entries,
+            warm.shard(alpha).expect("alpha").cache().stats().entries,
             alpha_saved
         );
-        let alpha_cal = warm.shard("alpha").expect("alpha").calibration_hash();
         warm.shutdown().expect("second drain");
 
         // A snapshot of another format version starts the shard cold (this
         // used to fail the pool with `UnsupportedVersion`), and the drain
         // replaces it under the current version.
         let store = SnapshotStore::open(&dir).expect("store");
-        let mut bytes = std::fs::read(store.path_for(alpha_cal)).expect("snapshot");
+        let mut bytes = std::fs::read(store.path_for(alpha)).expect("snapshot");
         bytes[8..12].copy_from_slice(&(nsb_store::FORMAT_VERSION - 1).to_le_bytes());
-        std::fs::write(store.path_for(alpha_cal), bytes).expect("rewrite");
-        let stale = two_shard_pool(config);
+        std::fs::write(store.path_for(alpha), bytes).expect("rewrite");
+        let (stale, _, _) = two_shard_pool(config);
         assert_eq!(stale.warm_reports()[0].1, LoadReport::default());
         stale.shutdown().expect("third drain");
-        assert!(store.load(alpha_cal).expect("current version").report.found);
+        assert!(store.load(alpha).expect("current version").report.found);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -557,13 +402,10 @@ mod tests {
     fn background_flusher_writes_snapshots_while_serving() {
         let dir = std::env::temp_dir().join(format!("nsb-pool-flush-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let pool = two_shard_pool(PoolConfig {
-            fallback: FallbackPolicy::Reject,
-            store_dir: Some(dir.clone()),
-            flush_interval: Some(Duration::from_millis(5)),
-        });
+        let (pool, alpha, _) =
+            two_shard_pool(small(Some(dir.clone()), Some(Duration::from_millis(5))));
         pool.submit(
-            &JobRoute::Name("alpha".into()),
+            alpha,
             JobSpec::new(generators::qft(4, true), BasisStrategy::Baseline),
         )
         .expect("submit")
@@ -572,9 +414,8 @@ mod tests {
         // Wait for at least one flush after the compile.
         let store = SnapshotStore::open(&dir).expect("open");
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let alpha_cal = pool.shard("alpha").expect("alpha").calibration_hash();
         loop {
-            let outcome = store.load(alpha_cal).expect("load");
+            let outcome = store.load(alpha).expect("load");
             if outcome.report.found && outcome.report.loaded > 0 {
                 break;
             }
@@ -594,11 +435,8 @@ mod tests {
     fn shutdown_right_after_start_does_not_wait_for_flush_interval() {
         let dir = std::env::temp_dir().join(format!("nsb-pool-stop-unit-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let pool = two_shard_pool(PoolConfig {
-            fallback: FallbackPolicy::Reject,
-            store_dir: Some(dir.clone()),
-            flush_interval: Some(Duration::from_secs(3600)),
-        });
+        let (pool, _, _) =
+            two_shard_pool(small(Some(dir.clone()), Some(Duration::from_secs(3600))));
         let start = std::time::Instant::now();
         let saved = pool.shutdown().expect("shutdown");
         assert!(

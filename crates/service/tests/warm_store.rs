@@ -4,8 +4,7 @@
 
 use nsb_circuit::{generators, Circuit};
 use nsb_device::{BasisStrategy, Device, DeviceConfig};
-use nsb_service::{CompileService, JobSpec, ServiceConfig, ServicePool};
-use nsb_service::{FallbackPolicy, JobRoute, PoolConfig, ShardSpec};
+use nsb_service::{CompileService, JobSpec, PoolConfig, ServiceConfig, ServicePool};
 use nsb_store::{PeriodicFlusher, SnapshotStore, StoredEntry};
 use std::sync::Arc;
 use std::time::Duration;
@@ -167,18 +166,15 @@ fn concurrent_flush_while_serving_keeps_snapshots_loadable() {
 #[test]
 fn pool_round_trips_two_calibrations_through_one_store() {
     let dir = temp_dir("pool");
+    let mut cfg = DeviceConfig::fast_test();
+    cfg.seed = 11;
+    let devices = vec![device(), Device::build(3, 2, cfg).expect("device b")];
+    let calibrations: Vec<u64> = devices.iter().map(Device::calibration_hash).collect();
     let make_pool = || {
-        let a = device();
-        let mut cfg = DeviceConfig::fast_test();
-        cfg.seed = 11;
-        let b = Device::build(3, 2, cfg).expect("device b");
         ServicePool::new(
-            vec![
-                ShardSpec::new("alpha", a).with_config(config()),
-                ShardSpec::new("beta", b).with_config(config()),
-            ],
+            devices.clone(),
             PoolConfig {
-                fallback: FallbackPolicy::Reject,
+                service: config(),
                 store_dir: Some(dir.clone()),
                 flush_interval: None,
             },
@@ -187,9 +183,9 @@ fn pool_round_trips_two_calibrations_through_one_store() {
     };
 
     let cold = make_pool();
-    for name in ["alpha", "beta"] {
+    for &calibration in &calibrations {
         cold.submit(
-            &JobRoute::Name(name.into()),
+            calibration,
             JobSpec::new(generators::qft(4, true), BasisStrategy::Baseline),
         )
         .expect("submit")
@@ -201,8 +197,12 @@ fn pool_round_trips_two_calibrations_through_one_store() {
     assert!(saved.iter().all(|(_, r)| r.entries > 0));
 
     let warm = make_pool();
-    for (i, (name, report)) in warm.warm_reports().iter().enumerate() {
-        assert!(report.found, "shard `{name}` must find its snapshot");
+    for (i, (calibration, report)) in warm.warm_reports().iter().enumerate() {
+        assert_eq!(*calibration, calibrations[i]);
+        assert!(
+            report.found,
+            "shard {calibration:#018x} must find its snapshot"
+        );
         assert_eq!(report.loaded, saved[i].1.entries);
         assert_eq!(report.skipped, 0);
     }

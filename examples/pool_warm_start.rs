@@ -14,6 +14,7 @@
 //!   the system temp dir, so back-to-back runs see each other).
 
 use nsb_core::prelude::*;
+use nsb_core::service::ServiceError;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -35,24 +36,16 @@ fn main() {
     let mut cfg_b = DeviceConfig::fast_test();
     cfg_b.seed = 7;
     let device_b = Device::build(3, 2, cfg_b).expect("device b");
-    println!(
-        "shard `alpha` calibration {:#018x}\nshard `beta`  calibration {:#018x}",
-        device_a.calibration_hash(),
-        device_b.calibration_hash()
-    );
+    let calibrations = [device_a.calibration_hash(), device_b.calibration_hash()];
 
-    let shard_config = ServiceConfig {
-        workers: 2,
-        queue_capacity: 128,
-        cache_capacity: 2048,
-    };
     let pool = ServicePool::new(
-        vec![
-            ShardSpec::new("alpha", device_a.clone()).with_config(shard_config),
-            ShardSpec::new("beta", device_b.clone()).with_config(shard_config),
-        ],
+        vec![device_a.clone(), device_b.clone()],
         PoolConfig {
-            fallback: FallbackPolicy::LeastLoaded,
+            service: ServiceConfig {
+                workers: 2,
+                queue_capacity: 128,
+                cache_capacity: 2048,
+            },
             store_dir: Some(dir.clone()),
             flush_interval: Some(Duration::from_millis(250)),
         },
@@ -60,14 +53,14 @@ fn main() {
     .expect("pool");
 
     let warm = pool.warm_reports().iter().any(|(_, r)| r.found);
-    for (name, report) in pool.warm_reports() {
+    for (calibration, report) in pool.warm_reports() {
         println!(
-            "shard `{name}` warm start: found={} loaded={} skipped={}",
+            "cal {calibration:#018x} warm start: found={} loaded={} skipped={}",
             report.found, report.loaded, report.skipped
         );
     }
 
-    // The same circuit batch for both shards, routed by shard name.
+    // The same circuit batch for both shards, routed by calibration hash.
     let circuits = [
         generators::ghz(4),
         generators::qft(4, true),
@@ -76,45 +69,31 @@ fn main() {
     let mut handles = Vec::new();
     for circuit in &circuits {
         for strategy in [BasisStrategy::Baseline, BasisStrategy::Criterion2] {
-            for shard in ["alpha", "beta"] {
+            for (device, calibration) in [&device_a, &device_b].into_iter().zip(calibrations) {
                 let handle = pool
-                    .submit(
-                        &JobRoute::Name(shard.into()),
-                        JobSpec::new(circuit.clone(), strategy),
-                    )
+                    .submit(calibration, JobSpec::new(circuit.clone(), strategy))
                     .expect("submit");
-                handles.push((shard, strategy, circuit.clone(), handle));
+                handles.push((device, strategy, circuit.clone(), handle));
             }
         }
     }
-    // One job routed by calibration hash, and one to a shard that does
-    // not exist — the LeastLoaded policy compiles it anyway and counts
-    // it as fallback-routed.
-    pool.submit(
-        &JobRoute::Calibration(device_b.calibration_hash()),
-        JobSpec::new(generators::ghz(3), BasisStrategy::Criterion1),
-    )
-    .expect("submit by calibration")
-    .wait()
-    .expect("compile by calibration");
-    pool.submit(
-        &JobRoute::Name("gamma".into()),
-        JobSpec::new(generators::ghz(3), BasisStrategy::Criterion1),
-    )
-    .expect("fallback submit")
-    .wait()
-    .expect("fallback compile");
+    // A calibration no shard has is refused: a program lowered for one
+    // calibration is not valid on another.
+    let unknown = calibrations[0] ^ calibrations[1];
+    assert!(!calibrations.contains(&unknown));
+    assert!(matches!(
+        pool.submit(
+            unknown,
+            JobSpec::new(generators::ghz(3), BasisStrategy::Criterion1)
+        ),
+        Err(ServiceError::NoMatchingShard { calibration }) if calibration == unknown
+    ));
 
     // Serial references prove routed results are bit-identical to a
     // plain per-device transpiler, warm or cold.
     let mut mismatches = 0;
-    for (shard, strategy, circuit, handle) in handles {
+    for (device, strategy, circuit, handle) in handles {
         let compiled = handle.wait().expect("pool compile");
-        let device = if shard == "alpha" {
-            &device_a
-        } else {
-            &device_b
-        };
         let reference = Transpiler::new(device, strategy)
             .compile(&circuit)
             .expect("serial compile");
@@ -126,13 +105,7 @@ fn main() {
     println!("\nall routed jobs bit-identical to serial per-device compilation");
 
     println!("\n{}", pool.report());
-    assert_eq!(pool.fallback_routed(), 1);
-
-    let metrics = pool.shard_metrics();
-    let (hits, lookups) = metrics.iter().fold((0, 0), |(h, l), m| {
-        (h + m.cache.hits, l + m.cache.hits + m.cache.misses)
-    });
-    let rate = hits as f64 / lookups.max(1) as f64;
+    let rate = pool.cache_stats().hit_rate();
 
     // Two-phase contract: the cold run records its hit rate next to the
     // snapshots; a warm run must strictly beat it.
@@ -157,9 +130,9 @@ fn main() {
     }
 
     let saved = pool.shutdown().expect("drain to store");
-    for (name, report) in saved {
+    for (calibration, report) in saved {
         println!(
-            "shard `{name}` drained: {} entries, {} bytes",
+            "cal {calibration:#018x} drained: {} entries, {} bytes",
             report.entries, report.bytes
         );
     }
