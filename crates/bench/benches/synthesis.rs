@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsb_core::prelude::*;
+use nsb_synth::decompose_with_bases;
 use nsb_weyl::canonical_gate;
 
 fn bench_depth_oracle_ablation(c: &mut Criterion) {
@@ -55,10 +56,28 @@ fn bench_near_face_cnot(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_failing_layer_count(c: &mut Criterion) {
+    // SWAP needs three sqrt(iSWAP) layers, so every restart of this
+    // two-layer search fails: it times pure optimizer sweeps, the cost of
+    // the layer counts a search tries before the one that works.
+    let bases = [Mat4::sqrt_iswap(); 2];
+    let config = DecomposerConfig::default();
+    let mut group = c.benchmark_group("synthesis");
+    group.sample_size(10);
+    group.bench_function("failing_layer_count", |b| {
+        b.iter(|| {
+            let result = decompose_with_bases(&Mat4::swap(), &bases, &config);
+            assert!(result.is_err(), "SWAP from two sqrt(iSWAP) layers");
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_depth_oracle_ablation,
     bench_standard_targets,
-    bench_near_face_cnot
+    bench_near_face_cnot,
+    bench_failing_layer_count
 );
 criterion_main!(benches);

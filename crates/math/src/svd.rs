@@ -1,9 +1,9 @@
 //! Small singular value decompositions and polar projections.
 //!
-//! Gate synthesis only ever needs the closed-form 2x2 SVD (for the local
-//! "environment" update) and a polar projection onto the unitary group for
-//! 4x4 and dynamic matrices (for extracting gates from noisy tomography or
-//! simulation data).
+//! Gate synthesis only ever needs the closed-form 2x2 polar factor (for the
+//! local "environment" update), the closed-form 2x2 SVD, and a polar
+//! projection onto the unitary group for 4x4 and dynamic matrices (for
+//! extracting gates from noisy tomography or simulation data).
 
 use crate::complex::Complex64;
 use crate::dmat::DMat;
@@ -32,7 +32,6 @@ pub fn svd2(a: &Mat2) -> (Mat2, [f64; 2], Mat2) {
     let tr = h11 + h22;
     let gap = ((h11 - h22) * (h11 - h22) + 4.0 * h12.norm_sqr()).sqrt();
     let l1 = ((tr + gap) / 2.0).max(0.0);
-    let l2 = ((tr - gap) / 2.0).max(0.0);
     // Eigenvector for l1.
     let v1 = if h12.abs() > 1e-300 {
         normalize2([h12, Complex64::real(l1 - h11)])
@@ -45,7 +44,14 @@ pub fn svd2(a: &Mat2) -> (Mat2, [f64; 2], Mat2) {
     let v2 = [-v1[1].conj(), v1[0].conj()];
     let v = Mat2::from_rows([[v1[0], v2[0]], [v1[1], v2[1]]]);
     let s1 = l1.sqrt();
-    let s2 = l2.sqrt();
+    // The small singular value from |det a| = s1 s2: the eigenvalue
+    // (tr - gap) / 2 cancels to an absolute error of about eps * tr, which
+    // its square root would amplify to sqrt(eps) * s1.
+    let s2 = if s1 > 0.0 {
+        (a.det().abs() / s1).min(s1)
+    } else {
+        0.0
+    };
     // u columns: u_i = a v_i / s_i, completed orthogonally when s_i ~ 0.
     let av1 = mul_vec2(a, v1);
     let av2 = mul_vec2(a, v2);
@@ -76,13 +82,73 @@ fn mul_vec2(a: &Mat2, v: [Complex64; 2]) -> [Complex64; 2] {
     ]
 }
 
-/// Returns the unitary `w` maximizing `Re tr(w e)`, namely `v u^dagger` from
-/// the SVD `e = u s v^dagger`. The achieved maximum is `s[0] + s[1]`.
+/// Returns the unitary `w` maximizing `Re tr(w e)`: the adjoint of the
+/// polar factor of `e`, which is `v u^dagger` for the SVD `e = u s v^dagger`.
+/// The achieved maximum is `s[0] + s[1]`.
+///
+/// For 2x2 matrices the polar factor has a closed form. With
+/// `det e = |det e| e^{i phi}`,
+/// `w = (e^dagger + e^{-i phi} adj e) / sqrt(||e||_F^2 + 2 |det e|)`,
+/// where `adj e` is the adjugate and the denominator is `s[0] + s[1]`. When
+/// `det e` vanishes (or its square underflows) `e` is rank one to working
+/// precision and every unit phase gives a maximizer, so phase 1 is used.
+/// The identity is returned for `e = 0`. Inputs far from unit scale are
+/// rescaled first, so the phase is only dropped when `e` is near rank one.
 ///
 /// This is the core update of the alternating gate-synthesis optimizer.
 pub fn max_trace_unitary(e: &Mat2) -> Mat2 {
-    let (u, _s, v) = svd2(e);
-    v * u.adjoint()
+    let norm_sqr = frobenius_sqr(e);
+    if (1e-100..=1e100).contains(&norm_sqr) {
+        return polar_adjoint2(e, norm_sqr);
+    }
+    // The polar factor is scale invariant: bring the largest entry to 1.
+    let mut largest = 0.0f64;
+    for r in 0..2 {
+        for c in 0..2 {
+            largest = largest.max(e.at(r, c).abs());
+        }
+    }
+    if largest == 0.0 {
+        return Mat2::identity();
+    }
+    let unit = e.scale(Complex64::real(1.0 / largest));
+    polar_adjoint2(&unit, frobenius_sqr(&unit))
+}
+
+/// `||e||_F^2`.
+fn frobenius_sqr(e: &Mat2) -> f64 {
+    let mut acc = 0.0;
+    for r in 0..2 {
+        for c in 0..2 {
+            acc += e.at(r, c).norm_sqr();
+        }
+    }
+    acc
+}
+
+/// The closed-form `w` of [`max_trace_unitary`] for a nonzero `e` with
+/// squared Frobenius norm `norm_sqr` near unit scale.
+fn polar_adjoint2(e: &Mat2, norm_sqr: f64) -> Mat2 {
+    let det = e.det();
+    let det_sqr = det.norm_sqr();
+    let (det_abs, phase) = if det_sqr >= f64::MIN_POSITIVE {
+        let det_abs = det_sqr.sqrt();
+        (det_abs, det.conj().scale(1.0 / det_abs))
+    } else {
+        (0.0, Complex64::ONE)
+    };
+    let inv = 1.0 / (norm_sqr + 2.0 * det_abs).sqrt();
+    let (a, b, c, d) = (e.at(0, 0), e.at(0, 1), e.at(1, 0), e.at(1, 1));
+    Mat2::from_rows([
+        [
+            (a.conj() + phase * d).scale(inv),
+            (c.conj() - phase * b).scale(inv),
+        ],
+        [
+            (b.conj() - phase * c).scale(inv),
+            (d.conj() + phase * a).scale(inv),
+        ],
+    ])
 }
 
 /// Projects a full-rank matrix onto the nearest unitary (polar factor),
@@ -114,6 +180,9 @@ pub fn polar_unitary4(a: &Mat4) -> Mat4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::random::{complex_normal, haar_su2, standard_normal};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn check_svd(a: &Mat2) {
         let (u, s, v) = svd2(a);
@@ -126,6 +195,11 @@ mod tests {
         ]);
         let back = u * sig * v.adjoint();
         assert!(back.approx_eq(a, 1e-10), "reconstruction failed for {a}");
+    }
+
+    /// The outer product `x y^T`.
+    fn rank_one(x: [Complex64; 2], y: [Complex64; 2]) -> Mat2 {
+        Mat2::from_rows([[x[0] * y[0], x[0] * y[1]], [x[1] * y[0], x[1] * y[1]]])
     }
 
     #[test]
@@ -151,6 +225,17 @@ mod tests {
         for a in &cases {
             check_svd(a);
         }
+        // Rank 1 up to rounding: the small singular value is of order eps,
+        // not sqrt(eps), or the second column of u is not a unit vector.
+        let mut rng = StdRng::seed_from_u64(24);
+        for _ in 0..20 {
+            let x = [complex_normal(&mut rng), complex_normal(&mut rng)];
+            let y = [complex_normal(&mut rng), complex_normal(&mut rng)];
+            let a = rank_one(x, y);
+            check_svd(&a);
+            let (_, s, _) = svd2(&a);
+            assert!(s[1] <= 1e-14 * s[0], "small singular value {:e}", s[1]);
+        }
     }
 
     #[test]
@@ -171,6 +256,77 @@ mod tests {
         // Optimum equals the nuclear norm.
         let (_, s, _) = svd2(&e);
         assert!((best - (s[0] + s[1])).abs() < 1e-9);
+    }
+
+    /// `w` is unitary to 1e-12 and reaches the SVD's `s[0] + s[1]` within
+    /// `1e-12 ||e||_F`.
+    fn check_max_trace(e: &Mat2) {
+        let w = max_trace_unitary(e);
+        assert!(w.is_unitary(1e-12), "w not unitary for {e}");
+        let (_, s, _) = svd2(e);
+        let gap = ((w * *e).trace().re - (s[0] + s[1])).abs();
+        assert!(gap <= 1e-12 * e.norm(), "trace gap {gap:e} for {e}");
+    }
+
+    #[test]
+    fn max_trace_unitary_matches_svd_on_gaussian_matrices() {
+        let mut rng = StdRng::seed_from_u64(25);
+        for i in 0..10_000 {
+            let e = Mat2::from_rows([
+                [complex_normal(&mut rng), complex_normal(&mut rng)],
+                [complex_normal(&mut rng), complex_normal(&mut rng)],
+            ]);
+            check_max_trace(&e);
+            // Far from unit scale the input is rescaled first; the polar
+            // factor does not depend on the scale.
+            if i % 100 == 0 {
+                let w = max_trace_unitary(&e);
+                for k in [1e-120, 1e120] {
+                    let scaled = max_trace_unitary(&e.scale(Complex64::real(k)));
+                    assert!(scaled.approx_eq(&w, 1e-12), "scale {k:e} moved w for {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn max_trace_unitary_of_rank_one_and_zero() {
+        // det is exactly zero.
+        check_max_trace(&Mat2::from_rows([
+            [Complex64::new(1.0, 1.0), Complex64::new(2.0, 2.0)],
+            [Complex64::new(0.5, 0.5), Complex64::new(1.0, 1.0)],
+        ]));
+        check_max_trace(&Mat2::from_rows([
+            [Complex64::ZERO, Complex64::new(0.0, -2.0)],
+            [Complex64::ZERO, Complex64::ZERO],
+        ]));
+        let mut rng = StdRng::seed_from_u64(26);
+        for _ in 0..100 {
+            let x = [complex_normal(&mut rng), complex_normal(&mut rng)];
+            let y = [complex_normal(&mut rng), complex_normal(&mut rng)];
+            check_max_trace(&rank_one(x, y));
+        }
+        let w = max_trace_unitary(&Mat2::zero());
+        assert!(w.approx_eq(&Mat2::identity(), 0.0));
+    }
+
+    #[test]
+    fn max_trace_unitary_of_nearly_singular_matrices() {
+        // |det e| / ||e||^2 from 1e-10 down to 1e-300: below about 1e-154
+        // the determinant's squared magnitude underflows.
+        let mut rng = StdRng::seed_from_u64(27);
+        for t in [1e-10, 1e-100, 1e-155, 1e-160, 1e-200, 1e-250, 1e-300] {
+            let (x, y) = (
+                Complex64::cis(standard_normal(&mut rng)),
+                Complex64::cis(standard_normal(&mut rng)),
+            );
+            let small = y.scale(t);
+            let z = Complex64::ZERO;
+            check_max_trace(&Mat2::from_rows([[x, z], [z, small]]));
+            check_max_trace(&Mat2::from_rows([[z, small], [x, z]]));
+            let rotated = haar_su2(&mut rng) * Mat2::from_rows([[x, z], [z, small]]);
+            check_max_trace(&(rotated * haar_su2(&mut rng)));
+        }
     }
 
     #[test]

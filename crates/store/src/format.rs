@@ -28,7 +28,11 @@ pub(crate) const MAGIC: [u8; 8] = *b"NSBSTOR1";
 /// Version 4: each restart's sweeps hand over to the polish as soon as
 /// the residual enters the polish window, so searches whose sweeps used
 /// to crawl on to convergence store different locals.
-pub const FORMAT_VERSION: u32 = 4;
+///
+/// Version 5: the sweeps' local update takes the closed-form 2x2 polar
+/// factor and the sweep regroups its 4x4 products, so every stored
+/// synthesis changes in its last bits.
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Header length in bytes: magic + version + reserved + calibration hash.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
@@ -309,13 +313,13 @@ mod tests {
     }
 
     #[test]
-    fn header_carries_version_4_and_rejects_version_3() {
+    fn header_carries_version_5_and_rejects_version_4() {
         let h = encode_header(7);
-        assert_eq!(FORMAT_VERSION, 4);
-        assert_eq!(h[8..12], 4u32.to_le_bytes());
-        // Version-3 snapshots hold locals from sweeps that crawled on past
-        // the polish window.
-        for old in [1u32, 2, 3] {
+        assert_eq!(FORMAT_VERSION, 5);
+        assert_eq!(h[8..12], 5u32.to_le_bytes());
+        // Version-4 snapshots hold locals from sweeps that took the polar
+        // factor from the SVD and grouped their products differently.
+        for old in [1u32, 2, 3, 4] {
             let mut stale = h;
             stale[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
