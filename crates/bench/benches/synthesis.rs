@@ -73,11 +73,36 @@ fn bench_failing_layer_count(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_failing_rzz_layer_count(c: &mut Criterion) {
+    // Rzz(16 pi / 21) needs four layers of the first `fast_test` edge's
+    // Baseline gate. Unlike the search above, no restart of this
+    // three-layer search stalls: all 12 run the full 2,000 sweeps, the
+    // crawl that dominates cold Rzz synthesis.
+    let device = Device::build(4, 3, DeviceConfig::fast_test()).expect("bench device");
+    let basis = *device.edges()[0].basis(BasisStrategy::Baseline).gate;
+    let target = Mat4::rzz(16.0 * std::f64::consts::PI / 21.0);
+    let bases = [basis; 3];
+    let config = DecomposerConfig::default();
+    let mut group = c.benchmark_group("synthesis");
+    group.sample_size(10);
+    group.bench_function("failing_rzz_layer_count", |b| {
+        b.iter(|| {
+            let result = decompose_with_bases(&target, &bases, &config);
+            assert!(
+                result.is_err(),
+                "Rzz(16 pi / 21) from three Baseline layers"
+            );
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_depth_oracle_ablation,
     bench_standard_targets,
     bench_near_face_cnot,
-    bench_failing_layer_count
+    bench_failing_layer_count,
+    bench_failing_rzz_layer_count
 );
 criterion_main!(benches);

@@ -82,6 +82,13 @@ impl Stage {
 /// Compilation failure.
 #[derive(Clone, Debug)]
 pub enum CompileError {
+    /// The circuit has more qubits than the device.
+    TooWide {
+        /// Qubits the circuit uses.
+        circuit_qubits: usize,
+        /// Qubits the device has.
+        device_qubits: usize,
+    },
     /// Routing stalled (degenerate topology).
     Route(RouteError),
     /// Lowering failed (synthesis non-convergence or an unrouted gate).
@@ -98,6 +105,14 @@ pub enum CompileError {
 impl fmt::Display for CompileError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            CompileError::TooWide {
+                circuit_qubits,
+                device_qubits,
+            } => write!(
+                f,
+                "compilation failed: the circuit has {circuit_qubits} qubits, \
+                 the device {device_qubits}"
+            ),
             CompileError::Route(e) => write!(f, "compilation failed: {e}"),
             CompileError::Lower(e) => write!(f, "compilation failed: {e}"),
             CompileError::Verification { stage, report } => {
@@ -112,7 +127,7 @@ impl std::error::Error for CompileError {
         match self {
             CompileError::Route(e) => Some(e),
             CompileError::Lower(e) => Some(e),
-            CompileError::Verification { .. } => None,
+            CompileError::TooWide { .. } | CompileError::Verification { .. } => None,
         }
     }
 }
@@ -239,9 +254,9 @@ impl<'d> Transpiler<'d> {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError`] when routing stalls, a direct decomposition
-    /// fails, or (with verification enabled) an inter-pass check rejects the
-    /// compiled program.
+    /// Returns [`CompileError`] when the circuit is wider than the device,
+    /// routing stalls, a direct decomposition fails, or (with verification
+    /// enabled) an inter-pass check rejects the compiled program.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, CompileError> {
         self.compile_staged(circuit, |_, _| {})
     }
@@ -259,6 +274,13 @@ impl<'d> Transpiler<'d> {
         circuit: &Circuit,
         mut after_stage: impl FnMut(Stage, Duration),
     ) -> Result<CompiledCircuit, CompileError> {
+        let device_qubits = self.device.topology().n_qubits();
+        if circuit.n_qubits() > device_qubits {
+            return Err(CompileError::TooWide {
+                circuit_qubits: circuit.n_qubits(),
+                device_qubits,
+            });
+        }
         let started = Instant::now();
         let routed = sabre_route(circuit, self.device.topology(), &SabreConfig::default())?;
         after_stage(Stage::Route, started.elapsed());
@@ -276,8 +298,7 @@ impl<'d> Transpiler<'d> {
         after_stage(Stage::Lower, started.elapsed());
 
         let started = Instant::now();
-        let n_qubits = self.device.topology().n_qubits();
-        let sched = schedule(&ops, n_qubits, self.device.config().t_1q);
+        let sched = schedule(&ops, device_qubits, self.device.config().t_1q);
         let fidelity = sched.coherence_fidelity(self.device.config().coherence_time);
         after_stage(Stage::Schedule, started.elapsed());
         // Post-lowering checkpoint: basis legality, Weyl canonicality,
@@ -295,7 +316,7 @@ impl<'d> Transpiler<'d> {
 
         Ok(CompiledCircuit {
             ops,
-            n_qubits,
+            n_qubits: device_qubits,
             initial_layout: routed.initial_layout,
             final_layout: routed.final_layout,
             swaps_inserted: routed.swaps_inserted,
@@ -411,6 +432,24 @@ mod tests {
     }
 
     #[test]
+    fn a_circuit_wider_than_the_device_is_an_error() {
+        let device = Device::build(4, 3, DeviceConfig::fast_test()).expect("4x3 device");
+        let err = Transpiler::new(&device, BasisStrategy::Criterion2)
+            .compile(&generators::ghz(13))
+            .expect_err("13 qubits on 12");
+        assert!(
+            matches!(
+                err,
+                CompileError::TooWide {
+                    circuit_qubits: 13,
+                    device_qubits: 12
+                }
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn qft_compiles_and_verifies() {
         let device = test_device();
         let logical = generators::qft(4, true);
@@ -506,6 +545,13 @@ mod tests {
         let lower = CompileError::from(LowerError::NotCoupled { q0: 1, q1: 2 });
         assert!(matches!(lower, CompileError::Lower(_)));
         assert!(lower.source().is_some());
+
+        let wide = CompileError::TooWide {
+            circuit_qubits: 13,
+            device_qubits: 12,
+        };
+        assert!(wide.to_string().contains("13 qubits, the device 12"));
+        assert!(wide.source().is_none());
 
         let verification = CompileError::Verification {
             stage: "lower",

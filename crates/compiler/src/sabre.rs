@@ -98,11 +98,9 @@ impl Default for SabreConfig {
 }
 
 /// Runs SABRE: refines an initial layout by forward/backward traversal,
-/// then routes the circuit.
-///
-/// # Panics
-///
-/// Panics when the circuit needs more qubits than the topology provides.
+/// then routes the circuit, which must fit the topology
+/// ([`Transpiler::compile`](crate::Transpiler::compile) rejects a wider
+/// one with [`CompileError::TooWide`](crate::CompileError::TooWide)).
 ///
 /// # Errors
 ///
@@ -113,10 +111,6 @@ pub fn sabre_route(
     topology: &GridTopology,
     config: &SabreConfig,
 ) -> Result<RoutedCircuit, RouteError> {
-    assert!(
-        circuit.n_qubits() <= topology.n_qubits(),
-        "circuit does not fit on the device"
-    );
     let dist = topology.distances();
     // Layout refinement by reverse traversal.
     let mut layout = compact_initial_layout(circuit.n_qubits(), topology);

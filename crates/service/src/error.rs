@@ -15,11 +15,17 @@ pub enum ServiceError {
     },
     /// The service is shutting down and no longer accepts jobs.
     ShuttingDown,
-    /// Compilation itself failed (a numerical synthesis did not
-    /// converge).
+    /// Compilation itself failed (for example, the circuit is wider than
+    /// the device, or a numerical synthesis did not converge).
     Compile(CompileError),
+    /// The compiler panicked on the job. The worker reports this and goes
+    /// on to its next job.
+    Internal {
+        /// The panic message.
+        reason: String,
+    },
     /// The worker processing the job disappeared without reporting a
-    /// result (only possible if a worker thread panicked).
+    /// result.
     Disconnected,
     /// The service could not spawn a worker thread at startup.
     WorkerSpawn {
@@ -53,6 +59,7 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::ShuttingDown => write!(f, "service is shutting down"),
             ServiceError::Compile(e) => write!(f, "{e}"),
+            ServiceError::Internal { reason } => write!(f, "compiler panicked: {reason}"),
             ServiceError::Disconnected => write!(f, "worker disconnected before reporting"),
             ServiceError::WorkerSpawn { reason } => {
                 write!(f, "failed to spawn worker thread: {reason}")
@@ -118,6 +125,14 @@ mod tests {
         };
         assert!(spawn.to_string().contains("resource exhausted"));
         assert!(spawn.source().is_none());
+
+        let internal = ServiceError::Internal {
+            reason: "index out of bounds".into(),
+        };
+        assert!(internal
+            .to_string()
+            .contains("panicked: index out of bounds"));
+        assert!(internal.source().is_none());
 
         let store = ServiceError::Store(nsb_store::StoreError::BadMagic {
             path: "cache.nsb".into(),

@@ -54,8 +54,9 @@ impl JobHandle {
     ///
     /// # Errors
     ///
-    /// Any [`ServiceError`]; [`ServiceError::Disconnected`] when the
-    /// worker vanished without reporting (worker panic).
+    /// Any [`ServiceError`]: [`ServiceError::Internal`] when the compiler
+    /// panicked on the job, [`ServiceError::Disconnected`] when the job
+    /// was dropped without a result.
     pub fn wait(self) -> Result<CompiledCircuit, ServiceError> {
         self.result_rx
             .recv()

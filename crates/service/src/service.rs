@@ -9,6 +9,8 @@ use crate::metrics::ServiceMetrics;
 use nsb_compiler::{CompileError, CompiledCircuit, Transpiler};
 use nsb_device::Device;
 use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError};
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -247,7 +249,17 @@ fn worker_loop(
 ) {
     while let Some(job) = queue.pop() {
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let outcome = run_job(device, cache, metrics, &job.spec, synthesis_threads);
+        // A panic leaves nothing half-updated that a later job reads: the
+        // device is read-only, the metrics are atomic, and the cache
+        // releases an abandoned flight and recovers poisoned locks.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_job(device, cache, metrics, &job.spec, synthesis_threads)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(ServiceError::Internal {
+                reason: panic_message(payload.as_ref()),
+            })
+        });
         let counter = match outcome {
             Ok(_) => &metrics.jobs_completed,
             Err(_) => &metrics.jobs_failed,
@@ -255,6 +267,18 @@ fn worker_loop(
         counter.fetch_add(1, Ordering::Relaxed);
         // The caller may have dropped its handle; that is fine.
         let _ = job.result_tx.send(outcome);
+    }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (
+        payload.downcast_ref::<&str>(),
+        payload.downcast_ref::<String>(),
+    ) {
+        (Some(s), _) => (*s).to_string(),
+        (_, Some(s)) => s.clone(),
+        _ => "panic with a non-text payload".to_string(),
     }
 }
 
@@ -293,7 +317,7 @@ fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nsb_circuit::generators;
+    use nsb_circuit::{generators, Circuit, Gate};
     use nsb_compiler::VerifyLevel;
     use nsb_device::{BasisStrategy, DeviceConfig};
 
@@ -307,6 +331,54 @@ mod tests {
             queue_capacity: 16,
             cache_capacity: 256,
         }
+    }
+
+    fn one_worker() -> ServiceConfig {
+        ServiceConfig {
+            workers: 1,
+            ..small_config()
+        }
+    }
+
+    #[test]
+    fn a_circuit_wider_than_the_device_fails_and_the_worker_goes_on() {
+        let device = Device::build(4, 3, DeviceConfig::fast_test()).expect("4x3 device");
+        let service = CompileService::new(device, one_worker()).expect("service");
+        let wide = service
+            .submit(JobSpec::new(generators::ghz(13), BasisStrategy::Criterion2))
+            .expect("submit");
+        let err = wide.wait().expect_err("13 qubits on 12");
+        assert!(
+            matches!(err, ServiceError::Compile(CompileError::TooWide { .. })),
+            "{err}"
+        );
+        let clean = service
+            .submit(JobSpec::new(generators::ghz(4), BasisStrategy::Criterion2))
+            .expect("submit");
+        clean.wait().expect("the worker takes the next job");
+    }
+
+    #[test]
+    fn a_panicking_job_fails_and_the_worker_goes_on() {
+        // An Rzz with a NaN angle has no Cartan coordinate, and the
+        // Baseline lowering's synthesis panics on it.
+        let mut bad = Circuit::new(2);
+        bad.push(Gate::Rzz(f64::NAN), &[0, 1]);
+        let service = CompileService::new(test_device(), one_worker()).expect("service");
+        for _ in 0..2 {
+            let handle = service
+                .submit(JobSpec::new(bad.clone(), BasisStrategy::Baseline))
+                .expect("submit");
+            let err = handle.wait().expect_err("NaN angle");
+            assert!(matches!(err, ServiceError::Internal { .. }), "{err}");
+        }
+        let clean = service
+            .submit(JobSpec::new(generators::ghz(4), BasisStrategy::Baseline))
+            .expect("submit");
+        clean.wait().expect("the worker takes the next job");
+        let metrics = service.metrics();
+        assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.jobs_completed.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::report::{VerifyReport, Violation, ViolationKind};
 use crate::target::{ScheduleFacts, VerifyOp, VerifyTarget};
 use nsb_circuit::{Circuit, Gate, Operation, StateVector};
 use nsb_math::{svd2, Complex64, Mat2, Mat4};
-use nsb_weyl::{kak_vector, WeylCoord};
+use nsb_weyl::{magic_eigenphases, WeylCoord};
 use std::collections::HashMap;
 
 /// Element-wise tolerance for unitarity and gate-matrix comparisons.
@@ -202,9 +202,9 @@ impl WeylCanonicality {
         report.checks_run.push(Self::NAME);
         let topo = target.device.topology();
         // A lowered program applies each edge's few calibrated entanglers
-        // over and over, so the recomputed class is memoized on the exact
-        // bits of the block for this run (`None`: not unitary).
-        let mut classes: HashMap<[u64; 32], Option<WeylCoord>> = HashMap::new();
+        // over and over, so the recomputed class (or why there is none) is
+        // memoized on the exact bits of the block for this run.
+        let mut classes: HashMap<[u64; 32], Result<WeylCoord, &'static str>> = HashMap::new();
         for (i, op) in target.ops.iter().enumerate() {
             let VerifyOp::TwoQubit {
                 qubits,
@@ -217,16 +217,19 @@ impl WeylCanonicality {
             };
             let class = *classes
                 .entry(mat4_bits(unitary))
-                .or_insert_with(|| unitary.is_unitary(UNITARY_TOL).then(|| kak_vector(unitary)));
-            let Some(actual) = class else {
-                report.violations.push(violation(
-                    Self::NAME,
-                    ViolationKind::NonCanonicalWeyl,
-                    Some(i),
-                    vec![qubits.0, qubits.1],
-                    "two-qubit block is not unitary; no Cartan coordinate exists".into(),
-                ));
-                continue;
+                .or_insert_with(|| recompute_class(unitary));
+            let actual = match class {
+                Ok(actual) => actual,
+                Err(why) => {
+                    report.violations.push(violation(
+                        Self::NAME,
+                        ViolationKind::NonCanonicalWeyl,
+                        Some(i),
+                        vec![qubits.0, qubits.1],
+                        why.into(),
+                    ));
+                    continue;
+                }
             };
             if let Some(claimed) = coord {
                 if !claimed.in_chamber(COORD_TOL) {
@@ -265,6 +268,112 @@ impl WeylCanonicality {
             }
         }
     }
+}
+
+/// A block's canonical Cartan coordinate, recomputed by the exhaustive
+/// eigenvalue-assignment search rather than `kak_vector`'s closed form:
+/// the check shares only the eigensolver with the compiler, not the step
+/// that turns eigenphases into coordinates.
+fn recompute_class(unitary: &Mat4) -> Result<WeylCoord, &'static str> {
+    if !unitary.is_unitary(UNITARY_TOL) {
+        return Err("two-qubit block is not unitary; no Cartan coordinate exists");
+    }
+    coords_by_search(&magic_eigenphases(unitary))
+        .map(WeylCoord::canonicalize)
+        .ok_or("no assignment of the block's eigenphases to Cartan coordinates is consistent")
+}
+
+/// Solves for coordinates given the four eigenphases of `m = M^T M` (in
+/// any order), by enumerating assignments to the sign patterns of XX, YY
+/// and ZZ on the magic-basis diagonal and 2 pi branch offsets, keeping the
+/// assignment whose residuals are smallest. `None` when no assignment's
+/// residuals vanish.
+fn coords_by_search(phis: &[f64; 4]) -> Option<WeylCoord> {
+    // Row `j` is `(d_x[j], d_y[j], d_z[j])`.
+    const D: [[f64; 3]; 4] = [
+        [1.0, -1.0, 1.0],
+        [1.0, 1.0, -1.0],
+        [-1.0, -1.0, -1.0],
+        [-1.0, 1.0, 1.0],
+    ];
+    const PERMS: [[usize; 4]; 24] = [
+        [0, 1, 2, 3],
+        [0, 1, 3, 2],
+        [0, 2, 1, 3],
+        [0, 2, 3, 1],
+        [0, 3, 1, 2],
+        [0, 3, 2, 1],
+        [1, 0, 2, 3],
+        [1, 0, 3, 2],
+        [1, 2, 0, 3],
+        [1, 2, 3, 0],
+        [1, 3, 0, 2],
+        [1, 3, 2, 0],
+        [2, 0, 1, 3],
+        [2, 0, 3, 1],
+        [2, 1, 0, 3],
+        [2, 1, 3, 0],
+        [2, 3, 0, 1],
+        [2, 3, 1, 0],
+        [3, 0, 1, 2],
+        [3, 0, 2, 1],
+        [3, 1, 0, 2],
+        [3, 1, 2, 0],
+        [3, 2, 0, 1],
+        [3, 2, 1, 0],
+    ];
+    let pi = std::f64::consts::PI;
+    let wrap = |t: f64| -> f64 {
+        let mut r = t % (2.0 * pi);
+        if r > pi {
+            r -= 2.0 * pi;
+        }
+        if r < -pi {
+            r += 2.0 * pi;
+        }
+        r
+    };
+    let mut best: Option<(f64, WeylCoord)> = None;
+    for perm in PERMS {
+        for n0 in -1i32..=1 {
+            for n1 in -1i32..=1 {
+                for n2 in -1i32..=1 {
+                    for n3 in -1i32..=1 {
+                        let ns = [n0, n1, n2, n3];
+                        let mut phi = [0.0f64; 4];
+                        for j in 0..4 {
+                            phi[j] = phis[perm[j]] + 2.0 * pi * ns[j] as f64;
+                        }
+                        // Least squares: phi_j = -pi * (t . d_j); columns of
+                        // D are orthogonal with norm^2 = 4.
+                        let mut t = [0.0f64; 3];
+                        for k in 0..3 {
+                            let mut acc = 0.0;
+                            for j in 0..4 {
+                                acc += phi[j] * D[j][k];
+                            }
+                            t[k] = -acc / (4.0 * pi);
+                        }
+                        // Residual check against the original phases mod 2pi.
+                        let mut res = 0.0f64;
+                        for j in 0..4 {
+                            let pred = -pi * (t[0] * D[j][0] + t[1] * D[j][1] + t[2] * D[j][2]);
+                            res = res.max(wrap(pred - phis[perm[j]]).abs());
+                        }
+                        if res < 1e-7 {
+                            let c = WeylCoord::new(t[0], t[1], t[2]);
+                            match best {
+                                None => best = Some((res, c)),
+                                Some((r, _)) if res < r => best = Some((res, c)),
+                                _ => {}
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    best.map(|(_, c)| c)
 }
 
 /// The exact bit pattern of a block's entries, as a memo key.
@@ -889,6 +998,10 @@ impl From<&Operation> for Step {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsb_math::{haar_su2, haar_u4};
+    use nsb_weyl::{canonical_gate, kak_vector, sample_chamber};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// The reduced miter as a circuit: surviving blocks, then every local.
     fn as_circuit(miter: &Miter) -> Circuit {
@@ -984,5 +1097,53 @@ mod tests {
         );
         let overlap = miter.min_overlap();
         assert!((overlap - 1.0).abs() <= miter.bound(), "{overlap}");
+    }
+
+    /// A gate of a random class on a random set of chamber faces (none,
+    /// one face, or the edge where two meet), dressed with random locals
+    /// and a random global phase.
+    fn dressed_face_gate(rng: &mut StdRng) -> Mat4 {
+        let mut p = sample_chamber(rng);
+        // Each map keeps a chamber point in the chamber and puts it on
+        // one face: z = 0, y = z, x = y, x + y = 1.
+        let faces: [fn(WeylCoord) -> WeylCoord; 4] = [
+            |p| WeylCoord::new(p.x, p.y, 0.0),
+            |p| WeylCoord::new(p.x, p.z, p.z),
+            |p| WeylCoord::new(p.y, p.y, p.z),
+            |p| WeylCoord::new(1.0 - p.y, p.y, p.z),
+        ];
+        for face in faces {
+            if rng.gen::<f64>() < 0.5 {
+                p = face(p);
+            }
+        }
+        let l1 = Mat4::kron(&haar_su2(rng), &haar_su2(rng));
+        let l2 = Mat4::kron(&haar_su2(rng), &haar_su2(rng));
+        let phase = Complex64::cis(std::f64::consts::TAU * rng.gen::<f64>());
+        (l1 * canonical_gate(p) * l2).scale(phase)
+    }
+
+    #[test]
+    fn closed_form_coordinates_match_the_search() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut worst = 0.0f64;
+        for k in 0..10_000 {
+            let u = if k % 2 == 0 {
+                haar_u4(&mut rng)
+            } else {
+                dressed_face_gate(&mut rng)
+            };
+            let searched = recompute_class(&u).expect("a unitary has a class");
+            worst = worst.max(kak_vector(&u).class_dist(searched));
+        }
+        assert!(worst <= 1e-12, "worst class distance {worst:e}");
+    }
+
+    #[test]
+    fn inconsistent_eigenphases_have_no_class() {
+        // Phases of an SU(4) gate's `m` sum to a multiple of 2 pi; these
+        // do not, so no assignment reproduces them.
+        assert!(coords_by_search(&[0.1, 0.2, 0.3, 0.4]).is_none());
+        assert!(coords_by_search(&[0.0; 4]).is_some());
     }
 }

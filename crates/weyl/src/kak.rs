@@ -3,13 +3,20 @@
 //!
 //! The algorithm works in the magic (Bell) basis, where local gates become
 //! real orthogonal matrices and the canonical gate becomes diagonal. For
-//! `U = k1 A(x,y,z) k2`, the matrix `m = M^T M` with `M = B^dag U B` has
-//! spectrum `{exp(-i pi (x,y,z) . d_j)}` for four fixed sign patterns `d_j`;
-//! we recover `(x, y, z)` by enumerating eigenvalue assignments and branch
-//! offsets and solving the small least-squares system, then canonicalize.
+//! `U = k1 A(x,y,z) k2` in SU(4), the matrix `m = M^T M` with
+//! `M = B^dag U B` has spectrum `{exp(-i pi (x,y,z) . d_j)}` for four fixed
+//! sign patterns `d_j` that sum to zero. The coordinates follow in closed
+//! form (Cross et al., arXiv:1811.12926, appendix; Tucci,
+//! arXiv:quant-ph/0507171): remove the multiple of 2 pi by which the
+//! eigenphases sum from one phase, then `t = -sum_j phi_j d_j / 4 pi`. The
+//! unknown pairing of phases with sign patterns permutes the `d_j`, which
+//! moves `t` by a permutation with pair sign flips; each phase's 2 pi
+//! branch moves it by an integer vector. [`WeylCoord::canonicalize`]
+//! removes both.
 
 use crate::coord::WeylCoord;
 use nsb_math::{eigh, Complex64, DMat, Mat4};
+use std::f64::consts::{PI, TAU};
 
 /// The magic-basis change matrix `B` (columns are phased Bell states).
 pub(crate) fn magic_basis() -> Mat4 {
@@ -68,12 +75,10 @@ pub(crate) fn locally_equivalent(u: &Mat4, v: &Mat4, tol: f64) -> bool {
 
 /// Computes the canonical Cartan coordinates of a two-qubit unitary.
 ///
-/// The result lies inside the Weyl chamber (see [`WeylCoord`]).
-///
-/// # Panics
-///
-/// Panics when `u` is not unitary within `1e-6`, or when no consistent
-/// eigenvalue assignment is found (which indicates a non-unitary input).
+/// The result lies inside the Weyl chamber (see [`WeylCoord`]). `u` must
+/// be unitary within `1e-6` (Frobenius norm of `u u† − I`); the
+/// coordinates are those of its nearest unitary, so such an input never
+/// panics. Outside that domain the result is unspecified.
 ///
 /// # Examples
 ///
@@ -83,105 +88,50 @@ pub(crate) fn locally_equivalent(u: &Mat4, v: &Mat4, tol: f64) -> bool {
 /// let c = kak_vector(&Mat4::cnot());
 /// assert!(c.dist(WeylCoord::CNOT) < 1e-9);
 /// ```
-#[expect(
-    clippy::expect_used,
-    reason = "assignment search is exhaustive over a finite set that provably contains a solution"
-)]
 pub fn kak_vector(u: &Mat4) -> WeylCoord {
-    assert!(u.is_unitary(1e-6), "kak_vector requires a unitary input");
-    let (su, _alpha) = u.to_su4();
+    let mut phis = magic_eigenphases(u);
+    // The sign patterns sum to zero, so the phases of an SU(4) gate sum
+    // to a multiple of 2 pi; removing it from one phase fixes the branch.
+    let turns = (phis.iter().sum::<f64>() / TAU).round();
+    phis[0] -= turns * TAU;
+    // Columns of D are orthogonal with norm^2 = 4 and orthogonal to
+    // (1, 1, 1, 1), so this solves phi_j = -pi (t . d_j) for all four j.
+    let mut t = [0.0f64; 3];
+    for (k, tk) in t.iter_mut().enumerate() {
+        let acc: f64 = (0..4).map(|j| phis[j] * D[j][k]).sum();
+        *tk = -acc / (4.0 * PI);
+    }
+    WeylCoord::new(t[0], t[1], t[2]).canonicalize()
+}
+
+/// The four eigenphases of `m = M^T M`, `M = B^dag U B`, where `U` is the
+/// SU(4) projection of `u` (its nearest unitary with the determinant's
+/// phase divided out), in no particular order.
+///
+/// Phase `phi_j` is `-pi (x, y, z) . d_j` modulo 2 pi for an assignment of
+/// the phases to the sign patterns `d_j` that is unknown here; both
+/// [`kak_vector`] and the verifier's independent recomputation start from
+/// these phases.
+pub fn magic_eigenphases(u: &Mat4) -> [f64; 4] {
+    let (su, _alpha) = nearest_unitary(u).to_su4();
     let b = magic_basis();
     let m_big = b.adjoint() * su * b;
     let m = m_big.transpose() * m_big;
-    let lambdas = symmetric_unitary_eigenvalues(&m);
-    let phis: Vec<f64> = lambdas.iter().map(|l| l.arg()).collect();
-    coords_from_eigenphases(&phis)
-        .expect("kak_vector: no consistent eigenvalue assignment")
-        .canonicalize()
+    symmetric_unitary_eigenvalues(&m).map(|l| l.arg())
 }
 
-/// Solves for coordinates given the four eigenphases of `m` (in any order),
-/// by enumerating assignments to the sign patterns `D` and 2-pi branch
-/// offsets, accepting the first assignment whose residuals vanish.
-fn coords_from_eigenphases(phis: &[f64]) -> Option<WeylCoord> {
-    const PERMS: [[usize; 4]; 24] = [
-        [0, 1, 2, 3],
-        [0, 1, 3, 2],
-        [0, 2, 1, 3],
-        [0, 2, 3, 1],
-        [0, 3, 1, 2],
-        [0, 3, 2, 1],
-        [1, 0, 2, 3],
-        [1, 0, 3, 2],
-        [1, 2, 0, 3],
-        [1, 2, 3, 0],
-        [1, 3, 0, 2],
-        [1, 3, 2, 0],
-        [2, 0, 1, 3],
-        [2, 0, 3, 1],
-        [2, 1, 0, 3],
-        [2, 1, 3, 0],
-        [2, 3, 0, 1],
-        [2, 3, 1, 0],
-        [3, 0, 1, 2],
-        [3, 0, 2, 1],
-        [3, 1, 0, 2],
-        [3, 1, 2, 0],
-        [3, 2, 0, 1],
-        [3, 2, 1, 0],
-    ];
-    let pi = std::f64::consts::PI;
-    let wrap = |t: f64| -> f64 {
-        let mut r = t % (2.0 * pi);
-        if r > pi {
-            r -= 2.0 * pi;
-        }
-        if r < -pi {
-            r += 2.0 * pi;
-        }
-        r
-    };
-    let mut best: Option<(f64, WeylCoord)> = None;
-    for perm in PERMS {
-        for n0 in -1i32..=1 {
-            for n1 in -1i32..=1 {
-                for n2 in -1i32..=1 {
-                    for n3 in -1i32..=1 {
-                        let ns = [n0, n1, n2, n3];
-                        let mut phi = [0.0f64; 4];
-                        for j in 0..4 {
-                            phi[j] = phis[perm[j]] + 2.0 * pi * ns[j] as f64;
-                        }
-                        // Least squares: phi_j = -pi * (t . d_j); columns of
-                        // D are orthogonal with norm^2 = 4.
-                        let mut t = [0.0f64; 3];
-                        for k in 0..3 {
-                            let mut acc = 0.0;
-                            for j in 0..4 {
-                                acc += phi[j] * D[j][k];
-                            }
-                            t[k] = -acc / (4.0 * pi);
-                        }
-                        // Residual check against the original phases mod 2pi.
-                        let mut res = 0.0f64;
-                        for j in 0..4 {
-                            let pred = -pi * (t[0] * D[j][0] + t[1] * D[j][1] + t[2] * D[j][2]);
-                            res = res.max(wrap(pred - phis[perm[j]]).abs());
-                        }
-                        if res < 1e-7 {
-                            let c = WeylCoord::new(t[0], t[1], t[2]);
-                            match best {
-                                None => best = Some((res, c)),
-                                Some((r, _)) if res < r => best = Some((res, c)),
-                                _ => {}
-                            }
-                        }
-                    }
-                }
-            }
-        }
+/// The polar (nearest) unitary factor of a nearly unitary `u`, by
+/// Newton–Schulz steps `X <- X (3I - X^dag X) / 2`. Each step squares the
+/// deviation `X^dag X - I`, so two take `1e-6` below rounding; the third
+/// is margin. Unlike `nsb_math::polar_unitary4` this stays on the stack
+/// and cannot panic on a rank-deficient input.
+fn nearest_unitary(u: &Mat4) -> Mat4 {
+    let three = Mat4::identity().scale(Complex64::real(3.0));
+    let mut x = *u;
+    for _ in 0..3 {
+        x = (x * (three - x.adjoint() * x)).scale(Complex64::real(0.5));
     }
-    best.map(|(_, c)| c)
+    x
 }
 
 /// Eigenvalues of a complex *symmetric unitary* 4x4 matrix.
@@ -189,15 +139,20 @@ fn coords_from_eigenphases(phis: &[f64]) -> Option<WeylCoord> {
 /// Such a matrix satisfies `m = R + iS` with commuting real symmetric `R`,
 /// `S`; a generic real combination `R + mu S` shares an orthogonal
 /// eigenbasis, which also diagonalizes `m`.
-#[expect(
-    clippy::panic,
-    reason = "a random generic combination diagonalizes any symmetric unitary; 64 draws cannot all fail"
-)]
+///
+/// A probe `mu = tan(theta)` fails only for two distinct eigenvalues whose
+/// half-angle sum `(phi_j + phi_k) / 2` is `theta` modulo pi. For `det m = 1`
+/// those sums come in three pairs `±h`, and no two of the probes (all
+/// positive) are such a pair, so at most three of the five can fail. The
+/// probe whose eigenbasis leaves the smallest off-diagonal part of `m`
+/// gives the eigenvalues.
 fn symmetric_unitary_eigenvalues(m: &Mat4) -> [Complex64; 4] {
     // Arbitrary generic probe values; 0.318309 happens to approximate
     // 1/pi, which is irrelevant here but trips clippy::approx_constant.
     #[allow(clippy::approx_constant)]
     let mus = [0.739085, 1.246979, 0.318309, 2.071723, 0.577215];
+    let md = DMat::from_mat4(m);
+    let mut best = (f64::INFINITY, [Complex64::ZERO; 4]);
     for &mu in &mus {
         let mut k = DMat::zeros(4, 4);
         for r in 0..4 {
@@ -210,9 +165,8 @@ fn symmetric_unitary_eigenvalues(m: &Mat4) -> [Complex64; 4] {
         let ka = k.adjoint();
         let ks = (&k + &ka).scale(Complex64::real(0.5));
         let e = eigh(&ks);
-        // Check that the eigenbasis diagonalizes m itself.
+        // Check how well the eigenbasis diagonalizes m itself.
         let q = &e.vectors;
-        let md = DMat::from_mat4(m);
         let diag = &(&q.adjoint() * &md) * q;
         let mut off = 0.0f64;
         for r in 0..4 {
@@ -222,11 +176,17 @@ fn symmetric_unitary_eigenvalues(m: &Mat4) -> [Complex64; 4] {
                 }
             }
         }
+        if off < best.0 || best.0.is_infinite() {
+            best = (
+                off,
+                [diag[(0, 0)], diag[(1, 1)], diag[(2, 2)], diag[(3, 3)]],
+            );
+        }
         if off < 1e-8 {
-            return [diag[(0, 0)], diag[(1, 1)], diag[(2, 2)], diag[(3, 3)]];
+            break;
         }
     }
-    panic!("symmetric_unitary_eigenvalues: no generic combination diagonalized m");
+    best.1
 }
 
 /// Returns the canonical gate representative of a coordinate triple,
@@ -333,6 +293,28 @@ mod tests {
             let u = canonical_gate(p);
             let c = kak_vector(&u);
             assert!(c.dist(p) < 1e-6, "expected {p}, got {c}");
+        }
+    }
+
+    #[test]
+    fn kak_vector_is_total_on_noisy_unitaries() {
+        // Uniform entry noise of 1e-7 used to defeat every eigensolver
+        // probe of the unprojected input, and the search then panicked.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..2000 {
+            let u = haar_u4(&mut rng);
+            let mut noisy = u;
+            for r in 0..4 {
+                for c in 0..4 {
+                    let re = 1e-7 * (2.0 * rng.gen::<f64>() - 1.0);
+                    let im = 1e-7 * (2.0 * rng.gen::<f64>() - 1.0);
+                    noisy[(r, c)] += Complex64::new(re, im);
+                }
+            }
+            assert!(noisy.is_unitary(1e-6), "noise stays inside the domain");
+            let (clean, off) = (kak_vector(&u), kak_vector(&noisy));
+            assert!(clean.class_dist(off) <= 1e-6, "{clean} vs {off}");
         }
     }
 

@@ -7,8 +7,9 @@
 //!
 //! * [`WeylCoord`] — Cartan coordinates with canonicalization into the
 //!   chamber tetrahedron (`CNOT = (1/2,0,0)`, `SWAP = (1/2,1/2,1/2)`).
-//! * [`kak_vector`] — coordinates of an arbitrary 4x4 unitary via the magic
-//!   basis; [`local_invariants`] — Makhlin invariants.
+//! * [`kak_vector`] — coordinates of an arbitrary 4x4 unitary, in closed
+//!   form from the magic-basis eigenphases ([`magic_eigenphases`]);
+//!   [`local_invariants`] — Makhlin invariants.
 //! * [`entangling_power`], [`is_perfect_entangler`] — entanglement metrics.
 //! * [`WeylCoord::mirror`] — the Appendix-B mirror construction for 2-layer
 //!   SWAP synthesis.
@@ -47,7 +48,7 @@ mod regions;
 
 pub use coord::WeylCoord;
 pub use entangle::{entangling_power, is_perfect_entangler};
-pub use kak::{canonical_gate, kak_vector, local_invariants};
+pub use kak::{canonical_gate, kak_vector, local_invariants, magic_eigenphases};
 pub use regions::{
     can_cnot_in_2, can_swap_in_2_pair, can_swap_in_3, chamber_volume, cnot2_complement,
     first_crossing, min_layers_for_swap, sample_chamber, swap3_complement, volume_fraction,
