@@ -5,6 +5,7 @@ use nsb_circuit::{Circuit, Gate};
 use nsb_device::{BasisStrategy, Device, SelectedBasis};
 use nsb_math::{Mat2, Mat4};
 use nsb_synth::{mat4_fingerprint, NoCache, SynthCache, SynthesisFailed, Synthesized2Q};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -108,53 +109,12 @@ pub struct Lowerer<'d> {
     strategy: BasisStrategy,
     mode: LoweringMode,
     cache: Arc<dyn SynthCache>,
-    threads: usize,
 }
 
-/// A lowered op, or the slot a synthesized target's block fills.
-enum Pending {
-    Op(LoweredOp),
-    Synth { target: usize, g0: usize, g1: usize },
-}
-
-/// One pass over a routed circuit: its ops with slots for synthesized
-/// blocks, and the distinct targets those slots need, in circuit order.
-/// Targets are keyed by edge and the [`mat4_fingerprint`] of the oriented
-/// target, the fingerprint the synthesis cache keys them by.
-struct Plan<'d> {
-    ops: Vec<Pending>,
-    targets: Vec<(Mat4, &'d SelectedBasis)>,
-    index: HashMap<(usize, u64), usize>,
-}
-
-impl<'d> Plan<'d> {
-    fn local(&mut self, qubit: usize, unitary: Mat2) {
-        self.ops.push(Pending::Op(local(qubit, unitary)));
-    }
-
-    fn emit(&mut self, basis: &SelectedBasis, synth: &Synthesized2Q, g0: usize, g1: usize) {
-        self.ops.extend(emit(basis, synth, g0, g1).map(Pending::Op));
-    }
-
-    /// Adds a slot for the synthesis of `target` on edge `edge_idx`,
-    /// planning the target on first sight.
-    fn synth(
-        &mut self,
-        edge_idx: usize,
-        target: Mat4,
-        basis: &'d SelectedBasis,
-        g0: usize,
-        g1: usize,
-    ) {
-        let next = self.targets.len();
-        let key = (edge_idx, mat4_fingerprint(&target));
-        let target = *self.index.entry(key).or_insert_with(|| {
-            self.targets.push((target, basis));
-            next
-        });
-        self.ops.push(Pending::Synth { target, g0, g1 });
-    }
-}
+/// One circuit's synthesized blocks, keyed by edge and the
+/// [`mat4_fingerprint`] of the oriented target, the fingerprint the
+/// synthesis cache keys them by.
+type Synthesized = HashMap<(usize, u64), Synthesized2Q>;
 
 impl<'d> Lowerer<'d> {
     /// Creates a lowerer for a device and strategy.
@@ -164,7 +124,6 @@ impl<'d> Lowerer<'d> {
             strategy,
             mode,
             cache: Arc::new(NoCache),
-            threads: 1,
         }
     }
 
@@ -177,22 +136,11 @@ impl<'d> Lowerer<'d> {
         self
     }
 
-    /// Synthesizes a circuit's distinct targets on up to `threads` scoped
-    /// threads (default 1: inline, in circuit order, stopping at the first
-    /// failure). Decompositions are deterministic, so the output is
-    /// bit-identical at every width; only when the work happens changes.
-    pub fn with_synthesis_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Lowers a routed physical circuit. Two-qubit operations must already
     /// sit on device edges.
     ///
-    /// Plans the circuit once, collecting its distinct synthesis targets
-    /// in circuit order, synthesizes them (see
-    /// [`with_synthesis_threads`](Lowerer::with_synthesis_threads)), then
-    /// emits.
+    /// One pass in circuit order: each distinct target on an edge is
+    /// synthesized once, when first seen, and reused for later copies.
     ///
     /// # Errors
     ///
@@ -200,32 +148,19 @@ impl<'d> Lowerer<'d> {
     /// not converge, [`LowerError::NotCoupled`] when a two-qubit gate is
     /// not on a device edge — whichever fails first in circuit order.
     pub fn lower(&self, routed: &Circuit) -> Result<Vec<LoweredOp>, LowerError> {
-        let mut plan = Plan {
-            ops: Vec::with_capacity(routed.len() * 4),
-            targets: Vec::new(),
-            index: HashMap::new(),
-        };
-        // Planning stops at the first uncoupled gate. Every target it
-        // planned comes earlier in the circuit, so their synthesis errors
-        // take precedence.
-        let mut uncoupled = Ok(());
+        let mut out = Vec::with_capacity(routed.len() * 4);
+        let mut synthesized = Synthesized::new();
         for op in routed.ops() {
             if op.qubits.len() == 1 {
-                plan.local(op.qubits[0], op.gate.mat2());
-            } else if let Err(e) = self.lower_2q(&op.gate, op.qubits[0], op.qubits[1], &mut plan) {
-                uncoupled = Err(e);
-                break;
-            }
-        }
-        let synths = self.synthesize(&plan.targets)?;
-        uncoupled?;
-        let mut out = Vec::with_capacity(plan.ops.len());
-        for pending in plan.ops {
-            match pending {
-                Pending::Op(op) => out.push(op),
-                Pending::Synth { target, g0, g1 } => {
-                    out.extend(emit(plan.targets[target].1, &synths[target], g0, g1));
-                }
+                out.push(local(op.qubits[0], op.gate.mat2()));
+            } else {
+                self.lower_2q(
+                    &op.gate,
+                    op.qubits[0],
+                    op.qubits[1],
+                    &mut out,
+                    &mut synthesized,
+                )?;
             }
         }
         Ok(merge_locals(out, routed.n_qubits()))
@@ -236,7 +171,8 @@ impl<'d> Lowerer<'d> {
         gate: &Gate,
         q0: usize,
         q1: usize,
-        plan: &mut Plan<'d>,
+        out: &mut Vec<LoweredOp>,
+        synthesized: &mut Synthesized,
     ) -> Result<(), LowerError> {
         let edge_idx = self
             .device
@@ -248,33 +184,31 @@ impl<'d> Lowerer<'d> {
         let (g0, g1) = cal.gate_order;
         let aligned = (q0, q1) == (g0, g1);
         match gate {
-            Gate::Swap => plan.emit(basis, &basis.swap.circuit, g0, g1),
-            Gate::Cx if aligned => plan.emit(basis, &basis.cnot.circuit, g0, g1),
+            Gate::Swap => out.extend(emit(basis, &basis.swap.circuit, g0, g1)),
+            Gate::Cx if aligned => out.extend(emit(basis, &basis.cnot.circuit, g0, g1)),
             Gate::Cx => {
                 // Reversed CNOT = (H (x) H) CNOT (H (x) H).
-                plan.local(g0, Mat2::h());
-                plan.local(g1, Mat2::h());
-                plan.emit(basis, &basis.cnot.circuit, g0, g1);
-                plan.local(g0, Mat2::h());
-                plan.local(g1, Mat2::h());
+                out.extend([local(g0, Mat2::h()), local(g1, Mat2::h())]);
+                out.extend(emit(basis, &basis.cnot.circuit, g0, g1));
+                out.extend([local(g0, Mat2::h()), local(g1, Mat2::h())]);
             }
             Gate::Cz if self.mode == LoweringMode::ViaCnot => {
                 // CZ = (I (x) H) CX (I (x) H) with q1 as target.
-                plan.local(q1, Mat2::h());
-                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
-                plan.local(q1, Mat2::h());
+                out.push(local(q1, Mat2::h()));
+                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                out.push(local(q1, Mat2::h()));
             }
             Gate::CPhase(lambda) if self.mode == LoweringMode::ViaCnot => {
-                plan.local(q0, Mat2::phase(lambda / 2.0));
-                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
-                plan.local(q1, Mat2::phase(-lambda / 2.0));
-                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
-                plan.local(q1, Mat2::phase(lambda / 2.0));
+                out.push(local(q0, Mat2::phase(lambda / 2.0)));
+                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                out.push(local(q1, Mat2::phase(-lambda / 2.0)));
+                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                out.push(local(q1, Mat2::phase(lambda / 2.0)));
             }
             Gate::Rzz(theta) if self.mode == LoweringMode::ViaCnot => {
-                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
-                plan.local(q1, Mat2::rz(*theta));
-                self.lower_2q(&Gate::Cx, q0, q1, plan)?;
+                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                out.push(local(q1, Mat2::rz(*theta)));
+                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
             }
             other => {
                 // Direct numerical decomposition, once per distinct target.
@@ -283,39 +217,18 @@ impl<'d> Lowerer<'d> {
                 } else {
                     swap_conjugate(&other.mat4())
                 };
-                plan.synth(edge_idx, target, basis, g0, g1);
+                let synth = match synthesized.entry((edge_idx, mat4_fingerprint(&target))) {
+                    Entry::Occupied(hit) => hit.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(basis.decomposer.decompose_cached(
+                        &target,
+                        mode_tag(self.mode),
+                        self.cache.as_ref(),
+                    )?),
+                };
+                out.extend(emit(basis, synth, g0, g1));
             }
         }
         Ok(())
-    }
-
-    /// Synthesizes planned targets, in order, on up to `self.threads`
-    /// scoped threads. The error returned is the first failing target's.
-    fn synthesize(
-        &self,
-        targets: &[(Mat4, &SelectedBasis)],
-    ) -> Result<Vec<Synthesized2Q>, LowerError> {
-        let one = |(target, basis): &(Mat4, &SelectedBasis)| {
-            basis
-                .decomposer
-                .decompose_cached(target, mode_tag(self.mode), self.cache.as_ref())
-        };
-        let workers = self.threads.min(targets.len());
-        if workers <= 1 {
-            return Ok(targets.iter().map(one).collect::<Result<_, _>>()?);
-        }
-        let chunk_len = targets.len().div_ceil(workers);
-        let synths = std::thread::scope(|s| {
-            let handles: Vec<_> = targets
-                .chunks(chunk_len)
-                .map(|chunk| s.spawn(move || chunk.iter().map(one).collect::<Vec<_>>()))
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect::<Result<_, _>>()
-        });
-        Ok(synths?)
     }
 }
 
@@ -502,38 +415,7 @@ mod tests {
     }
 
     #[test]
-    fn lowering_is_bit_identical_at_every_synthesis_width() {
-        let device = test_device();
-        let routed = crate::sabre_route(
-            &generators::qft(4, true),
-            device.topology(),
-            &crate::sabre::SabreConfig::default(),
-        )
-        .expect("route");
-        let lower = |threads| {
-            Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct)
-                .with_synthesis_threads(threads)
-                .lower(&routed.circuit)
-                .expect("lower")
-        };
-        let (serial, fanned) = (lower(1), lower(2));
-        assert!(
-            serial
-                .iter()
-                .any(|op| matches!(op, LoweredOp::Entangler { .. })),
-            "qft 4 lowered without an entangler"
-        );
-        // Debug output round-trips every f64 bit pattern, so string
-        // equality here is bit-identity of the emitted ops.
-        assert_eq!(
-            format!("{fanned:?}"),
-            format!("{serial:?}"),
-            "lowering must not depend on the synthesis width"
-        );
-    }
-
-    #[test]
-    fn uncoupled_gate_after_a_synthesized_one_fails_at_every_width() {
+    fn uncoupled_gate_after_a_synthesized_one_fails_in_circuit_order() {
         let device = test_device();
         let topology = device.topology();
         let n = topology.n_qubits();
@@ -545,22 +427,19 @@ mod tests {
         let mut routed = Circuit::new(n);
         routed.push(Gate::CPhase(0.3), &[coupled.0, coupled.1]);
         routed.push(Gate::Cx, &[uncoupled.0, uncoupled.1]);
-        for threads in [1, 2] {
-            let cache = Arc::new(CountingCache::default());
-            let result = Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct)
-                .with_shared_cache(cache.clone())
-                .with_synthesis_threads(threads)
-                .lower(&routed);
-            match result {
-                Err(LowerError::NotCoupled { q0, q1 }) => assert_eq!((q0, q1), uncoupled),
-                other => panic!("width {threads}: expected NotCoupled, got {other:?}"),
-            }
-            assert_eq!(
-                cache.calls(),
-                1,
-                "width {threads}: the CPhase before the failing op synthesizes"
-            );
+        let cache = Arc::new(CountingCache::default());
+        let result = Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct)
+            .with_shared_cache(cache.clone())
+            .lower(&routed);
+        match result {
+            Err(LowerError::NotCoupled { q0, q1 }) => assert_eq!((q0, q1), uncoupled),
+            other => panic!("expected NotCoupled, got {other:?}"),
         }
+        assert_eq!(
+            cache.calls(),
+            1,
+            "the CPhase before the failing op synthesizes"
+        );
     }
 
     #[test]

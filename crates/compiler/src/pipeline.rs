@@ -7,6 +7,7 @@ use crate::sabre::{sabre_route, Layout, RouteError, SabreConfig};
 use crate::schedule::{schedule, Schedule};
 use nsb_circuit::{Circuit, Gate, StateVector};
 use nsb_device::{BasisStrategy, Device};
+use nsb_math::{Mat2, Mat4};
 use nsb_synth::{NoCache, SynthCache};
 use nsb_verify::{
     ScheduleFacts, UnitaryEquivalence, VerifierSuite, VerifyLevel, VerifyOp, VerifyReport,
@@ -79,6 +80,11 @@ impl Stage {
     }
 }
 
+/// Largest Frobenius norm of `u u† − I` a gate matrix `u` may have:
+/// the domain on which `nsb_weyl::kak_vector` is documented to work on
+/// the nearest unitary. Gates inside it compile as given.
+const UNITARY_TOLERANCE: f64 = 1e-6;
+
 /// Compilation failure.
 #[derive(Clone, Debug)]
 pub enum CompileError {
@@ -88,6 +94,13 @@ pub enum CompileError {
         circuit_qubits: usize,
         /// Qubits the device has.
         device_qubits: usize,
+    },
+    /// A gate's matrix is not unitary within 1e-6, or not finite.
+    InvalidGate {
+        /// Index of the offending operation in the circuit.
+        op: usize,
+        /// Frobenius norm of `u u† − I` (NaN for a non-finite matrix).
+        deviation: f64,
     },
     /// Routing stalled (degenerate topology).
     Route(RouteError),
@@ -113,6 +126,11 @@ impl fmt::Display for CompileError {
                 "compilation failed: the circuit has {circuit_qubits} qubits, \
                  the device {device_qubits}"
             ),
+            CompileError::InvalidGate { op, deviation } => write!(
+                f,
+                "compilation failed: the gate of op {op} is not unitary \
+                 (|u u^dag - I| = {deviation:e})"
+            ),
             CompileError::Route(e) => write!(f, "compilation failed: {e}"),
             CompileError::Lower(e) => write!(f, "compilation failed: {e}"),
             CompileError::Verification { stage, report } => {
@@ -127,7 +145,9 @@ impl std::error::Error for CompileError {
         match self {
             CompileError::Route(e) => Some(e),
             CompileError::Lower(e) => Some(e),
-            CompileError::TooWide { .. } | CompileError::Verification { .. } => None,
+            CompileError::TooWide { .. }
+            | CompileError::InvalidGate { .. }
+            | CompileError::Verification { .. } => None,
         }
     }
 }
@@ -200,7 +220,6 @@ pub struct Transpiler<'d> {
     strategy: BasisStrategy,
     mode: LoweringMode,
     cache: Arc<dyn SynthCache>,
-    threads: usize,
     verify: VerifyLevel,
 }
 
@@ -214,7 +233,6 @@ impl<'d> Transpiler<'d> {
             strategy,
             mode: default_mode(strategy),
             cache: Arc::new(NoCache),
-            threads: 1,
             verify: VerifyLevel::from_env(),
         }
     }
@@ -233,13 +251,6 @@ impl<'d> Transpiler<'d> {
         self
     }
 
-    /// Sets how many threads lowering may synthesize on (see
-    /// [`Lowerer::with_synthesis_threads`]); the default is 1.
-    pub fn with_synthesis_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Sets the inter-pass verification level.
     ///
     /// The default, [`VerifyLevel::Debug`], runs the verifier suites only in
@@ -254,9 +265,10 @@ impl<'d> Transpiler<'d> {
     ///
     /// # Errors
     ///
-    /// Returns [`CompileError`] when the circuit is wider than the device,
-    /// routing stalls, a direct decomposition fails, or (with verification
-    /// enabled) an inter-pass check rejects the compiled program.
+    /// Returns [`CompileError`] when the circuit is wider than the device
+    /// or holds a gate that is not unitary, routing stalls, a direct
+    /// decomposition fails, or (with verification enabled) an inter-pass
+    /// check rejects the compiled program.
     pub fn compile(&self, circuit: &Circuit) -> Result<CompiledCircuit, CompileError> {
         self.compile_staged(circuit, |_, _| {})
     }
@@ -281,6 +293,7 @@ impl<'d> Transpiler<'d> {
                 device_qubits,
             });
         }
+        check_gates(circuit)?;
         let started = Instant::now();
         let routed = sabre_route(circuit, self.device.topology(), &SabreConfig::default())?;
         after_stage(Stage::Route, started.elapsed());
@@ -293,7 +306,6 @@ impl<'d> Transpiler<'d> {
         let started = Instant::now();
         let ops = Lowerer::new(self.device, self.strategy, self.mode)
             .with_shared_cache(self.cache.clone())
-            .with_synthesis_threads(self.threads)
             .lower(&routed.circuit)?;
         after_stage(Stage::Lower, started.elapsed());
 
@@ -354,6 +366,26 @@ impl<'d> Transpiler<'d> {
             })
         }
     }
+}
+
+/// Rejects the first op whose gate matrix is not unitary within
+/// [`UNITARY_TOLERANCE`]. A non-finite matrix has a NaN deviation, and
+/// fails too.
+fn check_gates(circuit: &Circuit) -> Result<(), CompileError> {
+    for (op, operation) in circuit.ops().iter().enumerate() {
+        let gate = &operation.gate;
+        let deviation = if gate.arity() == 1 {
+            let u = gate.mat2();
+            (u * u.adjoint() - Mat2::identity()).norm()
+        } else {
+            let u = gate.mat4();
+            (u * u.adjoint() - Mat4::identity()).norm()
+        };
+        if deviation.is_nan() || deviation > UNITARY_TOLERANCE {
+            return Err(CompileError::InvalidGate { op, deviation });
+        }
+    }
+    Ok(())
 }
 
 /// Verifies a compiled circuit against its logical source by statevector
@@ -447,6 +479,59 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// Malformed gates either fail at the compile boundary or compile to a
+    /// program the full verifier passes; none reaches a kernel outside its
+    /// domain.
+    #[test]
+    fn gates_are_checked_at_the_compile_boundary() {
+        use nsb_math::Complex64;
+        let device = test_device();
+        let noisy_cnot = |noise: f64| {
+            let mut u = Mat4::cnot();
+            u[(0, 1)] += Complex64::real(noise);
+            Gate::Unitary2(Box::new(u))
+        };
+        let one = |gate: Gate| {
+            let mut c = Circuit::new(2);
+            c.push(gate, &[0, 1]);
+            c
+        };
+        let mut rz_inf = Circuit::new(2);
+        rz_inf.push(Gate::Rz(f64::INFINITY), &[0]);
+        rz_inf.push(Gate::Cx, &[0, 1]);
+        // (input, op index an error must name; `None`: must compile)
+        let cases = [
+            ("1e-7-noisy cnot", one(noisy_cnot(1e-7)), None),
+            ("1e-5-noisy cnot", one(noisy_cnot(1e-5)), Some(0)),
+            (
+                "zero unitary2",
+                one(Gate::Unitary2(Box::new(Mat4::zero()))),
+                Some(0),
+            ),
+            ("rzz(nan)", one(Gate::Rzz(f64::NAN)), Some(0)),
+            ("rz(inf) before cx", rz_inf, Some(0)),
+        ];
+        for strategy in [BasisStrategy::Baseline, BasisStrategy::Criterion2] {
+            let transpiler = Transpiler::new(device, strategy).with_verification(VerifyLevel::Full);
+            for (what, circuit, invalid_op) in &cases {
+                match (transpiler.compile(circuit), invalid_op) {
+                    (Ok(compiled), None) => {
+                        let overlap = verify_compiled(circuit, &compiled);
+                        assert!(overlap > 0.999, "{what}, {strategy}: overlap {overlap}");
+                    }
+                    (Err(CompileError::InvalidGate { op, deviation }), Some(expected)) => {
+                        assert_eq!(op, *expected, "{what}, {strategy}");
+                        assert!(
+                            deviation.is_nan() || deviation > UNITARY_TOLERANCE,
+                            "{what}, {strategy}: deviation {deviation:e}"
+                        );
+                    }
+                    (other, _) => panic!("{what}, {strategy}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]
@@ -552,6 +637,13 @@ mod tests {
         };
         assert!(wide.to_string().contains("13 qubits, the device 12"));
         assert!(wide.source().is_none());
+
+        let invalid = CompileError::InvalidGate {
+            op: 3,
+            deviation: 2.0,
+        };
+        assert!(invalid.to_string().contains("op 3 is not unitary"));
+        assert!(invalid.source().is_none());
 
         let verification = CompileError::Verification {
             stage: "lower",

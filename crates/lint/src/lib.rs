@@ -13,8 +13,6 @@
 //!   usage: lock-acquisition-order cycles, re-entrant acquisitions, and
 //!   guards held across blocking calls (`Condvar` waits, `recv`,
 //!   `join`).
-//! * **`condvar-predicate`** — a raw `Condvar::wait`/`wait_timeout`
-//!   that does not re-check its guarded state inside a loop.
 //! * **`error-variant-coverage`** — every variant of a `pub` or
 //!   `pub(crate)` `enum *Error` must be constructed or matched somewhere
 //!   in test code.
@@ -55,10 +53,6 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "lock-order",
         "lock-acquisition cycles, re-entrant locks, and guards held across blocking calls",
-    ),
-    (
-        "condvar-predicate",
-        "a raw Condvar wait/wait_timeout with no predicate re-check in its loop",
     ),
     (
         "error-variant-coverage",

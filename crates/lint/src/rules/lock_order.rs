@@ -29,19 +29,10 @@
 //! analyzed as if it ran inline under the guards live at its creation
 //! site, and guards live across `match`/`if let` temporaries follow
 //! the longer (whole-expression) temporary scope.
-//!
-//! The same pass reports **`condvar-predicate`**: a raw `.wait(g)` or
-//! `.wait_timeout(g, d)` wakes spuriously and misses a notify sent
-//! before it, so it is legal only where the guarded state is re-checked.
-//! That is, a `while`, `if` or `match` condition mentioning `g` precedes
-//! or encloses the wait inside its innermost enclosing `loop`/`while`
-//! body. `wait_while`/`wait_timeout_while` carry their own predicate,
-//! and zero-argument waits (`JobHandle::wait()`, `Barrier::wait()`) are
-//! not condvar waits.
 
 use crate::diag::Diagnostic;
 use crate::source::{FileKind, SourceFile};
-use crate::tree::{collect_idents, Group, Tree};
+use crate::tree::{Group, Tree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
@@ -49,8 +40,6 @@ use std::path::PathBuf;
 const ACQUIRERS: &[&str] = &["lock", "read", "write"];
 /// Condvar waits: consume the guard passed as their first argument.
 const WAITS: &[&str] = &["wait", "wait_timeout", "wait_while", "wait_timeout_while"];
-/// The waits without a built-in predicate (`condvar-predicate`).
-const RAW_WAITS: &[&str] = &["wait", "wait_timeout"];
 /// Always-blocking calls that must not run under a lock.
 const BLOCKERS: &[&str] = &["recv", "recv_timeout", "join"];
 
@@ -109,7 +98,6 @@ fn analyze_fns(
                     if g.delim == '{' {
                         let mut live = Vec::new();
                         analyze_block(file, &g.trees, &mut live, edges, out);
-                        check_wait_predicates(file, &g.trees, false, &mut BTreeSet::new(), out);
                         break;
                     }
                 }
@@ -337,7 +325,7 @@ fn acquire(
                 "lock `{lock}` acquired while a guard on it is already live \
                  (std::sync locks are not reentrant — self-deadlock)"
             );
-            out.push(finding(file, site, "lock-order", message));
+            out.push(finding(file, site, message));
         } else {
             edges.push(AcqEdge {
                 from: g.lock.clone(),
@@ -388,82 +376,19 @@ fn blocked(file: &SourceFile, site: &Tree, what: &str, g: &LiveGuard, out: &mut 
         "guard on lock `{}` held across blocking call {what}",
         g.lock
     );
-    out.push(finding(file, site, "lock-order", message));
+    out.push(finding(file, site, message));
 }
 
-/// A finding of `rule` at `site`.
-fn finding(file: &SourceFile, site: &Tree, rule: &'static str, message: String) -> Diagnostic {
+/// A `lock-order` finding at `site`.
+fn finding(file: &SourceFile, site: &Tree, message: String) -> Diagnostic {
     let line = site.line();
     Diagnostic {
-        rule,
+        rule: "lock-order",
         file: file.path.clone(),
         line,
         col: site.col(),
         message,
         snippet: file.snippet(line),
-    }
-}
-
-/// `condvar-predicate` over one token level, in source order. `in_loop`
-/// says whether a `loop`/`while` encloses `trees`; `tested` holds the
-/// identifiers that `while`/`if`/`match` conditions inside the innermost
-/// such loop have mentioned so far, enclosing conditions included.
-fn check_wait_predicates<'a>(
-    file: &SourceFile,
-    trees: &'a [Tree],
-    in_loop: bool,
-    tested: &mut BTreeSet<&'a str>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let mut i = 0;
-    while i < trees.len() {
-        let t = &trees[i];
-        if let Some(kw @ ("loop" | "while" | "if" | "match")) = t.ident() {
-            // The condition runs up to the body, the first brace group.
-            let body = trees[i + 1..]
-                .iter()
-                .position(|n| n.group().is_some_and(|g| g.delim == '{'))
-                .map(|p| i + 1 + p);
-            if let Some(body) = body {
-                let mut cond = BTreeSet::new();
-                collect_idents(&trees[i + 1..body], &mut cond);
-                let inner = trees[body].group().map_or(&[][..], |g| &g.trees);
-                if kw == "loop" || kw == "while" {
-                    check_wait_predicates(file, inner, true, &mut cond, out);
-                } else {
-                    tested.extend(cond);
-                    check_wait_predicates(file, inner, in_loop, tested, out);
-                }
-                i = body + 1;
-                continue;
-            }
-        }
-        if t.is_punct(".") {
-            let name = trees.get(i + 1).and_then(Tree::ident);
-            let args = trees.get(i + 2).and_then(Tree::group);
-            if let (Some(name), Some(args)) = (name, args) {
-                if RAW_WAITS.contains(&name) && args.delim == '(' && !args.trees.is_empty() {
-                    // The guard is the last identifier of the first argument.
-                    let mut idents = Vec::new();
-                    let first_arg = args.trees.split(|a| a.is_punct(",")).next();
-                    collect_idents(first_arg.unwrap_or_default(), &mut idents);
-                    let guard = idents.last().copied().unwrap_or("_");
-                    if !(in_loop && tested.contains(guard)) {
-                        let message = format!(
-                            "`.{name}({guard}, …)` is not inside a loop that re-checks \
-                             `{guard}` first, so a spurious wakeup or a notify sent before \
-                             the wait is missed; test the guarded state in a `while` loop \
-                             or use `{name}_while`"
-                        );
-                        out.push(finding(file, &trees[i + 1], "condvar-predicate", message));
-                    }
-                }
-            }
-        }
-        if let Some(g) = t.group() {
-            check_wait_predicates(file, &g.trees, in_loop, tested, out);
-        }
-        i += 1;
     }
 }
 
@@ -643,50 +568,18 @@ mod tests {
     }
 
     #[test]
-    fn condvar_wait_without_a_predicate_recheck_is_flagged() {
-        let flagged = |body: &str| {
-            let msgs = run(&format!(
-                "fn f(s: &S) {{\n    let mut g = s.m.lock();\n{body}\n}}\n"
-            ));
-            assert!(msgs.iter().all(|m| m.contains("re-checks")), "{msgs:?}");
-            msgs.len()
-        };
-        // No loop, a bare loop, a test after the wait, a test of
-        // something else, a wait_timeout in a block inside the loop.
-        assert_eq!(flagged("    g = s.cv.wait(g);"), 1);
-        assert_eq!(flagged("    loop { g = s.cv.wait(g); }"), 1);
-        assert_eq!(
-            flagged("    loop { g = s.cv.wait(g); if g.done { break; } }"),
-            1
-        );
-        assert_eq!(flagged("    while s.open { g = s.cv.wait(g); }"), 1);
-        assert_eq!(
-            flagged("    loop { let d = { s.cv.wait_timeout(g, t).0 }; if d.done { break; } }"),
-            1
-        );
-        // A test before the wait, or a condition enclosing it.
-        assert_eq!(
-            flagged("    loop { if g.done { break; } g = s.cv.wait(g); }"),
-            0
-        );
-        assert_eq!(flagged("    while !g.done { g = s.cv.wait(g); }"), 0);
-        assert_eq!(
-            flagged("    loop { match g.state { Done => break, _ => g = s.cv.wait(g) } }"),
-            0
-        );
-        // Waits with their own predicate, and zero-argument waits.
-        assert_eq!(flagged("    g = s.cv.wait_while(g, |v| !v.done);"), 0);
-        assert_eq!(flagged("    drop(g);\n    s.barrier.wait();"), 0);
-    }
-
-    #[test]
     fn second_lock_held_across_condvar_wait_is_flagged() {
-        let msgs = run(
-            "fn f(s: &S) {\n    let extra = s.other.lock();\n    let mut inner = s.state.lock();\n    while inner.busy {\n        inner = s.cv.wait(inner);\n    }\n}\n",
-        );
-        assert_eq!(msgs.len(), 1, "{msgs:?}");
-        assert!(msgs[0].contains("held across blocking call"));
-        assert!(msgs[0].contains("other"));
+        for wait in [
+            "while inner.busy {\n        inner = s.cv.wait(inner);\n    }",
+            "inner = s.cv.wait_while(inner, |i| i.busy);",
+        ] {
+            let msgs = run(&format!(
+                "fn f(s: &S) {{\n    let extra = s.other.lock();\n    let mut inner = s.state.lock();\n    {wait}\n}}\n"
+            ));
+            assert_eq!(msgs.len(), 1, "{wait}: {msgs:?}");
+            assert!(msgs[0].contains("held across blocking call"));
+            assert!(msgs[0].contains("other"));
+        }
     }
 
     #[test]

@@ -54,18 +54,6 @@ fn lock_order_flags_blocking_calls_under_locks() {
 }
 
 #[test]
-fn condvar_predicate_flags_the_lost_wakeup_flusher() {
-    let f = lib(
-        "crates/store/src/flush.rs",
-        include_str!("lint_fixtures/condvar_predicate_bad.rs"),
-    );
-    let diags = analyze_files(&[f]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].rule, "condvar-predicate");
-    assert_eq!(diags[0].snippet, ".wait_timeout(guard, interval)");
-}
-
-#[test]
 fn error_coverage_flags_untested_variants() {
     let f = lib(
         "crates/x/src/err.rs",

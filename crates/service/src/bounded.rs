@@ -85,16 +85,13 @@ impl<T> BoundedQueue<T> {
     /// Blocks until an item is available and returns it, or returns
     /// `None` once the queue is closed **and** fully drained.
     pub(crate) fn pop(&self) -> Option<T> {
-        let mut inner = relock(self.inner.lock());
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = relock(self.not_empty.wait(inner));
-        }
+        let inner = relock(self.inner.lock());
+        relock(
+            self.not_empty
+                .wait_while(inner, |inner| inner.items.is_empty() && !inner.closed),
+        )
+        .items
+        .pop_front()
     }
 
     /// Closes the queue: pushes start failing immediately, pops keep

@@ -291,17 +291,20 @@ impl SynthCache for SharedSynthCache {
                 self.record(true);
                 return Ok(value);
             }
-            if shard.inflight.contains(&pair) {
-                if !waited {
-                    waited = true;
-                    self.coalesced.fetch_add(1, Ordering::Relaxed);
-                }
-                shard = relock(shard_lock.flights.wait(shard));
-                continue;
+            if !shard.inflight.contains(&pair) {
+                break;
             }
-            shard.inflight.insert(pair);
-            break;
+            if !waited {
+                waited = true;
+                self.coalesced.fetch_add(1, Ordering::Relaxed);
+            }
+            shard = relock(
+                shard_lock
+                    .flights
+                    .wait_while(shard, |shard| shard.inflight.contains(&pair)),
+            );
         }
+        shard.inflight.insert(pair);
         drop(shard);
         self.record(false);
         // Synthesize outside the lock; the guard unregisters the flight

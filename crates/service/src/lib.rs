@@ -19,10 +19,8 @@
 //! ([`nsb_compiler::Transpiler::compile_staged`]), so service output is
 //! bit-identical to a serial compile. A job either compiles or fails;
 //! the stage hook only records stage latencies. Shutdown is graceful —
-//! accepted jobs drain before the workers exit. Cores the workers leave
-//! idle go to each job's synthesis fan-out: a job synthesizes its
-//! distinct targets on `max(1, available_parallelism / workers)`
-//! threads. Jobs may also request *verified compilation*
+//! accepted jobs drain before the workers exit. Each job runs on one
+//! worker thread. Jobs may also request *verified compilation*
 //! ([`JobSpec::with_verification`]): the transpiler's inter-pass verifier
 //! suites run, and the job is rejected — with the full violation report
 //! and the stage it failed after — if any static check fails. The job's

@@ -16,11 +16,6 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
 /// Service sizing knobs.
-///
-/// There is no knob for a job's synthesis fan-out: the service derives it
-/// as `max(1, available_parallelism / workers)`, so only cores the
-/// workers leave idle fan out. The default `workers` leaves none idle on
-/// machines with up to 8 cores.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceConfig {
     /// Worker threads compiling jobs. Defaults to the machine's
@@ -73,8 +68,6 @@ impl CompileService {
     /// before returning.
     pub fn new(device: Device, config: ServiceConfig) -> Result<Self, ServiceError> {
         let n_workers = config.workers.max(1);
-        let synthesis_threads =
-            (std::thread::available_parallelism().map_or(1, |n| n.get()) / n_workers).max(1);
         let device = Arc::new(device);
         let metrics = Arc::new(ServiceMetrics::default());
         let cache = Arc::new(SharedSynthCache::new(config.cache_capacity));
@@ -88,15 +81,7 @@ impl CompileService {
             let metrics = metrics.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("nsb-service-worker-{i}"))
-                .spawn(move || {
-                    worker_loop(
-                        &device,
-                        &queue_for_worker,
-                        &cache,
-                        &metrics,
-                        synthesis_threads,
-                    )
-                });
+                .spawn(move || worker_loop(&device, &queue_for_worker, &cache, &metrics));
             match spawned {
                 Ok(handle) => workers.push(handle),
                 Err(e) => {
@@ -245,21 +230,13 @@ fn worker_loop(
     queue: &BoundedQueue<Job>,
     cache: &Arc<SharedSynthCache>,
     metrics: &ServiceMetrics,
-    synthesis_threads: usize,
 ) {
     while let Some(job) = queue.pop() {
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         // A panic leaves nothing half-updated that a later job reads: the
         // device is read-only, the metrics are atomic, and the cache
         // releases an abandoned flight and recovers poisoned locks.
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            run_job(device, cache, metrics, &job.spec, synthesis_threads)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(ServiceError::Internal {
-                reason: panic_message(payload.as_ref()),
-            })
-        });
+        let outcome = catching(|| run_job(device, cache, metrics, &job.spec));
         let counter = match outcome {
             Ok(_) => &metrics.jobs_completed,
             Err(_) => &metrics.jobs_failed,
@@ -268,6 +245,17 @@ fn worker_loop(
         // The caller may have dropped its handle; that is fine.
         let _ = job.result_tx.send(outcome);
     }
+}
+
+/// Runs `job`, turning a panic into [`ServiceError::Internal`]. This is
+/// a backstop: the transpiler rejects malformed input with an error, so
+/// no job input is known to panic.
+fn catching<T>(job: impl FnOnce() -> Result<T, ServiceError>) -> Result<T, ServiceError> {
+    panic::catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        Err(ServiceError::Internal {
+            reason: panic_message(payload.as_ref()),
+        })
+    })
 }
 
 /// The text of a panic payload (`panic!` with a literal or a format).
@@ -291,11 +279,9 @@ fn run_job(
     cache: &Arc<SharedSynthCache>,
     metrics: &ServiceMetrics,
     spec: &JobSpec,
-    synthesis_threads: usize,
 ) -> Result<CompiledCircuit, ServiceError> {
     let outcome = Transpiler::new(device, spec.strategy)
         .with_shared_cache(cache.clone())
-        .with_synthesis_threads(synthesis_threads)
         .with_verification(spec.verify)
         .compile_staged(&spec.circuit, |stage, elapsed| {
             metrics.record_stage(stage, elapsed)
@@ -360,8 +346,8 @@ mod tests {
 
     #[test]
     fn a_panicking_job_fails_and_the_worker_goes_on() {
-        // An Rzz with a NaN angle has no Cartan coordinate, and the
-        // Baseline lowering's synthesis panics on it.
+        // An Rzz with a NaN angle has no Cartan coordinate; the transpiler
+        // rejects it before any kernel sees it.
         let mut bad = Circuit::new(2);
         bad.push(Gate::Rzz(f64::NAN), &[0, 1]);
         let service = CompileService::new(test_device(), one_worker()).expect("service");
@@ -370,7 +356,13 @@ mod tests {
                 .submit(JobSpec::new(bad.clone(), BasisStrategy::Baseline))
                 .expect("submit");
             let err = handle.wait().expect_err("NaN angle");
-            assert!(matches!(err, ServiceError::Internal { .. }), "{err}");
+            assert!(
+                matches!(
+                    err,
+                    ServiceError::Compile(CompileError::InvalidGate { op: 0, .. })
+                ),
+                "{err}"
+            );
         }
         let clean = service
             .submit(JobSpec::new(generators::ghz(4), BasisStrategy::Baseline))
@@ -379,6 +371,16 @@ mod tests {
         let metrics = service.metrics();
         assert_eq!(metrics.jobs_failed.load(Ordering::Relaxed), 2);
         assert_eq!(metrics.jobs_completed.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn a_panic_becomes_an_internal_error() {
+        let err = catching::<()>(|| panic!("boom {}", 7)).expect_err("panicked");
+        match err {
+            ServiceError::Internal { reason } => assert_eq!(reason, "boom 7"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        assert_eq!(catching(|| Ok(3)).expect("no panic"), 3);
     }
 
     #[test]

@@ -187,7 +187,6 @@ fn lowered_rows(
             let routed = sabre_route(&bench.circuit, device.topology(), &SabreConfig::default())
                 .expect("route");
             let lowered = Lowerer::new(device, strategy, default_mode(strategy))
-                .with_synthesis_threads(2)
                 .lower(&routed.circuit)
                 .expect("lower");
             let ops = to_verify_ops(&lowered, device, strategy);
