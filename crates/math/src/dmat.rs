@@ -241,15 +241,6 @@ impl DMat {
         }
     }
 
-    /// Copies `src` into `self`, reusing the existing allocation when the
-    /// element counts match.
-    pub fn copy_from(&mut self, src: &DMat) {
-        self.rows = src.rows;
-        self.cols = src.cols;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Solves `self * X = B` by Gaussian elimination with partial pivoting.
     ///
     /// # Errors
@@ -553,9 +544,5 @@ mod tests {
             assert_eq!(x.re.to_bits(), y.re.to_bits());
             assert_eq!(x.im.to_bits(), y.im.to_bits());
         }
-
-        let mut copy = DMat::zeros(2, 2);
-        copy.copy_from(&expected);
-        assert!(copy.approx_eq(&expected, 0.0));
     }
 }

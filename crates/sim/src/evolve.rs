@@ -14,9 +14,25 @@
 //!
 //! Only the projected gate `P^dagger U P` is ever observed, so the
 //! integrator evolves the `dim x 4` block `Y = U P` (with `P` the dressed
-//! computational basis columns) instead of the full propagator: each step's
-//! matmul shrinks by `dim / 4`, and all step storage is preallocated and
-//! ping-ponged via [`DMat::mul_into`] so the hot loop is allocation-free.
+//! computational basis columns) instead of the full propagator, stored as
+//! rows of four columns so each row's update is one short loop.
+//!
+//! Most of that block stays exactly zero. The couplings and the drive
+//! operator `N_c` conserve total excitation number, so `E0` is
+//! block-diagonal by excitation sector and the dressed `|00>, |01>, |10>,
+//! |11>` columns live in sectors 0-2: 10 of the 27 rows at three levels
+//! per mode, 7 of 8 at two. The stepper does not assume this; it derives
+//! the *live* rows as the connected components of the step operators'
+//! nonzero pattern that contain the support of `P`, and keeps each live
+//! row's nonzero entries in increasing column order. Each step then
+//! phase-scales and multiplies only live rows, with the same operations in
+//! the same order as a dense row-by-column product that skips zero
+//! entries, so every live entry carries the same bits as the dense
+//! integration. A dead row only ever sums products with other dead rows,
+//! which start at zero, so in the dense integration it is `+0` after every
+//! product: here it is never written and stays `+0`, and the projection
+//! `P^dagger Y` is unchanged bit for bit. All step storage is preallocated
+//! and ping-ponged, so the hot loop is allocation-free.
 //!
 //! The drive uses a flat-top envelope with `sin^2` rise/fall of
 //! [`DriveParams::ramp`] ns: the rise is part of the shared prefix
@@ -33,6 +49,9 @@ use nsb_math::{expm_i_h_t, polar_unitary4, Complex64, DMat, Mat4};
 /// few hundred ns is well below the decoherence scale.
 pub(crate) const DEFAULT_DT: f64 = 0.01;
 
+/// A `dim x 4` block of columns, stored by rows.
+type Block = Vec<[Complex64; 4]>;
+
 /// A snapshot of the evolving gate at one sample time.
 #[derive(Clone, Debug)]
 pub(crate) struct GateSnapshot {
@@ -46,26 +65,107 @@ pub(crate) struct GateSnapshot {
     pub(crate) leakage: f64,
 }
 
-/// Precomputed stepping machinery for one unit cell.
-struct Stepper {
-    e_half: DMat,
-    e_full: DMat,
+/// One step operator restricted to the live rows: the nonzero entries
+/// `(k, E[i][k])` of each live row `i`, in increasing `k`.
+struct LiveOperator {
+    /// Entries of live row `live[j]` are `entries[starts[j]..starts[j + 1]]`.
+    starts: Vec<usize>,
+    entries: Vec<(usize, Complex64)>,
+}
+
+impl LiveOperator {
+    fn new(op: &DMat, live: &[usize]) -> Self {
+        let mut starts = Vec::with_capacity(live.len() + 1);
+        let mut entries = Vec::new();
+        starts.push(0);
+        for &i in live {
+            for k in 0..op.cols() {
+                let e = op[(i, k)];
+                if e != Complex64::ZERO {
+                    entries.push((k, e));
+                }
+            }
+            starts.push(entries.len());
+        }
+        LiveOperator { starts, entries }
+    }
+
+    /// Writes `E y` into the live rows of `out`: per row, a zero start and
+    /// one multiply-add per nonzero entry in increasing `k`, the order and
+    /// zero skips of [`DMat::mul_into`].
+    fn mul_into(&self, live: &[usize], y: &Block, out: &mut Block) {
+        for (j, &i) in live.iter().enumerate() {
+            let mut acc = [Complex64::ZERO; 4];
+            for &(k, e) in &self.entries[self.starts[j]..self.starts[j + 1]] {
+                for (o, b) in acc.iter_mut().zip(&y[k]) {
+                    *o += e * *b;
+                }
+            }
+            out[i] = acc;
+        }
+    }
+}
+
+/// Rows connected to the support of `P` through the nonzero pattern of
+/// the step operators, in increasing order. Every nonzero entry of a live
+/// row has a live column, and every nonzero entry of a dead row a dead
+/// one.
+fn live_rows(frame: &DressedFrame, ops: [&DMat; 2]) -> Vec<usize> {
+    let dim = frame.dim;
+    let mut live = vec![false; dim];
+    let mut stack: Vec<usize> = (0..dim)
+        .filter(|&r| frame.states.iter().any(|ket| ket[r] != Complex64::ZERO))
+        .collect();
+    for &r in &stack {
+        live[r] = true;
+    }
+    while let Some(i) = stack.pop() {
+        for k in 0..dim {
+            let linked = ops
+                .iter()
+                .any(|op| op[(i, k)] != Complex64::ZERO || op[(k, i)] != Complex64::ZERO);
+            if linked && !live[k] {
+                live[k] = true;
+                stack.push(k);
+            }
+        }
+    }
+    (0..dim).filter(|&r| live[r]).collect()
+}
+
+/// Precomputed stepping machinery for one unit cell, its dressed frame and
+/// one integrator step. Building it costs a matrix exponential, so a scan
+/// that reuses the Hamiltonian and the step builds it once.
+pub(crate) struct Stepper<'f> {
+    frame: &'f DressedFrame,
     dt: f64,
-    /// Row -> index into `nc_values` for the diagonal drive operator.
-    nc_index: Vec<usize>,
-    /// The few distinct values on the `N_c` diagonal (one per coupler
+    /// The live rows, in increasing order.
+    live: Vec<usize>,
+    e_half: LiveOperator,
+    e_full: LiveOperator,
+    /// Per live row, the index into `nc_values` of its `N_c` level, or
+    /// `None` when the level is exactly zero and the phase a no-op.
+    phase_index: Vec<Option<usize>>,
+    /// The distinct nonzero `N_c` levels of the live rows (one per coupler
     /// level), so per-step phases are computed once per value, not per row.
     nc_values: Vec<f64>,
 }
 
-impl Stepper {
-    fn new(h: &UnitCellHamiltonian, dt: f64) -> Self {
+impl<'f> Stepper<'f> {
+    pub(crate) fn new(h: &UnitCellHamiltonian, frame: &'f DressedFrame, dt: f64) -> Self {
         let e_half = expm_i_h_t(&h.h_static, dt / 2.0);
         let e_full = &e_half * &e_half;
+        let live = live_rows(frame, [&e_half, &e_full]);
         let mut nc_values: Vec<f64> = Vec::new();
-        let mut nc_index = Vec::with_capacity(h.dim);
-        for r in 0..h.dim {
+        let mut phase_index = Vec::with_capacity(live.len());
+        for &r in &live {
             let nc = h.n_c[(r, r)].re;
+            // A level of exactly zero (of either sign) is a no-op phase:
+            // its rows are not scaled and its phase is never computed.
+            if nc.classify() == std::num::FpCategory::Zero {
+                phase_index.push(None);
+                continue;
+            }
             #[expect(
                 clippy::float_cmp,
                 reason = "N_c diagonal entries are exact occupation numbers; exact dedup keeps trajectories bit-identical"
@@ -77,28 +177,29 @@ impl Stepper {
                     nc_values.len() - 1
                 }
             };
-            nc_index.push(idx);
+            phase_index.push(Some(idx));
         }
         Stepper {
-            e_half,
-            e_full,
+            frame,
             dt,
-            nc_index,
+            e_half: LiveOperator::new(&e_half, &live),
+            e_full: LiveOperator::new(&e_full, &live),
+            live,
+            phase_index,
             nc_values,
         }
     }
 
-    /// Advances the block `u` in place by `steps` Strang steps starting at
+    /// Advances the block `y` in place by `steps` Strang steps starting at
     /// time `*t`, with the drive strength given by `s_of_t`.
     ///
-    /// `u` may have any number of columns (the full propagator or a
-    /// projected block); `scratch` must have the same shape. The step loop
-    /// allocates nothing: matmuls ping-pong between `u` and `scratch`.
+    /// Only live rows are read or written. The step loop allocates nothing:
+    /// products ping-pong between `y` and `scratch`.
     fn advance(
         &self,
         t: &mut f64,
-        u: &mut DMat,
-        scratch: &mut DMat,
+        y: &mut Block,
+        scratch: &mut Block,
         phases: &mut [Complex64],
         steps: usize,
         s_of_t: impl Fn(f64) -> f64,
@@ -108,24 +209,20 @@ impl Stepper {
         }
         assert_eq!(phases.len(), self.nc_values.len());
         let dt = self.dt;
-        let cols = u.cols();
-        self.e_half.mul_into(u, scratch);
-        std::mem::swap(u, scratch);
+        self.e_half.mul_into(&self.live, y, scratch);
+        std::mem::swap(y, scratch);
         for k in 0..steps {
             let tm = *t + (k as f64 + 0.5) * dt;
             let s = s_of_t(tm);
             for (slot, &v) in phases.iter_mut().zip(&self.nc_values) {
                 *slot = Complex64::cis(-s * v * dt);
             }
-            for (r, &idx) in self.nc_index.iter().enumerate() {
-                // Exact-zero coupling rows are a no-op phase; ±0.0 both
-                // classify as Zero, matching the old `== 0.0` fast path.
-                if self.nc_values[idx].classify() == std::num::FpCategory::Zero {
-                    continue;
-                }
-                let phase = phases[idx];
-                for c in 0..cols {
-                    u[(r, c)] *= phase;
+            for (&r, idx) in self.live.iter().zip(&self.phase_index) {
+                if let Some(idx) = *idx {
+                    let phase = phases[idx];
+                    for z in &mut y[r] {
+                        *z *= phase;
+                    }
                 }
             }
             let step_op = if k + 1 < steps {
@@ -133,80 +230,84 @@ impl Stepper {
             } else {
                 &self.e_half
             };
-            step_op.mul_into(u, scratch);
-            std::mem::swap(u, scratch);
+            step_op.mul_into(&self.live, y, scratch);
+            std::mem::swap(y, scratch);
         }
         *t += steps as f64 * dt;
     }
-}
 
-/// Integrates the driven evolution and samples the effective gate every
-/// `sample_every` ns up to `t_max` ns.
-///
-/// The gate is reported in the rotating frame of the dressed qubit
-/// frequencies, so an undriven cell yields gates that stay near the
-/// identity (up to residual ZZ).
-pub(crate) fn evolve_and_sample(
-    h: &UnitCellHamiltonian,
-    frame: &DressedFrame,
-    drive: &DriveParams,
-    t_max: f64,
-    sample_every: f64,
-    dt: f64,
-) -> Vec<GateSnapshot> {
-    let stepper = Stepper::new(h, dt);
-    let steps_per_sample = (sample_every / dt).round().max(1.0) as usize;
-    let n_samples = (t_max / sample_every).round() as usize;
-    let fall_steps = (drive.ramp / dt).round() as usize;
-    let rise = |tm: f64| drive.delta * drive.rise_envelope(tm) * (drive.omega_d * tm).sin();
-    // Evolve the projected block Y = U P; all step storage lives here and
-    // is reused across samples.
-    let mut y = frame.basis_columns();
-    let mut scratch = DMat::zeros(h.dim, 4);
-    let mut fall_y = DMat::zeros(h.dim, 4);
-    let mut phases = vec![Complex64::ZERO; stepper.nc_values.len()];
-    let mut snapshots = Vec::with_capacity(n_samples);
-    let mut t = 0.0f64;
-    for _ in 0..n_samples {
-        stepper.advance(
-            &mut t,
-            &mut y,
-            &mut scratch,
-            &mut phases,
-            steps_per_sample,
-            rise,
-        );
-        let total_t = t + if fall_steps > 0 { drive.ramp } else { 0.0 };
-        // Append the envelope fall: the pulse for THIS gate candidate ends
-        // here, ramping the drive down over `ramp` ns, phase-continuous
-        // with the shared flat-top prefix evolution.
-        if fall_steps > 0 {
-            let t_flat_end = t;
-            let fall = |tm: f64| {
-                let tau = tm - t_flat_end;
-                let env = drive.rise_envelope(drive.ramp - tau);
-                drive.delta * env * (drive.omega_d * tm).sin()
-            };
-            fall_y.copy_from(&y);
-            let mut t_local = t_flat_end;
-            stepper.advance(
-                &mut t_local,
-                &mut fall_y,
+    /// Integrates the driven evolution and samples the effective gate
+    /// every `sample_every` ns up to `t_max` ns.
+    ///
+    /// The gate is reported in the rotating frame of the dressed qubit
+    /// frequencies, so an undriven cell yields gates that stay near the
+    /// identity (up to residual ZZ).
+    pub(crate) fn sample(
+        &self,
+        drive: &DriveParams,
+        t_max: f64,
+        sample_every: f64,
+    ) -> Vec<GateSnapshot> {
+        let dt = self.dt;
+        let frame = self.frame;
+        let steps_per_sample = (sample_every / dt).round().max(1.0) as usize;
+        let n_samples = (t_max / sample_every).round() as usize;
+        let fall_steps = (drive.ramp / dt).round() as usize;
+        let rise = |tm: f64| drive.delta * drive.rise_envelope(tm) * (drive.omega_d * tm).sin();
+        // Evolve the projected block Y = U P, starting from the live rows of
+        // P with every dead row at +0; all step storage lives here and is
+        // reused across samples.
+        let p = frame.basis_rows();
+        let mut y: Block = vec![[Complex64::ZERO; 4]; frame.dim];
+        for &r in &self.live {
+            y[r] = p[r];
+        }
+        let mut scratch = y.clone();
+        let mut fall_y = y.clone();
+        let mut phases = vec![Complex64::ZERO; self.nc_values.len()];
+        let mut snapshots = Vec::with_capacity(n_samples);
+        let mut t = 0.0f64;
+        for _ in 0..n_samples {
+            self.advance(
+                &mut t,
+                &mut y,
                 &mut scratch,
                 &mut phases,
-                fall_steps,
-                fall,
+                steps_per_sample,
+                rise,
             );
-            snapshots.push(snapshot_cols(frame, &fall_y, total_t));
-        } else {
-            snapshots.push(snapshot_cols(frame, &y, total_t));
+            let total_t = t + if fall_steps > 0 { drive.ramp } else { 0.0 };
+            // Append the envelope fall: the pulse for THIS gate candidate
+            // ends here, ramping the drive down over `ramp` ns,
+            // phase-continuous with the shared flat-top prefix evolution.
+            if fall_steps > 0 {
+                let t_flat_end = t;
+                let fall = |tm: f64| {
+                    let tau = tm - t_flat_end;
+                    let env = drive.rise_envelope(drive.ramp - tau);
+                    drive.delta * env * (drive.omega_d * tm).sin()
+                };
+                fall_y.copy_from_slice(&y);
+                let mut t_local = t_flat_end;
+                self.advance(
+                    &mut t_local,
+                    &mut fall_y,
+                    &mut scratch,
+                    &mut phases,
+                    fall_steps,
+                    fall,
+                );
+                snapshots.push(snapshot_rows(frame, &fall_y, total_t));
+            } else {
+                snapshots.push(snapshot_rows(frame, &y, total_t));
+            }
         }
+        snapshots
     }
-    snapshots
 }
 
-fn snapshot_cols(frame: &DressedFrame, y: &DMat, t: f64) -> GateSnapshot {
-    let raw = frame.project_cols(y);
+fn snapshot_rows(frame: &DressedFrame, y: &[[Complex64; 4]], t: f64) -> GateSnapshot {
+    let raw = frame.project_rows(y);
     let norm2 = raw.norm() * raw.norm();
     let leakage = (1.0 - norm2 / 4.0).max(0.0);
     // Rotating frame: remove the dressed single-qubit phase evolution.
@@ -229,13 +330,121 @@ fn snapshot_cols(frame: &DressedFrame, y: &DMat, t: f64) -> GateSnapshot {
 mod tests {
     use super::*;
     use crate::params::{ghz, UnitCellParams};
-    use crate::spectrum::zero_zz_bias;
+    use crate::spectrum::{mul_rows, zero_zz_bias};
 
     fn small_setup() -> (UnitCellHamiltonian, DressedFrame, UnitCellParams) {
         let (p, _) = zero_zz_bias(&UnitCellParams::default());
         let h = UnitCellHamiltonian::new(&p);
         let f = DressedFrame::from_hamiltonian(&h);
         (h, f, p)
+    }
+
+    /// The dense integration the live-row stepper replaces: the whole
+    /// `dim x 4` block as a `DMat`, every row phase-scaled and multiplied
+    /// by [`DMat::mul_into`].
+    fn dense_sample(
+        h: &UnitCellHamiltonian,
+        f: &DressedFrame,
+        drive: &DriveParams,
+        t_max: f64,
+        sample_every: f64,
+        dt: f64,
+    ) -> Vec<GateSnapshot> {
+        let e_half = expm_i_h_t(&h.h_static, dt / 2.0);
+        let e_full = &e_half * &e_half;
+        let mut scratch = DMat::zeros(h.dim, 4);
+        let mut advance = |t: f64, u: &mut DMat, steps: usize, s_of_t: &dyn Fn(f64) -> f64| {
+            e_half.mul_into(u, &mut scratch);
+            std::mem::swap(u, &mut scratch);
+            for k in 0..steps {
+                let s = s_of_t(t + (k as f64 + 0.5) * dt);
+                for r in 0..h.dim {
+                    let nc = h.n_c[(r, r)].re;
+                    if nc != 0.0 {
+                        let phase = Complex64::cis(-s * nc * dt);
+                        for c in 0..4 {
+                            u[(r, c)] *= phase;
+                        }
+                    }
+                }
+                let op = if k + 1 < steps { &e_full } else { &e_half };
+                op.mul_into(u, &mut scratch);
+                std::mem::swap(u, &mut scratch);
+            }
+        };
+        let rows = |u: &DMat| -> Vec<[Complex64; 4]> {
+            (0..u.rows())
+                .map(|r| [0, 1, 2, 3].map(|c| u[(r, c)]))
+                .collect()
+        };
+        let steps_per_sample = (sample_every / dt).round().max(1.0) as usize;
+        let fall_steps = (drive.ramp / dt).round() as usize;
+        let rise = |tm: f64| drive.delta * drive.rise_envelope(tm) * (drive.omega_d * tm).sin();
+        let mut y = DMat::from_vec(h.dim, 4, f.basis_rows().concat());
+        let mut t = 0.0f64;
+        let mut snaps = Vec::new();
+        for _ in 0..(t_max / sample_every).round() as usize {
+            advance(t, &mut y, steps_per_sample, &rise);
+            t += steps_per_sample as f64 * dt;
+            let mut out = y.clone();
+            let total_t = if fall_steps > 0 {
+                let t_flat_end = t;
+                let fall = |tm: f64| {
+                    let env = drive.rise_envelope(drive.ramp - (tm - t_flat_end));
+                    drive.delta * env * (drive.omega_d * tm).sin()
+                };
+                advance(t, &mut out, fall_steps, &fall);
+                t + drive.ramp
+            } else {
+                t
+            };
+            snaps.push(snapshot_rows(f, &rows(&out), total_t));
+        }
+        snaps
+    }
+
+    #[test]
+    fn live_rows_reproduce_dense_stepping_bit_for_bit() {
+        // (levels per mode, live rows, nonzero entries in those rows).
+        for (levels, live, entries) in [(2, 7, 19), (3, 10, 46)] {
+            let (p, _) = zero_zz_bias(&UnitCellParams {
+                levels,
+                ..UnitCellParams::default()
+            });
+            let h = UnitCellHamiltonian::new(&p);
+            let f = DressedFrame::from_hamiltonian(&h);
+            let dt = 0.02;
+            let stepper = Stepper::new(&h, &f, dt);
+            assert_eq!(stepper.live.len(), live, "{levels} levels");
+            assert_eq!(stepper.e_half.entries.len(), entries, "{levels} levels");
+            assert_eq!(stepper.e_full.entries.len(), entries, "{levels} levels");
+            for ramp in [0.0, 1.0] {
+                let drive = DriveParams {
+                    delta: p.modulation_depth(0.04),
+                    omega_d: f.omega_b_dressed() - f.omega_a_dressed(),
+                    ramp,
+                };
+                let sparse = stepper.sample(&drive, 6.0, 1.5);
+                let dense = dense_sample(&h, &f, &drive, 6.0, 1.5, dt);
+                assert_eq!(sparse.len(), 4);
+                assert_eq!(sparse.len(), dense.len());
+                for (a, b) in sparse.iter().zip(&dense) {
+                    assert_eq!(a.t.to_bits(), b.t.to_bits());
+                    assert_eq!(a.leakage.to_bits(), b.leakage.to_bits());
+                    for r in 0..4 {
+                        for c in 0..4 {
+                            let (x, y) = (a.gate.at(r, c), b.gate.at(r, c));
+                            assert_eq!(
+                                (x.re.to_bits(), x.im.to_bits()),
+                                (y.re.to_bits(), y.im.to_bits()),
+                                "{levels} levels, ramp {ramp}, t {}, entry ({r}, {c})",
+                                a.t
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -246,7 +455,7 @@ mod tests {
             omega_d: ghz(2.0),
             ramp: 0.0,
         };
-        let snaps = evolve_and_sample(&h, &f, &drive, 10.0, 5.0, 0.02);
+        let snaps = Stepper::new(&h, &f, 0.02).sample(&drive, 10.0, 5.0);
         for s in &snaps {
             assert!(s.leakage < 1e-6, "leakage {}", s.leakage);
             assert!(
@@ -266,7 +475,7 @@ mod tests {
             omega_d: f.omega_b_dressed() - f.omega_a_dressed(),
             ramp: 1.0,
         };
-        let snaps = evolve_and_sample(&h, &f, &drive, 8.0, 2.0, 0.02);
+        let snaps = Stepper::new(&h, &f, 0.02).sample(&drive, 8.0, 2.0);
         assert_eq!(snaps.len(), 4);
         for s in &snaps {
             assert!(s.gate.is_unitary(1e-9));
@@ -286,7 +495,7 @@ mod tests {
         };
         let t_end = 2.0;
         let dt = 0.005;
-        let snaps = evolve_and_sample(&h, &f, &drive, t_end, t_end, dt);
+        let snaps = Stepper::new(&h, &f, dt).sample(&drive, t_end, t_end);
         let steps = (t_end / dt).round() as usize;
         let mut u = DMat::identity(h.dim);
         for k in 0..steps {
@@ -294,7 +503,7 @@ mod tests {
             let hm = h.at_time(drive.delta, drive.omega_d, tm);
             u = &expm_i_h_t(&hm, dt) * &u;
         }
-        let brute = snapshot_cols(&f, &(&u * &f.basis_columns()), t_end);
+        let brute = snapshot_rows(&f, &mul_rows(&u, &f.basis_rows()), t_end);
         assert!(
             snaps[0].gate.phase_distance(&brute.gate) < 1e-3,
             "splitting deviates: {}",
@@ -318,7 +527,7 @@ mod tests {
             ramp: 1.5,
         };
         let mean_leak = |d: &DriveParams| {
-            let snaps = evolve_and_sample(&h, &f, d, 16.0, 2.0, 0.01);
+            let snaps = Stepper::new(&h, &f, 0.01).sample(d, 16.0, 2.0);
             snaps.iter().map(|s| s.leakage).sum::<f64>() / snaps.len() as f64
         };
         let lr = mean_leak(&rect);
@@ -337,7 +546,7 @@ mod tests {
             omega_d: f.omega_b_dressed() - f.omega_a_dressed(),
             ramp: 1.5,
         };
-        let snaps = evolve_and_sample(&h, &f, &drive, 30.0, 1.0, 0.01);
+        let snaps = Stepper::new(&h, &f, 0.01).sample(&drive, 30.0, 1.0);
         let max_ep = snaps
             .iter()
             .map(|s| nsb_weyl::entangling_power(nsb_weyl::kak_vector(&s.gate)))

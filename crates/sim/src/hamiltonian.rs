@@ -27,8 +27,25 @@ pub(crate) struct UnitCellHamiltonian {
     levels: usize,
 }
 
-impl UnitCellHamiltonian {
-    /// Assembles the Hamiltonian pieces for the given parameters.
+/// The terms of the static Hamiltonian that do not depend on the coupler
+/// bias `omega_c`, assembled once so a bias scan adds only the coupler
+/// term per trial bias.
+#[derive(Clone, Debug)]
+pub(crate) struct CellTerms {
+    /// `H_a + H_b`.
+    qubits: DMat,
+    /// Coupler number operator `c^dag c`.
+    n_c: DMat,
+    /// `c^dag c^dag c c`, the coupler anharmonicity operator.
+    n2_c: DMat,
+    /// The three exchange couplings `ab`, `bc`, `ca`, in summation order.
+    couplings: [DMat; 3],
+    alpha_c: f64,
+    levels: usize,
+}
+
+impl CellTerms {
+    /// Assembles every term except the coupler's frequency.
     pub(crate) fn new(params: &UnitCellParams) -> Self {
         let l = params.levels;
         let a = destroy(l);
@@ -37,29 +54,56 @@ impl UnitCellHamiltonian {
         let op_a = a.kron(&ident).kron(&ident);
         let op_b = ident.kron(&a).kron(&ident);
         let op_c = ident.kron(&ident).kron(&a);
+        let number = |op: &DMat| &op.adjoint() * op;
+        let pairs = |op: &DMat| &(&op.adjoint() * &op.adjoint()) * &(op * op);
         let mode_h = |op: &DMat, omega: f64, alpha: f64| -> DMat {
-            let n = &op.adjoint() * op;
-            let n2 = &(&op.adjoint() * &op.adjoint()) * &(op * op);
-            &n.scale(Complex64::real(omega)) + &n2.scale(Complex64::real(alpha / 2.0))
+            &number(op).scale(Complex64::real(omega))
+                + &pairs(op).scale(Complex64::real(alpha / 2.0))
         };
-        let mut h = mode_h(&op_a, params.omega_a, params.alpha_a);
-        h = &h + &mode_h(&op_b, params.omega_b, params.alpha_b);
-        h = &h + &mode_h(&op_c, params.omega_c, params.alpha_c);
+        let qubits = &mode_h(&op_a, params.omega_a, params.alpha_a)
+            + &mode_h(&op_b, params.omega_b, params.alpha_b);
         let couple = |x: &DMat, y: &DMat, g: f64| -> DMat {
             let xy = &x.adjoint() * y;
             let yx = &y.adjoint() * x;
             (&xy + &yx).scale(Complex64::real(-g))
         };
-        h = &h + &couple(&op_a, &op_b, params.g_ab);
-        h = &h + &couple(&op_b, &op_c, params.g_bc);
-        h = &h + &couple(&op_c, &op_a, params.g_ca);
-        let n_c = &op_c.adjoint() * &op_c;
-        UnitCellHamiltonian {
-            h_static: h,
-            n_c,
-            dim: l * l * l,
+        CellTerms {
+            qubits,
+            n_c: number(&op_c),
+            n2_c: pairs(&op_c),
+            couplings: [
+                couple(&op_a, &op_b, params.g_ab),
+                couple(&op_b, &op_c, params.g_bc),
+                couple(&op_c, &op_a, params.g_ca),
+            ],
+            alpha_c: params.alpha_c,
             levels: l,
         }
+    }
+
+    /// The Hamiltonian with the coupler biased at `omega_c`, summed
+    /// `((H_a + H_b) + H_c) + H_g` term by term in a fixed order, so every
+    /// bias gets the bits a from-scratch assembly would.
+    pub(crate) fn at_bias(&self, omega_c: f64) -> UnitCellHamiltonian {
+        let coupler = &self.n_c.scale(Complex64::real(omega_c))
+            + &self.n2_c.scale(Complex64::real(self.alpha_c / 2.0));
+        let mut h = &self.qubits + &coupler;
+        for g in &self.couplings {
+            h = &h + g;
+        }
+        UnitCellHamiltonian {
+            h_static: h,
+            n_c: self.n_c.clone(),
+            dim: self.levels.pow(3),
+            levels: self.levels,
+        }
+    }
+}
+
+impl UnitCellHamiltonian {
+    /// Assembles the Hamiltonian pieces for the given parameters.
+    pub(crate) fn new(params: &UnitCellParams) -> Self {
+        CellTerms::new(params).at_bias(params.omega_c)
     }
 
     /// Index of the bare product state `|n_a, n_b, n_c>`.

@@ -1,9 +1,11 @@
 //! Static (drive-off) spectral analysis: dressed states, static ZZ, and
 //! the zero-ZZ coupler bias search (paper Section VIII-B, steps 1-2).
 
-use crate::hamiltonian::UnitCellHamiltonian;
+use crate::hamiltonian::{CellTerms, UnitCellHamiltonian};
 use crate::params::UnitCellParams;
-use nsb_math::{eigh, Complex64, DMat};
+#[cfg(test)]
+use nsb_math::DMat;
+use nsb_math::{eigh, Complex64};
 
 /// Dressed computational frame of a unit cell: the four eigenstates
 /// adiabatically connected to `|00>, |01>, |10>, |11>` (qubit order `a b`,
@@ -97,7 +99,7 @@ impl DressedFrame {
 
     /// Projects a full-space propagator onto the computational subspace,
     /// returning the raw (not yet unitary) 4x4 block: the tests' reference
-    /// for [`DressedFrame::project_cols`].
+    /// for [`DressedFrame::project_rows`].
     #[cfg(test)]
     pub(crate) fn project(&self, u: &DMat) -> nsb_math::Mat4 {
         let mut m = nsb_math::Mat4::zero();
@@ -114,36 +116,32 @@ impl DressedFrame {
         m
     }
 
-    /// The dressed computational basis as a `dim x 4` column matrix `P`.
+    /// The dressed computational basis `P` (`dim x 4`, one column per
+    /// dressed state), stored by rows.
     ///
     /// Evolving the block `Y = U P` directly (instead of the full `dim x
-    /// dim` propagator) cuts the per-step matmul cost by `dim / 4` while
-    /// computing the exact same projected gate `P^T U P`.
-    pub(crate) fn basis_columns(&self) -> DMat {
-        let mut p = DMat::zeros(self.dim, 4);
-        for (j, ket) in self.states.iter().enumerate() {
-            for (r, z) in ket.iter().enumerate() {
-                p[(r, j)] = *z;
-            }
-        }
-        p
+    /// dim` propagator) cuts the per-step cost by `dim / 4` while
+    /// computing the exact same projected gate `P^dagger U P`.
+    pub(crate) fn basis_rows(&self) -> Vec<[Complex64; 4]> {
+        (0..self.dim)
+            .map(|r| self.states.each_ref().map(|ket| ket[r]))
+            .collect()
     }
 
-    /// Projects an already-right-multiplied block `Y = U P` (`dim x 4`)
-    /// onto the computational subspace: returns `P^dagger Y`.
+    /// Projects an already-right-multiplied block `Y = U P` (`dim x 4`,
+    /// by rows) onto the computational subspace: returns `P^dagger Y`.
     ///
     /// # Panics
     ///
-    /// Panics when `y` is not `dim x 4`.
-    pub(crate) fn project_cols(&self, y: &DMat) -> nsb_math::Mat4 {
-        assert_eq!(y.rows(), self.dim, "block row mismatch");
-        assert_eq!(y.cols(), 4, "block must have 4 columns");
+    /// Panics when `y` does not have `dim` rows.
+    pub(crate) fn project_rows(&self, y: &[[Complex64; 4]]) -> nsb_math::Mat4 {
+        assert_eq!(y.len(), self.dim, "block row mismatch");
         let mut m = nsb_math::Mat4::zero();
         for (i, bra) in self.states.iter().enumerate() {
             for j in 0..4 {
                 let mut acc = Complex64::ZERO;
-                for (r, b) in bra.iter().enumerate() {
-                    acc += b.conj() * y[(r, j)];
+                for (b, row) in bra.iter().zip(y) {
+                    acc += b.conj() * row[j];
                 }
                 m[(i, j)] = acc;
             }
@@ -152,12 +150,27 @@ impl DressedFrame {
     }
 }
 
+/// `U Y` for a `dim x 4` block stored by rows: the tests' way to apply a
+/// full propagator to [`DressedFrame::basis_rows`].
+#[cfg(test)]
+pub(crate) fn mul_rows(u: &DMat, y: &[[Complex64; 4]]) -> Vec<[Complex64; 4]> {
+    (0..u.rows())
+        .map(|i| {
+            let mut acc = [Complex64::ZERO; 4];
+            for (k, row) in y.iter().enumerate() {
+                for (o, b) in acc.iter_mut().zip(row) {
+                    *o += u[(i, k)] * *b;
+                }
+            }
+            acc
+        })
+        .collect()
+}
+
 /// Static ZZ at a trial coupler bias (rad/ns); `NaN` when the
 /// computational subspace cannot be identified at that bias.
-pub(crate) fn static_zz_at(params: &UnitCellParams, omega_c: f64) -> f64 {
-    let p = UnitCellParams { omega_c, ..*params };
-    let h = UnitCellHamiltonian::new(&p);
-    match DressedFrame::try_from_hamiltonian(&h) {
+pub(crate) fn static_zz_at(terms: &CellTerms, omega_c: f64) -> f64 {
+    match DressedFrame::try_from_hamiltonian(&terms.at_bias(omega_c)) {
         Some(f) => f.static_zz(),
         None => f64::NAN,
     }
@@ -173,13 +186,15 @@ pub(crate) fn zero_zz_bias(params: &UnitCellParams) -> (UnitCellParams, f64) {
     let lo = params.omega_a + 0.12 * params.detuning();
     let hi = params.omega_b - 0.12 * params.detuning();
     let n = 120;
+    // Only the coupler term depends on the bias: assemble the rest once.
+    let terms = CellTerms::new(params);
     // Scan; collect all sign-change brackets. Note that ZZ flips sign both
     // at genuine zeros and at *poles* (level-crossing resonances), so each
     // bracket is bisected and judged by the residual it actually reaches.
     let mut samples: Vec<(f64, f64)> = Vec::with_capacity(n + 1);
     for k in 0..=n {
         let w = lo + (hi - lo) * k as f64 / n as f64;
-        let z = static_zz_at(params, w);
+        let z = static_zz_at(&terms, w);
         if z.is_finite() {
             samples.push((w, z));
         }
@@ -197,7 +212,7 @@ pub(crate) fn zero_zz_bias(params: &UnitCellParams) -> (UnitCellParams, f64) {
         }
         for _ in 0..48 {
             let mid = (a + b) / 2.0;
-            let zm = static_zz_at(params, mid);
+            let zm = static_zz_at(&terms, mid);
             if !zm.is_finite() {
                 break;
             }
@@ -277,15 +292,15 @@ mod tests {
                 .collect(),
         );
         let full = f.project(&u);
-        let y = &u * &f.basis_columns();
-        let block = f.project_cols(&y);
+        let y = mul_rows(&u, &f.basis_rows());
+        let block = f.project_rows(&y);
         assert!(block.approx_eq(&full, 1e-10));
     }
 
     #[test]
     fn zero_zz_bias_reduces_zz() {
         let p = UnitCellParams::default();
-        let before = static_zz_at(&p, p.omega_c).abs();
+        let before = static_zz_at(&CellTerms::new(&p), p.omega_c).abs();
         let (tuned, residual) = zero_zz_bias(&p);
         assert!(
             residual.abs() <= before + 1e-12,

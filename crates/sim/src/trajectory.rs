@@ -2,7 +2,7 @@
 //! gates produced by an entangling pulse of increasing duration, plotted as
 //! points in the Weyl chamber (paper Figures 2 and 5, Section VIII-B).
 
-use crate::evolve::{evolve_and_sample, DEFAULT_DT};
+use crate::evolve::{Stepper, DEFAULT_DT};
 use crate::hamiltonian::UnitCellHamiltonian;
 use crate::params::{DriveParams, UnitCellParams};
 use crate::spectrum::{zero_zz_bias, DressedFrame};
@@ -149,6 +149,8 @@ impl PreparedCell {
         // Scan window widens with drive strength (AC-Stark-like shifts).
         let width = 0.02 * w0.max(1.0) * (1.0 + 40.0 * xi);
         let n = config.drive_scan_points.max(1);
+        // Every probe shares the Hamiltonian and the coarse 2 dt step.
+        let stepper = Stepper::new(&self.hamiltonian, &self.frame, config.dt * 2.0);
         let mut best = (w0, -1.0f64);
         for k in 0..n {
             let w = if n == 1 {
@@ -156,7 +158,16 @@ impl PreparedCell {
             } else {
                 w0 - width + 2.0 * width * k as f64 / (n - 1) as f64
             };
-            let amp = self.swap_amplitude(delta, w, config);
+            let drive = DriveParams {
+                delta,
+                omega_d: w,
+                ramp: config.ramp,
+            };
+            let amp = stepper
+                .sample(&drive, config.drive_probe_t, config.drive_probe_t / 20.0)
+                .iter()
+                .map(|s| s.gate.at(2, 1).abs().max(s.gate.at(1, 2).abs()))
+                .fold(0.0, f64::max);
             if amp > best.1 {
                 best = (w, amp);
             }
@@ -168,36 +179,13 @@ impl PreparedCell {
         }
     }
 
-    fn swap_amplitude(&self, delta: f64, omega_d: f64, config: &TrajectoryConfig) -> f64 {
-        let drive = DriveParams {
-            delta,
-            omega_d,
-            ramp: config.ramp,
-        };
-        let snaps = evolve_and_sample(
-            &self.hamiltonian,
-            &self.frame,
-            &drive,
-            config.drive_probe_t,
-            config.drive_probe_t / 20.0,
-            config.dt * 2.0,
-        );
-        snaps
-            .iter()
-            .map(|s| s.gate.at(2, 1).abs().max(s.gate.at(1, 2).abs()))
-            .fold(0.0, f64::max)
-    }
-
     /// Simulates the Cartan trajectory at drive amplitude `xi`.
     pub fn trajectory(&self, xi: f64, config: &TrajectoryConfig) -> CartanTrajectory {
         let drive = self.calibrate_drive(xi, config);
-        let snaps = evolve_and_sample(
-            &self.hamiltonian,
-            &self.frame,
+        let snaps = Stepper::new(&self.hamiltonian, &self.frame, config.dt).sample(
             &drive,
             config.t_max,
             config.sample_every,
-            config.dt,
         );
         let points = snaps
             .into_iter()
