@@ -219,11 +219,11 @@ impl<'d> Lowerer<'d> {
                 };
                 let synth = match synthesized.entry((edge_idx, mat4_fingerprint(&target))) {
                     Entry::Occupied(hit) => hit.into_mut(),
-                    Entry::Vacant(slot) => slot.insert(basis.decomposer.decompose_cached(
-                        &target,
-                        mode_tag(self.mode),
-                        self.cache.as_ref(),
-                    )?),
+                    Entry::Vacant(slot) => slot.insert(
+                        basis
+                            .decomposer
+                            .decompose_cached(&target, self.cache.as_ref())?,
+                    ),
                 };
                 out.extend(emit(basis, synth, g0, g1));
             }
@@ -255,15 +255,6 @@ fn emit<'a>(
 
 fn local(qubit: usize, unitary: Mat2) -> LoweredOp {
     LoweredOp::Local { qubit, unitary }
-}
-
-/// Cache-namespace tag of a lowering mode, used as the `tag` of shared
-/// [`nsb_synth::SynthKey`]s so modes never share entries.
-pub(crate) fn mode_tag(mode: LoweringMode) -> u8 {
-    match mode {
-        LoweringMode::ViaCnot => 0,
-        LoweringMode::Direct => 1,
-    }
 }
 
 /// Conjugates a two-qubit unitary by SWAP (reverses the tensor order).
@@ -317,6 +308,7 @@ mod tests {
     use nsb_device::DeviceConfig;
     use nsb_synth::SynthKey;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn swap_conjugate_of_cnot_is_reversed_cnot() {
@@ -381,32 +373,31 @@ mod tests {
         assert_eq!(merged.len(), 3);
     }
 
-    /// A [`SynthCache`] that stores nothing and counts
-    /// `get_or_compute` calls.
+    /// A map-backed [`SynthCache`] that counts lookups (one per
+    /// `get_or_compute` call) and stores (one per synthesis).
     #[derive(Default)]
-    struct CountingCache(AtomicUsize);
+    struct CountingCache {
+        map: Mutex<HashMap<(SynthKey, u64), Synthesized2Q>>,
+        lookups: AtomicUsize,
+        stores: AtomicUsize,
+    }
 
     impl CountingCache {
         fn calls(&self) -> usize {
-            self.0.load(Ordering::Relaxed)
+            self.lookups.load(Ordering::Relaxed)
         }
     }
 
     impl SynthCache for CountingCache {
-        fn lookup(&self, _key: &SynthKey, _target_fp: u64) -> Option<Synthesized2Q> {
-            None
+        fn lookup(&self, key: &SynthKey, target_fp: u64) -> Option<Synthesized2Q> {
+            self.lookups.fetch_add(1, Ordering::Relaxed);
+            self.map.lock().unwrap().get(&(*key, target_fp)).cloned()
         }
 
-        fn store(&self, _key: SynthKey, _target_fp: u64, _value: &Synthesized2Q) {}
-
-        fn get_or_compute(
-            &self,
-            _key: SynthKey,
-            _target_fp: u64,
-            compute: &mut dyn FnMut() -> Result<Synthesized2Q, SynthesisFailed>,
-        ) -> Result<Synthesized2Q, SynthesisFailed> {
-            self.0.fetch_add(1, Ordering::Relaxed);
-            compute()
+        fn store(&self, key: SynthKey, target_fp: u64, value: &Synthesized2Q) {
+            self.stores.fetch_add(1, Ordering::Relaxed);
+            let mut map = self.map.lock().unwrap();
+            map.insert((key, target_fp), value.clone());
         }
     }
 
@@ -455,6 +446,27 @@ mod tests {
             .lower(&routed)
             .expect("lower");
         assert_eq!(cache.calls(), 1, "Rzz is the same target either way round");
+    }
+
+    #[test]
+    fn both_lowering_modes_share_one_synthesis() {
+        // ViaCnot expands CZ, CPhase and Rzz into CNOTs but synthesizes an
+        // iSWAP directly, as Direct does: both modes ask for one target.
+        let device = test_device();
+        let (a, b) = device.topology().edges()[0];
+        let mut routed = Circuit::new(device.topology().n_qubits());
+        routed.push(Gate::ISwap, &[a, b]);
+        let cache = Arc::new(CountingCache::default());
+        for mode in [LoweringMode::Direct, LoweringMode::ViaCnot] {
+            Lowerer::new(&device, BasisStrategy::Baseline, mode)
+                .with_shared_cache(cache.clone())
+                .lower(&routed)
+                .expect("lower");
+        }
+        assert_eq!(cache.calls(), 2, "one lookup per mode");
+        assert_eq!(cache.map.lock().unwrap().len(), 1, "one key for both");
+        let syntheses = cache.stores.load(Ordering::Relaxed);
+        assert_eq!(syntheses, 1, "the second mode hits");
     }
 
     #[test]

@@ -134,8 +134,6 @@ pub struct DeviceConfig {
     pub nonstandard_traj: TrajectoryConfig,
     /// Levels per mode in the pulse simulation (3 = full model; 2 = fast).
     pub levels: usize,
-    /// Worker threads for the per-edge builds.
-    pub threads: usize,
 }
 
 impl Default for DeviceConfig {
@@ -161,9 +159,6 @@ impl Default for DeviceConfig {
                 ..TrajectoryConfig::default()
             },
             levels: 3,
-            threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
         }
     }
 }
@@ -191,7 +186,6 @@ impl DeviceConfig {
                 ..TrajectoryConfig::default()
             },
             levels: 2,
-            threads: 2,
             max_leakage: 1.0,
             baseline_tolerance: 0.3,
             ..DeviceConfig::default()
@@ -230,8 +224,9 @@ pub struct Device {
 impl Device {
     /// Builds and calibrates a `width x height` grid device.
     ///
-    /// Edges are processed in parallel; all randomness derives from
-    /// per-edge seeds so results are independent of thread scheduling.
+    /// Edges are processed in parallel, one worker thread per available
+    /// CPU; all randomness derives from per-edge seeds, so results are
+    /// independent of the thread count and scheduling.
     ///
     /// # Errors
     ///
@@ -255,7 +250,7 @@ impl Device {
         let edge_list = topology.edges();
         let mut slots: Vec<Option<Result<EdgeCalibration, DeviceBuildError>>> =
             (0..edge_list.len()).map(|_| None).collect();
-        let threads = config.threads.max(1);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         // At least one: a grid without edges has no slots to split, and
         // `chunks_mut(0)` panics.
         let chunk = edge_list.len().div_ceil(threads).max(1);

@@ -262,17 +262,6 @@ impl Mat4 {
             .sqrt()
     }
 
-    /// Maximum absolute column sum (induced 1-norm); used by the
-    /// stack-allocated matrix exponential's scaling heuristic.
-    pub(crate) fn one_norm(&self) -> f64 {
-        let mut best = 0.0f64;
-        for c in 0..4 {
-            let s: f64 = (0..4).map(|r| self.e[r][c].abs()).sum();
-            best = best.max(s);
-        }
-        best
-    }
-
     /// Returns true when `self` is unitary within `tol`.
     pub fn is_unitary(&self, tol: f64) -> bool {
         (*self * self.adjoint() - Mat4::identity()).norm() <= tol

@@ -2,8 +2,8 @@
 //! [`nsb_synth::SynthCache`].
 //!
 //! Entries are keyed by the pair `nsb_synth::Decomposer::synth_key`
-//! derives: a `SynthKey` (quantized Weyl coordinate plus basis and mode
-//! fingerprints) and the full target fingerprint. The cache holds one
+//! derives: a `SynthKey` (quantized Weyl coordinate plus basis-gate
+//! fingerprint) and the full target fingerprint. The cache holds one
 //! entry per key and fingerprint, so a hit is bit-identical to a fresh
 //! synthesis and locally equivalent targets sit side by side. Sharding
 //! keeps lock contention low when many workers compile concurrently:
@@ -333,11 +333,10 @@ mod tests {
     use nsb_math::Mat4;
     use nsb_synth::Decomposer;
 
-    fn key(tag: u8) -> SynthKey {
+    fn key(n: u8) -> SynthKey {
         SynthKey {
-            coord: [tag as i64, 0, 0],
+            coord: [n as i64, 0, 0],
             basis_id: 1,
-            tag,
         }
     }
 
@@ -538,8 +537,8 @@ mod tests {
         let dec = Decomposer::new(Mat4::sqrt_iswap());
         let cnot = Mat4::cnot();
         let dressed = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng)) * cnot;
-        let (key, cnot_fp) = dec.synth_key(&cnot, 0);
-        let (dressed_key, dressed_fp) = dec.synth_key(&dressed, 0);
+        let (key, cnot_fp) = dec.synth_key(&cnot);
+        let (dressed_key, dressed_fp) = dec.synth_key(&dressed);
         assert_eq!(key, dressed_key, "locally equivalent targets share a key");
         assert_ne!(cnot_fp, dressed_fp);
         let cache = SharedSynthCache::new(64);

@@ -345,9 +345,10 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_job_fails_and_the_worker_goes_on() {
+    fn an_invalid_gate_fails_its_job_and_the_worker_goes_on() {
         // An Rzz with a NaN angle has no Cartan coordinate; the transpiler
-        // rejects it before any kernel sees it.
+        // rejects it with `InvalidGate` before any kernel sees it, so the
+        // job fails without a panic and the worker takes the next job.
         let mut bad = Circuit::new(2);
         bad.push(Gate::Rzz(f64::NAN), &[0, 1]);
         let service = CompileService::new(test_device(), one_worker()).expect("service");

@@ -32,13 +32,17 @@ pub(crate) const MAGIC: [u8; 8] = *b"NSBSTOR1";
 /// Version 5: the sweeps' local update takes the closed-form 2x2 polar
 /// factor and the sweep regroups its 4x4 products, so every stored
 /// synthesis changes in its last bits.
-pub const FORMAT_VERSION: u32 = 5;
+///
+/// Version 6: records drop the lowering-mode tag byte, since a synthesis
+/// depends only on the basis gate and the target. The stored values are
+/// unchanged; only the record layout moved.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Header length in bytes: magic + version + reserved + calibration hash.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
 
 /// Upper bound on one record's payload length. Real payloads are a few
-/// hundred bytes (`73 + 128 * n_locals`); anything larger means the
+/// hundred bytes (`72 + 128 * n_locals`); anything larger means the
 /// length field itself is corrupt and resynchronization is hopeless.
 pub(crate) const MAX_PAYLOAD_LEN: u32 = 1 << 20;
 
@@ -46,7 +50,7 @@ pub(crate) const MAX_PAYLOAD_LEN: u32 = 1 << 20;
 /// fingerprint, and the synthesized circuit.
 #[derive(Clone, Debug)]
 pub struct StoredEntry {
-    /// Shared synthesis-cache key (quantized coordinate, basis id, tag).
+    /// Shared synthesis-cache key (quantized coordinate, basis id).
     pub key: SynthKey,
     /// Full target fingerprint the entry was stored under.
     pub target_fp: u64,
@@ -120,12 +124,11 @@ fn push_mat2(out: &mut Vec<u8>, m: &Mat2) {
 /// Serializes one entry's record payload (without length or checksum).
 pub(crate) fn encode_payload(entry: &StoredEntry) -> Vec<u8> {
     let n_locals = entry.value.locals.len();
-    let mut out = Vec::with_capacity(73 + 128 * n_locals);
+    let mut out = Vec::with_capacity(72 + 128 * n_locals);
     for c in entry.key.coord {
         out.extend_from_slice(&c.to_le_bytes());
     }
     push_u64(&mut out, entry.key.basis_id);
-    out.push(entry.key.tag);
     push_u64(&mut out, entry.target_fp);
     out.extend_from_slice(&(entry.value.layers as u32).to_le_bytes());
     out.extend_from_slice(&(n_locals as u32).to_le_bytes());
@@ -163,10 +166,6 @@ impl<'a> Reader<'a> {
         let s = &self.bytes[self.pos..end];
         self.pos = end;
         Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|s| s[0])
     }
 
     fn u32(&mut self) -> Option<u32> {
@@ -212,7 +211,6 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Option<StoredEntry> {
     };
     let coord = [r.i64()?, r.i64()?, r.i64()?];
     let basis_id = r.u64()?;
-    let tag = r.u8()?;
     let target_fp = r.u64()?;
     let layers = r.u32()? as usize;
     let n_locals = r.u32()? as usize;
@@ -233,11 +231,7 @@ pub(crate) fn decode_payload(payload: &[u8]) -> Option<StoredEntry> {
         return None;
     }
     Some(StoredEntry {
-        key: SynthKey {
-            coord,
-            basis_id,
-            tag,
-        },
+        key: SynthKey { coord, basis_id },
         target_fp,
         value: Synthesized2Q {
             locals,
@@ -258,7 +252,7 @@ mod tests {
     fn sample_entry() -> StoredEntry {
         let dec = Decomposer::new(Mat4::sqrt_iswap());
         let value = dec.decompose(&Mat4::cnot()).expect("synthesize");
-        let (key, target_fp) = dec.synth_key(&Mat4::cnot(), 1);
+        let (key, target_fp) = dec.synth_key(&Mat4::cnot());
         StoredEntry {
             key,
             target_fp,
@@ -313,13 +307,13 @@ mod tests {
     }
 
     #[test]
-    fn header_carries_version_5_and_rejects_version_4() {
+    fn header_carries_version_6_and_rejects_version_5() {
         let h = encode_header(7);
-        assert_eq!(FORMAT_VERSION, 5);
-        assert_eq!(h[8..12], 5u32.to_le_bytes());
-        // Version-4 snapshots hold locals from sweeps that took the polar
-        // factor from the SVD and grouped their products differently.
-        for old in [1u32, 2, 3, 4] {
+        assert_eq!(FORMAT_VERSION, 6);
+        assert_eq!(h[8..12], 6u32.to_le_bytes());
+        // Version-5 records carry a lowering-mode tag byte after the basis
+        // id, so their fields would decode one byte off.
+        for old in [1u32, 2, 3, 4, 5] {
             let mut stale = h;
             stale[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
@@ -345,9 +339,28 @@ mod tests {
     fn inconsistent_local_count_is_rejected() {
         let entry = sample_entry();
         let mut payload = encode_payload(&entry);
-        // Corrupt n_locals (offset: 3*8 coord + 8 basis + 1 tag + 8 fp + 4 layers).
-        let off = 24 + 8 + 1 + 8 + 4;
+        // Corrupt n_locals (offset: 3*8 coord + 8 basis + 8 fp + 4 layers).
+        let off = 24 + 8 + 8 + 4;
         payload[off..off + 4].copy_from_slice(&77u32.to_le_bytes());
         assert!(decode_payload(&payload).is_none());
+    }
+
+    /// Pins the record layout and the sample synthesis it stores. A moved
+    /// pin means a record's bytes changed, so `FORMAT_VERSION` must move
+    /// with it.
+    #[test]
+    fn record_layout_is_pinned() {
+        let entry = sample_entry();
+        let n_locals = entry.value.locals.len();
+        assert_eq!(encode_payload(&entry).len(), 72 + 128 * n_locals);
+        let mut record = Vec::new();
+        encode_record(&mut record, &entry);
+        let mut h = StableHasher::new();
+        h.write(&record);
+        assert_eq!(
+            h.finish(),
+            0xf8d9_d6a9_1962_ea98,
+            "record bytes moved: bump FORMAT_VERSION"
+        );
     }
 }

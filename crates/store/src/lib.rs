@@ -11,7 +11,7 @@
 //! therefore keyed by a stable *calibration hash*
 //! (`Device::calibration_hash` in `nsb-device`) — one snapshot file per
 //! calibration — and each record carries the full cache key (quantized
-//! Cartan coordinate, basis-gate fingerprint, lowering tag) plus the full
+//! Cartan coordinate, basis-gate fingerprint) plus the full
 //! target fingerprint: the pair the in-memory [`nsb_synth::SynthCache`]
 //! holds one entry per. All floating-point data round
 //! trips as raw IEEE-754 bits, so a warm-started cache serves results
@@ -38,7 +38,7 @@
 //! let store = SnapshotStore::open(&dir).unwrap();
 //! let dec = Decomposer::new(Mat4::sqrt_iswap());
 //! let value = dec.decompose(&Mat4::cnot()).unwrap();
-//! let (key, target_fp) = dec.synth_key(&Mat4::cnot(), 0);
+//! let (key, target_fp) = dec.synth_key(&Mat4::cnot());
 //! store.save(1, &[StoredEntry { key, target_fp, value }]).unwrap();
 //! let outcome = store.load(1).unwrap();
 //! assert_eq!(outcome.report.loaded, 1);

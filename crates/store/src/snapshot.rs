@@ -300,12 +300,13 @@ mod tests {
     use nsb_math::Mat4;
     use nsb_synth::Decomposer;
 
-    fn sample_entries(n: u8) -> Vec<StoredEntry> {
+    fn sample_entries(n: usize) -> Vec<StoredEntry> {
         let dec = Decomposer::new(Mat4::sqrt_iswap());
-        (0..n)
-            .map(|tag| {
-                let value = dec.decompose(&Mat4::cnot()).expect("synthesize");
-                let (key, target_fp) = dec.synth_key(&Mat4::cnot(), tag);
+        [Mat4::cnot(), Mat4::swap(), Mat4::cphase(0.7)][..n]
+            .iter()
+            .map(|target| {
+                let value = dec.decompose(target).expect("synthesize");
+                let (key, target_fp) = dec.synth_key(target);
                 StoredEntry {
                     key,
                     target_fp,

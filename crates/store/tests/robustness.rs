@@ -16,10 +16,9 @@ fn entries() -> Vec<StoredEntry> {
     let targets = [Mat4::cnot(), Mat4::swap(), Mat4::cphase(0.7)];
     targets
         .iter()
-        .enumerate()
-        .map(|(i, t)| {
+        .map(|t| {
             let value = dec.decompose(t).expect("synthesize");
-            let (key, target_fp) = dec.synth_key(t, i as u8);
+            let (key, target_fp) = dec.synth_key(t);
             StoredEntry {
                 key,
                 target_fp,
@@ -35,7 +34,6 @@ fn value_bits(e: &StoredEntry) -> Vec<u64> {
         e.key.coord[1] as u64,
         e.key.coord[2] as u64,
         e.key.basis_id,
-        u64::from(e.key.tag),
         e.target_fp,
         e.value.layers as u64,
     ];

@@ -7,11 +7,13 @@
 //! job. A decomposition is identified by
 //!
 //! * the **quantized Cartan coordinate** of the target (the paper's
-//!   Weyl-chamber geometry makes this the natural equivalence key),
+//!   Weyl-chamber geometry makes this the natural equivalence key), and
 //! * a **basis id** — a fingerprint of the basis gate the decomposer
-//!   targets, and
-//! * a caller-supplied **tag** (e.g. the lowering mode), so callers with
-//!   different conventions never share entries.
+//!   targets.
+//!
+//! Nothing else enters: a synthesis is `Decomposer::decompose(target)`
+//! whichever caller asks, so a target that both lowering modes synthesize
+//! (an iSWAP, say) has one entry.
 //!
 //! Locally-equivalent targets share a Cartan coordinate but need
 //! *different* local unitaries, so every cache operation also carries the
@@ -41,7 +43,8 @@ pub(crate) const ENTRY_SCALE: f64 = 1e9;
 ///
 /// The key, with the target fingerprint, fully determines a synthesis
 /// result: the search settings are constants of [`Decomposer`], so no
-/// setting is missing from the key. Two devices with equal basis gates
+/// setting is missing from the key, and no caller context is in it.
+/// Two devices with equal basis gates, and any two lowering modes,
 /// therefore share cache entries and persisted snapshots, and a hit is
 /// bit-identical to what a fresh synthesis would produce.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -50,9 +53,6 @@ pub struct SynthKey {
     pub coord: [i64; 3],
     /// Fingerprint of the basis gate being decomposed into.
     pub basis_id: u64,
-    /// Caller context tag (e.g. lowering mode) separating cache
-    /// namespaces.
-    pub tag: u8,
 }
 
 /// Quantizes a Cartan coordinate to the cache key resolution.
@@ -205,13 +205,12 @@ impl Decomposer {
         mat4_fingerprint(self.basis())
     }
 
-    /// The identity of `target` as a synthesis target under `tag`: the
-    /// cache key and target fingerprint `decompose_cached` stores it under.
-    pub fn synth_key(&self, target: &Mat4, tag: u8) -> (SynthKey, u64) {
+    /// The identity of `target` as a synthesis target: the cache key and
+    /// target fingerprint `decompose_cached` stores it under.
+    pub fn synth_key(&self, target: &Mat4) -> (SynthKey, u64) {
         let key = SynthKey {
             coord: quantize_coord(kak_vector(target)),
             basis_id: self.basis_id(),
-            tag,
         };
         (key, mat4_fingerprint(target))
     }
@@ -229,10 +228,9 @@ impl Decomposer {
     pub fn decompose_cached(
         &self,
         target: &Mat4,
-        tag: u8,
         cache: &dyn SynthCache,
     ) -> Result<Synthesized2Q, SynthesisFailed> {
-        let (key, fp) = self.synth_key(target, tag);
+        let (key, fp) = self.synth_key(target);
         cache.get_or_compute(key, fp, &mut || self.decompose(target))
     }
 }
@@ -290,8 +288,8 @@ mod tests {
         let dec = Decomposer::new(Mat4::sqrt_iswap());
         let cache = MapCache::default();
         let uncached = dec.decompose(&Mat4::cnot()).unwrap();
-        let first = dec.decompose_cached(&Mat4::cnot(), 0, &cache).unwrap();
-        let second = dec.decompose_cached(&Mat4::cnot(), 0, &cache).unwrap();
+        let first = dec.decompose_cached(&Mat4::cnot(), &cache).unwrap();
+        let second = dec.decompose_cached(&Mat4::cnot(), &cache).unwrap();
         assert_eq!(bits(&uncached), bits(&first), "miss path differs");
         assert_eq!(bits(&uncached), bits(&second), "hit path differs");
         assert_eq!(cache.hits.load(std::sync::atomic::Ordering::Relaxed), 1);
@@ -308,12 +306,12 @@ mod tests {
         let a = Mat4::cnot();
         // Same Cartan class as CNOT, different matrix.
         let b = Mat4::kron(&haar_su2(&mut rng), &haar_su2(&mut rng)) * Mat4::cnot();
-        let (ka, fa) = dec.synth_key(&a, 0);
-        let (kb, fb) = dec.synth_key(&b, 0);
+        let (ka, fa) = dec.synth_key(&a);
+        let (kb, fb) = dec.synth_key(&b);
         assert_eq!(ka, kb, "locally equivalent targets share a key");
         assert_ne!(fa, fb, "but fingerprints must differ");
-        let sa = dec.decompose_cached(&a, 0, &cache).unwrap();
-        let sb = dec.decompose_cached(&b, 0, &cache).unwrap();
+        let sa = dec.decompose_cached(&a, &cache).unwrap();
+        let sb = dec.decompose_cached(&b, &cache).unwrap();
         // The colliding entry must NOT be served for the other target.
         assert_eq!(cache.hits.load(std::sync::atomic::Ordering::Relaxed), 0);
         assert!(sa.error < 1e-7 && sb.error < 1e-7);
@@ -324,18 +322,10 @@ mod tests {
     }
 
     #[test]
-    fn tags_separate_namespaces() {
-        let dec = Decomposer::new(Mat4::sqrt_iswap());
-        let (k0, _) = dec.synth_key(&Mat4::cnot(), 0);
-        let (k1, _) = dec.synth_key(&Mat4::cnot(), 1);
-        assert_ne!(k0, k1);
-    }
-
-    #[test]
     fn distinct_angles_get_distinct_keys() {
         let dec = Decomposer::new(Mat4::sqrt_iswap());
-        let (a, _) = dec.synth_key(&Mat4::cphase(0.5), 0);
-        let (b, _) = dec.synth_key(&Mat4::cphase(0.5 + 1e-4), 0);
+        let (a, _) = dec.synth_key(&Mat4::cphase(0.5));
+        let (b, _) = dec.synth_key(&Mat4::cphase(0.5 + 1e-4));
         assert_ne!(a, b);
     }
 
@@ -378,7 +368,7 @@ mod tests {
     #[test]
     fn no_cache_always_misses() {
         let dec = Decomposer::new(Mat4::sqrt_iswap());
-        let s = dec.decompose_cached(&Mat4::swap(), 0, &NoCache).unwrap();
+        let s = dec.decompose_cached(&Mat4::swap(), &NoCache).unwrap();
         assert_eq!(s.layers, 3);
     }
 }

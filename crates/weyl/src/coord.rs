@@ -92,14 +92,9 @@ impl WeylCoord {
     /// image inside the chamber, which also resolves the bottom-face
     /// identification `(x, y, 0) ~ (1 - x, y, 0)` toward `x <= 1/2`.
     ///
-    /// # Panics
-    ///
-    /// Panics if no image lands in the chamber, which cannot happen for
-    /// finite inputs (the chamber is a fundamental domain).
-    #[expect(
-        clippy::expect_used,
-        reason = "the Weyl-group orbit is finite and always intersects the chamber"
-    )]
+    /// Every finite input has an image in the chamber (the chamber is a
+    /// fundamental domain). A non-finite input has none and is returned
+    /// unchanged, so it stays outside the chamber.
     pub fn canonicalize(self) -> WeylCoord {
         const PERMS: [[usize; 3]; 6] = [
             [0, 1, 2],
@@ -139,7 +134,7 @@ impl WeylCoord {
                 }
             }
         }
-        best.expect("canonicalization: no chamber image found")
+        best.unwrap_or(self)
     }
 
     /// Orders coordinates lexicographically with a small tolerance so that
@@ -261,6 +256,17 @@ pub(crate) fn dist_to_segment(p: WeylCoord, a: WeylCoord, b: WeylCoord) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nsb_math::{Complex64, Mat4};
+
+    #[test]
+    fn non_finite_coordinates_canonicalize_outside_the_chamber() {
+        let mut cnot = Mat4::cnot();
+        cnot[(1, 2)] = Complex64::new(f64::NAN, 0.0);
+        let from_nan = crate::kak_vector(&cnot);
+        assert!(!from_nan.in_chamber(COORD_EPS), "{from_nan}");
+        let infinite = WeylCoord::new(f64::INFINITY, 0.2, 0.1).canonicalize();
+        assert!(!infinite.in_chamber(COORD_EPS), "{infinite}");
+    }
 
     #[test]
     fn named_points_are_canonical() {
