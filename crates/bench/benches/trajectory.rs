@@ -1,12 +1,13 @@
-//! Pulse-simulation benchmarks on the default three-level unit cell, the
-//! model every case-study edge simulates:
+//! Pulse-simulation benchmarks on the default three-level unit cell (its
+//! 10 states with at most two excitations), the model every case-study
+//! edge simulates:
 //!
 //! * `strong_drive_20ns` — a one-point drive scan plus a 20 ns Cartan
-//!   trajectory: the integrator's step loop over the live rows of the
-//!   dressed block, one sample per ns.
+//!   trajectory: the integrator's step loop over the sparse step
+//!   operators and the dressed block, one sample per ns.
 //! * `zero_zz_bias_search` — `PreparedCell::prepare`: the coupler-bias
-//!   scan and bisection (one eigendecomposition per trial bias) and the
-//!   dressed frame.
+//!   scan and bisection (one 10×10 eigendecomposition per trial bias) and
+//!   the dressed frame.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nsb_core::prelude::*;

@@ -1,7 +1,8 @@
 //! Heap-allocated dense complex matrices of arbitrary size.
 //!
-//! These back the pulse-level Hamiltonian simulator (27-dimensional Hilbert
-//! spaces) and the generic eigensolver / matrix-exponential routines.
+//! These back the pulse-level Hamiltonian simulator (the 10 unit-cell
+//! states with at most two excitations) and the generic eigensolver /
+//! matrix-exponential routines.
 
 use crate::complex::Complex64;
 use crate::mat4::Mat4;
@@ -118,26 +119,6 @@ impl DMat {
         let mut m = self.clone();
         for z in &mut m.data {
             *z *= k;
-        }
-        m
-    }
-
-    /// Kronecker product `self (x) rhs`.
-    pub fn kron(&self, rhs: &DMat) -> DMat {
-        let (ra, ca, rb, cb) = (self.rows, self.cols, rhs.rows, rhs.cols);
-        let mut m = DMat::zeros(ra * rb, ca * cb);
-        for i in 0..ra {
-            for j in 0..ca {
-                let aij = self[(i, j)];
-                if aij == Complex64::ZERO {
-                    continue;
-                }
-                for k in 0..rb {
-                    for l in 0..cb {
-                        m[(i * rb + k, j * cb + l)] = aij * rhs[(k, l)];
-                    }
-                }
-            }
         }
         m
     }
@@ -436,27 +417,6 @@ mod tests {
         let i = DMat::identity(3);
         assert!((&a * &i).approx_eq(&a, 1e-15));
         assert!((&i * &a).approx_eq(&a, 1e-15));
-    }
-
-    #[test]
-    fn kron_dimensions_and_values() {
-        let a = DMat::from_vec(
-            2,
-            2,
-            vec![
-                Complex64::real(1.0),
-                Complex64::real(2.0),
-                Complex64::real(3.0),
-                Complex64::real(4.0),
-            ],
-        );
-        let b = DMat::identity(3);
-        let k = a.kron(&b);
-        assert_eq!(k.rows(), 6);
-        assert_eq!(k[(0, 0)], Complex64::real(1.0));
-        assert_eq!(k[(3, 0)], Complex64::real(3.0));
-        assert_eq!(k[(4, 1)], Complex64::real(3.0));
-        assert_eq!(k[(5, 5)], Complex64::real(4.0));
     }
 
     #[test]

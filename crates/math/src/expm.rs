@@ -1,9 +1,9 @@
 //! Matrix exponential via Pade approximation with scaling and squaring.
 //!
 //! This follows the classic Higham degree-13 scheme used by SciPy/Expokit,
-//! restricted to the modest matrix sizes this workspace needs (the
-//! 27-dimensional transmon-coupler-transmon Hilbert space, or 8 rows for
-//! two-level test models).
+//! restricted to the modest matrix sizes this workspace needs (the 10
+//! transmon-coupler-transmon states with at most two excitations, or 7
+//! for two-level models).
 //!
 //! One heap-backed implementation serves every dimension. Its only
 //! production caller is the pulse stepper's constructor, so no `exp` runs

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `E0` is precomputed once, `D` is a diagonal phase, so each step costs a
-//! diagonal scale plus one dense matmul (the two half-steps of consecutive
+//! diagonal scale plus one matrix product (the two half-steps of consecutive
 //! steps are merged). Local error is O(dt^3).
 //!
 //! Only the projected gate `P^dagger U P` is ever observed, so the
@@ -17,22 +17,14 @@
 //! computational basis columns) instead of the full propagator, stored as
 //! rows of four columns so each row's update is one short loop.
 //!
-//! Most of that block stays exactly zero. The couplings and the drive
-//! operator `N_c` conserve total excitation number, so `E0` is
-//! block-diagonal by excitation sector and the dressed `|00>, |01>, |10>,
-//! |11>` columns live in sectors 0-2: 10 of the 27 rows at three levels
-//! per mode, 7 of 8 at two. The stepper does not assume this; it derives
-//! the *live* rows as the connected components of the step operators'
-//! nonzero pattern that contain the support of `P`, and keeps each live
-//! row's nonzero entries in increasing column order. Each step then
-//! phase-scales and multiplies only live rows, with the same operations in
-//! the same order as a dense row-by-column product that skips zero
-//! entries, so every live entry carries the same bits as the dense
-//! integration. A dead row only ever sums products with other dead rows,
-//! which start at zero, so in the dense integration it is `+0` after every
-//! product: here it is never written and stays `+0`, and the projection
-//! `P^dagger Y` is unchanged bit for bit. All step storage is preallocated
-//! and ping-ponged, so the hot loop is allocation-free.
+//! The couplings and the drive operator `N_c` conserve total excitation
+//! number, so `E0` is block-diagonal by excitation sector, and its exact
+//! zeros between sectors survive the exponential. Each step operator keeps
+//! only its nonzero entries, row by row in increasing column order (19 of
+//! 49 at two levels per mode, 46 of 100 at three), and a step multiplies
+//! with them in the order and with the zero skips of [`DMat::mul_into`],
+//! so every entry carries the dense product's bits. All step storage is
+//! preallocated and ping-ponged, so the hot loop is allocation-free.
 //!
 //! The drive uses a flat-top envelope with `sin^2` rise/fall of
 //! [`DriveParams::ramp`] ns: the rise is part of the shared prefix
@@ -65,20 +57,20 @@ pub(crate) struct GateSnapshot {
     pub(crate) leakage: f64,
 }
 
-/// One step operator restricted to the live rows: the nonzero entries
-/// `(k, E[i][k])` of each live row `i`, in increasing `k`.
-struct LiveOperator {
-    /// Entries of live row `live[j]` are `entries[starts[j]..starts[j + 1]]`.
+/// One step operator by rows: the nonzero entries `(k, E[i][k])` of each
+/// row `i`, in increasing `k`.
+struct SparseOperator {
+    /// Entries of row `i` are `entries[starts[i]..starts[i + 1]]`.
     starts: Vec<usize>,
     entries: Vec<(usize, Complex64)>,
 }
 
-impl LiveOperator {
-    fn new(op: &DMat, live: &[usize]) -> Self {
-        let mut starts = Vec::with_capacity(live.len() + 1);
+impl SparseOperator {
+    fn new(op: &DMat) -> Self {
+        let mut starts = Vec::with_capacity(op.rows() + 1);
         let mut entries = Vec::new();
         starts.push(0);
-        for &i in live {
+        for i in 0..op.rows() {
             for k in 0..op.cols() {
                 let e = op[(i, k)];
                 if e != Complex64::ZERO {
@@ -87,50 +79,23 @@ impl LiveOperator {
             }
             starts.push(entries.len());
         }
-        LiveOperator { starts, entries }
+        SparseOperator { starts, entries }
     }
 
-    /// Writes `E y` into the live rows of `out`: per row, a zero start and
-    /// one multiply-add per nonzero entry in increasing `k`, the order and
-    /// zero skips of [`DMat::mul_into`].
-    fn mul_into(&self, live: &[usize], y: &Block, out: &mut Block) {
-        for (j, &i) in live.iter().enumerate() {
+    /// Writes `E y` into `out`: per row, a zero start and one multiply-add
+    /// per nonzero entry in increasing `k`, the order and zero skips of
+    /// [`DMat::mul_into`].
+    fn mul_into(&self, y: &Block, out: &mut Block) {
+        for (row, o) in self.starts.windows(2).zip(out.iter_mut()) {
             let mut acc = [Complex64::ZERO; 4];
-            for &(k, e) in &self.entries[self.starts[j]..self.starts[j + 1]] {
-                for (o, b) in acc.iter_mut().zip(&y[k]) {
-                    *o += e * *b;
+            for &(k, e) in &self.entries[row[0]..row[1]] {
+                for (a, b) in acc.iter_mut().zip(&y[k]) {
+                    *a += e * *b;
                 }
             }
-            out[i] = acc;
+            *o = acc;
         }
     }
-}
-
-/// Rows connected to the support of `P` through the nonzero pattern of
-/// the step operators, in increasing order. Every nonzero entry of a live
-/// row has a live column, and every nonzero entry of a dead row a dead
-/// one.
-fn live_rows(frame: &DressedFrame, ops: [&DMat; 2]) -> Vec<usize> {
-    let dim = frame.dim;
-    let mut live = vec![false; dim];
-    let mut stack: Vec<usize> = (0..dim)
-        .filter(|&r| frame.states.iter().any(|ket| ket[r] != Complex64::ZERO))
-        .collect();
-    for &r in &stack {
-        live[r] = true;
-    }
-    while let Some(i) = stack.pop() {
-        for k in 0..dim {
-            let linked = ops
-                .iter()
-                .any(|op| op[(i, k)] != Complex64::ZERO || op[(k, i)] != Complex64::ZERO);
-            if linked && !live[k] {
-                live[k] = true;
-                stack.push(k);
-            }
-        }
-    }
-    (0..dim).filter(|&r| live[r]).collect()
 }
 
 /// Precomputed stepping machinery for one unit cell, its dressed frame and
@@ -139,15 +104,13 @@ fn live_rows(frame: &DressedFrame, ops: [&DMat; 2]) -> Vec<usize> {
 pub(crate) struct Stepper<'f> {
     frame: &'f DressedFrame,
     dt: f64,
-    /// The live rows, in increasing order.
-    live: Vec<usize>,
-    e_half: LiveOperator,
-    e_full: LiveOperator,
-    /// Per live row, the index into `nc_values` of its `N_c` level, or
-    /// `None` when the level is exactly zero and the phase a no-op.
+    e_half: SparseOperator,
+    e_full: SparseOperator,
+    /// Per row, the index into `nc_values` of its coupler level (`n_c -
+    /// 1`), or `None` at `n_c = 0`, where the phase is a no-op.
     phase_index: Vec<Option<usize>>,
-    /// The distinct nonzero `N_c` levels of the live rows (one per coupler
-    /// level), so per-step phases are computed once per value, not per row.
+    /// The `N_c` value of each coupler level `1, 2, ...`, so per-step
+    /// phases are computed once per level, not per row.
     nc_values: Vec<f64>,
 }
 
@@ -155,36 +118,21 @@ impl<'f> Stepper<'f> {
     pub(crate) fn new(h: &UnitCellHamiltonian, frame: &'f DressedFrame, dt: f64) -> Self {
         let e_half = expm_i_h_t(&h.h_static, dt / 2.0);
         let e_full = &e_half * &e_half;
-        let live = live_rows(frame, [&e_half, &e_full]);
-        let mut nc_values: Vec<f64> = Vec::new();
-        let mut phase_index = Vec::with_capacity(live.len());
-        for &r in &live {
-            let nc = h.n_c[(r, r)].re;
-            // A level of exactly zero (of either sign) is a no-op phase:
-            // its rows are not scaled and its phase is never computed.
-            if nc.classify() == std::num::FpCategory::Zero {
-                phase_index.push(None);
-                continue;
+        let phase_index: Vec<Option<usize>> =
+            h.states.iter().map(|s| s[2].checked_sub(1)).collect();
+        // Every row of one coupler level has the same `N_c` entry; taking
+        // it from `N_c` rather than from the level keeps its bits.
+        let mut nc_values = vec![0.0; h.states.iter().map(|s| s[2]).max().unwrap_or(0)];
+        for (r, idx) in phase_index.iter().enumerate() {
+            if let Some(idx) = *idx {
+                nc_values[idx] = h.n_c[(r, r)].re;
             }
-            #[expect(
-                clippy::float_cmp,
-                reason = "N_c diagonal entries are exact occupation numbers; exact dedup keeps trajectories bit-identical"
-            )]
-            let idx = match nc_values.iter().position(|&v| v == nc) {
-                Some(i) => i,
-                None => {
-                    nc_values.push(nc);
-                    nc_values.len() - 1
-                }
-            };
-            phase_index.push(Some(idx));
         }
         Stepper {
             frame,
             dt,
-            e_half: LiveOperator::new(&e_half, &live),
-            e_full: LiveOperator::new(&e_full, &live),
-            live,
+            e_half: SparseOperator::new(&e_half),
+            e_full: SparseOperator::new(&e_full),
             phase_index,
             nc_values,
         }
@@ -193,8 +141,8 @@ impl<'f> Stepper<'f> {
     /// Advances the block `y` in place by `steps` Strang steps starting at
     /// time `*t`, with the drive strength given by `s_of_t`.
     ///
-    /// Only live rows are read or written. The step loop allocates nothing:
-    /// products ping-pong between `y` and `scratch`.
+    /// The step loop allocates nothing: products ping-pong between `y` and
+    /// `scratch`.
     fn advance(
         &self,
         t: &mut f64,
@@ -209,7 +157,7 @@ impl<'f> Stepper<'f> {
         }
         assert_eq!(phases.len(), self.nc_values.len());
         let dt = self.dt;
-        self.e_half.mul_into(&self.live, y, scratch);
+        self.e_half.mul_into(y, scratch);
         std::mem::swap(y, scratch);
         for k in 0..steps {
             let tm = *t + (k as f64 + 0.5) * dt;
@@ -217,10 +165,10 @@ impl<'f> Stepper<'f> {
             for (slot, &v) in phases.iter_mut().zip(&self.nc_values) {
                 *slot = Complex64::cis(-s * v * dt);
             }
-            for (&r, idx) in self.live.iter().zip(&self.phase_index) {
+            for (row, idx) in y.iter_mut().zip(&self.phase_index) {
                 if let Some(idx) = *idx {
                     let phase = phases[idx];
-                    for z in &mut y[r] {
+                    for z in row {
                         *z *= phase;
                     }
                 }
@@ -230,7 +178,7 @@ impl<'f> Stepper<'f> {
             } else {
                 &self.e_half
             };
-            step_op.mul_into(&self.live, y, scratch);
+            step_op.mul_into(y, scratch);
             std::mem::swap(y, scratch);
         }
         *t += steps as f64 * dt;
@@ -254,14 +202,9 @@ impl<'f> Stepper<'f> {
         let n_samples = (t_max / sample_every).round() as usize;
         let fall_steps = (drive.ramp / dt).round() as usize;
         let rise = |tm: f64| drive.delta * drive.rise_envelope(tm) * (drive.omega_d * tm).sin();
-        // Evolve the projected block Y = U P, starting from the live rows of
-        // P with every dead row at +0; all step storage lives here and is
-        // reused across samples.
-        let p = frame.basis_rows();
-        let mut y: Block = vec![[Complex64::ZERO; 4]; frame.dim];
-        for &r in &self.live {
-            y[r] = p[r];
-        }
+        // Evolve the projected block Y = U P; all step storage lives here and
+        // is reused across samples.
+        let mut y: Block = frame.basis_rows();
         let mut scratch = y.clone();
         let mut fall_y = y.clone();
         let mut phases = vec![Complex64::ZERO; self.nc_values.len()];
@@ -329,17 +272,28 @@ fn snapshot_rows(frame: &DressedFrame, y: &[[Complex64; 4]], t: f64) -> GateSnap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hamiltonian::CellTerms;
     use crate::params::{ghz, UnitCellParams};
     use crate::spectrum::{mul_rows, zero_zz_bias};
 
-    fn small_setup() -> (UnitCellHamiltonian, DressedFrame, UnitCellParams) {
-        let (p, _) = zero_zz_bias(&UnitCellParams::default());
-        let h = UnitCellHamiltonian::new(&p);
+    /// A cell with `levels` levels per mode, assembled by `terms_of` and
+    /// biased to zero ZZ.
+    fn biased(
+        terms_of: fn(&UnitCellParams) -> CellTerms,
+        levels: usize,
+    ) -> (UnitCellHamiltonian, DressedFrame, UnitCellParams) {
+        let p = UnitCellParams {
+            levels,
+            ..UnitCellParams::default()
+        };
+        let terms = terms_of(&p);
+        let (p, _) = zero_zz_bias(&p, &terms);
+        let h = terms.at_bias(p.omega_c);
         let f = DressedFrame::from_hamiltonian(&h);
         (h, f, p)
     }
 
-    /// The dense integration the live-row stepper replaces: the whole
+    /// The dense integration the sparse stepper must reproduce: the whole
     /// `dim x 4` block as a `DMat`, every row phase-scaled and multiplied
     /// by [`DMat::mul_into`].
     fn dense_sample(
@@ -352,13 +306,14 @@ mod tests {
     ) -> Vec<GateSnapshot> {
         let e_half = expm_i_h_t(&h.h_static, dt / 2.0);
         let e_full = &e_half * &e_half;
-        let mut scratch = DMat::zeros(h.dim, 4);
+        let dim = h.dim();
+        let mut scratch = DMat::zeros(dim, 4);
         let mut advance = |t: f64, u: &mut DMat, steps: usize, s_of_t: &dyn Fn(f64) -> f64| {
             e_half.mul_into(u, &mut scratch);
             std::mem::swap(u, &mut scratch);
             for k in 0..steps {
                 let s = s_of_t(t + (k as f64 + 0.5) * dt);
-                for r in 0..h.dim {
+                for r in 0..dim {
                     let nc = h.n_c[(r, r)].re;
                     if nc != 0.0 {
                         let phase = Complex64::cis(-s * nc * dt);
@@ -380,7 +335,7 @@ mod tests {
         let steps_per_sample = (sample_every / dt).round().max(1.0) as usize;
         let fall_steps = (drive.ramp / dt).round() as usize;
         let rise = |tm: f64| drive.delta * drive.rise_envelope(tm) * (drive.omega_d * tm).sin();
-        let mut y = DMat::from_vec(h.dim, 4, f.basis_rows().concat());
+        let mut y = DMat::from_vec(dim, 4, f.basis_rows().concat());
         let mut t = 0.0f64;
         let mut snaps = Vec::new();
         for _ in 0..(t_max / sample_every).round() as usize {
@@ -404,18 +359,13 @@ mod tests {
     }
 
     #[test]
-    fn live_rows_reproduce_dense_stepping_bit_for_bit() {
-        // (levels per mode, live rows, nonzero entries in those rows).
-        for (levels, live, entries) in [(2, 7, 19), (3, 10, 46)] {
-            let (p, _) = zero_zz_bias(&UnitCellParams {
-                levels,
-                ..UnitCellParams::default()
-            });
-            let h = UnitCellHamiltonian::new(&p);
-            let f = DressedFrame::from_hamiltonian(&h);
+    fn sparse_stepper_equals_dense_mul_into_bit_for_bit() {
+        // (levels per mode, states, nonzero entries per step operator).
+        for (levels, dim, entries) in [(2, 7, 19), (3, 10, 46)] {
+            let (h, f, p) = biased(CellTerms::new, levels);
             let dt = 0.02;
             let stepper = Stepper::new(&h, &f, dt);
-            assert_eq!(stepper.live.len(), live, "{levels} levels");
+            assert_eq!(h.dim(), dim, "{levels} levels");
             assert_eq!(stepper.e_half.entries.len(), entries, "{levels} levels");
             assert_eq!(stepper.e_full.entries.len(), entries, "{levels} levels");
             for ramp in [0.0, 1.0] {
@@ -448,8 +398,47 @@ mod tests {
     }
 
     #[test]
+    fn excitation_subspace_matches_full_space() {
+        // The dressed states never leave the states with at most two
+        // excitations, so the full L^3 product space gives the same cell.
+        for levels in [2, 3] {
+            let (h, f, p) = biased(CellTerms::new, levels);
+            let (hf, ff, pf) = biased(CellTerms::full_space, levels);
+            assert_eq!(hf.dim(), levels.pow(3));
+            assert!(h.dim() < hf.dim());
+            assert!(
+                (p.omega_c - pf.omega_c).abs() < 1e-12,
+                "{levels} levels: zero-ZZ bias {} vs {}",
+                p.omega_c,
+                pf.omega_c
+            );
+            for (e, ef) in f.energies.iter().zip(&ff.energies) {
+                assert!((e - ef).abs() < 1e-12, "{levels} levels: {e} vs {ef}");
+            }
+            let drive = DriveParams {
+                delta: p.modulation_depth(0.04),
+                omega_d: f.omega_b_dressed() - f.omega_a_dressed(),
+                ramp: 1.0,
+            };
+            let sub = Stepper::new(&h, &f, 0.02).sample(&drive, 6.0, 1.5);
+            let full = Stepper::new(&hf, &ff, 0.02).sample(&drive, 6.0, 1.5);
+            assert_eq!(sub.len(), 4);
+            assert_eq!(sub.len(), full.len());
+            for (a, b) in sub.iter().zip(&full) {
+                assert!(
+                    a.gate.approx_eq(&b.gate, 1e-12),
+                    "{levels} levels, t {}: gates differ by {}",
+                    a.t,
+                    (a.gate - b.gate).norm()
+                );
+                assert!((a.leakage - b.leakage).abs() < 1e-12, "{levels} levels");
+            }
+        }
+    }
+
+    #[test]
     fn undriven_evolution_stays_near_identity() {
-        let (h, f, _p) = small_setup();
+        let (h, f, _p) = biased(CellTerms::new, 3);
         let drive = DriveParams {
             delta: 0.0,
             omega_d: ghz(2.0),
@@ -469,7 +458,7 @@ mod tests {
 
     #[test]
     fn propagator_samples_are_unitary() {
-        let (h, f, p) = small_setup();
+        let (h, f, p) = biased(CellTerms::new, 3);
         let drive = DriveParams {
             delta: p.modulation_depth(0.02),
             omega_d: f.omega_b_dressed() - f.omega_a_dressed(),
@@ -487,7 +476,7 @@ mod tests {
     fn splitting_matches_brute_force_integration() {
         // Compare against direct midpoint exponentials of the full H(t),
         // using a rectangular pulse so both paths see the same drive.
-        let (h, f, p) = small_setup();
+        let (h, f, p) = biased(CellTerms::new, 3);
         let drive = DriveParams {
             delta: p.modulation_depth(0.04),
             omega_d: f.omega_b_dressed() - f.omega_a_dressed(),
@@ -497,7 +486,7 @@ mod tests {
         let dt = 0.005;
         let snaps = Stepper::new(&h, &f, dt).sample(&drive, t_end, t_end);
         let steps = (t_end / dt).round() as usize;
-        let mut u = DMat::identity(h.dim);
+        let mut u = DMat::identity(h.dim());
         for k in 0..steps {
             let tm = (k as f64 + 0.5) * dt;
             let hm = h.at_time(drive.delta, drive.omega_d, tm);
@@ -513,7 +502,7 @@ mod tests {
 
     #[test]
     fn ramp_reduces_leakage() {
-        let (h, f, p) = small_setup();
+        let (h, f, p) = biased(CellTerms::new, 3);
         let omega_d = f.omega_b_dressed() - f.omega_a_dressed();
         let delta = p.modulation_depth(0.04);
         let rect = DriveParams {
@@ -540,7 +529,7 @@ mod tests {
 
     #[test]
     fn drive_generates_entanglement_over_time() {
-        let (h, f, p) = small_setup();
+        let (h, f, p) = biased(CellTerms::new, 3);
         let drive = DriveParams {
             delta: p.modulation_depth(0.04),
             omega_d: f.omega_b_dressed() - f.omega_a_dressed(),

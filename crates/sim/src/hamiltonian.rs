@@ -7,11 +7,22 @@
 //! H_c(t) has omega_c(t) = omega_c + delta sin(omega_d t)
 //! ```
 //!
-//! Mode ordering is `(a, b, c)` with basis index `(n_a * L + n_b) * L + n_c`
-//! for `L` levels per mode.
+//! Every term conserves the total excitation number `n_a + n_b + n_c`
+//! (the couplings trade one excitation between two modes, and the drive
+//! modulates the diagonal `c^dag c`), so the computational states `|00>,
+//! |01>, |10>, |11>` never leave the states with at most two excitations.
+//! The cell is simulated on exactly those states: every `|n_a, n_b, n_c>`
+//! with each `n < L` levels and `n_a + n_b + n_c <= 2`, in lexicographic
+//! order (10 states at three levels per mode, 7 at two). Each mode's
+//! annihilation operator is built directly on that table, and no product
+//! in the Hamiltonian passes through a state with more excitations, so
+//! every entry is the one the full `L^3` product space would give.
 
 use crate::params::UnitCellParams;
 use nsb_math::{Complex64, DMat};
+
+/// Most excitations a simulated state holds: enough for the dressed `|11>`.
+const MAX_EXCITATIONS: usize = 2;
 
 /// Pre-assembled operator pieces of the unit-cell Hamiltonian, so the
 /// time-dependent part is a cheap diagonal update.
@@ -22,9 +33,8 @@ pub(crate) struct UnitCellHamiltonian {
     /// Coupler number operator `c^dag c` (diagonal), the operator the
     /// drive modulates.
     pub(crate) n_c: DMat,
-    /// Hilbert-space dimension.
-    pub(crate) dim: usize,
-    levels: usize,
+    /// The bare state `[n_a, n_b, n_c]` of each basis index.
+    pub(crate) states: Vec<[usize; 3]>,
 }
 
 /// The terms of the static Hamiltonian that do not depend on the coupler
@@ -41,19 +51,25 @@ pub(crate) struct CellTerms {
     /// The three exchange couplings `ab`, `bc`, `ca`, in summation order.
     couplings: [DMat; 3],
     alpha_c: f64,
-    levels: usize,
+    states: Vec<[usize; 3]>,
 }
 
 impl CellTerms {
-    /// Assembles every term except the coupler's frequency.
+    /// Assembles every term except the coupler's frequency, on the states
+    /// with at most two excitations.
     pub(crate) fn new(params: &UnitCellParams) -> Self {
-        let l = params.levels;
-        let a = destroy(l);
-        let ident = DMat::identity(l);
-        // Mode embeddings: a (x) 1 (x) 1, 1 (x) b (x) 1, 1 (x) 1 (x) c.
-        let op_a = a.kron(&ident).kron(&ident);
-        let op_b = ident.kron(&a).kron(&ident);
-        let op_c = ident.kron(&ident).kron(&a);
+        CellTerms::on(params, bare_states(params.levels, MAX_EXCITATIONS))
+    }
+
+    /// The same terms on the whole `L^3` product space: the tests'
+    /// reference for the excitation-number truncation.
+    #[cfg(test)]
+    pub(crate) fn full_space(params: &UnitCellParams) -> Self {
+        CellTerms::on(params, bare_states(params.levels, usize::MAX))
+    }
+
+    fn on(params: &UnitCellParams, states: Vec<[usize; 3]>) -> Self {
+        let [op_a, op_b, op_c] = [0, 1, 2].map(|mode| annihilator(&states, mode));
         let number = |op: &DMat| &op.adjoint() * op;
         let pairs = |op: &DMat| &(&op.adjoint() * &op.adjoint()) * &(op * op);
         let mode_h = |op: &DMat, omega: f64, alpha: f64| -> DMat {
@@ -77,7 +93,7 @@ impl CellTerms {
                 couple(&op_c, &op_a, params.g_ca),
             ],
             alpha_c: params.alpha_c,
-            levels: l,
+            states,
         }
     }
 
@@ -94,26 +110,28 @@ impl CellTerms {
         UnitCellHamiltonian {
             h_static: h,
             n_c: self.n_c.clone(),
-            dim: self.levels.pow(3),
-            levels: self.levels,
+            states: self.states.clone(),
         }
     }
 }
 
 impl UnitCellHamiltonian {
     /// Assembles the Hamiltonian pieces for the given parameters.
+    #[cfg(test)]
     pub(crate) fn new(params: &UnitCellParams) -> Self {
         CellTerms::new(params).at_bias(params.omega_c)
     }
 
-    /// Index of the bare product state `|n_a, n_b, n_c>`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any occupation is out of range.
-    pub(crate) fn bare_index(&self, n_a: usize, n_b: usize, n_c: usize) -> usize {
-        assert!(n_a < self.levels && n_b < self.levels && n_c < self.levels);
-        (n_a * self.levels + n_b) * self.levels + n_c
+    /// Number of basis states.
+    pub(crate) fn dim(&self) -> usize {
+        self.states.len()
+    }
+
+    /// Index of the bare product state `|n_a, n_b, n_c>`, or `None` when
+    /// it is not simulated (an occupation of `levels` or more, or more than
+    /// two excitations).
+    pub(crate) fn bare_index(&self, n_a: usize, n_b: usize, n_c: usize) -> Option<usize> {
+        self.states.iter().position(|s| *s == [n_a, n_b, n_c])
     }
 
     /// The Hamiltonian at time `t` under a drive, `H_static + delta
@@ -126,11 +144,37 @@ impl UnitCellHamiltonian {
     }
 }
 
-/// Bosonic annihilation operator truncated to `levels` levels.
-pub(crate) fn destroy(levels: usize) -> DMat {
-    let mut m = DMat::zeros(levels, levels);
-    for n in 1..levels {
-        m[(n - 1, n)] = Complex64::real((n as f64).sqrt());
+/// Every `[n_a, n_b, n_c]` with each occupation below `levels` and at most
+/// `max_excitations` in total, in lexicographic order: the index order of
+/// the full product space, `(n_a * L + n_b) * L + n_c`, with the other
+/// states left out.
+fn bare_states(levels: usize, max_excitations: usize) -> Vec<[usize; 3]> {
+    let mut states = Vec::new();
+    for n_a in 0..levels {
+        for n_b in 0..levels {
+            for n_c in 0..levels {
+                if n_a + n_b + n_c <= max_excitations {
+                    states.push([n_a, n_b, n_c]);
+                }
+            }
+        }
+    }
+    states
+}
+
+/// The annihilation operator of `mode` on `states`: `sqrt(n)` from each
+/// state with `n` quanta in that mode to the state with one fewer.
+fn annihilator(states: &[[usize; 3]], mode: usize) -> DMat {
+    let mut m = DMat::zeros(states.len(), states.len());
+    for (j, s) in states.iter().enumerate() {
+        if s[mode] == 0 {
+            continue;
+        }
+        let mut lower = *s;
+        lower[mode] -= 1;
+        if let Some(i) = states.iter().position(|t| *t == lower) {
+            m[(i, j)] = Complex64::real((s[mode] as f64).sqrt());
+        }
     }
     m
 }
@@ -141,24 +185,11 @@ mod tests {
     use crate::params::ghz;
 
     #[test]
-    fn destroy_operator_algebra() {
-        let a = destroy(3);
-        let n = &a.adjoint() * &a;
-        // n|1> = 1|1>, n|2> = 2|2>
-        assert!((n[(1, 1)].re - 1.0).abs() < 1e-15);
-        assert!((n[(2, 2)].re - 2.0).abs() < 1e-15);
-        // [a, a^dag] = 1 on the non-truncated block.
-        let comm = &(&a * &a.adjoint()) - &(&a.adjoint() * &a);
-        assert!((comm[(0, 0)].re - 1.0).abs() < 1e-15);
-        assert!((comm[(1, 1)].re - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn hamiltonian_is_hermitian() {
         let p = UnitCellParams::default();
         let h = UnitCellHamiltonian::new(&p);
         assert!(h.h_static.is_hermitian(1e-9));
-        assert_eq!(h.h_static.rows(), 27);
+        assert_eq!(h.h_static.rows(), 10);
         assert!(h.at_time(ghz(0.05), ghz(2.0), 0.37).is_hermitian(1e-9));
     }
 
@@ -166,13 +197,13 @@ mod tests {
     fn bare_energies_roughly_match_diagonal() {
         let p = UnitCellParams::default();
         let h = UnitCellHamiltonian::new(&p);
-        let i100 = h.bare_index(1, 0, 0);
+        let i100 = h.bare_index(1, 0, 0).unwrap();
         let e = h.h_static[(i100, i100)].re;
         assert!((e - p.omega_a).abs() < 1e-9);
-        let i010 = h.bare_index(0, 1, 0);
+        let i010 = h.bare_index(0, 1, 0).unwrap();
         assert!((h.h_static[(i010, i010)].re - p.omega_b).abs() < 1e-9);
         // Second excited state of a picks up the anharmonicity.
-        let i200 = h.bare_index(2, 0, 0);
+        let i200 = h.bare_index(2, 0, 0).unwrap();
         assert!((h.h_static[(i200, i200)].re - (2.0 * p.omega_a + p.alpha_a)).abs() < 1e-9);
     }
 
@@ -183,7 +214,7 @@ mod tests {
             ..UnitCellParams::default()
         };
         let h = UnitCellHamiltonian::new(&p);
-        assert_eq!(h.dim, 8);
+        assert_eq!(h.dim(), 7);
         assert!(h.h_static.is_hermitian(1e-9));
     }
 }

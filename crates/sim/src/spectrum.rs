@@ -36,15 +36,16 @@ impl DressedFrame {
 
     /// Fallible variant of [`DressedFrame::from_hamiltonian`]: returns
     /// `None` when some computational state has less than 50% overlap with
-    /// every remaining eigenvector (e.g. coupler resonant with a qubit).
+    /// every remaining eigenvector (e.g. coupler resonant with a qubit), or
+    /// is not simulated at all (one level per mode).
     pub(crate) fn try_from_hamiltonian(h: &UnitCellHamiltonian) -> Option<Self> {
         let e = eigh(&h.h_static);
-        let dim = h.dim;
+        let dim = h.dim();
         let bare = [
-            h.bare_index(0, 0, 0),
-            h.bare_index(0, 1, 0),
-            h.bare_index(1, 0, 0),
-            h.bare_index(1, 1, 0),
+            h.bare_index(0, 0, 0)?,
+            h.bare_index(0, 1, 0)?,
+            h.bare_index(1, 0, 0)?,
+            h.bare_index(1, 1, 0)?,
         ];
         let mut used = vec![false; dim];
         let mut states: [Vec<Complex64>; 4] = Default::default();
@@ -181,20 +182,21 @@ pub(crate) fn static_zz_at(terms: &CellTerms, omega_c: f64) -> f64 {
 /// sign change; falls back to the scan minimum of `|zeta|` when no crossing
 /// exists in the window.
 ///
+/// `terms` are the cell's bias-independent terms, assembled once, so each
+/// trial bias adds only the coupler term.
+///
 /// Returns the biased parameters and the residual ZZ there.
-pub(crate) fn zero_zz_bias(params: &UnitCellParams) -> (UnitCellParams, f64) {
+pub(crate) fn zero_zz_bias(params: &UnitCellParams, terms: &CellTerms) -> (UnitCellParams, f64) {
     let lo = params.omega_a + 0.12 * params.detuning();
     let hi = params.omega_b - 0.12 * params.detuning();
     let n = 120;
-    // Only the coupler term depends on the bias: assemble the rest once.
-    let terms = CellTerms::new(params);
     // Scan; collect all sign-change brackets. Note that ZZ flips sign both
     // at genuine zeros and at *poles* (level-crossing resonances), so each
     // bracket is bisected and judged by the residual it actually reaches.
     let mut samples: Vec<(f64, f64)> = Vec::with_capacity(n + 1);
     for k in 0..=n {
         let w = lo + (hi - lo) * k as f64 / n as f64;
-        let z = static_zz_at(&terms, w);
+        let z = static_zz_at(terms, w);
         if z.is_finite() {
             samples.push((w, z));
         }
@@ -212,7 +214,7 @@ pub(crate) fn zero_zz_bias(params: &UnitCellParams) -> (UnitCellParams, f64) {
         }
         for _ in 0..48 {
             let mid = (a + b) / 2.0;
-            let zm = static_zz_at(&terms, mid);
+            let zm = static_zz_at(terms, mid);
             if !zm.is_finite() {
                 break;
             }
@@ -274,7 +276,7 @@ mod tests {
         let p = UnitCellParams::default();
         let h = UnitCellHamiltonian::new(&p);
         let f = DressedFrame::from_hamiltonian(&h);
-        let m = f.project(&DMat::identity(h.dim));
+        let m = f.project(&DMat::identity(h.dim()));
         assert!(m.approx_eq(&nsb_math::Mat4::identity(), 1e-10));
     }
 
@@ -285,9 +287,9 @@ mod tests {
         let f = DressedFrame::from_hamiltonian(&h);
         // A dense non-unitary test operator with deterministic entries.
         let u = DMat::from_vec(
-            h.dim,
-            h.dim,
-            (0..h.dim * h.dim)
+            h.dim(),
+            h.dim(),
+            (0..h.dim() * h.dim())
                 .map(|k| Complex64::new((k as f64 * 0.13).sin(), (k as f64 * 0.07).cos()))
                 .collect(),
         );
@@ -300,8 +302,9 @@ mod tests {
     #[test]
     fn zero_zz_bias_reduces_zz() {
         let p = UnitCellParams::default();
-        let before = static_zz_at(&CellTerms::new(&p), p.omega_c).abs();
-        let (tuned, residual) = zero_zz_bias(&p);
+        let terms = CellTerms::new(&p);
+        let before = static_zz_at(&terms, p.omega_c).abs();
+        let (tuned, residual) = zero_zz_bias(&p, &terms);
         assert!(
             residual.abs() <= before + 1e-12,
             "residual {residual} vs before {before}"

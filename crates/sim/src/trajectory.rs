@@ -3,7 +3,7 @@
 //! points in the Weyl chamber (paper Figures 2 and 5, Section VIII-B).
 
 use crate::evolve::{Stepper, DEFAULT_DT};
-use crate::hamiltonian::UnitCellHamiltonian;
+use crate::hamiltonian::{CellTerms, UnitCellHamiltonian};
 use crate::params::{DriveParams, UnitCellParams};
 use crate::spectrum::{zero_zz_bias, DressedFrame};
 use nsb_math::Mat4;
@@ -123,8 +123,9 @@ impl PreparedCell {
     /// the biased cell's dressed frame is ambiguous (some computational
     /// state overlaps every remaining eigenvector by less than 50%).
     pub fn try_prepare(params: &UnitCellParams) -> Option<Self> {
-        let (biased, residual_zz) = zero_zz_bias(params);
-        let hamiltonian = UnitCellHamiltonian::new(&biased);
+        let terms = CellTerms::new(params);
+        let (biased, residual_zz) = zero_zz_bias(params, &terms);
+        let hamiltonian = terms.at_bias(biased.omega_c);
         let frame = DressedFrame::try_from_hamiltonian(&hamiltonian)?;
         Some(PreparedCell {
             params: biased,

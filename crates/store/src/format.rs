@@ -36,7 +36,13 @@ pub(crate) const MAGIC: [u8; 8] = *b"NSBSTOR1";
 /// Version 6: records drop the lowering-mode tag byte, since a synthesis
 /// depends only on the basis gate and the target. The stored values are
 /// unchanged; only the record layout moved.
-pub const FORMAT_VERSION: u32 = 6;
+///
+/// Version 7: device bring-up simulates each unit cell on its states with
+/// at most two excitations, which moves some calibrated basis gates in
+/// their last bits. The calibration hash quantizes gates, so it does not
+/// see that move; the version keeps syntheses of the old gate bits from
+/// being served.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Header length in bytes: magic + version + reserved + calibration hash.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
@@ -307,13 +313,15 @@ mod tests {
     }
 
     #[test]
-    fn header_carries_version_6_and_rejects_version_5() {
+    fn header_carries_version_7_and_rejects_version_6() {
         let h = encode_header(7);
-        assert_eq!(FORMAT_VERSION, 6);
-        assert_eq!(h[8..12], 6u32.to_le_bytes());
-        // Version-5 records carry a lowering-mode tag byte after the basis
-        // id, so their fields would decode one byte off.
-        for old in [1u32, 2, 3, 4, 5] {
+        assert_eq!(FORMAT_VERSION, 7);
+        assert_eq!(h[8..12], 7u32.to_le_bytes());
+        // Version-6 records hold syntheses of basis gates that bring-up
+        // may now produce with different last bits under the same
+        // calibration hash; version-5 records also carry a lowering-mode
+        // tag byte, so their fields would decode one byte off.
+        for old in [1u32, 2, 3, 4, 5, 6] {
             let mut stale = h;
             stale[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
