@@ -66,7 +66,7 @@ fn main() {
             fmt(row.results[2].fidelity, p.map(|x| x.3)),
         );
         total += 1;
-        if row.results[2].fidelity >= row.results[1].fidelity - 0.02
+        if row.results[2].fidelity >= row.results[1].fidelity
             && row.results[1].fidelity > row.results[0].fidelity
         {
             ordered_ok += 1;

@@ -1,8 +1,8 @@
 //! Heap-allocated dense complex matrices of arbitrary size.
 //!
 //! These back the pulse-level Hamiltonian simulator (the 10 unit-cell
-//! states with at most two excitations) and the generic eigensolver /
-//! matrix-exponential routines.
+//! states with at most two excitations) and the Hermitian eigensolver with
+//! the matrix functions built on it.
 
 use crate::complex::Complex64;
 use crate::mat4::Mat4;
@@ -128,17 +128,6 @@ impl DMat {
         self.data.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
     }
 
-    /// Maximum absolute column sum (induced 1-norm); used by the matrix
-    /// exponential's scaling heuristic.
-    pub(crate) fn one_norm(&self) -> f64 {
-        let mut best = 0.0f64;
-        for c in 0..self.cols {
-            let s: f64 = (0..self.rows).map(|r| self[(r, c)].abs()).sum();
-            best = best.max(s);
-        }
-        best
-    }
-
     /// Returns true when the matrix is Hermitian within `tol`.
     pub fn is_hermitian(&self, tol: f64) -> bool {
         if self.rows != self.cols {
@@ -222,78 +211,6 @@ impl DMat {
         }
     }
 
-    /// Solves `self * X = B` by Gaussian elimination with partial pivoting.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SingularMatrix`] when a pivot underflows.
-    ///
-    /// # Panics
-    ///
-    /// Panics when shapes are incompatible.
-    pub(crate) fn solve(&self, b: &DMat) -> Result<DMat, SingularMatrix> {
-        assert_eq!(self.rows, self.cols, "solve requires a square matrix");
-        assert_eq!(self.rows, b.rows, "rhs row mismatch");
-        let n = self.rows;
-        let m = b.cols;
-        let mut a = self.clone();
-        let mut x = b.clone();
-        for col in 0..n {
-            // Partial pivot.
-            let mut piv = col;
-            let mut best = a[(col, col)].abs();
-            for r in (col + 1)..n {
-                let v = a[(r, col)].abs();
-                if v > best {
-                    best = v;
-                    piv = r;
-                }
-            }
-            if best < 1e-300 {
-                return Err(SingularMatrix);
-            }
-            if piv != col {
-                for c in 0..n {
-                    let t = a[(col, c)];
-                    a[(col, c)] = a[(piv, c)];
-                    a[(piv, c)] = t;
-                }
-                for c in 0..m {
-                    let t = x[(col, c)];
-                    x[(col, c)] = x[(piv, c)];
-                    x[(piv, c)] = t;
-                }
-            }
-            let inv = a[(col, col)].inv();
-            for r in (col + 1)..n {
-                let f = a[(r, col)] * inv;
-                if f == Complex64::ZERO {
-                    continue;
-                }
-                for c in col..n {
-                    let v = a[(col, c)];
-                    a[(r, c)] -= f * v;
-                }
-                for c in 0..m {
-                    let v = x[(col, c)];
-                    x[(r, c)] -= f * v;
-                }
-            }
-        }
-        // Back substitution.
-        for col in (0..n).rev() {
-            let inv = a[(col, col)].inv();
-            for c in 0..m {
-                let mut acc = x[(col, c)];
-                for k in (col + 1)..n {
-                    acc -= a[(col, k)] * x[(k, c)];
-                }
-                x[(col, c)] = acc * inv;
-            }
-        }
-        Ok(x)
-    }
-
     /// Extracts a 4x4 [`Mat4`] from the top-left corner or a full 4x4.
     ///
     /// # Panics
@@ -321,18 +238,6 @@ impl DMat {
         d
     }
 }
-
-/// Error returned by [`DMat::solve`] when the system is singular.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct SingularMatrix;
-
-impl fmt::Display for SingularMatrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "matrix is singular to working precision")
-    }
-}
-
-impl std::error::Error for SingularMatrix {}
 
 impl Index<(usize, usize)> for DMat {
     type Output = Complex64;
@@ -417,29 +322,6 @@ mod tests {
         let i = DMat::identity(3);
         assert!((&a * &i).approx_eq(&a, 1e-15));
         assert!((&i * &a).approx_eq(&a, 1e-15));
-    }
-
-    #[test]
-    fn solve_round_trip() {
-        let n = 5;
-        let mut a = DMat::zeros(n, n);
-        // Deterministic well-conditioned matrix.
-        for r in 0..n {
-            for c in 0..n {
-                let v = ((r * 7 + c * 3) % 11) as f64 / 11.0;
-                a[(r, c)] = Complex64::new(v, ((r + 2 * c) % 5) as f64 / 7.0);
-            }
-            a[(r, r)] += Complex64::real(3.0);
-        }
-        let b = DMat::identity(n);
-        let x = a.solve(&b).unwrap();
-        assert!((&a * &x).approx_eq(&DMat::identity(n), 1e-10));
-    }
-
-    #[test]
-    fn solve_singular_reports_error() {
-        let a = DMat::zeros(3, 3);
-        assert_eq!(a.solve(&DMat::identity(3)), Err(SingularMatrix));
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Eigendecomposition of complex Hermitian matrices via the cyclic Jacobi
-//! method with complex plane rotations.
+//! method with complex plane rotations, and the functions of a Hermitian
+//! matrix built on it.
 //!
 //! Sizes in this workspace are small (dimension <= 64), where Jacobi is both
 //! simple and numerically excellent (eigenvectors orthogonal to machine
-//! precision).
+//! precision). Every function of a Hermitian matrix the workspace needs —
+//! the time-evolution operator [`expm_i_h_t`], the polar factor and the
+//! dressed frame — is `V f(D) V^dagger` over this one eigensolver. For a
+//! Hermitian generator that is exact up to rounding and well conditioned,
+//! because the eigenvectors are orthonormal.
 
 use crate::complex::Complex64;
 use crate::dmat::DMat;
@@ -33,8 +38,11 @@ impl HermitianEig {
 
     /// Applies `f` to the eigenvalues and reassembles `V f(D) V^dagger`.
     ///
-    /// This is how the workspace computes functions of Hermitian matrices,
-    /// e.g. `exp(-i H t)` or `H^{-1/2}`.
+    /// This is the workspace's one way to compute a function of a
+    /// Hermitian matrix: `exp(-i H t)` ([`expm_i_h_t`]) and `H^{-1/2}`
+    /// (the polar factor) both go through it. An entry between two
+    /// invariant blocks of the matrix comes out exactly `0.0`, since every
+    /// eigenvector lives in one block.
     pub(crate) fn map(&self, mut f: impl FnMut(f64) -> Complex64) -> DMat {
         let d = DMat::from_diag(&self.values.iter().map(|&v| f(v)).collect::<Vec<_>>());
         &(&self.vectors * &d) * &self.vectors.adjoint()
@@ -155,6 +163,25 @@ pub fn eigh(a: &DMat) -> HermitianEig {
     HermitianEig { values, vectors }
 }
 
+/// Computes `exp(-i h t)` for a Hermitian generator `h`, the time-evolution
+/// operator of the pulse simulator, as `V diag(e^{-i λ t}) V^dagger` over
+/// [`eigh`]. The result is unitary up to rounding.
+///
+/// # Panics
+///
+/// Panics when `h` is not square or not Hermitian, like [`eigh`].
+///
+/// # Examples
+///
+/// ```
+/// use nsb_math::{expm_i_h_t, DMat};
+/// let u = expm_i_h_t(&DMat::zeros(3, 3), 1.0);
+/// assert!((&u - &DMat::identity(3)).norm() < 1e-14);
+/// ```
+pub fn expm_i_h_t(h: &DMat, t: f64) -> DMat {
+    eigh(h).map(|lam| Complex64::cis(-lam * t))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,6 +253,108 @@ mod tests {
         let t = 0.37;
         let u = e.map(|lam| Complex64::cis(-lam * t));
         assert!(u.is_unitary(1e-10));
+    }
+
+    /// `exp(-i h t)` from its Taylor series, sharing nothing with [`eigh`]:
+    /// scale `-i h t` to Frobenius norm at most 1/2, sum 40 terms of the
+    /// series (the last is below `2^-39 / 39!`), then square back.
+    fn taylor_expm_i_h_t(h: &DMat, t: f64) -> DMat {
+        let g = h.scale(Complex64::new(0.0, -t));
+        let squarings = (g.norm() / 0.5).log2().ceil().max(0.0) as i32;
+        let a = g.scale(Complex64::real(0.5f64.powi(squarings)));
+        let n = h.rows();
+        let mut sum = DMat::identity(n);
+        let mut term = DMat::identity(n);
+        for k in 1..40 {
+            term = (&term * &a).scale(Complex64::real(1.0 / k as f64));
+            sum = &sum + &term;
+        }
+        for _ in 0..squarings {
+            sum = &sum * &sum;
+        }
+        sum
+    }
+
+    #[test]
+    fn exponential_matches_taylor_series() {
+        let h = test_matrix(10);
+        for t in [0.05, 0.77, 2.3] {
+            let u = expm_i_h_t(&h, t);
+            let reference = taylor_expm_i_h_t(&h, t);
+            let err = (&u - &reference).norm();
+            assert!(err < 1e-12, "t = {t}: {err:e}");
+        }
+    }
+
+    #[test]
+    fn exponential_is_unitary() {
+        let h = test_matrix(5).scale(Complex64::real(3.0));
+        assert!(expm_i_h_t(&h, 0.77).is_unitary(1e-11));
+    }
+
+    #[test]
+    fn pauli_exponential_has_closed_form() {
+        // exp(-i theta n.sigma) = cos(theta) I - i sin(theta) n.sigma.
+        let (nx, ny, nz) = (1.0 / 3.0, 2.0 / 3.0, -2.0 / 3.0);
+        let n_sigma = DMat::from_vec(
+            2,
+            2,
+            vec![
+                Complex64::real(nz),
+                Complex64::new(nx, -ny),
+                Complex64::new(nx, ny),
+                Complex64::real(-nz),
+            ],
+        );
+        for theta in [0.3, 1.9, -4.2] {
+            let u = expm_i_h_t(&n_sigma, theta);
+            let closed = &DMat::identity(2).scale(Complex64::real(theta.cos()))
+                + &n_sigma.scale(Complex64::imag(-theta.sin()));
+            assert!(u.approx_eq(&closed, 1e-14), "theta = {theta}");
+        }
+    }
+
+    #[test]
+    fn exponentials_compose() {
+        // U(s) U(t) = U(s + t), on a dense generator and on a large-norm
+        // diagonal one, whose exponential is also known exactly.
+        let large = DMat::from_diag(&[Complex64::real(40.0), Complex64::real(-35.0)]);
+        for h in [&test_matrix(6), &large] {
+            let (s, t) = (0.4, 0.9);
+            let product = &expm_i_h_t(h, s) * &expm_i_h_t(h, t);
+            assert!(product.approx_eq(&expm_i_h_t(h, s + t), 1e-13));
+        }
+        let u = expm_i_h_t(&large, 1.0);
+        assert!((u[(0, 0)] - Complex64::cis(-40.0)).abs() < 1e-14);
+        assert!((u[(1, 1)] - Complex64::cis(35.0)).abs() < 1e-14);
+    }
+
+    #[test]
+    fn block_diagonal_generator_keeps_exact_zeros() {
+        // Blocks {0, 3}, {1} and {2, 4, 5}, interleaved like the pulse
+        // simulator's excitation sectors; the stepper stores only nonzero
+        // entries, so a cross-block entry must be exactly zero.
+        let block = [0, 1, 2, 0, 2, 2];
+        let dense = test_matrix(6);
+        let mut h = DMat::zeros(6, 6);
+        for r in 0..6 {
+            for c in 0..6 {
+                if block[r] == block[c] {
+                    h[(r, c)] = dense[(r, c)];
+                }
+            }
+        }
+        let u = expm_i_h_t(&h, 1.7);
+        assert!(u.is_unitary(1e-12));
+        for r in 0..6 {
+            for c in 0..6 {
+                if block[r] != block[c] {
+                    assert_eq!(u[(r, c)], Complex64::ZERO, "entry ({r}, {c})");
+                } else {
+                    assert!(u[(r, c)] != Complex64::ZERO, "entry ({r}, {c})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //!
 //! The crate deliberately implements everything from scratch — complex
 //! scalars, fixed-size 2x2/4x4 matrices, heap matrices, a Hermitian Jacobi
-//! eigensolver, a Pade matrix exponential, small SVDs and polar projections,
-//! and Haar-random sampling — so that the rest of the workspace has no
+//! eigensolver and the matrix functions built on it (the exponential
+//! `exp(-i H t)`), small SVDs and polar projections, and Haar-random
+//! sampling — so that the rest of the workspace has no
 //! external numerical dependencies.
 //!
 //! ## Quick tour
@@ -40,7 +41,6 @@
 mod complex;
 mod dmat;
 mod eig;
-mod expm;
 mod mat2;
 mod mat4;
 mod random;
@@ -48,8 +48,7 @@ mod svd;
 
 pub use complex::Complex64;
 pub use dmat::DMat;
-pub use eig::{eigh, HermitianEig};
-pub use expm::expm_i_h_t;
+pub use eig::{eigh, expm_i_h_t, HermitianEig};
 pub use mat2::Mat2;
 pub use mat4::Mat4;
 pub use random::{complex_normal, haar_su2, haar_u4, standard_normal};

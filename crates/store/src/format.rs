@@ -42,7 +42,14 @@ pub(crate) const MAGIC: [u8; 8] = *b"NSBSTOR1";
 /// their last bits. The calibration hash quantizes gates, so it does not
 /// see that move; the version keeps syntheses of the old gate bits from
 /// being served.
-pub const FORMAT_VERSION: u32 = 7;
+///
+/// Version 8: bring-up computes the unit cell's time-evolution operator
+/// from the Hermitian eigendecomposition instead of a Pade exponential,
+/// which moves calibrated basis gates by up to about 1e-11. The
+/// three-level default device keeps its calibration hash while its gates
+/// move, so the version keeps syntheses of the old gate bits from being
+/// served.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Header length in bytes: magic + version + reserved + calibration hash.
 pub const HEADER_LEN: usize = 8 + 4 + 4 + 8;
@@ -313,21 +320,33 @@ mod tests {
     }
 
     #[test]
-    fn header_carries_version_7_and_rejects_version_6() {
+    fn header_carries_version_8_and_rejects_version_7() {
         let h = encode_header(7);
-        assert_eq!(FORMAT_VERSION, 7);
-        assert_eq!(h[8..12], 7u32.to_le_bytes());
-        // Version-6 records hold syntheses of basis gates that bring-up
-        // may now produce with different last bits under the same
-        // calibration hash; version-5 records also carry a lowering-mode
-        // tag byte, so their fields would decode one byte off.
-        for old in [1u32, 2, 3, 4, 5, 6] {
+        assert_eq!(FORMAT_VERSION, 8);
+        assert_eq!(h[8..12], 8u32.to_le_bytes());
+        // Version-7 and version-6 records hold syntheses of basis gates
+        // that bring-up may now produce with different last bits under the
+        // same calibration hash; version-5 records also carry a
+        // lowering-mode tag byte, so their fields would decode one byte
+        // off.
+        for old in 1u32..=7 {
             let mut stale = h;
             stale[8..12].copy_from_slice(&old.to_le_bytes());
             assert_eq!(
                 decode_header(&stale),
                 Err(HeaderError::UnsupportedVersion(old))
             );
+        }
+    }
+
+    #[test]
+    fn readme_states_the_current_version() {
+        let readme = include_str!("../README.md");
+        for needle in [
+            format!("## Binary format (version {FORMAT_VERSION})"),
+            format!("currently `{FORMAT_VERSION}`"),
+        ] {
+            assert!(readme.contains(&needle), "README lacks {needle:?}");
         }
     }
 
