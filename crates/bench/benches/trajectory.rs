@@ -13,7 +13,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nsb_core::prelude::*;
 
 fn bench_trajectory(c: &mut Criterion) {
-    let cell = PreparedCell::prepare(&UnitCellParams::default());
+    let cell = PreparedCell::prepare(&UnitCellParams::default())
+        .expect("default cell has a dressed frame");
     let mut group = c.benchmark_group("sim/trajectory");
     group.sample_size(10);
     group.bench_function("strong_drive_20ns", |b| {
@@ -25,7 +26,10 @@ fn bench_trajectory(c: &mut Criterion) {
         b.iter(|| cell.trajectory(0.04, &cfg))
     });
     group.bench_function("zero_zz_bias_search", |b| {
-        b.iter(|| PreparedCell::prepare(&UnitCellParams::default()))
+        b.iter(|| {
+            PreparedCell::prepare(&UnitCellParams::default())
+                .expect("default cell has a dressed frame")
+        })
     });
     group.finish();
 }

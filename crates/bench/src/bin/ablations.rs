@@ -20,7 +20,8 @@ use nsb_weyl::entangling_power;
 fn main() {
     // 1. Selection criteria on one strong-drive trajectory.
     println!("== Selection criteria on one strong-drive trajectory ==");
-    let cell = PreparedCell::prepare(&UnitCellParams::default());
+    let cell = PreparedCell::prepare(&UnitCellParams::default())
+        .expect("default cell has a dressed frame");
     let cfg = TrajectoryConfig {
         t_max: 35.0,
         ..TrajectoryConfig::default()

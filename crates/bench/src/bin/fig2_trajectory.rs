@@ -14,7 +14,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.04f64);
     println!("simulating the case-study unit cell at xi = {xi} Phi_0\n");
-    let cell = PreparedCell::prepare(&UnitCellParams::default());
+    let cell = PreparedCell::prepare(&UnitCellParams::default())
+        .expect("default cell has a dressed frame");
     println!(
         "zero-ZZ coupler bias: {:.4} GHz (residual ZZ {:.2e} rad/ns)",
         cell.params.omega_c / (2.0 * std::f64::consts::PI),

@@ -9,7 +9,8 @@ use nsb_core::prelude::*;
 use nsb_sim::trajectory_speed;
 
 fn main() {
-    let cell = PreparedCell::prepare(&UnitCellParams::default());
+    let cell = PreparedCell::prepare(&UnitCellParams::default())
+        .expect("default cell has a dressed frame");
     let mut speeds = Vec::new();
     for (xi, t_max) in [(0.005f64, 120.0f64), (0.01, 60.0)] {
         let cfg = TrajectoryConfig {

@@ -248,54 +248,44 @@ impl Device {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let frequencies = FrequencyAllocation::sample(&topology, &config.plan, &mut rng);
         let edge_list = topology.edges();
-        let mut slots: Vec<Option<Result<EdgeCalibration, DeviceBuildError>>> =
-            (0..edge_list.len()).map(|_| None).collect();
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // At least one: a grid without edges has no slots to split, and
-        // `chunks_mut(0)` panics.
+        // At least one: a grid without edges has nothing to split, and
+        // `step_by(0)` panics.
         let chunk = edge_list.len().div_ceil(threads).max(1);
-        std::thread::scope(|scope| {
-            for (tid, slot_chunk) in slots.chunks_mut(chunk).enumerate() {
-                let edge_list = &edge_list;
-                let frequencies = &frequencies;
-                let config = &config;
-                scope.spawn(move || {
-                    for (k, slot) in slot_chunk.iter_mut().enumerate() {
-                        let idx = tid * chunk + k;
-                        let (a, b) = edge_list[idx];
-                        // Retry with extended trajectory windows: slow
-                        // outlier edges may cross the selection faces later
-                        // than the default t_max allows.
-                        let mut result = build_edge(idx, a, b, frequencies, config);
-                        let mut extended = config.clone();
-                        for _ in 0..2 {
-                            if result.is_ok() {
-                                break;
-                            }
-                            extended.baseline_traj.t_max *= 1.6;
-                            extended.nonstandard_traj.t_max *= 1.6;
-                            // Outlier edges with parasitic resonances may
-                            // not meet the leakage ceiling anywhere; relax
-                            // it rather than fail the whole device.
-                            extended.max_leakage *= 4.0;
-                            result = build_edge(idx, a, b, frequencies, &extended);
-                        }
-                        *slot = Some(result);
-                    }
-                });
+        // Retry with extended trajectory windows: slow outlier edges may
+        // cross the selection faces later than the default t_max allows.
+        let calibrate = |idx: usize| {
+            let (a, b) = edge_list[idx];
+            let mut result = build_edge(idx, a, b, &frequencies, &config);
+            let mut extended = config.clone();
+            for _ in 0..2 {
+                if result.is_ok() {
+                    break;
+                }
+                extended.baseline_traj.t_max *= 1.6;
+                extended.nonstandard_traj.t_max *= 1.6;
+                // Outlier edges with parasitic resonances may not meet the
+                // leakage ceiling anywhere; relax it rather than fail the
+                // whole device.
+                extended.max_leakage *= 4.0;
+                result = build_edge(idx, a, b, &frequencies, &extended);
             }
-        });
-        let mut edges = Vec::with_capacity(edge_list.len());
-        for slot in slots {
-            #[expect(
-                clippy::expect_used,
-                reason = "every slot was just written by the scoped calibration threads"
-            )]
-            match slot.expect("all edges processed") {
-                Ok(cal) => edges.push(cal),
-                Err(e) => return Err(e),
-            }
-        }
+            result
+        };
+        let edges = std::thread::scope(|scope| {
+            let calibrate = &calibrate;
+            let handles: Vec<_> = (0..edge_list.len())
+                .step_by(chunk)
+                .map(|start| {
+                    let end = (start + chunk).min(edge_list.len());
+                    scope.spawn(move || (start..end).map(calibrate).collect::<Vec<_>>())
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect::<Result<Vec<_>, _>>()
+        })?;
         Ok(Device {
             topology,
             config,
@@ -403,7 +393,7 @@ fn build_edge(
         levels: config.levels,
         ..UnitCellParams::with_qubit_frequencies(fa, fb)
     };
-    let cell = PreparedCell::try_prepare(&params).ok_or_else(|| {
+    let cell = PreparedCell::prepare(&params).ok_or_else(|| {
         err(format!(
             "dressed frame ambiguous for qubit frequencies {fa:.3} / {fb:.3} GHz"
         ))

@@ -5,11 +5,11 @@
 //! Its Basis Gates", MICRO 2022).
 //!
 //! The crate deliberately implements everything from scratch — complex
-//! scalars, fixed-size 2x2/4x4 matrices, heap matrices, a Hermitian Jacobi
-//! eigensolver and the matrix functions built on it (the exponential
-//! `exp(-i H t)`), small SVDs and polar projections, and Haar-random
-//! sampling — so that the rest of the workspace has no
-//! external numerical dependencies.
+//! scalars, one stack matrix type [`SMat`] whose 2x2 and 4x4 instances are
+//! [`Mat2`] and [`Mat4`], heap matrices, a Hermitian Jacobi eigensolver and
+//! the matrix functions built on it (the exponential `exp(-i H t)`), polar
+//! projections onto the unitary group, and Haar-random sampling — so that
+//! the rest of the workspace has no external numerical dependencies.
 //!
 //! ## Quick tour
 //!
@@ -44,6 +44,7 @@ mod eig;
 mod mat2;
 mod mat4;
 mod random;
+mod smat;
 mod svd;
 
 pub use complex::Complex64;
@@ -52,4 +53,5 @@ pub use eig::{eigh, expm_i_h_t, HermitianEig};
 pub use mat2::Mat2;
 pub use mat4::Mat4;
 pub use random::{complex_normal, haar_su2, haar_u4, standard_normal};
-pub use svd::{max_trace_unitary, polar_unitary4, svd2};
+pub use smat::SMat;
+pub use svd::{max_trace_unitary, polar_unitary4};

@@ -1,8 +1,7 @@
 //! Fixed-size 2x2 complex matrices and standard single-qubit gates.
 
 use crate::complex::Complex64;
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use crate::smat::SMat;
 
 /// A dense 2x2 complex matrix.
 ///
@@ -16,43 +15,9 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// let h = Mat2::h();
 /// assert!((h * h).approx_eq(&Mat2::identity(), 1e-15));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Mat2 {
-    e: [[Complex64; 2]; 2],
-}
-
-impl Default for Mat2 {
-    fn default() -> Self {
-        Mat2::zero()
-    }
-}
+pub type Mat2 = SMat<2>;
 
 impl Mat2 {
-    /// Builds a matrix from a row-major array of entries.
-    #[inline]
-    pub const fn from_rows(e: [[Complex64; 2]; 2]) -> Self {
-        Mat2 { e }
-    }
-
-    /// The zero matrix.
-    #[inline]
-    pub const fn zero() -> Self {
-        Mat2 {
-            e: [[Complex64::ZERO; 2]; 2],
-        }
-    }
-
-    /// The identity matrix.
-    #[inline]
-    pub const fn identity() -> Self {
-        Mat2 {
-            e: [
-                [Complex64::ONE, Complex64::ZERO],
-                [Complex64::ZERO, Complex64::ONE],
-            ],
-        }
-    }
-
     /// Pauli X.
     pub fn x() -> Self {
         Mat2::from_rows([
@@ -147,147 +112,9 @@ impl Mat2 {
         ])
     }
 
-    /// Entry accessor used in hot loops.
-    #[inline]
-    pub fn at(&self, r: usize, c: usize) -> Complex64 {
-        self.e[r][c]
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Mat2 {
-        Mat2::from_rows([[self.e[0][0], self.e[1][0]], [self.e[0][1], self.e[1][1]]])
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Mat2 {
-        Mat2::from_rows([
-            [self.e[0][0].conj(), self.e[1][0].conj()],
-            [self.e[0][1].conj(), self.e[1][1].conj()],
-        ])
-    }
-
-    /// Entry-wise complex conjugate.
-    pub fn conj(&self) -> Mat2 {
-        Mat2::from_rows([
-            [self.e[0][0].conj(), self.e[0][1].conj()],
-            [self.e[1][0].conj(), self.e[1][1].conj()],
-        ])
-    }
-
-    /// Matrix trace.
-    pub fn trace(&self) -> Complex64 {
-        self.e[0][0] + self.e[1][1]
-    }
-
     /// Determinant.
     pub fn det(&self) -> Complex64 {
         self.e[0][0] * self.e[1][1] - self.e[0][1] * self.e[1][0]
-    }
-
-    /// Scales every entry by a complex factor.
-    pub fn scale(&self, k: Complex64) -> Mat2 {
-        let mut out = *self;
-        for r in 0..2 {
-            for c in 0..2 {
-                out.e[r][c] *= k;
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.e
-            .iter()
-            .flatten()
-            .map(|z| z.norm_sqr())
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Returns true when `self` is unitary within `tol` (Frobenius norm of
-    /// `U U^dagger - I`).
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        (*self * self.adjoint() - Mat2::identity()).norm() <= tol
-    }
-
-    /// Entry-wise comparison within `tol`.
-    pub fn approx_eq(&self, other: &Mat2, tol: f64) -> bool {
-        (*self - *other).norm() <= tol
-    }
-}
-
-impl Index<(usize, usize)> for Mat2 {
-    type Output = Complex64;
-    #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &Complex64 {
-        &self.e[r][c]
-    }
-}
-
-impl IndexMut<(usize, usize)> for Mat2 {
-    #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Complex64 {
-        &mut self.e[r][c]
-    }
-}
-
-impl Add for Mat2 {
-    type Output = Mat2;
-    fn add(self, rhs: Mat2) -> Mat2 {
-        let mut out = Mat2::zero();
-        for r in 0..2 {
-            for c in 0..2 {
-                out.e[r][c] = self.e[r][c] + rhs.e[r][c];
-            }
-        }
-        out
-    }
-}
-
-impl Sub for Mat2 {
-    type Output = Mat2;
-    fn sub(self, rhs: Mat2) -> Mat2 {
-        let mut out = Mat2::zero();
-        for r in 0..2 {
-            for c in 0..2 {
-                out.e[r][c] = self.e[r][c] - rhs.e[r][c];
-            }
-        }
-        out
-    }
-}
-
-impl Neg for Mat2 {
-    type Output = Mat2;
-    fn neg(self) -> Mat2 {
-        self.scale(-Complex64::ONE)
-    }
-}
-
-impl Mul for Mat2 {
-    type Output = Mat2;
-    fn mul(self, rhs: Mat2) -> Mat2 {
-        let mut out = Mat2::zero();
-        for r in 0..2 {
-            for c in 0..2 {
-                let mut acc = Complex64::ZERO;
-                for k in 0..2 {
-                    acc += self.e[r][k] * rhs.e[k][c];
-                }
-                out.e[r][c] = acc;
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for Mat2 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in 0..2 {
-            writeln!(f, "[{} {}]", self.e[r][0], self.e[r][1])?;
-        }
-        Ok(())
     }
 }
 

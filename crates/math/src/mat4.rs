@@ -2,8 +2,7 @@
 
 use crate::complex::Complex64;
 use crate::mat2::Mat2;
-use std::fmt;
-use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
+use crate::smat::SMat;
 
 /// A dense 4x4 complex matrix, the workhorse type for two-qubit (2Q) gates.
 ///
@@ -18,41 +17,9 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// let swap = Mat4::swap();
 /// assert!((swap * swap).approx_eq(&Mat4::identity(), 1e-15));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Mat4 {
-    e: [[Complex64; 4]; 4],
-}
-
-impl Default for Mat4 {
-    fn default() -> Self {
-        Mat4::zero()
-    }
-}
+pub type Mat4 = SMat<4>;
 
 impl Mat4 {
-    /// Builds a matrix from a row-major array of entries.
-    #[inline]
-    pub const fn from_rows(e: [[Complex64; 4]; 4]) -> Self {
-        Mat4 { e }
-    }
-
-    /// The zero matrix.
-    #[inline]
-    pub const fn zero() -> Self {
-        Mat4 {
-            e: [[Complex64::ZERO; 4]; 4],
-        }
-    }
-
-    /// The identity matrix.
-    pub fn identity() -> Self {
-        let mut m = Mat4::zero();
-        for i in 0..4 {
-            m.e[i][i] = Complex64::ONE;
-        }
-        m
-    }
-
     /// Kronecker product of two single-qubit operators: `a` acts on the
     /// first qubit, `b` on the second.
     pub fn kron(a: &Mat2, b: &Mat2) -> Mat4 {
@@ -178,50 +145,6 @@ impl Mat4 {
         term(&xx, tx) * term(&yy, ty) * term(&zz, tz)
     }
 
-    /// Entry accessor used in hot loops.
-    #[inline]
-    pub fn at(&self, r: usize, c: usize) -> Complex64 {
-        self.e[r][c]
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Mat4 {
-        let mut m = Mat4::zero();
-        for r in 0..4 {
-            for c in 0..4 {
-                m.e[c][r] = self.e[r][c];
-            }
-        }
-        m
-    }
-
-    /// Conjugate transpose.
-    pub fn adjoint(&self) -> Mat4 {
-        let mut m = Mat4::zero();
-        for r in 0..4 {
-            for c in 0..4 {
-                m.e[c][r] = self.e[r][c].conj();
-            }
-        }
-        m
-    }
-
-    /// Entry-wise complex conjugate.
-    pub fn conj(&self) -> Mat4 {
-        let mut m = *self;
-        for r in 0..4 {
-            for c in 0..4 {
-                m.e[r][c] = m.e[r][c].conj();
-            }
-        }
-        m
-    }
-
-    /// Matrix trace.
-    pub fn trace(&self) -> Complex64 {
-        self.e[0][0] + self.e[1][1] + self.e[2][2] + self.e[3][3]
-    }
-
     /// Determinant by cofactor expansion (exact for 4x4).
     pub fn det(&self) -> Complex64 {
         let m = &self.e;
@@ -239,50 +162,6 @@ impl Mat4 {
             sign = -sign;
         }
         acc
-    }
-
-    /// Scales every entry by a complex factor.
-    pub fn scale(&self, k: Complex64) -> Mat4 {
-        let mut out = *self;
-        for r in 0..4 {
-            for c in 0..4 {
-                out.e[r][c] *= k;
-            }
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn norm(&self) -> f64 {
-        self.e
-            .iter()
-            .flatten()
-            .map(|z| z.norm_sqr())
-            .sum::<f64>()
-            .sqrt()
-    }
-
-    /// Returns true when `self` is unitary within `tol`.
-    pub fn is_unitary(&self, tol: f64) -> bool {
-        (*self * self.adjoint() - Mat4::identity()).norm() <= tol
-    }
-
-    /// Entry-wise comparison within `tol` (Frobenius norm of difference).
-    pub fn approx_eq(&self, other: &Mat4, tol: f64) -> bool {
-        (*self - *other).norm() <= tol
-    }
-
-    /// Comparison up to a global phase: minimizes the Frobenius distance
-    /// over `e^{i phi}` and compares with `tol`.
-    pub fn approx_eq_up_to_phase(&self, other: &Mat4, tol: f64) -> bool {
-        self.phase_distance(other) <= tol
-    }
-
-    /// Frobenius distance minimized over a global phase.
-    pub fn phase_distance(&self, other: &Mat4) -> f64 {
-        let t = (self.adjoint() * *other).trace().abs();
-        let d2 = self.norm().powi(2) + other.norm().powi(2) - 2.0 * t;
-        d2.max(0.0).sqrt()
     }
 
     /// Rescales a near-unitary matrix into SU(4) and returns the removed
@@ -351,84 +230,6 @@ impl Mat4 {
             return None;
         }
         Some((a, b))
-    }
-}
-
-impl Index<(usize, usize)> for Mat4 {
-    type Output = Complex64;
-    #[inline]
-    fn index(&self, (r, c): (usize, usize)) -> &Complex64 {
-        &self.e[r][c]
-    }
-}
-
-impl IndexMut<(usize, usize)> for Mat4 {
-    #[inline]
-    fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut Complex64 {
-        &mut self.e[r][c]
-    }
-}
-
-impl Add for Mat4 {
-    type Output = Mat4;
-    fn add(self, rhs: Mat4) -> Mat4 {
-        let mut out = Mat4::zero();
-        for r in 0..4 {
-            for c in 0..4 {
-                out.e[r][c] = self.e[r][c] + rhs.e[r][c];
-            }
-        }
-        out
-    }
-}
-
-impl Sub for Mat4 {
-    type Output = Mat4;
-    fn sub(self, rhs: Mat4) -> Mat4 {
-        let mut out = Mat4::zero();
-        for r in 0..4 {
-            for c in 0..4 {
-                out.e[r][c] = self.e[r][c] - rhs.e[r][c];
-            }
-        }
-        out
-    }
-}
-
-impl Neg for Mat4 {
-    type Output = Mat4;
-    fn neg(self) -> Mat4 {
-        self.scale(-Complex64::ONE)
-    }
-}
-
-impl Mul for Mat4 {
-    type Output = Mat4;
-    fn mul(self, rhs: Mat4) -> Mat4 {
-        let mut out = Mat4::zero();
-        for r in 0..4 {
-            for c in 0..4 {
-                let mut acc = Complex64::ZERO;
-                for k in 0..4 {
-                    acc += self.e[r][k] * rhs.e[k][c];
-                }
-                out.e[r][c] = acc;
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for Mat4 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in 0..4 {
-            writeln!(
-                f,
-                "[{} {} {} {}]",
-                self.e[r][0], self.e[r][1], self.e[r][2], self.e[r][3]
-            )?;
-        }
-        Ok(())
     }
 }
 

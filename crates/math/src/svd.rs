@@ -1,86 +1,17 @@
-//! Small singular value decompositions and polar projections.
+//! Polar projections onto the unitary group.
 //!
-//! Gate synthesis only ever needs the closed-form 2x2 polar factor (for the
-//! local "environment" update), the closed-form 2x2 SVD, and a polar
-//! projection onto the unitary group for 4x4 and dynamic matrices (for
-//! extracting gates from noisy tomography or simulation data).
+//! Gate synthesis needs the closed-form 2x2 polar factor (for the local
+//! "environment" update), and calibration and simulation need a polar
+//! projection of 4x4 and dynamic matrices that may be far from unitary
+//! (for extracting gates from noisy tomography or simulation data). Inputs
+//! that are unitary up to a small error use
+//! [`SMat::nearest_unitary`](crate::SMat::nearest_unitary) instead.
 
 use crate::complex::Complex64;
 use crate::dmat::DMat;
 use crate::eig::eigh;
 use crate::mat2::Mat2;
 use crate::mat4::Mat4;
-
-/// Closed-form singular value decomposition of a 2x2 complex matrix:
-/// `a = u * diag(s) * v^dagger` with `s[0] >= s[1] >= 0` and unitary `u`, `v`.
-///
-/// # Examples
-///
-/// ```
-/// use nsb_math::{svd2, Mat2};
-/// let a = Mat2::h();
-/// let (u, s, v) = svd2(&a);
-/// assert!((s[0] - 1.0).abs() < 1e-12 && (s[1] - 1.0).abs() < 1e-12);
-/// assert!(u.is_unitary(1e-12) && v.is_unitary(1e-12));
-/// ```
-pub fn svd2(a: &Mat2) -> (Mat2, [f64; 2], Mat2) {
-    // Eigendecompose the 2x2 Hermitian PSD matrix h = a^dag a.
-    let h = a.adjoint() * *a;
-    let h11 = h.at(0, 0).re;
-    let h22 = h.at(1, 1).re;
-    let h12 = h.at(0, 1);
-    let tr = h11 + h22;
-    let gap = ((h11 - h22) * (h11 - h22) + 4.0 * h12.norm_sqr()).sqrt();
-    let l1 = ((tr + gap) / 2.0).max(0.0);
-    // Eigenvector for l1.
-    let v1 = if h12.abs() > 1e-300 {
-        normalize2([h12, Complex64::real(l1 - h11)])
-    } else if h11 >= h22 {
-        [Complex64::ONE, Complex64::ZERO]
-    } else {
-        [Complex64::ZERO, Complex64::ONE]
-    };
-    // v2 orthogonal to v1.
-    let v2 = [-v1[1].conj(), v1[0].conj()];
-    let v = Mat2::from_rows([[v1[0], v2[0]], [v1[1], v2[1]]]);
-    let s1 = l1.sqrt();
-    // The small singular value from |det a| = s1 s2: the eigenvalue
-    // (tr - gap) / 2 cancels to an absolute error of about eps * tr, which
-    // its square root would amplify to sqrt(eps) * s1.
-    let s2 = if s1 > 0.0 {
-        (a.det().abs() / s1).min(s1)
-    } else {
-        0.0
-    };
-    // u columns: u_i = a v_i / s_i, completed orthogonally when s_i ~ 0.
-    let av1 = mul_vec2(a, v1);
-    let av2 = mul_vec2(a, v2);
-    let u1 = if s1 > 1e-150 {
-        [av1[0] / s1, av1[1] / s1]
-    } else {
-        [Complex64::ONE, Complex64::ZERO]
-    };
-    let u2 = if s2 > s1 * 1e-13 && s2 > 1e-150 {
-        [av2[0] / s2, av2[1] / s2]
-    } else {
-        // Orthogonal completion of u1.
-        [-u1[1].conj(), u1[0].conj()]
-    };
-    let u = Mat2::from_rows([[u1[0], u2[0]], [u1[1], u2[1]]]);
-    (u, [s1, s2], v)
-}
-
-fn normalize2(v: [Complex64; 2]) -> [Complex64; 2] {
-    let n = (v[0].norm_sqr() + v[1].norm_sqr()).sqrt();
-    [v[0] / n, v[1] / n]
-}
-
-fn mul_vec2(a: &Mat2, v: [Complex64; 2]) -> [Complex64; 2] {
-    [
-        a.at(0, 0) * v[0] + a.at(0, 1) * v[1],
-        a.at(1, 0) * v[0] + a.at(1, 1) * v[1],
-    ]
-}
 
 /// Returns the unitary `w` maximizing `Re tr(w e)`: the adjoint of the
 /// polar factor of `e`, which is `v u^dagger` for the SVD `e = u s v^dagger`.
@@ -97,33 +28,17 @@ fn mul_vec2(a: &Mat2, v: [Complex64; 2]) -> [Complex64; 2] {
 ///
 /// This is the core update of the alternating gate-synthesis optimizer.
 pub fn max_trace_unitary(e: &Mat2) -> Mat2 {
-    let norm_sqr = frobenius_sqr(e);
+    let norm_sqr = e.norm_sqr();
     if (1e-100..=1e100).contains(&norm_sqr) {
         return polar_adjoint2(e, norm_sqr);
     }
     // The polar factor is scale invariant: bring the largest entry to 1.
-    let mut largest = 0.0f64;
-    for r in 0..2 {
-        for c in 0..2 {
-            largest = largest.max(e.at(r, c).abs());
-        }
-    }
+    let largest = e.e.iter().flatten().fold(0.0f64, |m, z| m.max(z.abs()));
     if largest == 0.0 {
         return Mat2::identity();
     }
     let unit = e.scale(Complex64::real(1.0 / largest));
-    polar_adjoint2(&unit, frobenius_sqr(&unit))
-}
-
-/// `||e||_F^2`.
-fn frobenius_sqr(e: &Mat2) -> f64 {
-    let mut acc = 0.0;
-    for r in 0..2 {
-        for c in 0..2 {
-            acc += e.at(r, c).norm_sqr();
-        }
-    }
-    acc
+    polar_adjoint2(&unit, unit.norm_sqr())
 }
 
 /// The closed-form `w` of [`max_trace_unitary`] for a nonzero `e` with
@@ -184,58 +99,9 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn check_svd(a: &Mat2) {
-        let (u, s, v) = svd2(a);
-        assert!(u.is_unitary(1e-10), "u not unitary for {a}");
-        assert!(v.is_unitary(1e-10), "v not unitary for {a}");
-        assert!(s[0] >= s[1] && s[1] >= -1e-12);
-        let sig = Mat2::from_rows([
-            [Complex64::real(s[0]), Complex64::ZERO],
-            [Complex64::ZERO, Complex64::real(s[1])],
-        ]);
-        let back = u * sig * v.adjoint();
-        assert!(back.approx_eq(a, 1e-10), "reconstruction failed for {a}");
-    }
-
     /// The outer product `x y^T`.
     fn rank_one(x: [Complex64; 2], y: [Complex64; 2]) -> Mat2 {
         Mat2::from_rows([[x[0] * y[0], x[0] * y[1]], [x[1] * y[0], x[1] * y[1]]])
-    }
-
-    #[test]
-    fn svd_of_assorted_matrices() {
-        let cases = [
-            Mat2::identity(),
-            Mat2::h(),
-            Mat2::from_rows([
-                [Complex64::new(1.0, 2.0), Complex64::new(-0.5, 0.3)],
-                [Complex64::new(0.0, -1.0), Complex64::new(2.0, 0.1)],
-            ]),
-            Mat2::from_rows([
-                [Complex64::real(3.0), Complex64::ZERO],
-                [Complex64::ZERO, Complex64::ZERO],
-            ]),
-            // Rank-1 matrix.
-            Mat2::from_rows([
-                [Complex64::new(1.0, 1.0), Complex64::new(2.0, 2.0)],
-                [Complex64::new(0.5, 0.5), Complex64::new(1.0, 1.0)],
-            ]),
-            Mat2::zero(),
-        ];
-        for a in &cases {
-            check_svd(a);
-        }
-        // Rank 1 up to rounding: the small singular value is of order eps,
-        // not sqrt(eps), or the second column of u is not a unit vector.
-        let mut rng = StdRng::seed_from_u64(24);
-        for _ in 0..20 {
-            let x = [complex_normal(&mut rng), complex_normal(&mut rng)];
-            let y = [complex_normal(&mut rng), complex_normal(&mut rng)];
-            let a = rank_one(x, y);
-            check_svd(&a);
-            let (_, s, _) = svd2(&a);
-            assert!(s[1] <= 1e-14 * s[0], "small singular value {:e}", s[1]);
-        }
     }
 
     #[test]
@@ -253,19 +119,23 @@ mod tests {
             let val = (cand * e).trace().re;
             assert!(val <= best + 1e-9);
         }
-        // Optimum equals the nuclear norm.
-        let (_, s, _) = svd2(&e);
-        assert!((best - (s[0] + s[1])).abs() < 1e-9);
+        check_max_trace(&e);
     }
 
-    /// `w` is unitary to 1e-12 and reaches the SVD's `s[0] + s[1]` within
-    /// `1e-12 ||e||_F`.
+    /// `w` is unitary to 1e-12 and `w e` is Hermitian positive semidefinite
+    /// within `1e-12 ||e||_F`. For the SVD `e = u s v^dagger` that holds
+    /// exactly when `w e = v s v^dagger`, i.e. `w = v u^dagger` on the range
+    /// of `e`, which characterizes the maximizers of `Re tr(w e)`.
     fn check_max_trace(e: &Mat2) {
         let w = max_trace_unitary(e);
         assert!(w.is_unitary(1e-12), "w not unitary for {e}");
-        let (_, s, _) = svd2(e);
-        let gap = ((w * *e).trace().re - (s[0] + s[1])).abs();
-        assert!(gap <= 1e-12 * e.norm(), "trace gap {gap:e} for {e}");
+        let h = w * *e;
+        let tol = 1e-12 * e.norm();
+        let skew = (h - h.adjoint()).norm();
+        assert!(skew <= tol, "w e is not Hermitian ({skew:e}) for {e}");
+        let (a, d, b) = (h.at(0, 0).re, h.at(1, 1).re, h.at(0, 1));
+        let smallest = (a + d - ((a - d) * (a - d) + 4.0 * b.norm_sqr()).sqrt()) / 2.0;
+        assert!(smallest >= -tol, "w e has eigenvalue {smallest:e} for {e}");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! ```no_run
 //! use nsb_sim::{PreparedCell, TrajectoryConfig, UnitCellParams};
 //!
-//! let cell = PreparedCell::prepare(&UnitCellParams::default());
+//! let cell = PreparedCell::prepare(&UnitCellParams::default())
+//!     .expect("default cell has a dressed frame");
 //! let traj = cell.trajectory(0.04, &TrajectoryConfig::default());
 //! println!("first PE at {:?} ns", traj.first_perfect_entangler().map(|p| p.duration));
 //! ```

@@ -106,23 +106,10 @@ pub struct PreparedCell {
 impl PreparedCell {
     /// Prepares a unit cell: zero-ZZ bias then dressed-frame analysis.
     ///
-    /// # Panics
-    ///
-    /// Panics when the biased cell's computational subspace cannot be
-    /// identified; use [`PreparedCell::try_prepare`] to handle that case.
-    #[expect(
-        clippy::expect_used,
-        reason = "documented panicking variant; try_prepare is the fallible API"
-    )]
-    pub fn prepare(params: &UnitCellParams) -> Self {
-        PreparedCell::try_prepare(params)
-            .expect("dressed state identification ambiguous: overlap below 0.5")
-    }
-
-    /// Fallible variant of [`PreparedCell::prepare`]: returns `None` when
-    /// the biased cell's dressed frame is ambiguous (some computational
-    /// state overlaps every remaining eigenvector by less than 50%).
-    pub fn try_prepare(params: &UnitCellParams) -> Option<Self> {
+    /// Returns `None` when the biased cell's dressed frame is ambiguous
+    /// (some computational state overlaps every remaining eigenvector by
+    /// less than 50%).
+    pub fn prepare(params: &UnitCellParams) -> Option<Self> {
         let terms = CellTerms::new(params);
         let (biased, residual_zz) = zero_zz_bias(params, &terms);
         let hamiltonian = terms.at_bias(biased.omega_c);
@@ -241,14 +228,16 @@ mod tests {
 
     #[test]
     fn prepared_cell_has_small_residual_zz() {
-        let cell = PreparedCell::prepare(&UnitCellParams::default());
+        let cell = PreparedCell::prepare(&UnitCellParams::default())
+            .expect("default cell has a dressed frame");
         assert!(cell.residual_zz.abs() < crate::params::ghz(1e-4));
         assert!(cell.difference_frequency() > crate::params::ghz(1.5));
     }
 
     #[test]
     fn strong_drive_trajectory_reaches_entangling_region() {
-        let cell = PreparedCell::prepare(&UnitCellParams::default());
+        let cell = PreparedCell::prepare(&UnitCellParams::default())
+            .expect("default cell has a dressed frame");
         let traj = cell.trajectory(0.04, &fast_config());
         assert_eq!(traj.points.len(), 30);
         assert!(
@@ -262,7 +251,8 @@ mod tests {
 
     #[test]
     fn trajectory_speed_scales_with_amplitude() {
-        let cell = PreparedCell::prepare(&UnitCellParams::default());
+        let cell = PreparedCell::prepare(&UnitCellParams::default())
+            .expect("default cell has a dressed frame");
         let cfg = fast_config();
         let slow = cell.trajectory(0.01, &cfg);
         let fast = cell.trajectory(0.02, &cfg);

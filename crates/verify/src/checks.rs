@@ -9,7 +9,7 @@
 use crate::report::{VerifyReport, Violation, ViolationKind};
 use crate::target::{ScheduleFacts, VerifyOp, VerifyTarget};
 use nsb_circuit::{Circuit, Gate, Operation, StateVector};
-use nsb_math::{svd2, Complex64, Mat2, Mat4};
+use nsb_math::{Complex64, Mat2, Mat4};
 use nsb_weyl::{magic_eigenphases, WeylCoord};
 use std::collections::HashMap;
 
@@ -557,15 +557,15 @@ impl ScheduleSanity {
                 ),
             );
         }
-        if claimed.windows.len() != recomputed.windows.len() {
+        if claimed.windows.len() != n || claimed.busy.len() != n {
             push(
                 report,
                 ViolationKind::ScheduleInconsistent,
                 Vec::new(),
                 format!(
-                    "claimed schedule covers {} qubits, device has {}",
+                    "claimed schedule has {} windows and {} busy times, device has {n} qubits",
                     claimed.windows.len(),
-                    recomputed.windows.len()
+                    claimed.busy.len()
                 ),
             );
             return;
@@ -949,14 +949,8 @@ fn apply(u: &Mat2, psi: [Complex64; 2]) -> [Complex64; 2] {
 /// of their product from the block.
 fn split(block: &Mat4) -> Option<(Mat2, Mat2, f64)> {
     let (a, b) = block.kron_factor(SPLIT_TOL)?;
-    let (a, b) = (nearest_unitary(&a), nearest_unitary(&b));
+    let (a, b) = (a.nearest_unitary(), b.nearest_unitary());
     Some((a, b, (*block - Mat4::kron(&a, &b)).norm()))
-}
-
-/// The unitary polar factor `u v†` of `m = u s v†`.
-fn nearest_unitary(m: &Mat2) -> Mat2 {
-    let (u, _, v) = svd2(m);
-    u * v.adjoint()
 }
 
 /// One unitary step of a program, as [`Miter::reduce`] consumes it.

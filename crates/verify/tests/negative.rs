@@ -294,6 +294,19 @@ fn wrong_op_counts_are_rejected() {
 }
 
 #[test]
+fn short_busy_vector_is_reported_not_a_panic() {
+    // `ScheduleFacts` fields are public, so a claimed schedule can cover
+    // fewer qubits in `busy` than in `windows`.
+    let ops = vec![legal_op()];
+    let n = device().topology().n_qubits();
+    let mut facts = ScheduleSanity::recompute(&ops, n, device().config().t_1q);
+    facts.busy.truncate(1);
+    let target = VerifyTarget::new(device(), STRATEGY, ops).with_schedule(facts);
+    let report = VerifierSuite::structural().run(&target);
+    assert!(report.has(ViolationKind::ScheduleInconsistent), "{report}");
+}
+
+#[test]
 fn coherence_budget_violation_is_rejected() {
     // One basis-gate application already exceeds this coherence time.
     let short = Device::build(

@@ -113,25 +113,11 @@ pub fn kak_vector(u: &Mat4) -> WeylCoord {
 /// [`kak_vector`] and the verifier's independent recomputation start from
 /// these phases.
 pub fn magic_eigenphases(u: &Mat4) -> [f64; 4] {
-    let (su, _alpha) = nearest_unitary(u).to_su4();
+    let (su, _alpha) = u.nearest_unitary().to_su4();
     let b = magic_basis();
     let m_big = b.adjoint() * su * b;
     let m = m_big.transpose() * m_big;
     symmetric_unitary_eigenvalues(&m).map(|l| l.arg())
-}
-
-/// The polar (nearest) unitary factor of a nearly unitary `u`, by
-/// Newton–Schulz steps `X <- X (3I - X^dag X) / 2`. Each step squares the
-/// deviation `X^dag X - I`, so two take `1e-6` below rounding; the third
-/// is margin. Unlike `nsb_math::polar_unitary4` this stays on the stack
-/// and cannot panic on a rank-deficient input.
-fn nearest_unitary(u: &Mat4) -> Mat4 {
-    let three = Mat4::identity().scale(Complex64::real(3.0));
-    let mut x = *u;
-    for _ in 0..3 {
-        x = (x * (three - x.adjoint() * x)).scale(Complex64::real(0.5));
-    }
-    x
 }
 
 /// Eigenvalues of a complex *symmetric unitary* 4x4 matrix.

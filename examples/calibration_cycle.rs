@@ -15,7 +15,8 @@ fn main() {
     let mut rng = StdRng::seed_from_u64(42);
     println!("== Initial tuneup (monthly) ==");
     println!("step 1: coarse tuning — zero-ZZ bias + drive frequency scan");
-    let cell = PreparedCell::prepare(&UnitCellParams::default());
+    let cell = PreparedCell::prepare(&UnitCellParams::default())
+        .expect("default cell has a dressed frame");
     let config = TrajectoryConfig {
         t_max: 35.0,
         ..TrajectoryConfig::default()

@@ -10,7 +10,8 @@ fn main() {
     // 1. Simulate one qubit pair of the case-study architecture: two
     //    far-detuned transmons with a tunable coupler, biased to zero ZZ.
     println!("preparing unit cell (zero-ZZ bias search)...");
-    let cell = PreparedCell::prepare(&UnitCellParams::default());
+    let cell = PreparedCell::prepare(&UnitCellParams::default())
+        .expect("default cell has a dressed frame");
     println!(
         "  coupler biased at {:.3} GHz, residual ZZ {:.1e} rad/ns",
         cell.params.omega_c / (2.0 * std::f64::consts::PI),

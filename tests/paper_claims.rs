@@ -70,7 +70,8 @@ fn strong_drive_is_8x_faster_shape() {
     // Speed of the trajectory scales linearly with drive amplitude, so
     // xi = 0.04 vs 0.005 gives the paper's ~8x basis-gate speedup. Checked
     // here at a cheap amplitude pair with the ratio rescaled.
-    let cell = PreparedCell::prepare(&UnitCellParams::default());
+    let cell = PreparedCell::prepare(&UnitCellParams::default())
+        .expect("default cell has a dressed frame");
     let cfg = TrajectoryConfig {
         t_max: 40.0,
         dt: 0.02,
