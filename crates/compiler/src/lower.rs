@@ -434,6 +434,19 @@ mod tests {
     }
 
     #[test]
+    fn gate_on_qubits_off_the_grid_is_not_coupled() {
+        let device = test_device();
+        let mut routed = Circuit::new(14);
+        routed.push(Gate::Cx, &[12, 13]);
+        let result =
+            Lowerer::new(&device, BasisStrategy::Baseline, LoweringMode::Direct).lower(&routed);
+        assert!(
+            matches!(result, Err(LowerError::NotCoupled { q0: 12, q1: 13 })),
+            "{result:?}"
+        );
+    }
+
+    #[test]
     fn symmetric_gate_on_both_orientations_is_one_target() {
         let device = test_device();
         let (a, b) = device.topology().edges()[0];

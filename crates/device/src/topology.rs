@@ -62,10 +62,13 @@ impl GridTopology {
         e
     }
 
-    /// Index of the edge `(a, b)` in [`GridTopology::edges`] order, if the
-    /// qubits are adjacent.
+    /// Index of the edge `(a, b)` in [`GridTopology::edges`] order, if
+    /// both qubits are on the grid and adjacent.
     pub fn edge_index(&self, a: usize, b: usize) -> Option<usize> {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        if hi >= self.n_qubits() {
+            return None;
+        }
         let (r, c) = self.position(lo);
         let horizontal_count = self.height * (self.width - 1);
         if hi == lo + 1 && c + 1 < self.width {
@@ -155,6 +158,23 @@ mod tests {
         }
         assert_eq!(g.edge_index(0, 5), None);
         assert!(!g.are_adjacent(0, 2));
+    }
+
+    #[test]
+    fn edge_index_rejects_qubits_off_the_grid() {
+        for g in [GridTopology::new(3, 2), GridTopology::new(4, 3)] {
+            let n = g.n_qubits();
+            for (a, b) in [(n - 1, n), (n, n + 1), (2 * n, 2 * n + 1)] {
+                assert_eq!(g.edge_index(a, b), None, "({a}, {b}) on {g:?}");
+                assert_eq!(g.edge_index(b, a), None, "({b}, {a}) on {g:?}");
+            }
+        }
+        // `new` rejects an empty grid; the lookup must not underflow either.
+        let empty = GridTopology {
+            width: 0,
+            height: 3,
+        };
+        assert_eq!(empty.edge_index(0, 1), None);
     }
 
     #[test]

@@ -1,74 +1,22 @@
-//! A relative-link checker for the workspace's markdown documentation.
+//! `doc-links`: every relative link in the workspace's markdown
+//! documentation resolves to an existing file.
 //!
-//! Scans every `.md` file in the repository (skipping `target/`,
-//! `.git/` and other hidden directories), extracts inline
-//! markdown links and images (`[text](target)`), and reports every
-//! relative target that does not exist on disk. Absolute URLs
+//! For each `.md` file the engine finds, extracts inline markdown links
+//! and images (`[text](target)`), and reports every relative target
+//! that does not exist on disk. Absolute URLs
 //! (`http://`, `https://`, `mailto:`) and intra-page anchors (`#...`)
 //! are ignored; `path#anchor` targets are checked for the path part
 //! only. Fenced code blocks are skipped so format-spec tables and
 //! example snippets cannot produce false positives.
 
+use crate::diag::Diagnostic;
+use crate::engine::relative;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// One unresolved markdown link.
-#[derive(Clone, Debug)]
-pub(crate) struct BrokenLink {
-    /// The markdown file containing the link.
-    pub(crate) file: PathBuf,
-    /// 1-based line number of the link.
-    pub(crate) line: usize,
-    /// The link target as written.
-    pub(crate) target: String,
-}
-
-impl BrokenLink {
-    /// Renders the finding as a rustc-style diagnostic.
-    pub(crate) fn render(&self) -> String {
-        format!(
-            "error[doc-links]: broken relative link `{}`\n  --> {}:{}\n",
-            self.target,
-            self.file.display(),
-            self.line
-        )
-    }
-}
-
-/// Directories never scanned for markdown.
-const SKIP_DIRS: &[&str] = &["target", ".git", "node_modules"];
-
-/// Checks every markdown file under `root`; returns all broken links.
-pub(crate) fn run(root: &Path) -> Vec<BrokenLink> {
-    let mut files = Vec::new();
-    collect_md(root, &mut files);
-    files.sort();
-    let mut broken = Vec::new();
-    for file in &files {
-        check_file(root, file, &mut broken);
-    }
-    broken
-}
-
-fn collect_md(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if !SKIP_DIRS.contains(&name.as_ref()) && !name.starts_with('.') {
-                collect_md(&path, out);
-            }
-        } else if name.ends_with(".md") {
-            out.push(path);
-        }
-    }
-}
-
-fn check_file(root: &Path, file: &Path, broken: &mut Vec<BrokenLink>) {
+/// Reports every broken relative link in the markdown file `file`;
+/// rooted targets (`/path`) resolve against `root`.
+pub(crate) fn check(root: &Path, file: &Path, out: &mut Vec<Diagnostic>) {
     let Ok(text) = fs::read_to_string(file) else {
         return;
     };
@@ -96,10 +44,13 @@ fn check_file(root: &Path, file: &Path, broken: &mut Vec<BrokenLink>) {
                 base.join(path_part)
             };
             if !resolved.exists() {
-                broken.push(BrokenLink {
-                    file: file.to_path_buf(),
+                out.push(Diagnostic {
+                    rule: "doc-links",
+                    file: relative(root, file),
                     line: idx + 1,
-                    target,
+                    col: 0,
+                    message: format!("broken relative link `{target}`"),
+                    snippet: line.trim().to_string(),
                 });
             }
         }
@@ -188,24 +139,5 @@ mod tests {
         assert!(is_external("https://example.com/x"));
         assert!(is_external("mailto:a@b.c"));
         assert!(!is_external("docs/x.md"));
-    }
-
-    #[test]
-    fn finds_broken_links_and_accepts_good_ones() {
-        let dir = std::env::temp_dir().join(format!("nsb-doclinks-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        fs::write(dir.join("real.md"), "# real\n").expect("write");
-        fs::write(
-            dir.join("README.md"),
-            "[ok](real.md)\n[anchor](real.md#top)\n[missing](gone.md)\n\
-             ```\n[in-fence](also-gone.md)\n```\n[web](https://example.com)\n",
-        )
-        .expect("write");
-        let broken = run(&dir);
-        assert_eq!(broken.len(), 1);
-        assert_eq!(broken[0].target, "gone.md");
-        assert_eq!(broken[0].line, 3);
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 //! engine's workspace scan deliberately skips) and are parsed here at
 //! representative workspace paths.
 
-use nsb_lint::{analyze_files, to_json, FileKind, SourceFile};
+use nsb_lint::{analyze_files, FileKind, SourceFile};
 
 fn lib(path: &str, text: &str) -> SourceFile {
     SourceFile::parse(path, FileKind::Lib, text)
@@ -85,16 +85,4 @@ fn clean_fixture_passes_every_rule() {
     );
     let diags = analyze_files(&[f]);
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn json_report_counts_per_rule() {
-    let f = lib(
-        "crates/x/src/blocking.rs",
-        include_str!("lint_fixtures/lock_order_blocking.rs"),
-    );
-    let json = to_json(&analyze_files(&[f]));
-    assert!(json.contains("\"version\": 1"), "{json}");
-    assert!(json.contains("\"lock-order\": 4"), "{json}");
-    assert!(json.contains("\"total\": 4"), "{json}");
 }

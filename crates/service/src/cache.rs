@@ -16,21 +16,14 @@
 //! the published result, so each decomposition is computed exactly once no
 //! matter how many workers race to it.
 
+use crate::bounded::relock;
 use nsb_store::StoredEntry;
 use nsb_synth::{SynthCache, SynthKey, SynthesisFailed, Synthesized2Q};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-
-/// Recovers the guard from a poisoned shard lock: shard updates never
-/// panic mid-mutation (plain map/counter writes), so the data is intact.
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Condvar, Mutex};
 
 /// Hit/miss totals of a [`SharedSynthCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

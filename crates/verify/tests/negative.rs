@@ -172,6 +172,33 @@ fn out_of_range_qubit_is_rejected() {
     assert!(report.has(ViolationKind::QubitOutOfRange), "{report}");
 }
 
+#[test]
+fn two_qubit_op_off_the_grid_is_only_out_of_range() {
+    let n = device().topology().n_qubits();
+    let VerifyOp::TwoQubit {
+        duration,
+        unitary,
+        coord,
+        ..
+    } = legal_op()
+    else {
+        unreachable!()
+    };
+    for qubits in [(n, n + 1), (2 * n, 2 * n + 1)] {
+        let op = VerifyOp::TwoQubit {
+            qubits,
+            duration,
+            unitary,
+            coord,
+        };
+        let target = VerifyTarget::new(device(), STRATEGY, vec![op]);
+        let report = VerifierSuite::standard().run(&target);
+        assert!(report.has(ViolationKind::QubitOutOfRange), "{report}");
+        assert!(!report.has(ViolationKind::IllegalBasisGate), "{report}");
+        assert!(!report.has(ViolationKind::NonCanonicalWeyl), "{report}");
+    }
+}
+
 // ---- Weyl canonicality ----------------------------------------------------
 
 #[test]
