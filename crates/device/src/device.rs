@@ -176,14 +176,12 @@ impl DeviceConfig {
                 dt: 0.05,
                 drive_scan_points: 3,
                 drive_probe_t: 20.0,
-                ..TrajectoryConfig::default()
             },
             nonstandard_traj: TrajectoryConfig {
                 t_max: 25.0,
                 dt: 0.05,
                 drive_scan_points: 3,
                 drive_probe_t: 10.0,
-                ..TrajectoryConfig::default()
             },
             levels: 2,
             max_leakage: 1.0,

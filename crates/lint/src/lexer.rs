@@ -2,31 +2,27 @@
 //!
 //! The lexer understands everything the old line-based analyzer could
 //! not: string literals (including raw and byte strings), character
-//! literals vs. lifetimes, nested block comments, and numeric literal
-//! classification (integer vs. float, with underscores, exponents and
-//! type suffixes). Comments and string contents never reach the token
-//! stream, so rules can only ever match code.
+//! literals vs. lifetimes, and nested block comments. Comments and
+//! string contents never reach the token stream, so rules can only ever
+//! match code.
 
 /// What a single token is.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum TokenKind {
-    /// An identifier or keyword (`self`, `fn`, `shard_of`, ...).
+    /// An identifier or keyword (`self`, `fn`, `lock`, ...).
     Ident(String),
-    /// A lifetime such as `'a` (without the quote).
-    Lifetime(String),
-    /// An integer literal, verbatim (`42`, `0xFF`, `1_000u64`).
-    Int(String),
-    /// A floating-point literal, verbatim (`1.0`, `1e-12`, `2f64`).
-    Float(String),
-    /// A string literal of any flavor (`"…"`, `r#"…"#`, `b"…"`);
-    /// contents are deliberately dropped — rules must not see them.
-    Str,
-    /// A character or byte literal (`'x'`, `b'\n'`).
-    Char,
+    /// A literal or lifetime. A number keeps its text, a maximal run of
+    /// alphanumerics and `_` (`4`, `0xFF_u8`; `1.5` is `1`, `.`, `5`).
+    /// Strings, chars and lifetimes carry no text, so their contents
+    /// never reach a rule.
+    Literal(String),
     /// Punctuation, with multi-character operators joined by maximal
     /// munch (`::`, `->`, `==`, `..=`, ...).
     Punct(&'static str),
 }
+
+/// A string, char or lifetime: a literal with no text.
+const OPAQUE: TokenKind = TokenKind::Literal(String::new());
 
 /// One token with its position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -102,149 +98,92 @@ pub(crate) fn lex(src: &str) -> Vec<Token> {
     let mut out = Vec::new();
     while let Some(c) = cur.peek() {
         let (line, col) = (cur.line, cur.col);
-        if c.is_whitespace() {
+        let kind = if c.is_whitespace() {
             cur.bump();
-            continue;
-        }
-        // Comments are skipped.
-        if cur.starts_with("//") {
+            None
+        } else if cur.starts_with("//") {
             while cur.peek().is_some_and(|ch| ch != '\n') {
                 cur.bump();
             }
-            continue;
-        }
-        if cur.starts_with("/*") {
-            let mut depth = 0usize;
-            while cur.peek().is_some() {
-                if cur.starts_with("/*") {
-                    depth += 1;
-                    cur.bump();
-                    cur.bump();
-                } else if cur.starts_with("*/") {
-                    depth -= 1;
-                    cur.bump();
-                    cur.bump();
-                    if depth == 0 {
-                        break;
-                    }
-                } else {
-                    cur.bump();
-                }
-            }
-            continue;
-        }
-        // Raw strings and byte strings: r"…", r#"…"#, br#"…"#, b"…".
-        if c == 'r' || c == 'b' {
-            if let Some(len) = raw_string_intro(&cur) {
-                lex_raw_string(&mut cur, len);
-                out.push(Token {
-                    kind: TokenKind::Str,
-                    line,
-                    col,
-                });
-                continue;
-            }
-            if c == 'b' && cur.peek_at(1) == Some('"') {
-                cur.bump(); // b
-                lex_string(&mut cur);
-                out.push(Token {
-                    kind: TokenKind::Str,
-                    line,
-                    col,
-                });
-                continue;
-            }
-            if c == 'b' && cur.peek_at(1) == Some('\'') {
-                cur.bump(); // b
-                lex_char(&mut cur);
-                out.push(Token {
-                    kind: TokenKind::Char,
-                    line,
-                    col,
-                });
-                continue;
-            }
-        }
-        if c == '"' {
-            lex_string(&mut cur);
-            out.push(Token {
-                kind: TokenKind::Str,
-                line,
-                col,
-            });
-            continue;
-        }
-        if c == '\'' {
-            // Lifetime or char literal. A lifetime is `'` + ident with no
-            // closing quote; a char literal closes after one (possibly
-            // escaped) character.
-            if is_char_literal(&cur) {
-                lex_char(&mut cur);
-                out.push(Token {
-                    kind: TokenKind::Char,
-                    line,
-                    col,
-                });
-            } else {
-                cur.bump(); // '
-                let mut name = String::new();
-                while let Some(ch) = cur.peek() {
-                    if ch.is_alphanumeric() || ch == '_' {
-                        name.push(ch);
-                        cur.bump();
-                    } else {
-                        break;
-                    }
-                }
-                out.push(Token {
-                    kind: TokenKind::Lifetime(name),
-                    line,
-                    col,
-                });
-            }
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let kind = lex_number(&mut cur);
-            out.push(Token { kind, line, col });
-            continue;
-        }
-        if c.is_alphabetic() || c == '_' {
-            let mut name = String::new();
-            while let Some(ch) = cur.peek() {
-                if ch.is_alphanumeric() || ch == '_' {
-                    name.push(ch);
-                    cur.bump();
-                } else {
-                    break;
-                }
-            }
-            out.push(Token {
-                kind: TokenKind::Ident(name),
-                line,
-                col,
-            });
-            continue;
-        }
-        // Punctuation: maximal munch over the operator table. Anything
-        // else (stray unicode) is dropped.
-        match OPS.iter().find(|op| cur.starts_with(op)) {
-            Some(op) => {
-                for _ in 0..op.len() {
-                    cur.bump();
-                }
-                out.push(Token {
-                    kind: TokenKind::Punct(op),
-                    line,
-                    col,
-                });
-            }
-            None => {
+            None
+        } else if cur.starts_with("/*") {
+            skip_block_comment(&mut cur);
+            None
+        } else if let Some(hashes) = raw_string_intro(&cur) {
+            // r"…", r#"…"#, br#"…"#
+            lex_raw_string(&mut cur, hashes);
+            Some(OPAQUE)
+        } else if c == '"' || (c == 'b' && cur.peek_at(1) == Some('"')) {
+            if c == 'b' {
                 cur.bump();
             }
+            lex_string(&mut cur);
+            Some(OPAQUE)
+        } else if c == '\'' || (c == 'b' && cur.peek_at(1) == Some('\'')) {
+            // A char literal closes after one (possibly escaped)
+            // character; a lifetime is `'` + ident with no closing quote.
+            if c == 'b' {
+                cur.bump();
+                lex_char(&mut cur);
+            } else if is_char_literal(&cur) {
+                lex_char(&mut cur);
+            } else {
+                cur.bump();
+                word(&mut cur);
+            }
+            Some(OPAQUE)
+        } else if c.is_ascii_digit() {
+            Some(TokenKind::Literal(word(&mut cur)))
+        } else if c.is_alphabetic() || c == '_' {
+            Some(TokenKind::Ident(word(&mut cur)))
+        } else if let Some(op) = OPS.iter().find(|op| cur.starts_with(op)) {
+            // Maximal munch over the operator table.
+            for _ in 0..op.len() {
+                cur.bump();
+            }
+            Some(TokenKind::Punct(op))
+        } else {
+            // Stray unicode is dropped.
+            cur.bump();
+            None
+        };
+        if let Some(kind) = kind {
+            out.push(Token { kind, line, col });
         }
     }
     out
+}
+
+/// Consumes a maximal run of alphanumerics and `_`: an identifier, a
+/// number with its suffix, or a lifetime's name.
+fn word(cur: &mut Cursor) -> String {
+    let mut text = String::new();
+    while let Some(ch) = cur.peek().filter(|ch| ch.is_alphanumeric() || *ch == '_') {
+        text.push(ch);
+        cur.bump();
+    }
+    text
+}
+
+/// Consumes a (possibly nested) block comment; the cursor sits on `/*`.
+fn skip_block_comment(cur: &mut Cursor) {
+    let mut depth = 0usize;
+    while cur.peek().is_some() {
+        if cur.starts_with("/*") {
+            depth += 1;
+            cur.bump();
+            cur.bump();
+        } else if cur.starts_with("*/") {
+            depth -= 1;
+            cur.bump();
+            cur.bump();
+            if depth == 0 {
+                return;
+            }
+        } else {
+            cur.bump();
+        }
+    }
 }
 
 /// Length of a raw-string introducer at the cursor (`r`, `br` plus `#`s
@@ -329,113 +268,16 @@ fn lex_char(cur: &mut Cursor) {
     }
 }
 
-/// Consumes a numeric literal and classifies it as integer or float.
-fn lex_number(cur: &mut Cursor) -> TokenKind {
-    let mut text = String::new();
-    let mut is_float = false;
-    // Radix prefixes are always integers.
-    if cur.peek() == Some('0')
-        && matches!(
-            cur.peek_at(1),
-            Some('x') | Some('X') | Some('o') | Some('O') | Some('b') | Some('B')
-        )
-    {
-        text.push(cur.bump().unwrap_or('0'));
-        text.push(cur.bump().unwrap_or('x'));
-        while let Some(c) = cur.peek() {
-            if c.is_ascii_alphanumeric() || c == '_' {
-                text.push(c);
-                cur.bump();
-            } else {
-                break;
-            }
-        }
-        return TokenKind::Int(text);
-    }
-    while let Some(c) = cur.peek() {
-        if c.is_ascii_digit() || c == '_' {
-            text.push(c);
-            cur.bump();
-        } else {
-            break;
-        }
-    }
-    // Fractional part: `1.5` or trailing `1.` — but not `1..5` (range)
-    // and not `1.max(2)` (method call on an integer literal).
-    if cur.peek() == Some('.') {
-        match cur.peek_at(1) {
-            Some(c2) if c2.is_ascii_digit() => {
-                is_float = true;
-                text.push('.');
-                cur.bump();
-                while let Some(c) = cur.peek() {
-                    if c.is_ascii_digit() || c == '_' {
-                        text.push(c);
-                        cur.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            Some('.') => {}
-            Some(c2) if c2.is_alphabetic() || c2 == '_' => {}
-            _ => {
-                // `1.` at end of expression.
-                is_float = true;
-                text.push('.');
-                cur.bump();
-            }
-        }
-    }
-    // Exponent.
-    if matches!(cur.peek(), Some('e') | Some('E')) {
-        let (sign, first_digit) = match cur.peek_at(1) {
-            Some('+') | Some('-') => (1, cur.peek_at(2)),
-            other => (0, other),
-        };
-        if first_digit.is_some_and(|c| c.is_ascii_digit()) {
-            is_float = true;
-            text.push(cur.bump().unwrap_or('e'));
-            for _ in 0..sign {
-                text.push(cur.bump().unwrap_or('+'));
-            }
-            while let Some(c) = cur.peek() {
-                if c.is_ascii_digit() || c == '_' {
-                    text.push(c);
-                    cur.bump();
-                } else {
-                    break;
-                }
-            }
-        }
-    }
-    // Type suffix.
-    let mut suffix = String::new();
-    while let Some(c) = cur.peek() {
-        if c.is_alphanumeric() || c == '_' {
-            suffix.push(c);
-            cur.bump();
-        } else {
-            break;
-        }
-    }
-    if suffix.starts_with('f') {
-        is_float = true;
-    }
-    text.push_str(&suffix);
-    if is_float {
-        TokenKind::Float(text)
-    } else {
-        TokenKind::Int(text)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<TokenKind> {
         lex(src).into_iter().map(|t| t.kind).collect()
+    }
+
+    fn lit(text: &str) -> TokenKind {
+        TokenKind::Literal(text.into())
     }
 
     #[test]
@@ -458,7 +300,7 @@ mod tests {
     #[test]
     fn strings_hide_contents() {
         let k = kinds(r#"let s = "panic! .unwrap()";"#);
-        assert!(k.contains(&TokenKind::Str));
+        assert!(k.contains(&OPAQUE));
         assert!(!k
             .iter()
             .any(|t| matches!(t, TokenKind::Ident(i) if i == "panic")));
@@ -467,11 +309,7 @@ mod tests {
     #[test]
     fn raw_strings_and_bytes() {
         let k = kinds(r###"let s = r#"x.unwrap() "quoted""#; let b = b"panic!";"###);
-        assert_eq!(
-            k.iter().filter(|t| **t == TokenKind::Str).count(),
-            2,
-            "{k:?}"
-        );
+        assert_eq!(k.iter().filter(|t| **t == OPAQUE).count(), 2, "{k:?}");
         assert!(!k
             .iter()
             .any(|t| matches!(t, TokenKind::Ident(i) if i == "unwrap")));
@@ -497,37 +335,34 @@ mod tests {
 
     #[test]
     fn char_literals_vs_lifetimes() {
-        let k = kinds("fn f<'a>(x: &'a str) { let c = 'x'; let n = '\\n'; }");
-        assert_eq!(k.iter().filter(|t| **t == TokenKind::Char).count(), 2);
+        let k = kinds("fn f<'a>(x: &'a str) { let c = '{'; let n = '\\n'; let b = b'\\''; }");
+        assert_eq!(k.iter().filter(|t| **t == OPAQUE).count(), 5, "{k:?}");
+        // `'{'` is consumed whole, so it opens no group.
         assert_eq!(
-            k.iter()
-                .filter(|t| matches!(t, TokenKind::Lifetime(l) if l == "a"))
-                .count(),
-            2
+            k.iter().filter(|t| **t == TokenKind::Punct("{")).count(),
+            1,
+            "{k:?}"
         );
+        assert!(!k
+            .iter()
+            .any(|t| matches!(t, TokenKind::Ident(i) if i == "a")));
     }
 
     #[test]
-    fn number_classification() {
-        assert_eq!(kinds("42"), vec![TokenKind::Int("42".into())]);
-        assert_eq!(kinds("0xFF_u8"), vec![TokenKind::Int("0xFF_u8".into())]);
-        assert_eq!(kinds("1.5"), vec![TokenKind::Float("1.5".into())]);
-        assert_eq!(kinds("1e-12"), vec![TokenKind::Float("1e-12".into())]);
-        assert_eq!(kinds("2f64"), vec![TokenKind::Float("2f64".into())]);
-        assert_eq!(kinds("1_000"), vec![TokenKind::Int("1_000".into())]);
-        // Ranges and method calls on integers stay integers.
+    fn numbers_are_one_literal_each() {
+        assert_eq!(kinds("42"), vec![lit("42")]);
+        assert_eq!(kinds("0xFF_u8"), vec![lit("0xFF_u8")]);
+        assert_eq!(kinds("2f64"), vec![lit("2f64")]);
+        assert_eq!(kinds("1_000"), vec![lit("1_000")]);
+        // A dot is punctuation: ranges, method calls and fractions alike.
         assert_eq!(
             kinds("1..5"),
-            vec![
-                TokenKind::Int("1".into()),
-                TokenKind::Punct(".."),
-                TokenKind::Int("5".into()),
-            ]
+            vec![lit("1"), TokenKind::Punct(".."), lit("5")]
         );
+        assert_eq!(kinds("1.max(2)")[..2], [lit("1"), TokenKind::Punct(".")]);
         assert_eq!(
-            kinds("1.max(2)")[0],
-            TokenKind::Int("1".into()),
-            "method call on int literal"
+            kinds("1.5"),
+            vec![lit("1"), TokenKind::Punct("."), lit("5")]
         );
     }
 

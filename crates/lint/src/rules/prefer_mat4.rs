@@ -14,10 +14,10 @@ fn hot_path(file: &SourceFile) -> bool {
     file.path.starts_with("crates/sim/src") || file.path.starts_with("crates/synth/src")
 }
 
-fn is_int(t: &Tree, value: &str) -> bool {
+fn is_literal(t: &Tree, value: &str) -> bool {
     matches!(
         t,
-        Tree::Leaf(tok) if matches!(&tok.kind, TokenKind::Int(v) if v == value)
+        Tree::Leaf(tok) if matches!(&tok.kind, TokenKind::Literal(v) if v == value)
     )
 }
 
@@ -39,9 +39,9 @@ pub(crate) fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
             };
             let four_by_four = args.delim == '('
                 && args.trees.len() == 3
-                && is_int(&args.trees[0], "4")
+                && is_literal(&args.trees[0], "4")
                 && args.trees[1].is_punct(",")
-                && is_int(&args.trees[2], "4");
+                && is_literal(&args.trees[2], "4");
             let line = t.line();
             if four_by_four && !file.is_test_line(line) {
                 out.push(Diagnostic {

@@ -11,9 +11,9 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Recovers the guard from a poisoned lock. Every lock in this crate
 /// allows it: the queue's invariants hold at every await point, and cache
-/// shard updates are plain map/counter writes that never panic
-/// mid-mutation, so a panic elsewhere never leaves the data half-updated
-/// and it is always safe to continue.
+/// updates are plain map/counter writes that never panic mid-mutation,
+/// so a panic elsewhere never leaves the data half-updated and it is
+/// always safe to continue.
 pub(crate) fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {

@@ -1,29 +1,27 @@
-//! The shared synthesis cache: a sharded LRU map implementing
+//! The shared synthesis cache: one LRU map under one lock, implementing
 //! [`nsb_synth::SynthCache`].
 //!
 //! Entries are keyed by the pair `nsb_synth::Decomposer::synth_key`
 //! derives: a `SynthKey` (quantized Weyl coordinate plus basis-gate
 //! fingerprint) and the full target fingerprint. The cache holds one
 //! entry per key and fingerprint, so a hit is bit-identical to a fresh
-//! synthesis and locally equivalent targets sit side by side. Sharding
-//! keeps lock contention low when many workers compile concurrently:
-//! each key hashes to one shard with its own mutex and its own LRU clock.
+//! synthesis and locally equivalent targets sit side by side. One mutex
+//! guards the entry map, the in-flight set, the LRU clock and the
+//! counters: each call holds it for microseconds, beside syntheses that
+//! take about 100 ms, so workers do not contend for it.
 //!
 //! The cache overrides [`SynthCache::get_or_compute`] with **single-flight
 //! miss coalescing**: the first thread to miss on a `(key, fingerprint)`
-//! registers it as in-flight and synthesizes outside the shard lock; later
-//! threads missing on the same pair block on the shard's condvar and reuse
-//! the published result, so each decomposition is computed exactly once no
+//! registers it as in-flight and synthesizes outside the lock; later
+//! threads missing on the same pair block on the condvar and reuse the
+//! published result, so each decomposition is computed exactly once no
 //! matter how many workers race to it.
 
 use crate::bounded::relock;
 use nsb_store::StoredEntry;
 use nsb_synth::{SynthCache, SynthKey, SynthesisFailed, Synthesized2Q};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Hit/miss totals of a [`SharedSynthCache`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,7 +33,7 @@ pub struct CacheStats {
     /// Misses that waited for another thread's in-flight synthesis
     /// instead of recomputing (single-flight coalescing).
     pub coalesced: u64,
-    /// Entries currently stored across all shards.
+    /// Entries currently stored.
     pub entries: usize,
 }
 
@@ -52,96 +50,116 @@ impl CacheStats {
     }
 }
 
-#[derive(Clone)]
+type Pair = (SynthKey, u64);
+
 struct Entry {
     value: Synthesized2Q,
     last_used: u64,
 }
 
+/// Everything the cache's one lock guards.
 #[derive(Default)]
-struct Shard {
-    map: HashMap<(SynthKey, u64), Entry>,
+struct State {
+    map: HashMap<Pair, Entry>,
+    /// Pairs some thread is currently synthesizing.
+    inflight: HashSet<Pair>,
+    capacity: usize,
     clock: u64,
-    /// `(key, fingerprint)` pairs some thread is currently synthesizing.
-    inflight: HashSet<(SynthKey, u64)>,
+    hits: u64,
+    misses: u64,
+    coalesced: u64,
 }
 
-/// One shard: its state plus the condvar single-flight waiters block on.
-#[derive(Default)]
-struct ShardLock {
-    state: Mutex<Shard>,
-    flights: Condvar,
-}
+impl State {
+    /// The stored value under `pair`, marked most recently used.
+    fn touch(&mut self, pair: &Pair) -> Option<Synthesized2Q> {
+        self.clock += 1;
+        let clock = self.clock;
+        self.map.get_mut(pair).map(|entry| {
+            entry.last_used = clock;
+            entry.value.clone()
+        })
+    }
 
-/// Removes an in-flight registration (and wakes waiters) even if the
-/// computing closure panics, so no waiter blocks forever.
-struct InflightGuard<'a> {
-    shard: &'a ShardLock,
-    pair: (SynthKey, u64),
-    armed: bool,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut state = relock(self.shard.state.lock());
-            state.inflight.remove(&self.pair);
-            drop(state);
-            self.shard.flights.notify_all();
+    /// Stores `value` as the most recently used entry, evicting the least
+    /// recently used one past capacity. The linear scan only runs on
+    /// insertions past capacity, and costs microseconds beside a
+    /// synthesis.
+    fn insert(&mut self, pair: Pair, value: Synthesized2Q) {
+        self.clock += 1;
+        let last_used = self.clock;
+        self.map.insert(pair, Entry { value, last_used });
+        if self.map.len() > self.capacity {
+            let oldest = self
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| *k);
+            if let Some(oldest) = oldest {
+                self.map.remove(&oldest);
+            }
         }
+    }
+}
+
+/// Unregisters an in-flight pair, publishes its value if the synthesis
+/// succeeded, and wakes waiters. Dropping is the one release path, so a
+/// panicking `compute` cannot leave a waiter blocked forever.
+struct Flight<'a> {
+    cache: &'a SharedSynthCache,
+    pair: Pair,
+    value: Option<Synthesized2Q>,
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        let mut state = self.cache.lock();
+        state.inflight.remove(&self.pair);
+        if let Some(value) = self.value.take() {
+            state.insert(self.pair, value);
+        }
+        drop(state);
+        self.cache.flights.notify_all();
     }
 }
 
 /// A thread-safe LRU synthesis cache shared by all service workers.
 pub struct SharedSynthCache {
-    shards: Vec<ShardLock>,
-    capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
+    state: Mutex<State>,
+    flights: Condvar,
 }
 
 impl SharedSynthCache {
-    /// Number of independently locked shards.
-    pub(crate) const SHARDS: usize = 16;
+    /// Minimum capacity. A requested capacity of zero is clamped up — a
+    /// cache that cannot hold anything would silently turn every lookup
+    /// into a miss and defeat the service's reuse guarantees, so it is
+    /// not constructible.
+    pub(crate) const MIN_CAPACITY: usize = 1;
 
-    /// Minimum effective capacity: one entry per shard. A requested
-    /// capacity below this (including zero) is clamped up — a cache that
-    /// cannot hold anything would silently turn every lookup into a miss
-    /// and defeat the service's reuse guarantees, so it is not
-    /// constructible.
-    pub(crate) const MIN_CAPACITY: usize = Self::SHARDS;
-
-    /// Creates a cache holding at most ~`capacity` entries (rounded up
-    /// to a multiple of the shard count; clamped to at least one entry
-    /// per shard).
+    /// Creates a cache holding at most `capacity` entries (a capacity of
+    /// zero is clamped to one).
     pub fn new(capacity: usize) -> Self {
         SharedSynthCache {
-            shards: (0..Self::SHARDS).map(|_| ShardLock::default()).collect(),
-            capacity_per_shard: capacity.max(Self::MIN_CAPACITY).div_ceil(Self::SHARDS),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            state: Mutex::new(State {
+                capacity: capacity.max(Self::MIN_CAPACITY),
+                ..State::default()
+            }),
+            flights: Condvar::new(),
         }
     }
 
+    fn lock(&self) -> MutexGuard<'_, State> {
+        relock(self.state.lock())
+    }
+
     /// Snapshots every live entry (key, target fingerprint, value), e.g.
-    /// for persistence through `nsb-store`. Shards are locked one at a
-    /// time, so concurrent lookups and stores proceed on the others; the
-    /// result is a consistent per-shard (not globally atomic) snapshot,
-    /// which is sufficient because entries are immutable once stored.
+    /// for persistence through `nsb-store`.
     pub fn export_entries(&self) -> Vec<(SynthKey, u64, Synthesized2Q)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = relock(shard.state.lock());
-            out.extend(
-                shard
-                    .map
-                    .iter()
-                    .map(|(&(key, target_fp), e)| (key, target_fp, e.value.clone())),
-            );
-        }
-        out
+        self.lock()
+            .map
+            .iter()
+            .map(|(&(key, target_fp), e)| (key, target_fp, e.value.clone()))
+            .collect()
     }
 
     /// [`export_entries`](Self::export_entries) as store records.
@@ -159,14 +177,15 @@ impl SharedSynthCache {
     /// Inserts entries without touching the hit/miss counters — the
     /// warm-start path. Returns the number of entries inserted (the LRU
     /// bound still applies, so a preload larger than the capacity keeps
-    /// only the most recently inserted entries per shard).
+    /// only the most recently inserted entries).
     pub fn preload<I>(&self, entries: I) -> usize
     where
         I: IntoIterator<Item = (SynthKey, u64, Synthesized2Q)>,
     {
+        let mut state = self.lock();
         let mut n = 0;
         for (key, target_fp, value) in entries {
-            self.store(key, target_fp, &value);
+            state.insert((key, target_fp), value);
             n += 1;
         }
         n
@@ -174,86 +193,35 @@ impl SharedSynthCache {
 
     /// Current hit/miss/entry totals.
     pub fn stats(&self) -> CacheStats {
+        let state = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| relock(s.state.lock()).map.len())
-                .sum(),
-        }
-    }
-
-    fn shard_of(&self, key: &SynthKey) -> &ShardLock {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    fn record(&self, hit: bool) {
-        let counter = if hit { &self.hits } else { &self.misses };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Inserts under an already-held shard lock, evicting past capacity.
-    fn insert_locked(
-        &self,
-        shard: &mut Shard,
-        key: SynthKey,
-        target_fp: u64,
-        value: &Synthesized2Q,
-    ) {
-        shard.clock += 1;
-        let clock = shard.clock;
-        shard.map.insert(
-            (key, target_fp),
-            Entry {
-                value: value.clone(),
-                last_used: clock,
-            },
-        );
-        // Evict the least recently used entry once over capacity. The
-        // linear scan is fine: shards are small and eviction only runs
-        // on insertions past capacity.
-        while shard.map.len() > self.capacity_per_shard {
-            let Some(oldest) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k)
-            else {
-                break; // unreachable: len > capacity >= 1
-            };
-            shard.map.remove(&oldest);
+            hits: state.hits,
+            misses: state.misses,
+            coalesced: state.coalesced,
+            entries: state.map.len(),
         }
     }
 }
 
 impl SynthCache for SharedSynthCache {
     fn lookup(&self, key: &SynthKey, target_fp: u64) -> Option<Synthesized2Q> {
-        let mut shard = relock(self.shard_of(key).state.lock());
-        shard.clock += 1;
-        let clock = shard.clock;
-        let found = shard.map.get_mut(&(*key, target_fp)).map(|entry| {
-            entry.last_used = clock;
-            entry.value.clone()
-        });
-        drop(shard);
-        self.record(found.is_some());
+        let mut state = self.lock();
+        let found = state.touch(&(*key, target_fp));
+        if found.is_some() {
+            state.hits += 1;
+        } else {
+            state.misses += 1;
+        }
         found
     }
 
     fn store(&self, key: SynthKey, target_fp: u64, value: &Synthesized2Q) {
-        let shard_lock = self.shard_of(&key);
-        let mut shard = relock(shard_lock.state.lock());
-        self.insert_locked(&mut shard, key, target_fp, value);
+        self.lock().insert((key, target_fp), value.clone());
     }
 
     /// Single-flight implementation: each `(key, fingerprint)` pair is
     /// synthesized by exactly one thread at a time; racing threads block
-    /// on the shard condvar and reuse the published value.
+    /// on the condvar and reuse the published value.
     ///
     /// Accounting: every call records exactly one hit or miss — a hit
     /// when the value came out of the cache (immediately or after
@@ -270,52 +238,39 @@ impl SynthCache for SharedSynthCache {
         target_fp: u64,
         compute: &mut dyn FnMut() -> Result<Synthesized2Q, SynthesisFailed>,
     ) -> Result<Synthesized2Q, SynthesisFailed> {
-        let shard_lock = self.shard_of(&key);
         let pair = (key, target_fp);
         let mut waited = false;
-        let mut shard = relock(shard_lock.state.lock());
+        let mut state = self.lock();
         loop {
-            shard.clock += 1;
-            let clock = shard.clock;
-            if let Some(entry) = shard.map.get_mut(&pair) {
-                entry.last_used = clock;
-                let value = entry.value.clone();
-                drop(shard);
-                self.record(true);
+            if let Some(value) = state.touch(&pair) {
+                state.hits += 1;
                 return Ok(value);
             }
-            if !shard.inflight.contains(&pair) {
+            if !state.inflight.contains(&pair) {
                 break;
             }
             if !waited {
                 waited = true;
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
+                state.coalesced += 1;
             }
-            shard = relock(
-                shard_lock
-                    .flights
-                    .wait_while(shard, |shard| shard.inflight.contains(&pair)),
+            state = relock(
+                self.flights
+                    .wait_while(state, |state| state.inflight.contains(&pair)),
             );
         }
-        shard.inflight.insert(pair);
-        drop(shard);
-        self.record(false);
-        // Synthesize outside the lock; the guard unregisters the flight
-        // and wakes waiters even on panic.
-        let mut flight = InflightGuard {
-            shard: shard_lock,
+        state.inflight.insert(pair);
+        state.misses += 1;
+        drop(state);
+        // Synthesize outside the lock; dropping the flight publishes a
+        // success and wakes waiters, also when `compute` panics.
+        let mut flight = Flight {
+            cache: self,
             pair,
-            armed: true,
+            value: None,
         };
         let result = compute();
-        let mut shard = relock(shard_lock.state.lock());
-        shard.inflight.remove(&pair);
-        flight.armed = false;
-        if let Ok(value) = &result {
-            self.insert_locked(&mut shard, key, target_fp, value);
-        }
-        drop(shard);
-        shard_lock.flights.notify_all();
+        flight.value = result.as_ref().ok().cloned();
+        drop(flight);
         result
     }
 }
@@ -325,6 +280,7 @@ mod tests {
     use super::*;
     use nsb_math::Mat4;
     use nsb_synth::Decomposer;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn key(n: u8) -> SynthKey {
         SynthKey {
@@ -352,52 +308,47 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest() {
-        // Capacity 16 => one entry per shard; storing two keys in the
-        // same shard must evict the first.
         let cache = SharedSynthCache::new(1);
         let v = sample();
-        // Find two distinct keys landing in the same shard.
-        let base = key(0);
-        let mut other = None;
-        for t in 1u8..=255 {
-            let k = key(t);
-            if std::ptr::eq(cache.shard_of(&k), cache.shard_of(&base)) {
-                other = Some(k);
-                break;
-            }
-        }
-        let other = other.expect("some key shares a shard");
-        cache.store(base, 1, &v);
-        cache.store(other, 2, &v);
-        assert!(cache.lookup(&base, 1).is_none(), "evicted");
-        assert!(cache.lookup(&other, 2).is_some());
+        cache.store(key(0), 1, &v);
+        cache.store(key(1), 2, &v);
+        assert!(cache.lookup(&key(0), 1).is_none(), "evicted");
+        assert!(cache.lookup(&key(1), 2).is_some());
     }
 
     #[test]
     fn touch_on_lookup_protects_hot_entries() {
-        let cache = SharedSynthCache::new(1);
+        let cache = SharedSynthCache::new(2);
         let v = sample();
-        let base = key(0);
-        let mut same_shard = Vec::new();
-        for t in 1u8..=255 {
-            let k = key(t);
-            if std::ptr::eq(cache.shard_of(&k), cache.shard_of(&base)) {
-                same_shard.push(k);
-                if same_shard.len() == 2 {
-                    break;
-                }
-            }
-        }
-        let [a, b] = same_shard[..] else {
-            panic!("expected two keys sharing the base shard")
-        };
+        let (base, a, b) = (key(0), key(1), key(2));
         cache.store(base, 1, &v);
-        cache.store(a, 2, &v); // evicts base (cap 1/shard)
-        assert!(cache.lookup(&a, 2).is_some()); // touch a
-        cache.store(b, 3, &v); // must evict nothing older than a... base gone, a is hot
+        cache.store(a, 2, &v);
+        assert!(cache.lookup(&a, 2).is_some()); // touch a: base is now oldest
+        cache.store(b, 3, &v); // evicts base, not the hot a
         assert!(cache.lookup(&b, 3).is_some());
+        assert!(cache.lookup(&a, 2).is_some(), "hot entry survives");
+        assert!(cache.lookup(&base, 1).is_none(), "cold entry evicted");
         let stats = cache.stats();
-        assert!(stats.entries <= SharedSynthCache::SHARDS);
+        assert!(stats.entries <= 2);
+    }
+
+    #[test]
+    fn capacity_is_exact_and_evicts_lru_across_keys() {
+        let cache = SharedSynthCache::new(3);
+        let v = sample();
+        for t in 0..3 {
+            cache.store(key(t), u64::from(t), &v);
+        }
+        assert!(cache.lookup(&key(0), 0).is_some()); // key(1) is now oldest
+        cache.store(key(3), 3, &v);
+        assert!(cache.lookup(&key(1), 1).is_none(), "least recently used");
+        for t in [0, 2, 3] {
+            assert!(cache.lookup(&key(t), u64::from(t)).is_some(), "key {t}");
+        }
+        for t in 4..40 {
+            cache.store(key(t), u64::from(t), &v);
+            assert_eq!(cache.stats().entries, 3, "after storing key {t}");
+        }
     }
 
     #[test]
@@ -407,13 +358,14 @@ mod tests {
         cache.store(key(3), 9, &v);
         assert!(
             cache.lookup(&key(3), 9).is_some(),
-            "clamped cache must still hold at least one entry per shard"
+            "clamped cache must still hold one entry"
         );
         let stats = cache.stats();
         assert_eq!(stats.entries, 1);
-        // The clamp is exactly MIN_CAPACITY: zero and MIN_CAPACITY behave
-        // the same (one entry per shard).
-        assert_eq!(SharedSynthCache::MIN_CAPACITY, SharedSynthCache::SHARDS);
+        // The clamp is exactly MIN_CAPACITY: zero behaves like one.
+        assert_eq!(SharedSynthCache::MIN_CAPACITY, 1);
+        cache.store(key(4), 9, &v);
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]
@@ -440,7 +392,6 @@ mod tests {
 
     #[test]
     fn single_flight_coalesces_concurrent_misses() {
-        use std::sync::atomic::AtomicUsize;
         use std::sync::Barrier;
         use std::time::Duration;
 

@@ -24,7 +24,8 @@ pub struct ServiceConfig {
     /// Bounded job-queue capacity; submissions beyond it fail with
     /// [`ServiceError::QueueFull`].
     pub queue_capacity: usize,
-    /// Approximate shared synthesis-cache capacity (entries).
+    /// Shared synthesis-cache capacity in entries (at least one); past
+    /// it the least recently used entry is evicted.
     pub cache_capacity: usize,
 }
 

@@ -27,7 +27,7 @@ pub struct TrajectoryPoint {
 pub struct CartanTrajectory {
     /// Calibrated drive parameters used.
     pub drive: DriveParams,
-    /// Sampled points in time order (1 ns spacing by default, matching the
+    /// Sampled points in time order (1 ns spacing, matching the
     /// qubit-controller resolution assumed in the paper).
     pub points: Vec<TrajectoryPoint>,
 }
@@ -65,27 +65,27 @@ impl CartanTrajectory {
 pub struct TrajectoryConfig {
     /// Total pulse duration to sweep (ns).
     pub t_max: f64,
-    /// Sample spacing (ns); 1 ns matches typical controller resolution.
-    pub sample_every: f64,
     /// Integrator step (ns).
     pub dt: f64,
     /// Number of candidate drive frequencies scanned during calibration.
     pub drive_scan_points: usize,
     /// Probe duration for the drive-frequency scan (ns).
     pub drive_probe_t: f64,
-    /// Flat-top envelope rise/fall time (ns).
-    pub ramp: f64,
 }
+
+/// Trajectory sample spacing (ns), the typical controller resolution.
+const SAMPLE_EVERY: f64 = 1.0;
+
+/// Flat-top envelope rise/fall time (ns) of every calibrated drive.
+const RAMP: f64 = 1.5;
 
 impl Default for TrajectoryConfig {
     fn default() -> Self {
         TrajectoryConfig {
             t_max: 120.0,
-            sample_every: 1.0,
             dt: DEFAULT_DT,
             drive_scan_points: 7,
             drive_probe_t: 40.0,
-            ramp: 1.5,
         }
     }
 }
@@ -149,7 +149,7 @@ impl PreparedCell {
             let drive = DriveParams {
                 delta,
                 omega_d: w,
-                ramp: config.ramp,
+                ramp: RAMP,
             };
             let amp = stepper
                 .sample(&drive, config.drive_probe_t, config.drive_probe_t / 20.0)
@@ -163,7 +163,7 @@ impl PreparedCell {
         DriveParams {
             delta,
             omega_d: best.0,
-            ramp: config.ramp,
+            ramp: RAMP,
         }
     }
 
@@ -173,7 +173,7 @@ impl PreparedCell {
         let snaps = Stepper::new(&self.hamiltonian, &self.frame, config.dt).sample(
             &drive,
             config.t_max,
-            config.sample_every,
+            SAMPLE_EVERY,
         );
         let points = snaps
             .into_iter()
@@ -218,11 +218,9 @@ mod tests {
     fn fast_config() -> TrajectoryConfig {
         TrajectoryConfig {
             t_max: 30.0,
-            sample_every: 1.0,
             dt: 0.02,
             drive_scan_points: 5,
             drive_probe_t: 20.0,
-            ramp: 1.0,
         }
     }
 

@@ -146,9 +146,9 @@ pub fn mat4_fingerprint(m: &Mat4) -> u64 {
 /// A shared, thread-safe store of synthesis results.
 ///
 /// Implementations decide capacity and eviction; `nsb-service` provides
-/// a sharded LRU. They hold one entry per key and fingerprint, and return
-/// exactly what was stored under that pair (callers rely on cached
-/// syntheses being bit-identical to fresh ones).
+/// an LRU map under one lock. They hold one entry per key and
+/// fingerprint, and return exactly what was stored under that pair
+/// (callers rely on cached syntheses being bit-identical to fresh ones).
 pub trait SynthCache: Send + Sync {
     /// Returns the synthesis stored under `(key, target_fp)`, recording a
     /// hit or miss.
