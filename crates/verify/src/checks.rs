@@ -283,93 +283,117 @@ fn recompute_class(unitary: &Mat4) -> Result<WeylCoord, &'static str> {
         .ok_or("no assignment of the block's eigenphases to Cartan coordinates is consistent")
 }
 
-/// Solves for coordinates given the four eigenphases of `m = M^T M` (in
-/// any order), by enumerating assignments to the sign patterns of XX, YY
-/// and ZZ on the magic-basis diagonal and 2 pi branch offsets, keeping the
-/// assignment whose residuals are smallest. `None` when no assignment's
-/// residuals vanish.
-fn coords_by_search(phis: &[f64; 4]) -> Option<WeylCoord> {
-    // Row `j` is `(d_x[j], d_y[j], d_z[j])`.
-    const D: [[f64; 3]; 4] = [
-        [1.0, -1.0, 1.0],
-        [1.0, 1.0, -1.0],
-        [-1.0, -1.0, -1.0],
-        [-1.0, 1.0, 1.0],
-    ];
-    const PERMS: [[usize; 4]; 24] = [
-        [0, 1, 2, 3],
-        [0, 1, 3, 2],
-        [0, 2, 1, 3],
-        [0, 2, 3, 1],
-        [0, 3, 1, 2],
-        [0, 3, 2, 1],
-        [1, 0, 2, 3],
-        [1, 0, 3, 2],
-        [1, 2, 0, 3],
-        [1, 2, 3, 0],
-        [1, 3, 0, 2],
-        [1, 3, 2, 0],
-        [2, 0, 1, 3],
-        [2, 0, 3, 1],
-        [2, 1, 0, 3],
-        [2, 1, 3, 0],
-        [2, 3, 0, 1],
-        [2, 3, 1, 0],
-        [3, 0, 1, 2],
-        [3, 0, 2, 1],
-        [3, 1, 0, 2],
-        [3, 1, 2, 0],
-        [3, 2, 0, 1],
-        [3, 2, 1, 0],
-    ];
+/// Row `j` is `(d_x[j], d_y[j], d_z[j])`, the signs of XX, YY and ZZ on the
+/// magic-basis diagonal.
+const D: [[f64; 3]; 4] = [
+    [1.0, -1.0, 1.0],
+    [1.0, 1.0, -1.0],
+    [-1.0, -1.0, -1.0],
+    [-1.0, 1.0, 1.0],
+];
+/// Every assignment of the four eigenphases to the rows of `D`.
+const PERMS: [[usize; 4]; 24] = [
+    [0, 1, 2, 3],
+    [0, 1, 3, 2],
+    [0, 2, 1, 3],
+    [0, 2, 3, 1],
+    [0, 3, 1, 2],
+    [0, 3, 2, 1],
+    [1, 0, 2, 3],
+    [1, 0, 3, 2],
+    [1, 2, 0, 3],
+    [1, 2, 3, 0],
+    [1, 3, 0, 2],
+    [1, 3, 2, 0],
+    [2, 0, 1, 3],
+    [2, 0, 3, 1],
+    [2, 1, 0, 3],
+    [2, 1, 3, 0],
+    [2, 3, 0, 1],
+    [2, 3, 1, 0],
+    [3, 0, 1, 2],
+    [3, 0, 2, 1],
+    [3, 1, 0, 2],
+    [3, 1, 2, 0],
+    [3, 2, 0, 1],
+    [3, 2, 1, 0],
+];
+
+/// `t` reduced into `[-pi, pi]`.
+fn wrap(t: f64) -> f64 {
     let pi = std::f64::consts::PI;
-    let wrap = |t: f64| -> f64 {
-        let mut r = t % (2.0 * pi);
-        if r > pi {
-            r -= 2.0 * pi;
+    let mut r = t % (2.0 * pi);
+    if r > pi {
+        r -= 2.0 * pi;
+    }
+    if r < -pi {
+        r += 2.0 * pi;
+    }
+    r
+}
+
+/// The offset vector `n ∈ {-1, 0, 1}⁴` with index `code` in `0..81`, `n[0]`
+/// most significant.
+fn branch_offsets(code: i32) -> [i32; 4] {
+    [code / 27, code / 9 % 3, code / 3 % 3, code % 3].map(|d| d - 1)
+}
+
+/// The least-squares coordinate of one assignment (phase `phis[perm[j]]`
+/// plus `2 pi ns[j]` on row `j` of `D`) and its largest residual against
+/// the original phases mod 2 pi.
+fn fit_assignment(phis: &[f64; 4], perm: [usize; 4], ns: [i32; 4]) -> (f64, [f64; 3]) {
+    let pi = std::f64::consts::PI;
+    let mut phi = [0.0f64; 4];
+    for j in 0..4 {
+        phi[j] = phis[perm[j]] + 2.0 * pi * ns[j] as f64;
+    }
+    // Least squares: phi_j = -pi * (t . d_j); columns of D are orthogonal
+    // with norm^2 = 4.
+    let mut t = [0.0f64; 3];
+    for k in 0..3 {
+        let mut acc = 0.0;
+        for j in 0..4 {
+            acc += phi[j] * D[j][k];
         }
-        if r < -pi {
-            r += 2.0 * pi;
-        }
-        r
-    };
+        t[k] = -acc / (4.0 * pi);
+    }
+    let mut res = 0.0f64;
+    for j in 0..4 {
+        let pred = -pi * (t[0] * D[j][0] + t[1] * D[j][1] + t[2] * D[j][2]);
+        res = res.max(wrap(pred - phis[perm[j]]).abs());
+    }
+    (res, t)
+}
+
+/// Solves for coordinates given the four eigenphases of `m = M^T M` (in
+/// any order), by searching assignments to the sign patterns of XX, YY and
+/// ZZ on the magic-basis diagonal and 2 pi branch offsets, keeping the
+/// first assignment whose residuals are smallest. `None` when no
+/// assignment's residuals vanish.
+///
+/// Of the 24 × 81 assignments, only those whose offsets can pass are
+/// fitted. `D Dᵀ = 4I − J`, so a fit returns phase `j` as `φ_j − S/4`,
+/// where `S = Σφ + 2π Σn`, and all its residuals are `|wrap(S/4)|`. For
+/// eigenphases `Σφ ≈ 2π m`, that is near 0 only when `m + Σn ≡ 0 (mod
+/// 4)` (21 or 20 of the 81 offset vectors); the other sums leave at least
+/// π/4, far above the 1e-7 acceptance, and are skipped. The survivors are
+/// fitted in the full enumeration's order, so the result is the same bits.
+/// A non-finite sum skips nothing.
+fn coords_by_search(phis: &[f64; 4]) -> Option<WeylCoord> {
+    let pi = std::f64::consts::PI;
+    let sum: f64 = phis.iter().sum();
+    // `skip[Σn + 4]`.
+    let skip: [bool; 9] =
+        std::array::from_fn(|s| wrap((sum + 2.0 * pi * (s as f64 - 4.0)) / 4.0).abs() >= pi / 4.0);
     let mut best: Option<(f64, WeylCoord)> = None;
     for perm in PERMS {
-        for n0 in -1i32..=1 {
-            for n1 in -1i32..=1 {
-                for n2 in -1i32..=1 {
-                    for n3 in -1i32..=1 {
-                        let ns = [n0, n1, n2, n3];
-                        let mut phi = [0.0f64; 4];
-                        for j in 0..4 {
-                            phi[j] = phis[perm[j]] + 2.0 * pi * ns[j] as f64;
-                        }
-                        // Least squares: phi_j = -pi * (t . d_j); columns of
-                        // D are orthogonal with norm^2 = 4.
-                        let mut t = [0.0f64; 3];
-                        for k in 0..3 {
-                            let mut acc = 0.0;
-                            for j in 0..4 {
-                                acc += phi[j] * D[j][k];
-                            }
-                            t[k] = -acc / (4.0 * pi);
-                        }
-                        // Residual check against the original phases mod 2pi.
-                        let mut res = 0.0f64;
-                        for j in 0..4 {
-                            let pred = -pi * (t[0] * D[j][0] + t[1] * D[j][1] + t[2] * D[j][2]);
-                            res = res.max(wrap(pred - phis[perm[j]]).abs());
-                        }
-                        if res < 1e-7 {
-                            let c = WeylCoord::new(t[0], t[1], t[2]);
-                            match best {
-                                None => best = Some((res, c)),
-                                Some((r, _)) if res < r => best = Some((res, c)),
-                                _ => {}
-                            }
-                        }
-                    }
-                }
+        for ns in (0..81).map(branch_offsets) {
+            if skip[(ns.iter().sum::<i32>() + 4) as usize] {
+                continue;
+            }
+            let (res, t) = fit_assignment(phis, perm, ns);
+            if res < 1e-7 && best.is_none_or(|(r, _)| res < r) {
+                best = Some((res, WeylCoord::new(t[0], t[1], t[2])));
             }
         }
     }
@@ -1139,5 +1163,120 @@ mod tests {
         // do not, so no assignment reproduces them.
         assert!(coords_by_search(&[0.1, 0.2, 0.3, 0.4]).is_none());
         assert!(coords_by_search(&[0.0; 4]).is_some());
+    }
+
+    /// The search without pruning: all 24 × 81 assignments in order, the
+    /// first smallest residual under 1e-7 winning.
+    fn coords_by_full_enumeration(phis: &[f64; 4]) -> Option<WeylCoord> {
+        let mut best: Option<(f64, WeylCoord)> = None;
+        for perm in PERMS {
+            for n0 in -1..=1 {
+                for n1 in -1..=1 {
+                    for n2 in -1..=1 {
+                        for n3 in -1..=1 {
+                            let (res, t) = fit_assignment(phis, perm, [n0, n1, n2, n3]);
+                            if res < 1e-7 && best.is_none_or(|(r, _)| res < r) {
+                                best = Some((res, WeylCoord::new(t[0], t[1], t[2])));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+
+    /// Eigenphase sets for the search: degenerate, inconsistent and
+    /// non-finite ones, then `gates` Haar gates' eigenphases, each once as
+    /// is and once with one phase nudged by 1e-9 to 1e-3.
+    fn search_cases(gates: usize, seed: u64) -> Vec<[f64; 4]> {
+        use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let mut cases = vec![
+            // All equal, two equal pairs, phases at ±pi.
+            [0.0; 4],
+            [FRAC_PI_2; 4],
+            [-FRAC_PI_2; 4],
+            [PI; 4],
+            [-PI; 4],
+            [0.7, 0.7, -0.7, -0.7],
+            [PI, PI, 0.0, 0.0],
+            [PI, PI, -PI, -PI],
+            [PI, -PI, 0.3, -0.3],
+            // Sums away from every multiple of 2 pi.
+            [0.1, 0.2, 0.3, 0.4],
+            [FRAC_PI_4; 4],
+            [PI, FRAC_PI_2, 0.0, 0.0],
+            [1.0; 4],
+            // Not finite.
+            [nan, 0.0, 0.0, 0.0],
+            [nan; 4],
+            [inf, 0.0, 0.0, 0.0],
+            [-inf, 0.1, 0.2, 0.3],
+            [inf, -inf, 0.0, 0.0],
+        ];
+        for gate in [
+            Mat4::identity(),
+            Mat4::cnot(),
+            Mat4::swap(),
+            Mat4::iswap(),
+            Mat4::b_gate(),
+        ] {
+            cases.push(magic_eigenphases(&gate));
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..gates {
+            let phis = magic_eigenphases(&haar_u4(&mut rng));
+            let mut nudged = phis;
+            let size = 10f64.powf(rng.gen_range_f64(-9.0, -3.0));
+            nudged[rng.gen::<usize>() % 4] += if rng.gen::<bool>() { size } else { -size };
+            cases.extend([phis, nudged]);
+        }
+        cases
+    }
+
+    fn assert_search_matches_full_enumeration(gates: usize, seed: u64) {
+        let bits = |c: Option<WeylCoord>| c.map(|c| [c.x, c.y, c.z].map(f64::to_bits));
+        for phis in search_cases(gates, seed) {
+            let pruned = coords_by_search(&phis);
+            let full = coords_by_full_enumeration(&phis);
+            assert_eq!(bits(pruned), bits(full), "eigenphases {phis:?}");
+        }
+    }
+
+    #[test]
+    fn pruned_search_matches_the_full_enumeration() {
+        assert_search_matches_full_enumeration(2_000, 37);
+    }
+
+    /// The same on 100,000 Haar gates; CI runs it in release mode.
+    #[test]
+    #[ignore = "about 30 s in release mode; CI bench-smoke runs it"]
+    fn pruned_search_matches_the_full_enumeration_on_100k_gates() {
+        assert_search_matches_full_enumeration(100_000, 3_700);
+    }
+
+    /// The identity the pruning rests on: every assignment's residual is
+    /// `|wrap(S/4)|` with `S = Σφ + 2π Σn`, whatever the permutation.
+    #[test]
+    fn every_assignment_residual_is_the_wrapped_quarter_sum() {
+        let mut rng = StdRng::seed_from_u64(38);
+        let mut worst = 0.0f64;
+        for k in 0..200 {
+            let phis = if k % 2 == 0 {
+                magic_eigenphases(&haar_u4(&mut rng))
+            } else {
+                [(); 4].map(|_| rng.gen_range_f64(-std::f64::consts::PI, std::f64::consts::PI))
+            };
+            let sum: f64 = phis.iter().sum();
+            for perm in PERMS {
+                for ns in (0..81).map(branch_offsets) {
+                    let (res, _) = fit_assignment(&phis, perm, ns);
+                    let s = sum + std::f64::consts::TAU * f64::from(ns.iter().sum::<i32>());
+                    worst = worst.max((res - wrap(s / 4.0).abs()).abs());
+                }
+            }
+        }
+        assert!(worst <= 1e-12, "worst residual deviation {worst:e}");
     }
 }
