@@ -4,9 +4,7 @@
 use nsb_circuit::{Circuit, Gate};
 use nsb_device::{BasisStrategy, Device, SelectedBasis};
 use nsb_math::{Mat2, Mat4};
-use nsb_synth::{mat4_fingerprint, NoCache, SynthCache, SynthesisFailed, Synthesized2Q};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use nsb_synth::{SharedSynthCache, SynthCache, SynthesisFailed, Synthesized2Q};
 use std::fmt;
 use std::sync::Arc;
 
@@ -111,26 +109,22 @@ pub struct Lowerer<'d> {
     cache: Arc<dyn SynthCache>,
 }
 
-/// One circuit's synthesized blocks, keyed by edge and the
-/// [`mat4_fingerprint`] of the oriented target, the fingerprint the
-/// synthesis cache keys them by.
-type Synthesized = HashMap<(usize, u64), Synthesized2Q>;
-
 impl<'d> Lowerer<'d> {
-    /// Creates a lowerer for a device and strategy.
+    /// Creates a lowerer for a device and strategy, with a cache of its
+    /// own (a [`SharedSynthCache::default`]).
     pub fn new(device: &'d Device, strategy: BasisStrategy, mode: LoweringMode) -> Self {
         Lowerer {
             device,
             strategy,
             mode,
-            cache: Arc::new(NoCache),
+            cache: Arc::new(SharedSynthCache::default()),
         }
     }
 
-    /// Attaches a shared synthesis cache consulted (and filled) for every
-    /// distinct target, in place of the default [`NoCache`]. Results served
-    /// from the shared cache are bit-identical to fresh decompositions, so
-    /// lowering output does not depend on cache state.
+    /// Attaches a synthesis cache shared with other lowerings, in place of
+    /// the lowerer's own. Results served from it are bit-identical to
+    /// fresh decompositions, so lowering output does not depend on cache
+    /// state.
     pub fn with_shared_cache(mut self, cache: Arc<dyn SynthCache>) -> Self {
         self.cache = cache;
         self
@@ -139,8 +133,9 @@ impl<'d> Lowerer<'d> {
     /// Lowers a routed physical circuit. Two-qubit operations must already
     /// sit on device edges.
     ///
-    /// One pass in circuit order: each distinct target on an edge is
-    /// synthesized once, when first seen, and reused for later copies.
+    /// One pass in circuit order: each direct target goes through the
+    /// cache, so it is synthesized once, when first seen, and later copies
+    /// are cache hits.
     ///
     /// # Errors
     ///
@@ -149,18 +144,11 @@ impl<'d> Lowerer<'d> {
     /// not on a device edge — whichever fails first in circuit order.
     pub fn lower(&self, routed: &Circuit) -> Result<Vec<LoweredOp>, LowerError> {
         let mut out = Vec::with_capacity(routed.len() * 4);
-        let mut synthesized = Synthesized::new();
         for op in routed.ops() {
             if op.qubits.len() == 1 {
                 out.push(local(op.qubits[0], op.gate.mat2()));
             } else {
-                self.lower_2q(
-                    &op.gate,
-                    op.qubits[0],
-                    op.qubits[1],
-                    &mut out,
-                    &mut synthesized,
-                )?;
+                self.lower_2q(&op.gate, op.qubits[0], op.qubits[1], &mut out)?;
             }
         }
         Ok(merge_locals(out, routed.n_qubits()))
@@ -172,7 +160,6 @@ impl<'d> Lowerer<'d> {
         q0: usize,
         q1: usize,
         out: &mut Vec<LoweredOp>,
-        synthesized: &mut Synthesized,
     ) -> Result<(), LowerError> {
         let edge_idx = self
             .device
@@ -195,20 +182,20 @@ impl<'d> Lowerer<'d> {
             Gate::Cz if self.mode == LoweringMode::ViaCnot => {
                 // CZ = (I (x) H) CX (I (x) H) with q1 as target.
                 out.push(local(q1, Mat2::h()));
-                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                self.lower_2q(&Gate::Cx, q0, q1, out)?;
                 out.push(local(q1, Mat2::h()));
             }
             Gate::CPhase(lambda) if self.mode == LoweringMode::ViaCnot => {
                 out.push(local(q0, Mat2::phase(lambda / 2.0)));
-                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                self.lower_2q(&Gate::Cx, q0, q1, out)?;
                 out.push(local(q1, Mat2::phase(-lambda / 2.0)));
-                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                self.lower_2q(&Gate::Cx, q0, q1, out)?;
                 out.push(local(q1, Mat2::phase(lambda / 2.0)));
             }
             Gate::Rzz(theta) if self.mode == LoweringMode::ViaCnot => {
-                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                self.lower_2q(&Gate::Cx, q0, q1, out)?;
                 out.push(local(q1, Mat2::rz(*theta)));
-                self.lower_2q(&Gate::Cx, q0, q1, out, synthesized)?;
+                self.lower_2q(&Gate::Cx, q0, q1, out)?;
             }
             other => {
                 // Direct numerical decomposition, once per distinct target.
@@ -217,15 +204,10 @@ impl<'d> Lowerer<'d> {
                 } else {
                     swap_conjugate(&other.mat4())
                 };
-                let synth = match synthesized.entry((edge_idx, mat4_fingerprint(&target))) {
-                    Entry::Occupied(hit) => hit.into_mut(),
-                    Entry::Vacant(slot) => slot.insert(
-                        basis
-                            .decomposer
-                            .decompose_cached(&target, self.cache.as_ref())?,
-                    ),
-                };
-                out.extend(emit(basis, synth, g0, g1));
+                let synth = basis
+                    .decomposer
+                    .decompose_cached(&target, self.cache.as_ref())?;
+                out.extend(emit(basis, &synth, g0, g1));
             }
         }
         Ok(())
@@ -307,6 +289,7 @@ mod tests {
     use nsb_circuit::generators;
     use nsb_device::DeviceConfig;
     use nsb_synth::SynthKey;
+    use std::collections::HashMap;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -458,7 +441,9 @@ mod tests {
             .with_shared_cache(cache.clone())
             .lower(&routed)
             .expect("lower");
-        assert_eq!(cache.calls(), 1, "Rzz is the same target either way round");
+        let syntheses = cache.stores.load(Ordering::Relaxed);
+        assert_eq!(syntheses, 1, "Rzz is the same target either way round");
+        assert_eq!(cache.map.lock().unwrap().len(), 1, "one entry");
     }
 
     #[test]

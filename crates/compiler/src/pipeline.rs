@@ -8,7 +8,7 @@ use crate::schedule::{schedule, Schedule};
 use nsb_circuit::{Circuit, Gate, StateVector};
 use nsb_device::{BasisStrategy, Device};
 use nsb_math::{Mat2, Mat4};
-use nsb_synth::{NoCache, SynthCache};
+use nsb_synth::{SharedSynthCache, SynthCache};
 use nsb_verify::{
     ScheduleFacts, UnitaryEquivalence, VerifierSuite, VerifyLevel, VerifyOp, VerifyReport,
     VerifyTarget,
@@ -224,15 +224,18 @@ pub struct Transpiler<'d> {
 }
 
 impl<'d> Transpiler<'d> {
-    /// Creates a transpiler with the mode defaults of [`default_mode`].
-    /// The verification level starts at [`VerifyLevel::from_env`] (the
-    /// `NSB_VERIFY` variable, or debug-only when unset).
+    /// Creates a transpiler with the mode defaults of [`default_mode`] and
+    /// a synthesis cache of its own (a [`SharedSynthCache::default`]), so
+    /// a target it has synthesized before, in this circuit or an earlier
+    /// one, is reused. The verification level starts at
+    /// [`VerifyLevel::from_env`] (the `NSB_VERIFY` variable, or debug-only
+    /// when unset).
     pub fn new(device: &'d Device, strategy: BasisStrategy) -> Self {
         Transpiler {
             device,
             strategy,
             mode: default_mode(strategy),
-            cache: Arc::new(NoCache),
+            cache: Arc::new(SharedSynthCache::default()),
             verify: VerifyLevel::from_env(),
         }
     }
@@ -243,9 +246,9 @@ impl<'d> Transpiler<'d> {
         self
     }
 
-    /// Attaches a shared synthesis cache (see
-    /// [`Lowerer::with_shared_cache`]); compilation output is unaffected,
-    /// only repeated decomposition work is skipped.
+    /// Attaches a synthesis cache shared with other transpilers, in place
+    /// of its own (see [`Lowerer::with_shared_cache`]); compilation output
+    /// is unaffected, only repeated decomposition work is skipped.
     pub fn with_shared_cache(mut self, cache: Arc<dyn SynthCache>) -> Self {
         self.cache = cache;
         self

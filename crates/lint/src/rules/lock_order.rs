@@ -7,7 +7,7 @@
 //! while an unbound guard (a temporary such as
 //! `relock(self.inner.lock()).len()`) dies at the end of its
 //! statement. Lock identity is the receiver's final path segment
-//! qualified by file (`service/src/cache.rs::state`), which matches
+//! qualified by file (`synth/src/cache.rs::state`), which matches
 //! how this workspace names lock fields.
 //!
 //! Three deadlock-prone shapes are reported:

@@ -2,8 +2,9 @@
 //!
 //! A concurrent compilation service over the MICRO 2022 nonstandard-basis
 //! toolchain: a bounded job queue feeding a `std::thread` worker pool,
-//! with a shared, thread-safe synthesis cache so every worker reuses the
-//! two-qubit decompositions any other worker has already computed.
+//! with one [`SharedSynthCache`] (from `nsb-synth`, re-exported here)
+//! shared by all workers, so every worker reuses the two-qubit
+//! decompositions any other worker has already computed.
 //!
 //! The paper's compilation flow spends almost all of its time in
 //! numerical two-qubit synthesis, and the same targets (CPhase angles,
@@ -67,16 +68,17 @@
 )]
 
 mod bounded;
-mod cache;
 mod error;
 mod job;
 mod metrics;
 mod pool;
 mod service;
 
-pub use cache::{CacheStats, SharedSynthCache};
 pub use error::ServiceError;
 pub use job::{JobHandle, JobSpec};
 pub use metrics::ServiceMetrics;
 pub use pool::{PoolConfig, ServicePool};
 pub use service::{CompileService, ServiceConfig};
+
+// The cache type the service shares across its workers and reports on.
+pub use nsb_synth::{CacheStats, SharedSynthCache};

@@ -12,12 +12,12 @@
 //! fixed interval, so even a crash loses at most one interval's worth of
 //! new syntheses.
 
-use crate::cache::{CacheStats, SharedSynthCache};
 use crate::error::ServiceError;
 use crate::job::{JobHandle, JobSpec};
-use crate::service::{CompileService, ServiceConfig};
+use crate::service::{stored_entries, CompileService, ServiceConfig};
 use nsb_device::Device;
 use nsb_store::{LoadReport, PeriodicFlusher, SaveReport, SnapshotStore, StoreError};
+use nsb_synth::{CacheStats, SharedSynthCache};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -113,7 +113,7 @@ impl ServicePool {
                 // drain happens in `shutdown`.
                 Some(PeriodicFlusher::spawn(interval, move || {
                     for (calibration, cache) in &caches {
-                        let _ = store.save(*calibration, &cache.stored_entries());
+                        let _ = store.save(*calibration, &stored_entries(cache));
                     }
                 })?)
             }
@@ -226,7 +226,7 @@ impl ServicePool {
             let cache = shard.service.cache().clone();
             shard.service.shutdown();
             if let Some(store) = &store {
-                let report = store.save(shard.calibration, &cache.stored_entries())?;
+                let report = store.save(shard.calibration, &stored_entries(&cache))?;
                 reports.push((shard.calibration, report));
             }
         }

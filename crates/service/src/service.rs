@@ -2,16 +2,16 @@
 //! transpiler's staged pipeline, and graceful shutdown.
 
 use crate::bounded::{BoundedQueue, PushError};
-use crate::cache::SharedSynthCache;
 use crate::error::ServiceError;
 use crate::job::{Job, JobHandle, JobSpec};
 use crate::metrics::ServiceMetrics;
 use nsb_compiler::{CompileError, CompiledCircuit, Transpiler};
 use nsb_device::Device;
-use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError};
+use nsb_store::{LoadReport, SaveReport, SnapshotStore, StoreError, StoredEntry};
+use nsb_synth::SharedSynthCache;
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
@@ -37,7 +37,7 @@ impl Default for ServiceConfig {
                 .unwrap_or(2)
                 .min(8),
             queue_capacity: 256,
-            cache_capacity: 4096,
+            cache_capacity: SharedSynthCache::DEFAULT_CAPACITY,
         }
     }
 }
@@ -55,7 +55,6 @@ pub struct CompileService {
     queue: Arc<BoundedQueue<Job>>,
     cache: Arc<SharedSynthCache>,
     metrics: Arc<ServiceMetrics>,
-    accepting: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -73,7 +72,6 @@ impl CompileService {
         let metrics = Arc::new(ServiceMetrics::default());
         let cache = Arc::new(SharedSynthCache::new(config.cache_capacity));
         let queue = Arc::new(BoundedQueue::new(config.queue_capacity.max(1)));
-        let accepting = Arc::new(AtomicBool::new(true));
         let mut workers = Vec::with_capacity(n_workers);
         for i in 0..n_workers {
             let device = device.clone();
@@ -101,7 +99,6 @@ impl CompileService {
             queue,
             cache,
             metrics,
-            accepting,
             workers,
         })
     }
@@ -171,7 +168,7 @@ impl CompileService {
     /// [`StoreError`] on any I/O failure; the previous snapshot (if any)
     /// is left untouched in that case.
     pub fn drain_to(&self, store: &SnapshotStore) -> Result<SaveReport, StoreError> {
-        store.save(self.calibration_hash(), &self.cache.stored_entries())
+        store.save(self.calibration_hash(), &stored_entries(&self.cache))
     }
 
     /// Submits a job without blocking.
@@ -181,9 +178,6 @@ impl CompileService {
     /// [`ServiceError::QueueFull`] when the bounded queue is at
     /// capacity, [`ServiceError::ShuttingDown`] after shutdown began.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, ServiceError> {
-        if !self.accepting.load(Ordering::Relaxed) {
-            return Err(ServiceError::ShuttingDown);
-        }
         let (result_tx, result_rx) = mpsc::channel();
         let job = Job { spec, result_tx };
         // Count the job before a worker can see it: a worker idle in `pop`
@@ -210,7 +204,6 @@ impl CompileService {
     }
 
     fn shutdown_inner(&mut self) {
-        self.accepting.store(false, Ordering::Relaxed);
         self.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -222,6 +215,19 @@ impl Drop for CompileService {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
+}
+
+/// The cache's live entries as store records.
+pub(crate) fn stored_entries(cache: &SharedSynthCache) -> Vec<StoredEntry> {
+    cache
+        .export_entries()
+        .into_iter()
+        .map(|(key, target_fp, value)| StoredEntry {
+            key,
+            target_fp,
+            value,
+        })
+        .collect()
 }
 
 /// One worker: pop, compile, report. Exits when the queue is closed and
@@ -307,6 +313,7 @@ mod tests {
     use nsb_circuit::{generators, Circuit, Gate};
     use nsb_compiler::VerifyLevel;
     use nsb_device::{BasisStrategy, DeviceConfig};
+    use std::sync::atomic::AtomicBool;
 
     fn test_device() -> Device {
         Device::build(3, 2, DeviceConfig::fast_test()).expect("test device")
@@ -387,24 +394,30 @@ mod tests {
 
     #[test]
     fn compiles_like_the_plain_transpiler() {
+        // Baseline lowers by direct synthesis through the cache; the
+        // criteria lower through their calibrated SWAP and CNOT.
         let device = test_device();
         let logical = generators::qft(4, true);
-        let expected = nsb_compiler::Transpiler::new(&device, BasisStrategy::Criterion2)
-            .compile(&logical)
-            .expect("direct compile");
-        let service = CompileService::new(device, small_config()).expect("service");
-        let handle = service
-            .submit(JobSpec::new(logical, BasisStrategy::Criterion2))
-            .expect("submit");
-        let compiled = handle.wait().expect("service compile");
-        // Debug output round-trips f64 bit patterns, so string equality
-        // is bit-identity of the compiled ops.
-        assert_eq!(format!("{:?}", compiled.ops), format!("{:?}", expected.ops));
-        assert_eq!(compiled.initial_layout, expected.initial_layout);
-        assert_eq!(compiled.final_layout, expected.final_layout);
-        assert_eq!(compiled.swaps_inserted, expected.swaps_inserted);
-        assert_eq!(compiled.fidelity.to_bits(), expected.fidelity.to_bits());
-        assert_eq!(service.metrics().jobs_completed.load(Ordering::Relaxed), 1);
+        let service = CompileService::new(device.clone(), small_config()).expect("service");
+        for (jobs, strategy) in (1..).zip(BasisStrategy::ALL) {
+            let expected = nsb_compiler::Transpiler::new(&device, strategy)
+                .compile(&logical)
+                .expect("direct compile");
+            let handle = service
+                .submit(JobSpec::new(logical.clone(), strategy))
+                .expect("submit");
+            let compiled = handle.wait().expect("service compile");
+            // Debug output round-trips f64 bit patterns, so string equality
+            // is bit-identity of the compiled ops.
+            let ops = format!("{:?}", compiled.ops);
+            assert_eq!(ops, format!("{:?}", expected.ops), "{strategy:?}");
+            assert_eq!(compiled.initial_layout, expected.initial_layout);
+            assert_eq!(compiled.final_layout, expected.final_layout);
+            assert_eq!(compiled.swaps_inserted, expected.swaps_inserted);
+            assert_eq!(compiled.fidelity.to_bits(), expected.fidelity.to_bits());
+            let completed = service.metrics().jobs_completed.load(Ordering::Relaxed);
+            assert_eq!(completed, jobs);
+        }
     }
 
     #[test]
@@ -505,7 +518,7 @@ mod tests {
     fn rejects_after_shutdown() {
         let device = test_device();
         let service = CompileService::new(device.clone(), small_config()).expect("service");
-        service.accepting.store(false, Ordering::Relaxed);
+        service.queue.close();
         match service.submit(JobSpec::new(generators::ghz(3), BasisStrategy::Baseline)) {
             Err(ServiceError::ShuttingDown) => {}
             Err(other) => panic!("expected shutting-down, got {other:?}"),

@@ -10,6 +10,13 @@
 //! analytic depth oracle built on the paper's Weyl-chamber region geometry,
 //! skipping directly to the theoretically guaranteed depth.
 //!
+//! Each distinct target is synthesized once per basis gate and reused
+//! afterwards: [`Decomposer::decompose_cached`] goes through a
+//! [`SynthCache`], and [`SharedSynthCache`] is the one implementation,
+//! an LRU map under one lock with single-flight misses. The compiler's
+//! lowering holds one by default; a compilation service shares one
+//! across its workers and persists it.
+//!
 //! ```
 //! use nsb_math::Mat4;
 //! use nsb_synth::Decomposer;
@@ -40,6 +47,8 @@ mod optimizer;
 mod oracle;
 
 pub use ansatz::Synthesized2Q;
-pub use cache::{mat4_fingerprint, NoCache, StableHasher, SynthCache, SynthKey};
+pub use cache::{
+    mat4_fingerprint, CacheStats, SharedSynthCache, StableHasher, SynthCache, SynthKey,
+};
 pub use decomposer::{decompose_with_bases, Decomposer, DecomposerConfig, SynthesisFailed};
 pub use oracle::{numerical_can_cnot_in_2, numerical_can_swap_in_3};
